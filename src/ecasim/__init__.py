@@ -13,14 +13,14 @@ from .sweep import (ProtocolVariant, SweepResults, SweepSpec, load_results,
                     parse_config, parse_config_file, run_sweep)
 from .figures import emit_figure_data, figure_filename
 from .timing import DEFAULT_TIMING, TimingTable
-from .traffic import ArrivalProcess, ArrivalStream, Packet, sample_interarrival
+from .traffic import ArrivalStream, sample_interarrival
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalProcess", "ArrivalStream", "Collision", "ConfigError",
+    "ArrivalStream", "Collision", "ConfigError",
     "ConsistencyError", "DEFAULT_TIMING", "EMPTY", "Empty",
-    "MetricsAccumulator", "MetricsReport", "NodeState", "NodeStats", "Packet",
+    "MetricsAccumulator", "MetricsReport", "NodeState", "NodeStats",
     "Protocol", "ProtocolVariant", "SATURATED", "SimConfig", "Simulation",
     "SlotOutcome", "Success", "SweepResults", "SweepSpec", "TimingTable",
     "after_transmission", "contention_window", "emit_figure_data",

@@ -14,6 +14,12 @@ heap of absolute due-slots instead of decrementing N counters per slot, and
 run() skips event-free idle gaps in bulk.  No randomness is consumed in a
 skipped gap, so bulk skipping is exactly equivalent to stepping slot by slot.
 
+advance_slot() is the reference stepper: it resolves one slot through the
+protocol, traffic and metrics functions.  run() does the same work in one
+fused loop over local per-node lists, with those functions inlined and the
+same random draws in the same order, and a differential test holds it equal
+to stepping with advance_slot().
+
 Time is tracked as (idle slot count, accumulated busy time) and composed on
 demand, which keeps the clock bit-identical between the bulk and single-step
 paths.
@@ -24,12 +30,12 @@ import random
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .config import SimConfig
+from .config import Protocol, SimConfig
 from .errors import ConsistencyError
 from .metrics import MetricsAccumulator, MetricsReport
 from .protocols import NodeState, after_transmission, on_packet_arrival
 from .timing import TimingTable
-from .traffic import ArrivalProcess, ArrivalStream, Packet
+from .traffic import ArrivalStream
 
 
 class Empty:
@@ -92,9 +98,9 @@ class SimClock:
     def now_us(self) -> float:
         return self.slot_empty_us * self.empty_count + self.busy_us
 
-    def advance_empty(self, n: int = 1) -> None:
-        self.slot += n
-        self.empty_count += n
+    def advance_empty(self) -> None:
+        self.slot += 1
+        self.empty_count += 1
 
     def advance_busy(self, duration_us: float) -> None:
         self.slot += 1
@@ -112,7 +118,7 @@ class Simulation:
         self.proto_rng = random.Random(master.getrandbits(64))
         self.nodes = [NodeState(i) for i in range(cfg.n_nodes)]
         self.clock = SimClock(t.slot_empty)
-        self.acc = MetricsAccumulator(cfg.n_nodes, t.slot_empty)
+        self.acc = MetricsAccumulator(cfg.n_nodes, t.slot_empty, t.payload_bits)
         if cfg.warmup_slots == 0:
             self.acc.warmup_end_us = 0.0
         self.tx_heap: list = []       # (due slot, node id), one entry per active node
@@ -120,23 +126,20 @@ class Simulation:
         self.streams: list = []
         for node in self.nodes:
             rng = random.Random(master.getrandbits(64))
-            if cfg.saturated:
-                stream = ArrivalStream(node.node_id, ArrivalProcess.saturated(),
-                                       t.payload_bits, rng)
-            elif cfg.arrival_rate > 0:
-                stream = ArrivalStream(node.node_id,
-                                       ArrivalProcess.poisson(cfg.arrival_rate),
-                                       t.payload_bits, rng)
-                heapq.heappush(self.arrival_heap, (stream.next_us, node.node_id))
-            else:
-                stream = None
+            stream = None
+            if cfg.arrival_rate > 0:  # inf, the saturated rate, included
+                stream = ArrivalStream(cfg.arrival_rate, rng)
+                if not stream.saturated:
+                    heapq.heappush(self.arrival_heap,
+                                   (stream.next_us, node.node_id))
             self.streams.append(stream)
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot 0
             for node in self.nodes:
-                for pkt in self.streams[node.node_id].refill(
+                for enqueue_us in self.streams[node.node_id].refill(
                         0, cfg.queue_capacity, 0.0):
-                    counter = on_packet_arrival(node, pkt, cfg, self.proto_rng)
+                    counter = on_packet_arrival(node, enqueue_us, cfg,
+                                                self.proto_rng)
                     if counter is not None:
                         node.next_tx_slot = counter
                         heapq.heappush(self.tx_heap, (counter, node.node_id))
@@ -153,11 +156,8 @@ class Simulation:
     def inject_packets(self, node_id: int, count: int) -> None:
         """Test hook: place packets in a queue without touching contention."""
         node = self.nodes[node_id]
-        t = self.cfg.timing
-        now = self.clock.now_us
-        for _ in range(count):
-            node.queue.append(Packet(node_id, now, t.payload_bits))
-            node.counters.arrivals += 1
+        node.queue.extend([self.clock.now_us] * count)
+        node.counters.arrivals += count
 
     def set_backoff(self, node_id: int, counter: int) -> None:
         """Test hook: activate a node with an explicit counter."""
@@ -169,14 +169,13 @@ class Simulation:
         node.next_tx_slot = self.clock.slot + counter
         heapq.heappush(self.tx_heap, (node.next_tx_slot, node_id))
 
-    # -- the slot machine -----------------------------------------------------
+    # -- the reference stepper --------------------------------------------------
 
     def _replenish(self, node: NodeState) -> None:
-        stream = self.streams[node.node_id]
-        for pkt in stream.refill(len(node.queue), self.cfg.queue_capacity,
-                                 self.clock.now_us):
-            node.queue.append(pkt)
-            node.counters.arrivals += 1
+        added = self.streams[node.node_id].refill(
+            len(node.queue), self.cfg.queue_capacity, self.clock.now_us)
+        node.queue.extend(added)
+        node.counters.arrivals += len(added)
 
     def advance_slot(self) -> SlotOutcome:
         """Resolve exactly one contention slot and advance the clock."""
@@ -198,28 +197,18 @@ class Simulation:
         assert not tx_heap or tx_heap[0][0] > s, "overdue transmission in heap"
 
         t = cfg.timing
+        # a batch's size is fixed before this slot's arrivals are enqueued
+        sizes = [min(len(self.nodes[nid].queue), cfg.max_aggregation)
+                 for nid in txs]
         if not txs:
             outcome: SlotOutcome = EMPTY
             duration = t.slot_empty
         else:
-            batch_sizes = {}
-            max_bits = 0
-            for nid in txs:
-                q = self.nodes[nid].queue
-                size = len(q)
-                if size > cfg.max_aggregation:
-                    size = cfg.max_aggregation
-                batch_sizes[nid] = size
-                bits = 0
-                for j in range(size):
-                    bits += q[j].payload_bits
-                if bits > max_bits:
-                    max_bits = bits
             if len(txs) == 1:
-                outcome = Success(txs[0], batch_sizes[txs[0]])
+                outcome = Success(txs[0], sizes[0])
             else:
                 outcome = Collision(tuple(txs))
-            duration = t.exchange_us(max_bits)
+            duration = t.exchange_us(max(sizes) * t.payload_bits)
 
         slot_end = clock.now_us + duration
 
@@ -230,9 +219,9 @@ class Simulation:
             _, nid = heapq.heappop(arr_heap)
             stream = self.streams[nid]
             node = self.nodes[nid]
-            for pkt in stream.drain_poisson(slot_end):
+            for enqueue_us in stream.drain_poisson(slot_end):
                 dropped_before = node.counters.dropped
-                counter = on_packet_arrival(node, pkt, cfg, rng)
+                counter = on_packet_arrival(node, enqueue_us, cfg, rng)
                 if counter is not None:
                     node.next_tx_slot = s + 1 + counter
                     heapq.heappush(tx_heap, (node.next_tx_slot, nid))
@@ -243,14 +232,14 @@ class Simulation:
         if txs:
             success = len(txs) == 1
             replenish = self._replenish if cfg.saturated else None
-            for nid in txs:
+            for nid, size in zip(txs, sizes):
                 node = self.nodes[nid]
                 delivered, counter = after_transmission(
-                    node, success, batch_sizes[nid], cfg, rng, replenish)
+                    node, success, size, cfg, rng, replenish)
                 if counted:
                     acc.record_attempt(nid, success)
                     if delivered:
-                        acc.record_delivery(delivered, slot_end)
+                        acc.record_delivery(nid, delivered, slot_end)
                     if success and counter is None:
                         acc.record_queue_empty(nid)
                 if counter is not None:
@@ -265,47 +254,274 @@ class Simulation:
             clock.advance_busy(duration)
         return outcome
 
-    def _bulk_empty(self, n: int) -> None:
-        """Advance n idle slots known to contain no arrivals or transmissions."""
-        cfg = self.cfg
-        clock = self.clock
-        acc = self.acc
-        s0 = clock.slot
-        warm = cfg.warmup_slots
-        if acc.warmup_end_us is None and s0 + n > warm:
-            assert s0 <= warm
-            acc.warmup_end_us = (clock.slot_empty_us
-                                 * (clock.empty_count + warm - s0)
-                                 + clock.busy_us)
-        counted = s0 + n - warm if s0 < warm else n
-        if counted > 0:
-            acc.record_empty_bulk(counted)
-        clock.advance_empty(n)
+    # -- the fused loop -----------------------------------------------------------
 
     def run(self) -> MetricsReport:
+        """Run to cfg.sim_slots and report.
+
+        Does exactly what repeated advance_slot() calls do, plus bulk skipping
+        of event-free idle gaps, in one loop: node, clock and ledger state is
+        loaded into locals here and written back before the report, so the
+        test hooks, the node objects and a later advance_slot() all see it.
+        """
         cfg = self.cfg
+        t = cfg.timing
+        nodes = self.nodes
         clock = self.clock
+        acc = self.acc
         tx_heap = self.tx_heap
         arr_heap = self.arrival_heap
-        se = clock.slot_empty_us
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
+        randrange = self.proto_rng.randrange
+
+        se = t.slot_empty
         end = cfg.sim_slots
-        while clock.slot < end:
-            s = clock.slot
-            tx_due = tx_heap[0][0] if tx_heap else end
-            if tx_due > s:
-                gap_end = tx_due if tx_due < end else end
+        warm = cfg.warmup_slots
+        cap = cfg.queue_capacity
+        agg = cfg.max_aggregation
+        cw_min = cfg.cw_min
+        max_stage = cfg.max_stage
+        rate = cfg.arrival_rate
+        bits = t.payload_bits
+        saturated = cfg.saturated
+        random_success = cfg.protocol is Protocol.CSMA_CA
+        keep_stage = cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis
+        eca_counter = cw_min // 2 - 1
+        rejoin_window = cw_min + 1 if cfg.rejoin_inclusive else cw_min
+        exchange = [t.exchange_us(k * bits) for k in range(agg + 1)]
+
+        queues = [n.queue for n in nodes]
+        active = [n.active for n in nodes]
+        stage = [n.backoff_stage for n in nodes]
+        next_tx = [n.next_tx_slot for n in nodes]
+        draws = [None if st is None else st.rng.expovariate
+                 for st in self.streams]
+        # whole-run tallies (NodeCounters); transmissions are derived below
+        arrivals = [n.counters.arrivals for n in nodes]
+        delivered = [n.counters.delivered for n in nodes]
+        dropped = [n.counters.dropped for n in nodes]
+        successes = [n.counters.successes for n in nodes]
+        collisions = [n.counters.collisions for n in nodes]
+        queue_empties = [n.counters.queue_empty_events for n in nodes]
+        # counted-window ledger: lists change in place, scalars are written back
+        node_tx = acc.node_tx
+        node_success = acc.node_success
+        node_collision = acc.node_collision
+        node_queue_empty = acc.node_queue_empty
+        node_drops = acc.node_drops
+        node_delivered = acc.node_delivered
+        node_bits = acc.node_bits
+        node_delay_sum = acc.node_delay_sum
+        node_delay_n = acc.node_delay_n
+        warm_end = acc.warmup_end_us
+        slots_empty = acc.slots_empty
+        slots_success = acc.slots_success
+        slots_collision = acc.slots_collision
+        counted_busy_us = acc.busy_us
+        delivered_bits = acc.delivered_bits
+        delivered_packets = acc.delivered_packets
+        delay_sum_us = acc.delay_sum_us
+        delay_samples = acc.delay_samples
+        drops = acc.drops
+        slot = clock.slot
+        empty_count = clock.empty_count
+        busy_us = clock.busy_us
+
+        while slot < end:
+            due = tx_heap[0][0] if tx_heap else end
+            if due > slot:
+                # skip idle slots up to the next transmission or arrival
+                gap_end = due if due < end else end
                 if arr_heap:
                     a = arr_heap[0][0]
-                    now = clock.now_us
+                    now = se * empty_count + busy_us
                     k = int((a - now) / se)
                     while k > 0 and a < now + k * se:  # float floor guard
                         k -= 1
-                    if s + k < gap_end:
-                        gap_end = s + k
-                if gap_end > s:
-                    self._bulk_empty(gap_end - s)
+                    if slot + k < gap_end:
+                        gap_end = slot + k
+                if gap_end > slot:
+                    if warm_end is None and gap_end > warm:
+                        assert slot <= warm
+                        warm_end = se * (empty_count + warm - slot) + busy_us
+                    first = warm if slot < warm else slot
+                    if gap_end > first:
+                        slots_empty += gap_end - first
+                    empty_count += gap_end - slot
+                    slot = gap_end
                     continue
-            self.advance_slot()
+            assert due >= slot, "overdue transmission in heap"
+
+            # -- one stepped slot: who transmits, and for how long
+            s = slot
+            now = se * empty_count + busy_us
+            counted = s >= warm
+            if counted and warm_end is None:
+                warm_end = now
+            winner = -1
+            colliders = None
+            if due == s:
+                nid = heappop(tx_heap)[1]
+                assert active[nid] and next_tx[nid] == s
+                size = len(queues[nid])
+                if size > agg:
+                    size = agg
+                if tx_heap and tx_heap[0][0] == s:
+                    colliders = [nid]
+                    longest = size
+                    while tx_heap and tx_heap[0][0] == s:
+                        nid = heappop(tx_heap)[1]
+                        assert active[nid] and next_tx[nid] == s
+                        colliders.append(nid)
+                        size = len(queues[nid])
+                        if size > longest:
+                            longest = size
+                    duration = exchange[longest if longest < agg else agg]
+                else:
+                    winner = nid
+                    duration = exchange[size]
+            else:
+                duration = se
+            slot_end = now + duration
+
+            # -- arrivals before the slot ends (on_packet_arrival, inlined)
+            while arr_heap and arr_heap[0][0] < slot_end:
+                next_us, nid = arr_heap[0]
+                q = queues[nid]
+                draw = draws[nid]
+                landed = 0
+                lost = 0
+                while next_us < slot_end:
+                    landed += 1
+                    if len(q) >= cap:
+                        lost += 1
+                    else:
+                        q.append(next_us)
+                        if not active[nid]:
+                            active[nid] = True
+                            if not keep_stage:
+                                stage[nid] = 0
+                            c = s + 1 + randrange(rejoin_window)
+                            next_tx[nid] = c
+                            heappush(tx_heap, (c, nid))
+                    next_us += draw(rate) * 1e6
+                heapreplace(arr_heap, (next_us, nid))
+                arrivals[nid] += landed
+                if lost:
+                    dropped[nid] += lost
+                    if counted:
+                        drops += lost
+                        node_drops[nid] += lost
+
+            # -- outcome (after_transmission and the record_* calls, inlined)
+            if winner >= 0:
+                nid = winner
+                q = queues[nid]
+                successes[nid] += 1
+                delivered[nid] += size
+                if counted:
+                    node_tx[nid] += 1
+                    node_success[nid] += 1
+                    node_delivered[nid] += size
+                    node_bits[nid] += size * bits
+                    delivered_packets += size
+                    delivered_bits += size * bits
+                    node_sum = node_delay_sum[nid]
+                    samples = 0
+                    for _ in range(size):
+                        enqueue_us = q.popleft()
+                        if enqueue_us >= warm_end:
+                            delay = slot_end - enqueue_us
+                            if delay < 0:
+                                raise ConsistencyError(
+                                    f"negative delay {delay:.3f} us for node "
+                                    f"{nid}: ack at {slot_end:.3f}, enqueued "
+                                    f"at {enqueue_us:.3f}")
+                            delay_sum_us += delay
+                            node_sum += delay
+                            samples += 1
+                    node_delay_sum[nid] = node_sum
+                    node_delay_n[nid] += samples
+                    delay_samples += samples
+                    slots_success += 1
+                    counted_busy_us += duration
+                else:
+                    for _ in range(size):
+                        q.popleft()
+                if saturated:
+                    fill = cap - len(q)
+                    q.extend([now] * fill)
+                    arrivals[nid] += fill
+                if q:
+                    if random_success:
+                        stage[nid] = 0
+                        c = s + 1 + randrange(cw_min)
+                    elif keep_stage:
+                        c = s + (cw_min << stage[nid]) // 2
+                    else:
+                        stage[nid] = 0
+                        c = s + 1 + eca_counter
+                    next_tx[nid] = c
+                    heappush(tx_heap, (c, nid))
+                else:
+                    active[nid] = False
+                    queue_empties[nid] += 1
+                    if counted:
+                        node_queue_empty[nid] += 1
+                busy_us += duration
+            elif colliders is not None:
+                for nid in colliders:
+                    collisions[nid] += 1
+                    st = stage[nid] + 1
+                    if st > max_stage:
+                        st = max_stage
+                    stage[nid] = st
+                    c = s + 1 + randrange(cw_min << st)
+                    next_tx[nid] = c
+                    heappush(tx_heap, (c, nid))
+                    if counted:
+                        node_tx[nid] += 1
+                        node_collision[nid] += 1
+                if counted:
+                    slots_collision += 1
+                    counted_busy_us += duration
+                busy_us += duration
+            else:
+                empty_count += 1
+                if counted:
+                    slots_empty += 1
+            slot += 1
+
+        clock.slot = slot
+        clock.empty_count = empty_count
+        clock.busy_us = busy_us
+        acc.warmup_end_us = warm_end
+        acc.slots_empty = slots_empty
+        acc.slots_success = slots_success
+        acc.slots_collision = slots_collision
+        acc.busy_us = counted_busy_us
+        acc.delivered_bits = delivered_bits
+        acc.delivered_packets = delivered_packets
+        acc.delay_sum_us = delay_sum_us
+        acc.delay_samples = delay_samples
+        acc.drops = drops
+        for i, node in enumerate(nodes):
+            node.active = active[i]
+            node.backoff_stage = stage[i]
+            node.next_tx_slot = next_tx[i]
+            ct = node.counters
+            ct.transmissions += (successes[i] - ct.successes
+                                 + collisions[i] - ct.collisions)
+            ct.arrivals = arrivals[i]
+            ct.delivered = delivered[i]
+            ct.dropped = dropped[i]
+            ct.successes = successes[i]
+            ct.collisions = collisions[i]
+            ct.queue_empty_events = queue_empties[i]
+        for next_us, nid in arr_heap:
+            self.streams[nid].next_us = next_us
         return self._finalize()
 
     def _finalize(self) -> MetricsReport:

@@ -57,9 +57,10 @@ class MetricsReport:
 class MetricsAccumulator:
     """Collects counted-window tallies; the engine drives it slot by slot."""
 
-    def __init__(self, n_nodes: int, slot_empty_us: float):
+    def __init__(self, n_nodes: int, slot_empty_us: float, payload_bits: int):
         self.n_nodes = n_nodes
         self.slot_empty_us = slot_empty_us
+        self.payload_bits = payload_bits
         self.warmup_end_us: float | None = None
         self.slots_empty = 0
         self.slots_success = 0
@@ -112,26 +113,29 @@ class MetricsAccumulator:
         self.drops += 1
         self.node_drops[node_id] += 1
 
-    def record_delivery(self, batch, ack_us: float) -> None:
-        """One successful exchange: the whole batch shares the ACK instant."""
+    def record_delivery(self, node_id: int, batch, ack_us: float) -> None:
+        """One successful exchange: the whole batch shares the ACK instant.
+
+        batch holds the enqueue instants of the delivered packets.
+        """
         assert self.warmup_end_us is not None
-        nid = batch[0].source
         cutoff = self.warmup_end_us
-        for pkt in batch:
-            self.delivered_bits += pkt.payload_bits
-            self.node_bits[nid] += pkt.payload_bits
-            if pkt.enqueue_us >= cutoff:
-                delay = ack_us - pkt.enqueue_us
+        bits = self.payload_bits * len(batch)
+        self.delivered_bits += bits
+        self.node_bits[node_id] += bits
+        for enqueue_us in batch:
+            if enqueue_us >= cutoff:
+                delay = ack_us - enqueue_us
                 if delay < 0:
                     raise ConsistencyError(
-                        f"negative delay {delay:.3f} us for node {nid}: "
-                        f"ack at {ack_us:.3f}, enqueued at {pkt.enqueue_us:.3f}")
+                        f"negative delay {delay:.3f} us for node {node_id}: "
+                        f"ack at {ack_us:.3f}, enqueued at {enqueue_us:.3f}")
                 self.delay_sum_us += delay
                 self.delay_samples += 1
-                self.node_delay_sum[nid] += delay
-                self.node_delay_n[nid] += 1
+                self.node_delay_sum[node_id] += delay
+                self.node_delay_n[node_id] += 1
         self.delivered_packets += len(batch)
-        self.node_delivered[nid] += len(batch)
+        self.node_delivered[node_id] += len(batch)
 
     # -- reporting ----------------------------------------------------------
 

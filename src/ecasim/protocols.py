@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .config import Protocol, SimConfig
-from .traffic import Packet
 
 
 def contention_window(cw_min: int, stage: int) -> int:
@@ -71,14 +70,14 @@ class NodeCounters:
 @dataclass
 class NodeState:
     node_id: int
-    queue: deque = field(default_factory=deque)
+    queue: deque = field(default_factory=deque)  # enqueue instants, us, FIFO
     active: bool = False
     backoff_stage: int = 0
     next_tx_slot: int = -1  # engine-owned; meaningless while inactive
     counters: NodeCounters = field(default_factory=NodeCounters)
 
 
-def on_packet_arrival(node: NodeState, pkt: Packet, cfg: SimConfig,
+def on_packet_arrival(node: NodeState, enqueue_us: float, cfg: SimConfig,
                       rng: random.Random) -> int | None:
     """Enqueue one arrival; returns a backoff counter iff the node rejoined.
 
@@ -90,7 +89,7 @@ def on_packet_arrival(node: NodeState, pkt: Packet, cfg: SimConfig,
     if len(node.queue) >= cfg.queue_capacity:
         node.counters.dropped += 1
         return None
-    node.queue.append(pkt)
+    node.queue.append(enqueue_us)
     if node.active:
         return None
     node.active = True
@@ -101,13 +100,13 @@ def on_packet_arrival(node: NodeState, pkt: Packet, cfg: SimConfig,
 
 def after_transmission(node: NodeState, success: bool, batch_size: int,
                        cfg: SimConfig, rng: random.Random,
-                       replenish=None) -> tuple[list[Packet], int | None]:
+                       replenish=None) -> tuple[list[float], int | None]:
     """Apply the outcome of this node's transmission attempt.
 
     On success the batch leaves the queue; a node whose queue is then empty
     leaves contention (one queue_empty event).  On collision the batch stays
-    queued for retry and the window doubles.  Returns the delivered packets
-    and the next backoff counter, or None if the node went idle.  replenish,
+    queued for retry and the window doubles.  Returns the enqueue instants of
+    the delivered packets and the next backoff counter, or None if the node went idle.  replenish,
     when given, refills a saturated queue before the empty check so saturated
     nodes never drop out.
     """

@@ -14,6 +14,7 @@ because results are written back in submission order.
 """
 
 import csv
+import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -339,6 +340,19 @@ def _project(report) -> dict:
     }
 
 
+def _stdev(samples: list) -> float:
+    """Sample standard deviation; 0 for one sample, nan if any is nan or inf.
+
+    statistics.stdev raises on a non-finite sample (a run that measured no
+    delay reports nan), where statistics.fmean lets the nan through.
+    """
+    if len(samples) < 2:
+        return 0.0
+    if not all(math.isfinite(x) for x in samples):
+        return math.nan
+    return statistics.stdev(samples)
+
+
 def worker_count(requested: int | None = None) -> int:
     if requested is not None:
         n = requested
@@ -400,7 +414,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
             for col in METRIC_COLUMNS:
                 samples = [float(r.values[col]) for r in cell]
                 mean[col] = statistics.fmean(samples)
-                std[col] = statistics.stdev(samples) if len(samples) > 1 else 0.0
+                std[col] = _stdev(samples)
             aggregates[(variant.label, n)] = {"mean": mean, "stddev": std}
 
     results = SweepResults(spec, rows, aggregates)

@@ -1,39 +1,17 @@
 """Packet arrival processes feeding the MAC queues.
 
-Poisson sources draw exponential interarrival gaps and stamp each packet with
-its exact arrival instant, so delay measurements are not quantised to slot
-boundaries.  A saturated source simply keeps the queue topped up: it models a
-node that always has traffic waiting.
+A queued packet is just its enqueue instant in microseconds: every packet of
+a run carries the config-wide payload size, and its source is the node whose
+queue holds it.  Poisson sources draw exponential interarrival gaps and stamp
+each packet with its exact arrival instant, so delay measurements are not
+quantised to slot boundaries.  A saturated source simply keeps the queue
+topped up: it models a node that always has traffic waiting.
 """
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class Packet:
-    source: int
-    enqueue_us: float
-    payload_bits: int
-
-
-@dataclass(frozen=True)
-class ArrivalProcess:
-    kind: str           # "poisson" or "saturated"
-    rate: float = 0.0   # packets per second, poisson only
-
-    @classmethod
-    def poisson(cls, rate: float) -> "ArrivalProcess":
-        if rate <= 0:
-            raise ConfigError("poisson arrival rate must be positive")
-        return cls("poisson", rate)
-
-    @classmethod
-    def saturated(cls) -> "ArrivalProcess":
-        return cls("saturated")
 
 
 def sample_interarrival(rate: float, rng: random.Random) -> float:
@@ -45,31 +23,29 @@ def sample_interarrival(rate: float, rng: random.Random) -> float:
 class ArrivalStream:
     """Per-node arrival state: the next pending instant of a Poisson source.
 
-    A stream owns its RNG so the arrival sequence of a node depends only on
-    the run seed and the node id, never on what other nodes are doing.
+    rate is in packets/s; math.inf makes a saturated source, whose refills
+    are demand-driven and draw nothing.  A stream owns its RNG so the arrival
+    sequence of a node depends only on the run seed and the node id, never on
+    what other nodes are doing.
     """
 
-    def __init__(self, node_id: int, process: ArrivalProcess,
-                 payload_bits: int, rng: random.Random):
-        self.node_id = node_id
-        self.process = process
-        self.payload_bits = payload_bits
+    def __init__(self, rate: float, rng: random.Random):
+        if not rate > 0:
+            raise ConfigError("arrival rate must be positive")
+        self.rate = rate
         self.rng = rng
-        if process.kind == "poisson":
-            self.next_us = sample_interarrival(process.rate, rng)
-        else:
-            self.next_us = math.inf  # saturated refills are demand-driven
+        self.saturated = math.isinf(rate)
+        self.next_us = math.inf if self.saturated else sample_interarrival(rate, rng)
 
-    def drain_poisson(self, window_end_us: float) -> list[Packet]:
-        """All packets with arrival instants strictly before window_end_us."""
+    def drain_poisson(self, window_end_us: float) -> list[float]:
+        """Enqueue instants of all arrivals strictly before window_end_us."""
         out = []
         while self.next_us < window_end_us:
-            out.append(Packet(self.node_id, self.next_us, self.payload_bits))
-            self.next_us += sample_interarrival(self.process.rate, self.rng)
+            out.append(self.next_us)
+            self.next_us += sample_interarrival(self.rate, self.rng)
         return out
 
-    def refill(self, queue_len: int, capacity: int, now_us: float) -> list[Packet]:
+    def refill(self, queue_len: int, capacity: int, now_us: float) -> list[float]:
         """Saturated top-up: enough packets to put the queue back at capacity."""
-        assert self.process.kind == "saturated"
-        return [Packet(self.node_id, now_us, self.payload_bits)
-                for _ in range(capacity - queue_len)]
+        assert self.saturated
+        return [now_us] * (capacity - queue_len)

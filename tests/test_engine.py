@@ -1,13 +1,15 @@
-"""Slot resolution, event-skipping equivalence, and conservation checks."""
+"""Slot resolution, run() against the per-slot stepper, and conservation."""
 
 import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
-from ecasim import (SATURATED, Collision, Empty, Protocol, SimConfig,
-                    Simulation, Success, run_simulation)
+from ecasim import (DEFAULT_TIMING, SATURATED, Collision, Empty, Protocol,
+                    SimConfig, Simulation, Success, TimingTable,
+                    run_simulation)
 from ecasim.engine import EMPTY
 
 # hand arithmetic for the default timing table, one 12000-bit frame:
@@ -133,7 +135,43 @@ def test_delivery_delay_is_one_exchange_for_an_instant_winner():
     assert report.slots_empty == 9
 
 
-# -- bulk gap skipping --------------------------------------------------------
+# -- run() against the slot-by-slot reference ---------------------------------
+
+def _end_state(sim):
+    """Everything a run leaves behind, beyond the report."""
+    return {
+        "clock": (sim.clock.slot, sim.clock.empty_count, sim.clock.busy_us),
+        "nodes": [(list(n.queue), n.active, n.backoff_stage, n.next_tx_slot,
+                   dataclasses.asdict(n.counters)) for n in sim.nodes],
+        "tx_heap": sorted(sim.tx_heap),
+        "arrivals": sorted(sim.arrival_heap),
+        "next_us": [None if st is None else st.next_us for st in sim.streams],
+        "rng": [sim.proto_rng.getstate()]
+               + [None if st is None else st.rng.getstate() for st in sim.streams],
+        "warmup_end_us": sim.acc.warmup_end_us,
+    }
+
+
+def _assert_run_equals_stepping(cfg, prefix=0):
+    """run() (after `prefix` single steps) against advance_slot() throughout."""
+    fast_sim = Simulation(cfg)
+    for _ in range(min(prefix, cfg.sim_slots)):
+        fast_sim.advance_slot()
+    fast = fast_sim.run()
+    slow_sim = Simulation(cfg)
+    while slow_sim.clock.slot < cfg.sim_slots:
+        slow_sim.advance_slot()
+    slow = slow_sim._finalize()
+    assert _reports_equal(fast, slow)
+    assert _same(_end_state(fast_sim), _end_state(slow_sim))
+    # both ledgers balance (_finalize raises otherwise; spelled out here)
+    assert fast.slots_total == cfg.sim_slots - cfg.warmup_slots
+    assert fast.transmissions == fast.successes + fast.collisions
+    for node in fast_sim.nodes:
+        c = node.counters
+        assert c.arrivals == c.delivered + c.dropped + len(node.queue)
+        assert c.transmissions == c.successes + c.collisions
+
 
 @pytest.mark.parametrize("cfg", [
     SimConfig(protocol=Protocol.CSMA_CA, n_nodes=3, arrival_rate=200.0,
@@ -146,12 +184,42 @@ def test_delivery_delay_is_one_exchange_for_an_instant_winner():
               sim_slots=1500, warmup_slots=100, seed=9, cw_min=4, max_stage=1),
 ], ids=["ca-poisson", "eca-poisson", "eca-saturated", "ca-saturated"])
 def test_run_equals_slot_by_slot_stepping(cfg):
-    fast = Simulation(cfg).run()
-    slow_sim = Simulation(cfg)
-    while slow_sim.clock.slot < cfg.sim_slots:
-        slow_sim.advance_slot()
-    slow = slow_sim._finalize()
-    assert _reports_equal(fast, slow)
+    _assert_run_equals_stepping(cfg)
+
+
+@st.composite
+def sim_configs(draw):
+    """Small configs over every flag; high rates put arrivals in busy slots."""
+    protocol = draw(st.sampled_from(Protocol))
+    agg = draw(st.sampled_from([1, 1, 2, 3, 16]))
+    sim_slots = draw(st.integers(1, 1500))
+    return SimConfig(
+        protocol=protocol,
+        n_nodes=draw(st.integers(1, 8)),
+        arrival_rate=draw(st.one_of(st.just(SATURATED), st.just(0.0),
+                                    st.floats(20.0, 20_000.0))),
+        cw_min=draw(st.sampled_from([2, 4, 8, 16, 32])),
+        max_stage=draw(st.integers(0, 5)),
+        queue_capacity=draw(st.one_of(st.integers(agg, agg + 2),
+                                      st.just(1000))),
+        max_aggregation=agg,
+        hysteresis=protocol is Protocol.CSMA_ECA and draw(st.booleans()),
+        rejoin_inclusive=draw(st.booleans()),
+        sim_slots=sim_slots,
+        warmup_slots=draw(st.one_of(st.just(0),
+                                    st.integers(0, sim_slots - 1))),
+        seed=draw(st.integers(0, 2**32)),
+        timing=draw(st.sampled_from([
+            DEFAULT_TIMING,
+            TimingTable(slot_empty=10.3, payload_bits=8000),
+            TimingTable(slot_empty=0.7, sifs=3.3, data_rate=7.0)])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=sim_configs(), prefix=st.integers(0, 40))
+def test_run_equals_stepping_on_generated_configs(cfg, prefix):
+    _assert_run_equals_stepping(cfg, prefix)
 
 
 # -- conservation grid --------------------------------------------------------

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from ecasim import ConsistencyError, MetricsAccumulator, NodeState, Packet
+from ecasim import ConsistencyError, MetricsAccumulator, NodeState
 from ecasim.engine import EMPTY, Collision, Success
 
 
 def _acc(n_nodes=2, warmup_end_us=0.0):
-    acc = MetricsAccumulator(n_nodes, slot_empty_us=9.0)
+    acc = MetricsAccumulator(n_nodes, slot_empty_us=9.0, payload_bits=12000)
     acc.warmup_end_us = warmup_end_us
     return acc
 
@@ -48,8 +48,7 @@ def test_bulk_empty_recording_matches_repeated_single_slots():
 def test_batch_delivery_shares_ack_instant_but_not_delays():
     acc = _acc()
     acc.record_slot(Success(0, 2), 600.0)
-    batch = [Packet(0, 100.0, 12000), Packet(0, 250.0, 12000)]
-    acc.record_delivery(batch, ack_us=700.0)
+    acc.record_delivery(0, [100.0, 250.0], ack_us=700.0)
     report = acc.finalize(_nodes(), 1)
     assert report.delivered_bits == 24000
     assert report.delay_samples == 2
@@ -59,9 +58,9 @@ def test_batch_delivery_shares_ack_instant_but_not_delays():
 def test_warmup_enqueues_count_bits_but_not_delay():
     acc = _acc(warmup_end_us=500.0)
     acc.record_slot(Success(0, 2), 600.0)
-    batch = [Packet(0, 100.0, 12000),   # enqueued before the boundary
-             Packet(0, 500.0, 12000)]   # exactly at the boundary: counted
-    acc.record_delivery(batch, ack_us=700.0)
+    batch = [100.0,   # enqueued before the boundary
+             500.0]   # exactly at the boundary: counted
+    acc.record_delivery(0, batch, ack_us=700.0)
     report = acc.finalize(_nodes(), 1)
     assert report.delivered_bits == 24000
     assert report.delay_samples == 1
@@ -72,7 +71,7 @@ def test_negative_delay_aborts():
     acc = _acc()
     acc.record_slot(Success(0, 1), 300.0)
     with pytest.raises(ConsistencyError):
-        acc.record_delivery([Packet(0, 800.0, 12000)], ack_us=700.0)
+        acc.record_delivery(0, [800.0], ack_us=700.0)
 
 
 def test_slot_ledger_mismatch_aborts():
@@ -118,7 +117,7 @@ def test_end_state_snapshots_average_over_nodes():
     acc = _acc()
     acc.record_empty_bulk(1)
     nodes = _nodes(2)
-    nodes[0].queue.extend(Packet(0, 0.0, 12000) for _ in range(4))
+    nodes[0].queue.extend([0.0] * 4)
     nodes[0].backoff_stage = 3
     nodes[1].backoff_stage = 1
     report = acc.finalize(nodes, 1)
@@ -130,7 +129,7 @@ def test_per_node_rows_carry_individual_counters():
     acc = _acc()
     acc.record_slot(Success(1, 1), 300.0)
     acc.record_attempt(1, success=True)
-    acc.record_delivery([Packet(1, 0.0, 12000)], ack_us=300.0)
+    acc.record_delivery(1, [0.0], ack_us=300.0)
     report = acc.finalize(_nodes(2), 1)
     assert report.per_node[0].transmissions == 0
     assert report.per_node[1].transmissions == 1
@@ -141,6 +140,6 @@ def test_per_node_rows_carry_individual_counters():
 def test_throughput_is_counted_bits_over_duration():
     acc = _acc()
     acc.record_slot(Success(0, 1), 1000.0)
-    acc.record_delivery([Packet(0, 0.0, 12000)], ack_us=1000.0)
+    acc.record_delivery(0, [0.0], ack_us=1000.0)
     report = acc.finalize(_nodes(), 1)
     assert report.throughput_bps == pytest.approx(12000 / 1000e-6)

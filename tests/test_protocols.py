@@ -6,7 +6,7 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from ecasim import ConfigError, NodeState, Packet, Protocol, SimConfig
+from ecasim import ConfigError, NodeState, Protocol, SimConfig
 from ecasim.protocols import (after_transmission, contention_window,
                               next_backoff_after_collision,
                               next_backoff_after_success, on_packet_arrival,
@@ -105,14 +105,11 @@ def test_rejoin_upper_bound_flag():
 
 # -- arrival handling ---------------------------------------------------------
 
-def _pkt(i=0, t=0.0):
-    return Packet(i, t, 12000)
-
-
 def _node(prefill=0):
+    """A node whose queue holds packets enqueued at 0.0, 1.0, ... us."""
     node = NodeState(0)
     for k in range(prefill):
-        node.queue.append(_pkt(t=float(k)))
+        node.queue.append(float(k))
         node.counters.arrivals += 1
     return node
 
@@ -120,12 +117,12 @@ def _node(prefill=0):
 def test_arrival_wakes_idle_node_with_base_window_counter():
     cfg = SimConfig(queue_capacity=4)
     node = _node()
-    counter = on_packet_arrival(node, _pkt(), cfg, random.Random(1))
+    counter = on_packet_arrival(node, 0.0, cfg, random.Random(1))
     assert node.active
     assert counter is not None and 0 <= counter < cfg.cw_min
     assert node.backoff_stage == 0
     # second arrival while active must not reschedule anything
-    assert on_packet_arrival(node, _pkt(), cfg, random.Random(2)) is None
+    assert on_packet_arrival(node, 0.0, cfg, random.Random(2)) is None
     assert len(node.queue) == 2
 
 
@@ -133,7 +130,7 @@ def test_full_queue_drops_and_keeps_contention_untouched():
     cfg = SimConfig(queue_capacity=2)
     node = _node(prefill=2)
     node.active = True
-    assert on_packet_arrival(node, _pkt(), cfg, random.Random(1)) is None
+    assert on_packet_arrival(node, 0.0, cfg, random.Random(1)) is None
     assert node.counters.dropped == 1
     assert len(node.queue) == 2
 
@@ -146,7 +143,7 @@ def test_rejoin_resets_stage_without_hysteresis():
         cfg = SimConfig(protocol=proto, hysteresis=hyst)
         node = _node()
         node.backoff_stage = 4
-        on_packet_arrival(node, _pkt(), cfg, random.Random(3))
+        on_packet_arrival(node, 0.0, cfg, random.Random(3))
         assert node.backoff_stage == expected_stage
 
 
@@ -159,7 +156,7 @@ def test_success_delivers_fifo_batch_and_redraws():
     node.active = True
     node.backoff_stage = 2
     delivered, counter = after_transmission(node, True, 2, cfg, random.Random(7))
-    assert [p.enqueue_us for p in delivered] == [0.0, 1.0]
+    assert delivered == [0.0, 1.0]
     assert len(node.queue) == 1
     assert node.backoff_stage == 0
     assert counter is not None and 0 <= counter < cfg.cw_min
@@ -207,7 +204,7 @@ def test_replenish_keeps_a_saturated_node_in_contention():
 
     def refill(n):
         while len(n.queue) < cfg.queue_capacity:
-            n.queue.append(_pkt(t=99.0))
+            n.queue.append(99.0)
             n.counters.arrivals += 1
 
     delivered, counter = after_transmission(node, True, 1, cfg,

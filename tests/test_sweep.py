@@ -1,6 +1,8 @@
 """Config grammar, sweep orchestration, CSV layout, and results loading."""
 
 import csv
+import math
+import os
 import statistics
 
 import pytest
@@ -197,6 +199,27 @@ def test_single_seed_stddev_is_zero(tmp_path):
         assert all(v == 0.0 for v in agg["stddev"].values())
 
 
+def test_a_seed_without_delay_samples_gives_nan_aggregates(tmp_path):
+    # one node at 60 pkt/s: seed 1 has no arrival after warmup, seed 2 has one
+    base = SimConfig(arrival_rate=60.0, sim_slots=2000, warmup_slots=500)
+    spec = SweepSpec(base=base, node_counts=[1], seeds=[1, 2],
+                     variants=[ProtocolVariant(Protocol.CSMA_CA)],
+                     output_dir=str(tmp_path / "out"))
+    results = run_sweep(spec, workers=1)
+    delays = [row.values["mean_delay_s"] for row in results.rows]
+    assert math.isnan(delays[0]) and not math.isnan(delays[1])
+    for agg in results.aggregates.values():
+        assert math.isnan(agg["mean"]["mean_delay_s"])
+        assert math.isnan(agg["stddev"]["mean_delay_s"])
+        assert agg["stddev"]["transmissions"] == statistics.stdev(
+            float(row.values["transmissions"]) for row in results.rows)
+    rows = _read_rows(tmp_path / "out" / RESULTS_NAME)
+    delay = CSV_COLUMNS.index("mean_delay_s")
+    assert [r[delay] for r in rows[1:]] == ["nan", str(delays[1]), "nan", "nan"]
+    table = load_results(tmp_path / "out" / RESULTS_NAME)
+    assert math.isnan(table.stddev[("csma-ca", 1)]["mean_delay_s"])
+
+
 def test_reruns_are_byte_identical(tmp_path):
     spec = _tiny_spec(tmp_path)
     run_sweep(spec, workers=1)
@@ -230,7 +253,7 @@ def test_worker_count_resolution(monkeypatch):
     with pytest.raises(ConfigError):
         worker_count(0)
     monkeypatch.delenv(sweep_mod.WORKERS_ENV)
-    assert worker_count() >= 1
+    assert worker_count() == (os.cpu_count() or 1)
 
 
 def test_fault_writes_partial_results_and_reraises(tmp_path, monkeypatch):

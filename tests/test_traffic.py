@@ -6,8 +6,7 @@ import random
 import pytest
 
 from ecasim import ConfigError
-from ecasim.traffic import (ArrivalProcess, ArrivalStream, Packet,
-                            sample_interarrival)
+from ecasim.traffic import ArrivalStream, sample_interarrival
 
 
 def test_interarrival_mean_matches_rate():
@@ -25,46 +24,40 @@ def test_interarrival_is_positive():
 
 def test_poisson_process_requires_positive_rate():
     with pytest.raises(ConfigError):
-        ArrivalProcess.poisson(0.0)
+        ArrivalStream(0.0, random.Random(1))
     with pytest.raises(ConfigError):
-        ArrivalProcess.poisson(-3.0)
+        ArrivalStream(-3.0, random.Random(1))
 
 
 def test_saturated_stream_never_schedules_arrivals():
-    stream = ArrivalStream(0, ArrivalProcess.saturated(), 12000,
-                           random.Random(1))
+    stream = ArrivalStream(math.inf, random.Random(1))
     assert math.isinf(stream.next_us)
     assert stream.drain_poisson(1e9) == []
     assert math.isinf(stream.next_us)
 
 
 def test_drain_returns_only_packets_before_window_end():
-    stream = ArrivalStream(3, ArrivalProcess.poisson(1000.0), 12000,
-                           random.Random(42))
+    stream = ArrivalStream(1000.0, random.Random(42))
     cursor = 0.0
     for _ in range(200):
         end = cursor + 500.0
         batch = stream.drain_poisson(end)
-        for pkt in batch:
-            assert cursor <= pkt.enqueue_us < end
-            assert pkt.source == 3
-            assert pkt.payload_bits == 12000
+        for enqueue_us in batch:
+            assert cursor <= enqueue_us < end
         cursor = end
     assert stream.next_us >= cursor
 
 
 def test_drain_stamps_are_strictly_increasing():
-    stream = ArrivalStream(0, ArrivalProcess.poisson(5000.0), 12000,
-                           random.Random(9))
-    stamps = [p.enqueue_us for p in stream.drain_poisson(1e6)]
+    stream = ArrivalStream(5000.0, random.Random(9))
+    stamps = stream.drain_poisson(1e6)
     assert len(stamps) > 1000
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
 
 def test_windowed_drain_count_matches_rate():
     # 1e6 windows of 9 us at 1000 pkt/s -> expect 9000 packets
-    stream = ArrivalStream(0, ArrivalProcess.poisson(1000.0), 12000,
-                           random.Random(20240602))
+    stream = ArrivalStream(1000.0, random.Random(20240602))
     total = 0
     end = 0.0
     for _ in range(1_000_000):
@@ -74,22 +67,15 @@ def test_windowed_drain_count_matches_rate():
 
 
 def test_saturated_refill_tops_queue_to_capacity():
-    stream = ArrivalStream(0, ArrivalProcess.saturated(), 12000,
-                           random.Random(1))
+    stream = ArrivalStream(math.inf, random.Random(1))
     added = stream.refill(queue_len=2, capacity=5, now_us=123.0)
     assert len(added) == 3
-    assert all(p.enqueue_us == 123.0 for p in added)
+    assert added == [123.0] * 3
     assert stream.refill(queue_len=5, capacity=5, now_us=456.0) == []
 
 
 def test_refill_is_defined_only_for_saturated_streams():
-    stream = ArrivalStream(0, ArrivalProcess.poisson(100.0), 12000,
-                           random.Random(1))
+    stream = ArrivalStream(100.0, random.Random(1))
     with pytest.raises(AssertionError):
         stream.refill(queue_len=0, capacity=5, now_us=0.0)
 
-
-def test_packet_is_immutable():
-    pkt = Packet(0, 1.0, 12000)
-    with pytest.raises(AttributeError):
-        pkt.enqueue_us = 2.0
