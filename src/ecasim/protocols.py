@@ -106,9 +106,9 @@ def after_transmission(node: NodeState, success: bool, batch_size: int,
     On success the batch leaves the queue; a node whose queue is then empty
     leaves contention (one queue_empty event).  On collision the batch stays
     queued for retry and the window doubles.  Returns the enqueue instants of
-    the delivered packets and the next backoff counter, or None if the node went idle.  replenish,
-    when given, refills a saturated queue before the empty check so saturated
-    nodes never drop out.
+    the delivered packets and the next backoff counter, or None if the node
+    went idle.  replenish, when given, refills a saturated queue before the
+    empty check so saturated nodes never drop out.
     """
     node.counters.transmissions += 1
     if not success:
