@@ -23,6 +23,17 @@ to stepping with advance_slot().
 Time is tracked as (idle slot count, accumulated busy time) and composed on
 demand, which keeps the clock bit-identical between the bulk and single-step
 paths.
+
+Saturated csma-eca can settle: every node due within one post-success period
+and no two nodes ever due in the same slot.  From then on nothing collides and
+nothing random is drawn, so run() tests for that state once per period from
+the warmup boundary on and, once it holds, replays whole hyperperiods of the
+schedule without heap or random work.  The replay still performs each busy
+slot's float additions (clock, delays, busy time) in stepping order, because
+an exchange time such as 316.888... us is not a dyadic number and k additions
+of it are not k times it; only integer tallies are added in bulk.  The
+remainder of the run goes back through the general loop.  settle_slot reports
+the first slot after the last collision once run() has proved this state.
 """
 
 import heapq
@@ -107,6 +118,35 @@ class SimClock:
         self.busy_us += duration_us
 
 
+def _negative_delay(delay, nid, ack_us, enqueue_us) -> ConsistencyError:
+    return ConsistencyError(
+        f"negative delay {delay:.3f} us for node {nid}: ack at {ack_us:.3f}, "
+        f"enqueued at {enqueue_us:.3f}")
+
+
+def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
+    """The busy slots of one hyperperiod from slot s, if none can collide.
+
+    periods[i] is node i's post-success period, a power of two, and hyper the
+    longest of them.  When every node is due within one own period of s and
+    no two nodes fire in the same slot of [s, s + hyper), each node's firings
+    are a residue class that meets no other class, so every later
+    transmission succeeds and the schedule repeats with period hyper for
+    good.  Returns the sorted (slot, node id) firings of [s, s + hyper), or
+    None.
+    """
+    firing = {}
+    for nid, period in enumerate(periods):
+        first = next_tx[nid]
+        if first >= s + period:
+            return None
+        for f in range(first, s + hyper, period):
+            if f in firing:
+                return None
+            firing[f] = nid
+    return sorted(firing.items())
+
+
 class Simulation:
     """One configured run.  Drive it with advance_slot() or just run()."""
 
@@ -133,6 +173,8 @@ class Simulation:
                     heapq.heappush(self.arrival_heap,
                                    (stream.next_us, node.node_id))
             self.streams.append(stream)
+        self.last_collision_slot = -1
+        self._settled = False
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot 0
             for node in self.nodes:
@@ -145,6 +187,12 @@ class Simulation:
                         heapq.heappush(self.tx_heap, (counter, node.node_id))
 
     # -- inspection helpers (handy in tests and debugging) -------------------
+
+    @property
+    def settle_slot(self) -> int | None:
+        """First slot after the last collision, once run() has proved that no
+        collision can follow (see _settled_firings); None otherwise."""
+        return self.last_collision_slot + 1 if self._settled else None
 
     def backoff_counter(self, node_id: int) -> int | None:
         """Slots left before this node transmits, None while inactive."""
@@ -208,6 +256,7 @@ class Simulation:
                 outcome = Success(txs[0], sizes[0])
             else:
                 outcome = Collision(tuple(txs))
+                self.last_collision_slot = s
             duration = t.exchange_us(max(sizes) * t.payload_bits)
 
         slot_end = clock.now_us + duration
@@ -260,9 +309,10 @@ class Simulation:
         """Run to cfg.sim_slots and report.
 
         Does exactly what repeated advance_slot() calls do, plus bulk skipping
-        of event-free idle gaps, in one loop: node, clock and ledger state is
-        loaded into locals here and written back before the report, so the
-        test hooks, the node objects and a later advance_slot() all see it.
+        of event-free idle gaps and the settled replay, in one loop: node,
+        clock and ledger state is loaded into locals here and written back
+        before the report, so the test hooks, the node objects and a later
+        advance_slot() all see it.
         """
         cfg = self.cfg
         t = cfg.timing
@@ -291,6 +341,17 @@ class Simulation:
         eca_counter = cw_min // 2 - 1
         rejoin_window = cw_min + 1 if cfg.rejoin_inclusive else cw_min
         exchange = [t.exchange_us(k * bits) for k in range(agg + 1)]
+        n_nodes = len(nodes)
+        # saturated csma-eca may settle into a collision-free schedule; from
+        # the warmup boundary on, test for it once per period (without hyst
+        # more than cw_min/2 nodes cannot all fit one period, so never)
+        eca_periods = [cw_min // 2] * n_nodes
+        check_at = end
+        if (saturated and cfg.protocol is Protocol.CSMA_ECA
+                and (keep_stage or n_nodes <= cw_min // 2)):
+            check_at = warm
+        settled = self._settled
+        last_collision = self.last_collision_slot
 
         queues = [n.queue for n in nodes]
         active = [n.active for n in nodes]
@@ -330,6 +391,104 @@ class Simulation:
         busy_us = clock.busy_us
 
         while slot < end:
+            if slot >= check_at:
+                # -- settled replay: whole hyperperiods of a schedule that can
+                # no longer collide, with no random draw or heap work.  Only
+                # the per-busy-slot float sums are kept, in stepping order;
+                # the integer tallies are added in bulk afterwards.
+                if warm_end is None:
+                    warm_end = se * empty_count + busy_us  # slot == warm
+                # saturated nodes are all active, all the time
+                periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
+                           else eca_periods)
+                hyper = max(periods)
+                firings = None
+                # cheap necessary conditions first: all due within the
+                # longest period, no two due in the same slot
+                if max(next_tx) < slot + hyper and len(set(next_tx)) == n_nodes:
+                    firings = _settled_firings(slot, next_tx, periods, hyper)
+                if firings is None:
+                    check_at = slot + hyper
+                    continue
+                settled = True
+                check_at = end
+                reps = (end - slot) // hyper
+                if not reps or any(len(q) != cap for q in queues):
+                    continue
+                duration = exchange[agg]
+                idle_per = hyper - len(firings)
+                # per busy slot: empty slots before it in the hyperperiod, the
+                # node, and its queue's pop and refill
+                plan = [(f - slot - j, nid, queues[nid].popleft,
+                         queues[nid].append if agg == 1 else queues[nid].extend)
+                        for j, (f, nid) in enumerate(firings)]
+                stale = [0] * n_nodes  # stamps from before warm_end: no delay sample
+                e = empty_count
+                if agg == 1:
+                    for _ in range(reps):
+                        for idle, nid, pop, refill in plan:
+                            now = se * (e + idle) + busy_us
+                            enqueue_us = pop()
+                            if enqueue_us >= warm_end:
+                                delay = now + duration - enqueue_us
+                                if delay < 0:
+                                    raise _negative_delay(delay, nid,
+                                                          now + duration,
+                                                          enqueue_us)
+                                delay_sum_us += delay
+                                node_delay_sum[nid] += delay
+                            else:
+                                stale[nid] += 1
+                            refill(now)
+                            busy_us += duration
+                            counted_busy_us += duration
+                        e += idle_per
+                else:
+                    batch = range(agg)
+                    for _ in range(reps):
+                        for idle, nid, pop, refill in plan:
+                            now = se * (e + idle) + busy_us
+                            slot_end = now + duration
+                            for _ in batch:
+                                enqueue_us = pop()
+                                if enqueue_us >= warm_end:
+                                    delay = slot_end - enqueue_us
+                                    if delay < 0:
+                                        raise _negative_delay(delay, nid,
+                                                              slot_end,
+                                                              enqueue_us)
+                                    delay_sum_us += delay
+                                    node_delay_sum[nid] += delay
+                                else:
+                                    stale[nid] += 1
+                            refill([now] * agg)
+                            busy_us += duration
+                            counted_busy_us += duration
+                        e += idle_per
+                empty_count = e
+                for nid, period in enumerate(periods):
+                    fired = reps * (hyper // period)
+                    packets = fired * agg
+                    successes[nid] += fired
+                    node_tx[nid] += fired
+                    node_success[nid] += fired
+                    delivered[nid] += packets
+                    arrivals[nid] += packets
+                    node_delivered[nid] += packets
+                    node_bits[nid] += packets * bits
+                    node_delay_n[nid] += packets - stale[nid]
+                    delay_samples += packets - stale[nid]
+                    delivered_packets += packets
+                    delivered_bits += packets * bits
+                    next_tx[nid] += reps * hyper
+                    if not keep_stage:
+                        stage[nid] = 0
+                slots_success += reps * len(firings)
+                slots_empty += reps * idle_per
+                slot += reps * hyper
+                tx_heap[:] = sorted(zip(next_tx, range(n_nodes)))
+                continue
+
             due = tx_heap[0][0] if tx_heap else end
             if due > slot:
                 # skip idle slots up to the next transmission or arrival
@@ -435,10 +594,8 @@ class Simulation:
                         if enqueue_us >= warm_end:
                             delay = slot_end - enqueue_us
                             if delay < 0:
-                                raise ConsistencyError(
-                                    f"negative delay {delay:.3f} us for node "
-                                    f"{nid}: ack at {slot_end:.3f}, enqueued "
-                                    f"at {enqueue_us:.3f}")
+                                raise _negative_delay(delay, nid, slot_end,
+                                                      enqueue_us)
                             delay_sum_us += delay
                             node_sum += delay
                             samples += 1
@@ -472,6 +629,7 @@ class Simulation:
                         node_queue_empty[nid] += 1
                 busy_us += duration
             elif colliders is not None:
+                last_collision = s
                 for nid in colliders:
                     collisions[nid] += 1
                     st = stage[nid] + 1
@@ -494,6 +652,8 @@ class Simulation:
                     slots_empty += 1
             slot += 1
 
+        self._settled = settled
+        self.last_collision_slot = last_collision
         clock.slot = slot
         clock.empty_count = empty_count
         clock.busy_us = busy_us

@@ -2,9 +2,10 @@
 
 import dataclasses
 import math
+import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
 from ecasim import (DEFAULT_TIMING, SATURATED, Collision, Empty, Protocol,
@@ -149,6 +150,7 @@ def _end_state(sim):
         "rng": [sim.proto_rng.getstate()]
                + [None if st is None else st.rng.getstate() for st in sim.streams],
         "warmup_end_us": sim.acc.warmup_end_us,
+        "last_collision_slot": sim.last_collision_slot,
     }
 
 
@@ -171,6 +173,7 @@ def _assert_run_equals_stepping(cfg, prefix=0):
         c = node.counters
         assert c.arrivals == c.delivered + c.dropped + len(node.queue)
         assert c.transmissions == c.successes + c.collisions
+    return fast_sim
 
 
 @pytest.mark.parametrize("cfg", [
@@ -220,6 +223,81 @@ def sim_configs(draw):
 @given(cfg=sim_configs(), prefix=st.integers(0, 40))
 def test_run_equals_stepping_on_generated_configs(cfg, prefix):
     _assert_run_equals_stepping(cfg, prefix)
+
+
+@st.composite
+def saturated_eca_configs(draw):
+    """Saturated csma-eca that can settle, so run() replays whole periods.
+
+    Node counts run two past cw_min/2, where the non-hyst schedule cannot
+    fit; warmup lands at 0, before the usual settle point or after it, and
+    sim_slots ends wherever it ends, mostly mid-period.
+    """
+    cw_min = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    agg = draw(st.sampled_from([1, 2, 16]))
+    sim_slots = draw(st.integers(1, 20_000))
+    return SimConfig(
+        protocol=Protocol.CSMA_ECA,
+        n_nodes=draw(st.integers(1, cw_min // 2 + 2)),
+        arrival_rate=SATURATED,
+        cw_min=cw_min,
+        max_stage=draw(st.integers(0, 5)),
+        queue_capacity=draw(st.sampled_from([agg, agg + 1, 1000])),
+        max_aggregation=agg,
+        hysteresis=draw(st.booleans()),
+        sim_slots=sim_slots,
+        warmup_slots=draw(st.one_of(
+            st.just(0), st.integers(0, min(300, sim_slots - 1)),
+            st.integers(sim_slots // 2, sim_slots - 1))),
+        seed=draw(st.integers(0, 2**32)),
+        timing=draw(st.sampled_from([
+            DEFAULT_TIMING,
+            TimingTable(slot_empty=10.3, payload_bits=8000),
+            TimingTable(slot_empty=0.7, sifs=3.3, data_rate=7.0)])),
+    )
+
+
+def _eca(**kw):
+    return SimConfig(protocol=Protocol.CSMA_ECA, arrival_rate=SATURATED, **kw)
+
+
+# each settles and replays: settle_slot must come back set
+REPLAYED = [
+    (_eca(n_nodes=2, sim_slots=5003, warmup_slots=0, seed=1), 0),
+    # warmup after the settle point (547), then before it (10099)
+    (_eca(n_nodes=8, sim_slots=20_000, warmup_slots=5000, seed=1), 17),
+    (_eca(n_nodes=8, sim_slots=14_007, warmup_slots=2000, seed=5), 0),
+    (_eca(n_nodes=4, max_aggregation=16, queue_capacity=17, sim_slots=9001,
+          warmup_slots=3000, seed=2), 0),
+    (_eca(n_nodes=3, cw_min=8, max_aggregation=2, queue_capacity=3,
+          sim_slots=7777, warmup_slots=7000, seed=3,
+          timing=TimingTable(slot_empty=0.7, sifs=3.3, data_rate=7.0)), 5),
+    (_eca(n_nodes=1, cw_min=2, sim_slots=999, warmup_slots=0, seed=4), 3),
+    # hyst settles with periods of 8, 16 and 32 slots side by side
+    (_eca(n_nodes=6, cw_min=8, hysteresis=True, max_stage=3,
+          sim_slots=12_345, warmup_slots=100, seed=2,
+          timing=TimingTable(slot_empty=10.3, payload_bits=8000)), 0),
+    # early on a node is due past its own 2-slot period but inside the
+    # 8-slot hyperperiod, which must not pass for settled
+    (_eca(n_nodes=3, cw_min=4, hysteresis=True, max_stage=3, sim_slots=2658,
+          warmup_slots=0, seed=530462), 0),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=saturated_eca_configs(), prefix=st.integers(0, 40))
+@example(*REPLAYED[0])
+@example(*REPLAYED[1])
+@example(*REPLAYED[2])
+@example(*REPLAYED[3])
+@example(*REPLAYED[4])
+@example(*REPLAYED[5])
+@example(*REPLAYED[6])
+@example(*REPLAYED[7])
+def test_settled_replay_equals_stepping(cfg, prefix):
+    sim = _assert_run_equals_stepping(cfg, prefix)
+    if (cfg, prefix) in REPLAYED:
+        assert sim.settle_slot is not None
 
 
 # -- conservation grid --------------------------------------------------------
@@ -321,6 +399,57 @@ def test_full_schedule_eventually_stops_colliding():
             if sim.advance_slot().kind == "collision":
                 last_collision = slot
         assert last_collision < 40_000, (n, seed, last_collision)
+
+
+@pytest.mark.parametrize("cfg", [
+    _eca(n_nodes=n, sim_slots=40_000, warmup_slots=0, seed=1) for n in (2, 4, 8)
+] + [
+    _eca(n_nodes=6, cw_min=8, hysteresis=True, max_stage=3, sim_slots=40_000,
+         warmup_slots=0, seed=2),
+], ids=["n2", "n4", "n8", "n6-hyst"])
+def test_settle_slot_is_reported_for_settling_runs(cfg):
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim.settle_slot == sim.last_collision_slot + 1
+    # stepping agrees on where the last collision was
+    stepped = Simulation(cfg)
+    while stepped.clock.slot < cfg.sim_slots:
+        stepped.advance_slot()
+    assert stepped.last_collision_slot == sim.last_collision_slot
+    assert stepped.settle_slot is None  # only run() proves settling
+    tail = dataclasses.replace(cfg, warmup_slots=sim.settle_slot)
+    assert run_simulation(tail).slots_collision == 0
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2, arrival_rate=SATURATED,
+              sim_slots=40_000, warmup_slots=0, seed=1),
+    SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=2, arrival_rate=50.0,
+              sim_slots=40_000, warmup_slots=0, seed=1),
+    _eca(n_nodes=9, sim_slots=40_000, warmup_slots=0, seed=1),
+], ids=["ca", "eca-poisson", "eca-n-above-half-cw"])
+def test_settle_slot_is_none_where_no_schedule_settles(cfg):
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim.settle_slot is None
+
+
+def test_check1_settling_quantiles():
+    """The settling figures quoted in tests/test_acceptance.py's docstring:
+    eight saturated csma-eca nodes at cw_min=16, seeds 1..200."""
+    settle = {}
+    for seed in range(1, 201):
+        sim = Simulation(_eca(n_nodes=8, cw_min=16, sim_slots=50_000,
+                              warmup_slots=0, seed=seed))
+        sim.run()
+        settle[seed] = sim.settle_slot
+    assert None not in settle.values()
+    q = statistics.quantiles(settle.values(), n=100)
+    assert (q[49], q[89], q[98]) == (4056, 13908.5, 27806.12)
+    assert sum(s > 10_000 for s in settle.values()) == 40  # one in five
+    slow = {seed for seed in range(1, 11) if settle[seed] > 10_000}
+    assert slow == {5, 6, 8, 10}
+    assert all(settle[seed] < 20_000 for seed in slow)
 
 
 def test_deterministic_backoff_collides_again_when_queues_drain():
