@@ -43,7 +43,8 @@ from typing import ClassVar, Union
 
 from .config import Protocol, SimConfig
 from .errors import ConsistencyError
-from .metrics import MetricsAccumulator, MetricsReport
+from .metrics import (MetricsAccumulator, MetricsReport,
+                      negative_delay_error)
 from .protocols import NodeState, after_transmission, on_packet_arrival
 from .timing import TimingTable
 from .traffic import ArrivalStream
@@ -118,12 +119,6 @@ class SimClock:
         self.busy_us += duration_us
 
 
-def _negative_delay(delay, nid, ack_us, enqueue_us) -> ConsistencyError:
-    return ConsistencyError(
-        f"negative delay {delay:.3f} us for node {nid}: ack at {ack_us:.3f}, "
-        f"enqueued at {enqueue_us:.3f}")
-
-
 def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
     """The busy slots of one hyperperiod from slot s, if none can collide.
 
@@ -145,6 +140,61 @@ def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
                 return None
             firing[f] = nid
     return sorted(firing.items())
+
+
+def _replay_busy_slots(plan, reps, agg, se, empty_count, idle_per, duration,
+                       warm_end, busy_us, counted_busy_us, delay_sum_us,
+                       node_delay_sum, stale):
+    """The float work of reps settled hyperperiods, in stepping order.
+
+    plan lists each busy slot of the hyperperiod as (empty slots before it,
+    node id, its queue's popleft, its queue's refill).  Every busy slot pops
+    one batch, adds the delays of stamps from warm_end on (counting the others
+    in stale), refills the queue with its start instant and adds its
+    duration to the clock and the counted busy time.  Returns the clock's
+    busy time, the counted busy time and the delay sum.
+    """
+    e = empty_count
+    if agg == 1:
+        for _ in range(reps):
+            for idle, nid, pop, refill in plan:
+                now = se * (e + idle) + busy_us
+                enqueue_us = pop()
+                if enqueue_us >= warm_end:
+                    delay = now + duration - enqueue_us
+                    if delay < 0:
+                        raise negative_delay_error(delay, nid, now + duration,
+                                                   enqueue_us)
+                    delay_sum_us += delay
+                    node_delay_sum[nid] += delay
+                else:
+                    stale[nid] += 1
+                refill(now)
+                busy_us += duration
+                counted_busy_us += duration
+            e += idle_per
+        return busy_us, counted_busy_us, delay_sum_us
+    batch = range(agg)
+    for _ in range(reps):
+        for idle, nid, pop, refill in plan:
+            now = se * (e + idle) + busy_us
+            slot_end = now + duration
+            for _ in batch:
+                enqueue_us = pop()
+                if enqueue_us >= warm_end:
+                    delay = slot_end - enqueue_us
+                    if delay < 0:
+                        raise negative_delay_error(delay, nid, slot_end,
+                                                   enqueue_us)
+                    delay_sum_us += delay
+                    node_delay_sum[nid] += delay
+                else:
+                    stale[nid] += 1
+            refill([now] * agg)
+            busy_us += duration
+            counted_busy_us += duration
+        e += idle_per
+    return busy_us, counted_busy_us, delay_sum_us
 
 
 class Simulation:
@@ -391,266 +441,234 @@ class Simulation:
         busy_us = clock.busy_us
 
         while slot < end:
-            if slot >= check_at:
-                # -- settled replay: whole hyperperiods of a schedule that can
-                # no longer collide, with no random draw or heap work.  Only
-                # the per-busy-slot float sums are kept, in stepping order;
-                # the integer tallies are added in bulk afterwards.
-                if warm_end is None:
-                    warm_end = se * empty_count + busy_us  # slot == warm
-                # saturated nodes are all active, all the time
-                periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
-                           else eca_periods)
-                hyper = max(periods)
-                firings = None
-                # cheap necessary conditions first: all due within the
-                # longest period, no two due in the same slot
-                if max(next_tx) < slot + hyper and len(set(next_tx)) == n_nodes:
-                    firings = _settled_firings(slot, next_tx, periods, hyper)
-                if firings is None:
-                    check_at = slot + hyper
-                    continue
-                settled = True
-                check_at = end
-                reps = (end - slot) // hyper
-                if not reps or any(len(q) != cap for q in queues):
-                    continue
-                duration = exchange[agg]
-                idle_per = hyper - len(firings)
-                # per busy slot: empty slots before it in the hyperperiod, the
-                # node, and its queue's pop and refill
-                plan = [(f - slot - j, nid, queues[nid].popleft,
-                         queues[nid].append if agg == 1 else queues[nid].extend)
-                        for j, (f, nid) in enumerate(firings)]
-                stale = [0] * n_nodes  # stamps from before warm_end: no delay sample
-                e = empty_count
-                if agg == 1:
-                    for _ in range(reps):
-                        for idle, nid, pop, refill in plan:
-                            now = se * (e + idle) + busy_us
-                            enqueue_us = pop()
-                            if enqueue_us >= warm_end:
-                                delay = now + duration - enqueue_us
-                                if delay < 0:
-                                    raise _negative_delay(delay, nid,
-                                                          now + duration,
-                                                          enqueue_us)
-                                delay_sum_us += delay
-                                node_delay_sum[nid] += delay
-                            else:
-                                stale[nid] += 1
-                            refill(now)
-                            busy_us += duration
-                            counted_busy_us += duration
-                        e += idle_per
-                else:
-                    batch = range(agg)
-                    for _ in range(reps):
-                        for idle, nid, pop, refill in plan:
-                            now = se * (e + idle) + busy_us
-                            slot_end = now + duration
-                            for _ in batch:
-                                enqueue_us = pop()
-                                if enqueue_us >= warm_end:
-                                    delay = slot_end - enqueue_us
-                                    if delay < 0:
-                                        raise _negative_delay(delay, nid,
-                                                              slot_end,
-                                                              enqueue_us)
-                                    delay_sum_us += delay
-                                    node_delay_sum[nid] += delay
-                                else:
-                                    stale[nid] += 1
-                            refill([now] * agg)
-                            busy_us += duration
-                            counted_busy_us += duration
-                        e += idle_per
-                empty_count = e
-                for nid, period in enumerate(periods):
-                    fired = reps * (hyper // period)
-                    packets = fired * agg
-                    successes[nid] += fired
-                    node_tx[nid] += fired
-                    node_success[nid] += fired
-                    delivered[nid] += packets
-                    arrivals[nid] += packets
-                    node_delivered[nid] += packets
-                    node_bits[nid] += packets * bits
-                    node_delay_n[nid] += packets - stale[nid]
-                    delay_samples += packets - stale[nid]
-                    delivered_packets += packets
-                    delivered_bits += packets * bits
-                    next_tx[nid] += reps * hyper
-                    if not keep_stage:
-                        stage[nid] = 0
-                slots_success += reps * len(firings)
-                slots_empty += reps * idle_per
-                slot += reps * hyper
-                tx_heap[:] = sorted(zip(next_tx, range(n_nodes)))
-                continue
+            # -- the general loop, up to the end or the next settled check
+            stop = end if end < check_at else check_at
+            while slot < stop:
+                due = tx_heap[0][0] if tx_heap else end
+                if due > slot:
+                    # skip idle slots up to the next transmission or arrival
+                    gap_end = due if due < end else end
+                    if arr_heap:
+                        a = arr_heap[0][0]
+                        now = se * empty_count + busy_us
+                        k = int((a - now) / se)
+                        while k > 0 and a < now + k * se:  # float floor guard
+                            k -= 1
+                        if slot + k < gap_end:
+                            gap_end = slot + k
+                    if gap_end > slot:
+                        if warm_end is None and gap_end > warm:
+                            assert slot <= warm
+                            warm_end = (se * (empty_count + warm - slot)
+                                        + busy_us)
+                        first = warm if slot < warm else slot
+                        if gap_end > first:
+                            slots_empty += gap_end - first
+                        empty_count += gap_end - slot
+                        slot = gap_end
+                        continue
+                assert due >= slot, "overdue transmission in heap"
 
-            due = tx_heap[0][0] if tx_heap else end
-            if due > slot:
-                # skip idle slots up to the next transmission or arrival
-                gap_end = due if due < end else end
-                if arr_heap:
-                    a = arr_heap[0][0]
-                    now = se * empty_count + busy_us
-                    k = int((a - now) / se)
-                    while k > 0 and a < now + k * se:  # float floor guard
-                        k -= 1
-                    if slot + k < gap_end:
-                        gap_end = slot + k
-                if gap_end > slot:
-                    if warm_end is None and gap_end > warm:
-                        assert slot <= warm
-                        warm_end = se * (empty_count + warm - slot) + busy_us
-                    first = warm if slot < warm else slot
-                    if gap_end > first:
-                        slots_empty += gap_end - first
-                    empty_count += gap_end - slot
-                    slot = gap_end
-                    continue
-            assert due >= slot, "overdue transmission in heap"
-
-            # -- one stepped slot: who transmits, and for how long
-            s = slot
-            now = se * empty_count + busy_us
-            counted = s >= warm
-            if counted and warm_end is None:
-                warm_end = now
-            winner = -1
-            colliders = None
-            if due == s:
-                nid = heappop(tx_heap)[1]
-                assert active[nid] and next_tx[nid] == s
-                size = len(queues[nid])
-                if size > agg:
-                    size = agg
-                if tx_heap and tx_heap[0][0] == s:
-                    colliders = [nid]
-                    longest = size
-                    while tx_heap and tx_heap[0][0] == s:
-                        nid = heappop(tx_heap)[1]
-                        assert active[nid] and next_tx[nid] == s
-                        colliders.append(nid)
-                        size = len(queues[nid])
-                        if size > longest:
-                            longest = size
-                    duration = exchange[longest if longest < agg else agg]
-                else:
-                    winner = nid
-                    duration = exchange[size]
-            else:
-                duration = se
-            slot_end = now + duration
-
-            # -- arrivals before the slot ends (on_packet_arrival, inlined)
-            while arr_heap and arr_heap[0][0] < slot_end:
-                next_us, nid = arr_heap[0]
-                q = queues[nid]
-                draw = draws[nid]
-                landed = 0
-                lost = 0
-                while next_us < slot_end:
-                    landed += 1
-                    if len(q) >= cap:
-                        lost += 1
+                # -- one stepped slot: who transmits, and for how long
+                s = slot
+                now = se * empty_count + busy_us
+                counted = s >= warm
+                if counted and warm_end is None:
+                    warm_end = now
+                winner = -1
+                colliders = None
+                if due == s:
+                    nid = heappop(tx_heap)[1]
+                    assert active[nid] and next_tx[nid] == s
+                    size = len(queues[nid])
+                    if size > agg:
+                        size = agg
+                    if tx_heap and tx_heap[0][0] == s:
+                        colliders = [nid]
+                        longest = size
+                        while tx_heap and tx_heap[0][0] == s:
+                            nid = heappop(tx_heap)[1]
+                            assert active[nid] and next_tx[nid] == s
+                            colliders.append(nid)
+                            size = len(queues[nid])
+                            if size > longest:
+                                longest = size
+                        duration = exchange[longest if longest < agg else agg]
                     else:
-                        q.append(next_us)
-                        if not active[nid]:
-                            active[nid] = True
-                            if not keep_stage:
-                                stage[nid] = 0
-                            c = s + 1 + randrange(rejoin_window)
-                            next_tx[nid] = c
-                            heappush(tx_heap, (c, nid))
-                    next_us += draw(rate) * 1e6
-                heapreplace(arr_heap, (next_us, nid))
-                arrivals[nid] += landed
-                if lost:
-                    dropped[nid] += lost
-                    if counted:
-                        drops += lost
-                        node_drops[nid] += lost
+                        winner = nid
+                        duration = exchange[size]
+                else:
+                    duration = se
+                slot_end = now + duration
 
-            # -- outcome (after_transmission and the record_* calls, inlined)
-            if winner >= 0:
-                nid = winner
-                q = queues[nid]
-                successes[nid] += 1
-                delivered[nid] += size
-                if counted:
-                    node_tx[nid] += 1
-                    node_success[nid] += 1
-                    node_delivered[nid] += size
-                    node_bits[nid] += size * bits
-                    delivered_packets += size
-                    delivered_bits += size * bits
-                    node_sum = node_delay_sum[nid]
-                    samples = 0
-                    for _ in range(size):
-                        enqueue_us = q.popleft()
-                        if enqueue_us >= warm_end:
-                            delay = slot_end - enqueue_us
-                            if delay < 0:
-                                raise _negative_delay(delay, nid, slot_end,
-                                                      enqueue_us)
-                            delay_sum_us += delay
-                            node_sum += delay
-                            samples += 1
-                    node_delay_sum[nid] = node_sum
-                    node_delay_n[nid] += samples
-                    delay_samples += samples
-                    slots_success += 1
-                    counted_busy_us += duration
-                else:
-                    for _ in range(size):
-                        q.popleft()
-                if saturated:
-                    fill = cap - len(q)
-                    q.extend([now] * fill)
-                    arrivals[nid] += fill
-                if q:
-                    if random_success:
-                        stage[nid] = 0
-                        c = s + 1 + randrange(cw_min)
-                    elif keep_stage:
-                        c = s + (cw_min << stage[nid]) // 2
-                    else:
-                        stage[nid] = 0
-                        c = s + 1 + eca_counter
-                    next_tx[nid] = c
-                    heappush(tx_heap, (c, nid))
-                else:
-                    active[nid] = False
-                    queue_empties[nid] += 1
-                    if counted:
-                        node_queue_empty[nid] += 1
-                busy_us += duration
-            elif colliders is not None:
-                last_collision = s
-                for nid in colliders:
-                    collisions[nid] += 1
-                    st = stage[nid] + 1
-                    if st > max_stage:
-                        st = max_stage
-                    stage[nid] = st
-                    c = s + 1 + randrange(cw_min << st)
-                    next_tx[nid] = c
-                    heappush(tx_heap, (c, nid))
+                # -- arrivals before the slot ends (on_packet_arrival, inlined)
+                while arr_heap and arr_heap[0][0] < slot_end:
+                    next_us, nid = arr_heap[0]
+                    q = queues[nid]
+                    draw = draws[nid]
+                    landed = 0
+                    lost = 0
+                    while next_us < slot_end:
+                        landed += 1
+                        if len(q) >= cap:
+                            lost += 1
+                        else:
+                            q.append(next_us)
+                            if not active[nid]:
+                                active[nid] = True
+                                if not keep_stage:
+                                    stage[nid] = 0
+                                c = s + 1 + randrange(rejoin_window)
+                                next_tx[nid] = c
+                                heappush(tx_heap, (c, nid))
+                        next_us += draw(rate) * 1e6
+                    heapreplace(arr_heap, (next_us, nid))
+                    arrivals[nid] += landed
+                    if lost:
+                        dropped[nid] += lost
+                        if counted:
+                            drops += lost
+                            node_drops[nid] += lost
+
+                # -- outcome (after_transmission and record_* calls, inlined)
+                if winner >= 0:
+                    nid = winner
+                    q = queues[nid]
+                    successes[nid] += 1
+                    delivered[nid] += size
                     if counted:
                         node_tx[nid] += 1
-                        node_collision[nid] += 1
-                if counted:
-                    slots_collision += 1
-                    counted_busy_us += duration
-                busy_us += duration
-            else:
-                empty_count += 1
-                if counted:
-                    slots_empty += 1
-            slot += 1
+                        node_success[nid] += 1
+                        node_delivered[nid] += size
+                        node_bits[nid] += size * bits
+                        delivered_packets += size
+                        delivered_bits += size * bits
+                        node_sum = node_delay_sum[nid]
+                        samples = 0
+                        for _ in range(size):
+                            enqueue_us = q.popleft()
+                            if enqueue_us >= warm_end:
+                                delay = slot_end - enqueue_us
+                                if delay < 0:
+                                    raise negative_delay_error(
+                                        delay, nid, slot_end, enqueue_us)
+                                delay_sum_us += delay
+                                node_sum += delay
+                                samples += 1
+                        node_delay_sum[nid] = node_sum
+                        node_delay_n[nid] += samples
+                        delay_samples += samples
+                        slots_success += 1
+                        counted_busy_us += duration
+                    else:
+                        for _ in range(size):
+                            q.popleft()
+                    if saturated:
+                        fill = cap - len(q)
+                        q.extend([now] * fill)
+                        arrivals[nid] += fill
+                    if q:
+                        if random_success:
+                            stage[nid] = 0
+                            c = s + 1 + randrange(cw_min)
+                        elif keep_stage:
+                            c = s + (cw_min << stage[nid]) // 2
+                        else:
+                            stage[nid] = 0
+                            c = s + 1 + eca_counter
+                        next_tx[nid] = c
+                        heappush(tx_heap, (c, nid))
+                    else:
+                        active[nid] = False
+                        queue_empties[nid] += 1
+                        if counted:
+                            node_queue_empty[nid] += 1
+                    busy_us += duration
+                elif colliders is not None:
+                    last_collision = s
+                    for nid in colliders:
+                        collisions[nid] += 1
+                        st = stage[nid] + 1
+                        if st > max_stage:
+                            st = max_stage
+                        stage[nid] = st
+                        c = s + 1 + randrange(cw_min << st)
+                        next_tx[nid] = c
+                        heappush(tx_heap, (c, nid))
+                        if counted:
+                            node_tx[nid] += 1
+                            node_collision[nid] += 1
+                    if counted:
+                        slots_collision += 1
+                        counted_busy_us += duration
+                    busy_us += duration
+                else:
+                    empty_count += 1
+                    if counted:
+                        slots_empty += 1
+                slot += 1
+
+            if slot >= end:
+                break
+            # -- at check_at: once the schedule has settled, replay whole
+            # hyperperiods of it with no random draw or heap work.  Only the
+            # per-busy-slot float sums are kept, in stepping order; integer
+            # tallies are added in bulk afterwards.
+            if warm_end is None:
+                warm_end = se * empty_count + busy_us  # slot == warm
+            # saturated nodes are all active, all the time
+            periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
+                       else eca_periods)
+            hyper = max(periods)
+            firings = None
+            # cheap necessary conditions first: all due within the
+            # longest period, no two due in the same slot
+            if max(next_tx) < slot + hyper and len(set(next_tx)) == n_nodes:
+                firings = _settled_firings(slot, next_tx, periods, hyper)
+            if firings is None:
+                check_at = slot + hyper
+                continue
+            settled = True
+            check_at = end
+            reps = (end - slot) // hyper
+            if not reps or any(len(q) != cap for q in queues):
+                continue
+            duration = exchange[agg]
+            idle_per = hyper - len(firings)
+            # per busy slot: empty slots before it in the hyperperiod, the
+            # node, and its queue's pop and refill
+            plan = []
+            for j, (f, nid) in enumerate(firings):
+                q = queues[nid]
+                plan.append((f - slot - j, nid, q.popleft,
+                             q.append if agg == 1 else q.extend))
+            # stamps popped from before warm_end give no delay sample
+            stale = [0] * n_nodes
+            busy_us, counted_busy_us, delay_sum_us = _replay_busy_slots(
+                plan, reps, agg, se, empty_count, idle_per, duration, warm_end,
+                busy_us, counted_busy_us, delay_sum_us, node_delay_sum, stale)
+            empty_count += reps * idle_per
+            for nid, period in enumerate(periods):
+                fired = reps * (hyper // period)
+                packets = fired * agg
+                successes[nid] += fired
+                node_tx[nid] += fired
+                node_success[nid] += fired
+                delivered[nid] += packets
+                arrivals[nid] += packets
+                node_delivered[nid] += packets
+                node_bits[nid] += packets * bits
+                node_delay_n[nid] += packets - stale[nid]
+                delay_samples += packets - stale[nid]
+                delivered_packets += packets
+                delivered_bits += packets * bits
+                next_tx[nid] += reps * hyper
+                if not keep_stage:
+                    stage[nid] = 0
+            slots_success += reps * len(firings)
+            slots_empty += reps * idle_per
+            slot += reps * hyper
+            tx_heap[:] = sorted(zip(next_tx, range(n_nodes)))
 
         self._settled = settled
         self.last_collision_slot = last_collision

@@ -14,6 +14,14 @@ from dataclasses import dataclass, field
 from .errors import ConsistencyError
 
 
+def negative_delay_error(delay: float, node_id: int, ack_us: float,
+                         enqueue_us: float) -> ConsistencyError:
+    """The fault for a packet acknowledged before it was enqueued."""
+    return ConsistencyError(
+        f"negative delay {delay:.3f} us for node {node_id}: "
+        f"ack at {ack_us:.3f}, enqueued at {enqueue_us:.3f}")
+
+
 @dataclass
 class NodeStats:
     node_id: int
@@ -127,9 +135,8 @@ class MetricsAccumulator:
             if enqueue_us >= cutoff:
                 delay = ack_us - enqueue_us
                 if delay < 0:
-                    raise ConsistencyError(
-                        f"negative delay {delay:.3f} us for node {node_id}: "
-                        f"ack at {ack_us:.3f}, enqueued at {enqueue_us:.3f}")
+                    raise negative_delay_error(delay, node_id, ack_us,
+                                               enqueue_us)
                 self.delay_sum_us += delay
                 self.delay_samples += 1
                 self.node_delay_sum[node_id] += delay

@@ -16,11 +16,11 @@ land on the single free position by chance; the settling time is heavy-tailed
 (quantiles of Simulation.settle_slot over seeds 1..200: median ~4.1k slots,
 p90 ~13.9k, p99 ~27.8k, pinned by
 tests/test_engine.py::test_check1_settling_quantiles), and a 10^4-slot bound
-covers 80% of seeds.  With the fixed seeds 1..10,
-four seeds settle between 10^4 and 2*10^4 slots, so the check fails and the
-assertion message lists the offenders.  Two- and four-node runs, which leave
-spare positions, settle every seed; check 2 verifies that once settled the
-schedule is exactly periodic for all ten seeds.
+covers 80% of seeds.  With the fixed seeds 1..10, four seeds settle between
+10^4 and 2*10^4 slots, so the check fails and the assertion message lists the
+offenders.  Two- and four-node runs, which leave spare positions, settle every
+seed; check 2 verifies that once settled the schedule is exactly periodic for
+all ten seeds.
 """
 
 import math
