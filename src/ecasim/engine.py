@@ -156,6 +156,7 @@ def _replay_busy_slots(plan, reps, agg, se, empty_count, idle_per, duration,
     """
     e = empty_count
     if agg == 1:
+        # no per-packet loop and no refill list: about twice as fast
         for _ in range(reps):
             for idle, nid, pop, refill in plan:
                 now = se * (e + idle) + busy_us
@@ -631,6 +632,7 @@ class Simulation:
             settled = True
             check_at = end
             reps = (end - slot) // hyper
+            # the replay assumes full queues; inject_packets can overfill one
             if not reps or any(len(q) != cap for q in queues):
                 continue
             duration = exchange[agg]
