@@ -34,6 +34,8 @@ an exchange time such as 316.888... us is not a dyadic number and k additions
 of it are not k times it; only integer tallies are added in bulk.  The
 remainder of the run goes back through the general loop.  settle_slot reports
 the first slot after the last collision once run() has proved this state.
+Only runs that send one packet per exchange (max_aggregation 1) are tested
+and replayed; aggregated runs stay in the general loop throughout.
 """
 
 import heapq
@@ -142,56 +144,33 @@ def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
     return sorted(firing.items())
 
 
-def _replay_busy_slots(plan, reps, agg, se, empty_count, idle_per, duration,
+def _replay_busy_slots(plan, reps, se, empty_count, idle_per, duration,
                        warm_end, busy_us, counted_busy_us, delay_sum_us,
                        node_delay_sum, stale):
     """The float work of reps settled hyperperiods, in stepping order.
 
     plan lists each busy slot of the hyperperiod as (empty slots before it,
-    node id, its queue's popleft, its queue's refill).  Every busy slot pops
-    one batch, adds the delays of stamps from warm_end on (counting the others
-    in stale), refills the queue with its start instant and adds its
-    duration to the clock and the counted busy time.  Returns the clock's
+    node id, its queue's popleft, its queue's append).  Every busy slot pops
+    one packet, adds its delay if it was stamped from warm_end on (counting
+    it in stale otherwise), refills the queue with its start instant and adds
+    its duration to the clock and the counted busy time.  Returns the clock's
     busy time, the counted busy time and the delay sum.
     """
     e = empty_count
-    if agg == 1:
-        # no per-packet loop and no refill list: about twice as fast
-        for _ in range(reps):
-            for idle, nid, pop, refill in plan:
-                now = se * (e + idle) + busy_us
-                enqueue_us = pop()
-                if enqueue_us >= warm_end:
-                    delay = now + duration - enqueue_us
-                    if delay < 0:
-                        raise negative_delay_error(delay, nid, now + duration,
-                                                   enqueue_us)
-                    delay_sum_us += delay
-                    node_delay_sum[nid] += delay
-                else:
-                    stale[nid] += 1
-                refill(now)
-                busy_us += duration
-                counted_busy_us += duration
-            e += idle_per
-        return busy_us, counted_busy_us, delay_sum_us
-    batch = range(agg)
     for _ in range(reps):
         for idle, nid, pop, refill in plan:
             now = se * (e + idle) + busy_us
-            slot_end = now + duration
-            for _ in batch:
-                enqueue_us = pop()
-                if enqueue_us >= warm_end:
-                    delay = slot_end - enqueue_us
-                    if delay < 0:
-                        raise negative_delay_error(delay, nid, slot_end,
-                                                   enqueue_us)
-                    delay_sum_us += delay
-                    node_delay_sum[nid] += delay
-                else:
-                    stale[nid] += 1
-            refill([now] * agg)
+            enqueue_us = pop()
+            if enqueue_us >= warm_end:
+                delay = now + duration - enqueue_us
+                if delay < 0:
+                    raise negative_delay_error(delay, nid, now + duration,
+                                               enqueue_us)
+                delay_sum_us += delay
+                node_delay_sum[nid] += delay
+            else:
+                stale[nid] += 1
+            refill(now)
             busy_us += duration
             counted_busy_us += duration
         e += idle_per
@@ -395,10 +374,11 @@ class Simulation:
         n_nodes = len(nodes)
         # saturated csma-eca may settle into a collision-free schedule; from
         # the warmup boundary on, test for it once per period (without hyst
-        # more than cw_min/2 nodes cannot all fit one period, so never)
+        # more than cw_min/2 nodes cannot all fit one period, so never).  The
+        # replay moves one packet per busy slot, so aggregation stays stepped.
         eca_periods = [cw_min // 2] * n_nodes
         check_at = end
-        if (saturated and cfg.protocol is Protocol.CSMA_ECA
+        if (saturated and cfg.protocol is Protocol.CSMA_ECA and agg == 1
                 and (keep_stage or n_nodes <= cw_min // 2)):
             check_at = warm
         settled = self._settled
@@ -621,11 +601,7 @@ class Simulation:
             periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
                        else eca_periods)
             hyper = max(periods)
-            firings = None
-            # cheap necessary conditions first: all due within the
-            # longest period, no two due in the same slot
-            if max(next_tx) < slot + hyper and len(set(next_tx)) == n_nodes:
-                firings = _settled_firings(slot, next_tx, periods, hyper)
+            firings = _settled_firings(slot, next_tx, periods, hyper)
             if firings is None:
                 check_at = slot + hyper
                 continue
@@ -635,35 +611,33 @@ class Simulation:
             # the replay assumes full queues; inject_packets can overfill one
             if not reps or any(len(q) != cap for q in queues):
                 continue
-            duration = exchange[agg]
+            duration = exchange[1]
             idle_per = hyper - len(firings)
             # per busy slot: empty slots before it in the hyperperiod, the
             # node, and its queue's pop and refill
             plan = []
             for j, (f, nid) in enumerate(firings):
                 q = queues[nid]
-                plan.append((f - slot - j, nid, q.popleft,
-                             q.append if agg == 1 else q.extend))
+                plan.append((f - slot - j, nid, q.popleft, q.append))
             # stamps popped from before warm_end give no delay sample
             stale = [0] * n_nodes
             busy_us, counted_busy_us, delay_sum_us = _replay_busy_slots(
-                plan, reps, agg, se, empty_count, idle_per, duration, warm_end,
+                plan, reps, se, empty_count, idle_per, duration, warm_end,
                 busy_us, counted_busy_us, delay_sum_us, node_delay_sum, stale)
             empty_count += reps * idle_per
             for nid, period in enumerate(periods):
                 fired = reps * (hyper // period)
-                packets = fired * agg
                 successes[nid] += fired
                 node_tx[nid] += fired
                 node_success[nid] += fired
-                delivered[nid] += packets
-                arrivals[nid] += packets
-                node_delivered[nid] += packets
-                node_bits[nid] += packets * bits
-                node_delay_n[nid] += packets - stale[nid]
-                delay_samples += packets - stale[nid]
-                delivered_packets += packets
-                delivered_bits += packets * bits
+                delivered[nid] += fired
+                arrivals[nid] += fired
+                node_delivered[nid] += fired
+                node_bits[nid] += fired * bits
+                node_delay_n[nid] += fired - stale[nid]
+                delay_samples += fired - stale[nid]
+                delivered_packets += fired
+                delivered_bits += fired * bits
                 next_tx[nid] += reps * hyper
                 if not keep_stage:
                     stage[nid] = 0
