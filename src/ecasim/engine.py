@@ -48,21 +48,12 @@ from .errors import ConsistencyError
 from .metrics import (MetricsAccumulator, MetricsReport,
                       negative_delay_error)
 from .protocols import NodeState, after_transmission, on_packet_arrival
-from .timing import TimingTable
 from .traffic import ArrivalStream
 
 
+@dataclass(frozen=True)
 class Empty:
     kind: ClassVar[str] = "empty"
-
-    def __repr__(self):
-        return "Empty()"
-
-    def __eq__(self, other):
-        return isinstance(other, Empty)
-
-    def __hash__(self):
-        return hash("empty")
 
 
 EMPTY = Empty()
@@ -82,19 +73,6 @@ class Collision:
 
 
 SlotOutcome = Union[Empty, Success, Collision]
-
-
-def slot_duration(outcome: SlotOutcome, timing: TimingTable,
-                  batch_bits: int = 0) -> float:
-    """Microseconds the channel is held by this slot.
-
-    A collision wastes a full exchange span: the longest colliding frame plus
-    the ACK timeout the senders sit through, which this model charges at the
-    same length as the ACK itself.
-    """
-    if outcome.kind == "empty":
-        return timing.slot_empty
-    return timing.exchange_us(batch_bits)
 
 
 class SimClock:
@@ -390,12 +368,10 @@ class Simulation:
         next_tx = [n.next_tx_slot for n in nodes]
         draws = [None if st is None else st.rng.expovariate
                  for st in self.streams]
-        # whole-run tallies (NodeCounters); transmissions are derived below
+        # whole-run tallies (NodeCounters)
         arrivals = [n.counters.arrivals for n in nodes]
         delivered = [n.counters.delivered for n in nodes]
         dropped = [n.counters.dropped for n in nodes]
-        successes = [n.counters.successes for n in nodes]
-        collisions = [n.counters.collisions for n in nodes]
         queue_empties = [n.counters.queue_empty_events for n in nodes]
         # counted-window ledger: lists change in place, scalars are written back
         node_tx = acc.node_tx
@@ -515,7 +491,6 @@ class Simulation:
                 if winner >= 0:
                     nid = winner
                     q = queues[nid]
-                    successes[nid] += 1
                     delivered[nid] += size
                     if counted:
                         node_tx[nid] += 1
@@ -544,7 +519,7 @@ class Simulation:
                     else:
                         for _ in range(size):
                             q.popleft()
-                    if saturated:
+                    if saturated and len(q) < cap:
                         fill = cap - len(q)
                         q.extend([now] * fill)
                         arrivals[nid] += fill
@@ -568,7 +543,6 @@ class Simulation:
                 elif colliders is not None:
                     last_collision = s
                     for nid in colliders:
-                        collisions[nid] += 1
                         st = stage[nid] + 1
                         if st > max_stage:
                             st = max_stage
@@ -627,7 +601,6 @@ class Simulation:
             empty_count += reps * idle_per
             for nid, period in enumerate(periods):
                 fired = reps * (hyper // period)
-                successes[nid] += fired
                 node_tx[nid] += fired
                 node_success[nid] += fired
                 delivered[nid] += fired
@@ -666,13 +639,9 @@ class Simulation:
             node.backoff_stage = stage[i]
             node.next_tx_slot = next_tx[i]
             ct = node.counters
-            ct.transmissions += (successes[i] - ct.successes
-                                 + collisions[i] - ct.collisions)
             ct.arrivals = arrivals[i]
             ct.delivered = delivered[i]
             ct.dropped = dropped[i]
-            ct.successes = successes[i]
-            ct.collisions = collisions[i]
             ct.queue_empty_events = queue_empties[i]
         for next_us, nid in arr_heap:
             self.streams[nid].next_us = next_us

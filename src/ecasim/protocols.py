@@ -57,13 +57,10 @@ def rejoin_backoff(cw_min: int, inclusive: bool, rng: random.Random) -> int:
 
 @dataclass
 class NodeCounters:
-    """Whole-run tallies, used for conservation checks and debugging."""
+    """Whole-run tallies for the end-of-run ledger and saturation checks."""
     arrivals: int = 0
     delivered: int = 0
     dropped: int = 0
-    transmissions: int = 0
-    successes: int = 0
-    collisions: int = 0
     queue_empty_events: int = 0
 
 
@@ -110,13 +107,10 @@ def after_transmission(node: NodeState, success: bool, batch_size: int,
     went idle.  replenish, when given, refills a saturated queue before the
     empty check so saturated nodes never drop out.
     """
-    node.counters.transmissions += 1
     if not success:
-        node.counters.collisions += 1
         node.backoff_stage, counter = next_backoff_after_collision(
             node.backoff_stage, cfg.max_stage, cfg.cw_min, rng)
         return [], counter
-    node.counters.successes += 1
     delivered = [node.queue.popleft() for _ in range(batch_size)]
     node.counters.delivered += batch_size
     if replenish is not None:

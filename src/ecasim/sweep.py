@@ -18,7 +18,8 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 from .config import Protocol, SimConfig, SATURATED
@@ -147,16 +148,10 @@ class SweepSpec:
         lines.append(f"output_dir = {self.output_dir}")
         rate = "saturated" if base.arrival_rate == SATURATED else repr(base.arrival_rate)
         lines.append(f"arrival_rate = {rate}")
-        for key in ("cw_min", "max_stage", "queue_capacity", "max_aggregation",
-                    "sim_slots", "warmup_slots"):
-            lines.append(f"{key} = {getattr(base, key)}")
-        lines.append(f"hysteresis = {str(base.hysteresis).lower()}")
-        lines.append(f"rejoin_inclusive = {str(base.rejoin_inclusive).lower()}")
-        for key in ("slot_empty", "sifs", "difs", "phy_header",
-                    "data_rate", "ack_rate"):
-            lines.append(f"{key} = {getattr(t, key)!r}")
-        lines.append(f"ack_bits = {t.ack_bits}")
-        lines.append(f"payload_bits = {t.payload_bits}")
+        for key, kind in _FIELD_KEYS.items():
+            value = getattr(t if key in _TIMING_KEYS else base, key)
+            lines.append(f"{key} = "
+                         + (str(value).lower() if kind is bool else repr(value)))
         return "\n".join(lines) + "\n"
 
 
@@ -164,14 +159,15 @@ class SweepSpec:
 
 _LIST_KEYS = {"node_counts", "seeds", "protocol"}
 
-_INT_KEYS = {"cw_min", "max_stage", "queue_capacity", "max_aggregation",
-             "sim_slots", "warmup_slots", "ack_bits", "payload_bits"}
-_FLOAT_KEYS = {"slot_empty", "sifs", "difs", "phy_header", "data_rate",
-               "ack_rate"}
-_BOOL_KEYS = {"hysteresis", "rejoin_inclusive"}
-_TIMING_KEYS = _FLOAT_KEYS | {"ack_bits", "payload_bits"}
-_SCALAR_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | {"arrival_rate",
-                                                       "output_dir"}
+# One key per scalar field, mapped to its type, in echo order: SimConfig's
+# int fields, then its bool fields, then TimingTable's fields.  n_nodes and
+# seed vary per run (node_counts, seeds); arrival_rate has its own spelling.
+_SIM_FIELDS = [f for f in fields(SimConfig)
+               if f.type in (int, bool) and f.name not in ("n_nodes", "seed")]
+_FIELD_KEYS = {f.name: f.type
+               for f in sorted(_SIM_FIELDS, key=lambda f: f.type is bool)
+               + list(fields(TimingTable))}
+_TIMING_KEYS = {f.name for f in fields(TimingTable)}
 
 
 def _parse_lines(text: str, source: str):
@@ -216,6 +212,9 @@ def _cast_bool(key, value, where):
     raise ConfigError(f"{where}: {key} expects true or false, got {value!r}")
 
 
+_CASTS = {int: _cast_int, float: _cast_float, bool: _cast_bool}
+
+
 def parse_config(text: str, source: str = "<config>") -> SweepSpec:
     """Build a validated SweepSpec from config text."""
     lists: dict = {"node_counts": [], "seeds": [], "protocol": []}
@@ -229,16 +228,12 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
                     parse_variant(item, f" ({where})") for item in items)
             else:
                 lists[key].extend(_cast_int(key, item, where) for item in items)
-        elif key in _SCALAR_KEYS:
+        elif key in _FIELD_KEYS or key in ("arrival_rate", "output_dir"):
             if key in scalars:
                 raise ConfigError(f"{where}: {key} already set on line "
                                   f"{scalars[key][1]}")
-            if key in _INT_KEYS:
-                parsed = _cast_int(key, value, where)
-            elif key in _FLOAT_KEYS:
-                parsed = _cast_float(key, value, where)
-            elif key in _BOOL_KEYS:
-                parsed = _cast_bool(key, value, where)
+            if key in _FIELD_KEYS:
+                parsed = _CASTS[_FIELD_KEYS[key]](key, value, where)
             elif key == "arrival_rate":
                 parsed = (SATURATED if value.lower() in ("saturated", "inf")
                           else _cast_float(key, value, where))
@@ -264,15 +259,6 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
         spec.seeds = lists["seeds"]
     spec.validate()
     return spec
-
-
-def parse_config_file(path) -> SweepSpec:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config(text, str(path))
 
 
 def parse_config_with_overrides(path, overrides) -> SweepSpec:
@@ -318,12 +304,6 @@ class SweepResults:
     rows: list
     aggregates: dict          # (label, n) -> {"mean": {...}, "stddev": {...}}
     fault: str | None = None  # fault marker text when a run aborted
-
-    def cell(self, label: str, n: int, seed: int) -> RunRow:
-        for row in self.rows:
-            if (row.label, row.n_nodes, row.seed) == (label, n, seed):
-                return row
-        raise KeyError((label, n, seed))
 
 
 def _project(report) -> dict:
@@ -371,6 +351,22 @@ def worker_count(requested: int | None = None) -> int:
     return n
 
 
+def _reports(configs: list, workers: int):
+    """run_simulation over configs, in order, on a pool if workers > 1."""
+    if workers == 1 or len(configs) == 1:
+        yield from map(run_simulation, configs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run_simulation, configs)
+
+
+def _cells(rows: list):
+    """(label, n_nodes) with that cell's rows; rows come in run_keys() order,
+    so each cell's rows are contiguous."""
+    return [(cell, list(group))
+            for cell, group in groupby(rows, key=lambda r: (r.label, r.n_nodes))]
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     """Run every (protocol, n, seed) cell and write results under output_dir.
 
@@ -386,16 +382,10 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
 
     rows = []
     try:
-        if workers == 1 or len(configs) == 1:
-            reports = (run_simulation(cfg) for cfg in configs)
-            for key, report in zip(keys, reports):
-                rows.append(RunRow(key[0].label, key[1], key[2],
-                                   _project(report), report))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for key, report in zip(keys, pool.map(run_simulation, configs)):
-                    rows.append(RunRow(key[0].label, key[1], key[2],
-                                       _project(report), report))
+        for (variant, n, seed), report in zip(keys,
+                                              _reports(configs, workers)):
+            rows.append(RunRow(variant.label, n, seed, _project(report),
+                               report))
     except ConsistencyError as exc:
         # results arrive in submission order, so the failed run is the next key
         variant, n, seed = keys[len(rows)]
@@ -405,17 +395,14 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
         raise
 
     aggregates = {}
-    for variant in spec.variants:
-        for n in spec.node_counts:
-            cell = [r for r in rows
-                    if r.label == variant.label and r.n_nodes == n]
-            mean = {}
-            std = {}
-            for col in METRIC_COLUMNS:
-                samples = [float(r.values[col]) for r in cell]
-                mean[col] = statistics.fmean(samples)
-                std[col] = _stdev(samples)
-            aggregates[(variant.label, n)] = {"mean": mean, "stddev": std}
+    for cell, cell_rows in _cells(rows):
+        mean = {}
+        std = {}
+        for col in METRIC_COLUMNS:
+            samples = [float(r.values[col]) for r in cell_rows]
+            mean[col] = statistics.fmean(samples)
+            std[col] = _stdev(samples)
+        aggregates[cell] = {"mean": mean, "stddev": std}
 
     results = SweepResults(spec, rows, aggregates)
     _write_outputs(results)
@@ -426,20 +413,15 @@ def write_results_csv(results: SweepResults, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        by_cell: dict = {}
-        for row in results.rows:
-            by_cell.setdefault((row.label, row.n_nodes), []).append(row)
-        for variant in results.spec.variants:
-            for n in results.spec.node_counts:
-                cell = by_cell.get((variant.label, n), [])
-                for row in cell:
-                    writer.writerow([row.label, row.n_nodes, row.seed]
-                                    + [row.values[c] for c in METRIC_COLUMNS])
-                agg = results.aggregates.get((variant.label, n))
-                if agg:
-                    for kind in ("mean", "stddev"):
-                        writer.writerow([variant.label, n, kind]
-                                        + [agg[kind][c] for c in METRIC_COLUMNS])
+        for cell, cell_rows in _cells(results.rows):
+            for row in cell_rows:
+                writer.writerow([row.label, row.n_nodes, row.seed]
+                                + [row.values[c] for c in METRIC_COLUMNS])
+            agg = results.aggregates.get(cell)
+            if agg:
+                for kind in ("mean", "stddev"):
+                    writer.writerow(list(cell) + [kind]
+                                    + [agg[kind][c] for c in METRIC_COLUMNS])
         if results.fault is not None:
             writer.writerow([FAULT_MARKER, results.fault]
                             + [""] * (len(CSV_COLUMNS) - 2))
@@ -498,5 +480,5 @@ def load_results(csv_path, echo_path=None) -> ResultsTable:
         candidate = csv_path.parent / ECHO_NAME
         echo_path = candidate if candidate.exists() else None
     if echo_path is not None:
-        meta = parse_config_file(echo_path)
+        meta = parse_config_with_overrides(echo_path, ())
     return ResultsTable(labels, sorted(node_counts), mean, stddev, meta)

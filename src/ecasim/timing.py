@@ -6,7 +6,7 @@ slot of fixed width or an atomic data/ACK exchange; the exchange length is the
 only place payload size enters the clock.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -23,20 +23,17 @@ class TimingTable:
     payload_bits: int = 12000   # MAC payload carried by one packet
 
     def validate(self) -> None:
-        for name in ("slot_empty", "sifs", "difs", "phy_header",
-                     "data_rate", "ack_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"timing field {name} must be positive")
-        for name in ("ack_bits", "payload_bits"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"timing field {name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ConfigError(f"timing field {f.name} must be positive")
 
     def exchange_us(self, batch_bits: int) -> float:
         """Duration of one full data/ACK exchange carrying batch_bits.
 
         DIFS, then the data frame (header plus aggregated payload), then SIFS
         and the ACK frame.  A collision occupies the channel for the same span
-        as the longest frame involved, so the caller passes the largest batch.
+        as the longest frame involved, its ACK timeout charged as an ACK, so
+        the caller passes the largest batch.
         """
         return (self.difs
                 + self.phy_header + batch_bits / self.data_rate

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
-from ecasim import (DEFAULT_TIMING, SATURATED, Collision, Empty, Protocol,
-                    SimConfig, Simulation, Success, TimingTable,
-                    run_simulation)
+from ecasim import (SATURATED, Collision, Empty, Protocol, SimConfig,
+                    Simulation, Success, run_simulation)
 from ecasim.engine import EMPTY
+from ecasim.timing import DEFAULT_TIMING, TimingTable
 
 # hand arithmetic for the default timing table, one 12000-bit frame:
 # 34 + 20 + 12000/54 + 16 + 20 + 112/24 us
@@ -169,10 +169,10 @@ def _assert_run_equals_stepping(cfg, prefix=0):
     # both ledgers balance (_finalize raises otherwise; spelled out here)
     assert fast.slots_total == cfg.sim_slots - cfg.warmup_slots
     assert fast.transmissions == fast.successes + fast.collisions
-    for node in fast_sim.nodes:
+    for node, row in zip(fast_sim.nodes, fast.per_node):
         c = node.counters
         assert c.arrivals == c.delivered + c.dropped + len(node.queue)
-        assert c.transmissions == c.successes + c.collisions
+        assert row.transmissions == row.successes + row.collisions
     return fast_sim
 
 
@@ -298,6 +298,20 @@ def test_settled_replay_equals_stepping(cfg, prefix):
     sim = _assert_run_equals_stepping(cfg, prefix)
     if (cfg, prefix) in REPLAYED:
         assert sim.settle_slot is not None
+
+
+def test_run_equals_stepping_on_an_overfilled_saturated_queue():
+    """inject_packets can push a saturated queue past capacity; a success
+    then refills nothing, under either driver."""
+    cfg = _eca(n_nodes=2, sim_slots=200, warmup_slots=0, seed=1)
+    fast_sim, slow_sim = Simulation(cfg), Simulation(cfg)
+    for sim in (fast_sim, slow_sim):
+        sim.inject_packets(0, 5)
+    fast = fast_sim.run()
+    while slow_sim.clock.slot < cfg.sim_slots:
+        slow_sim.advance_slot()
+    assert _reports_equal(fast, slow_sim._finalize())
+    assert _same(_end_state(fast_sim), _end_state(slow_sim))
 
 
 # -- conservation grid --------------------------------------------------------

@@ -4,8 +4,10 @@ import math
 
 import pytest
 
-from ecasim import ConsistencyError, MetricsAccumulator, NodeState
+from ecasim import ConsistencyError
 from ecasim.engine import EMPTY, Collision, Success
+from ecasim.metrics import MetricsAccumulator
+from ecasim.protocols import NodeState
 
 
 def _acc(n_nodes=2, warmup_end_us=0.0):

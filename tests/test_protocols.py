@@ -6,8 +6,8 @@ from collections import deque
 import pytest
 from hypothesis import given, strategies as st
 
-from ecasim import ConfigError, NodeState, Protocol, SimConfig
-from ecasim.protocols import (after_transmission, contention_window,
+from ecasim import ConfigError, Protocol, SimConfig
+from ecasim.protocols import (NodeState, after_transmission, contention_window,
                               next_backoff_after_collision,
                               next_backoff_after_success, on_packet_arrival,
                               rejoin_backoff)
@@ -160,7 +160,7 @@ def test_success_delivers_fifo_batch_and_redraws():
     assert len(node.queue) == 1
     assert node.backoff_stage == 0
     assert counter is not None and 0 <= counter < cfg.cw_min
-    assert node.counters.successes == 1
+    assert node.counters.delivered == 2
 
 
 def test_success_on_last_packet_leaves_contention():
@@ -183,7 +183,7 @@ def test_collision_keeps_batch_and_escalates():
     assert len(node.queue) == 2
     assert node.backoff_stage == 1
     assert 0 <= counter < 32
-    assert node.counters.collisions == 1
+    assert node.counters.delivered == 0
     assert node.counters.queue_empty_events == 0
 
 

@@ -12,7 +12,7 @@ from ecasim import (ConfigError, ConsistencyError, Protocol, SimConfig,
 import ecasim.sweep as sweep_mod
 from ecasim.sweep import (CSV_COLUMNS, ECHO_NAME, FAULT_MARKER,
                           METRIC_COLUMNS, RESULTS_NAME, ProtocolVariant,
-                          load_results, parse_config, parse_config_file,
+                          load_results, parse_config,
                           parse_config_with_overrides, parse_variant,
                           run_sweep, worker_count, write_results_csv)
 
@@ -101,30 +101,68 @@ def test_error_messages_carry_the_source_name(tmp_path):
     path = tmp_path / "sweep.conf"
     path.write_text("node_counts = 2\nbogus = 1\n")
     with pytest.raises(ConfigError) as err:
-        parse_config_file(path)
+        parse_config_with_overrides(path, ())
     assert str(path) in str(err.value)
     assert ":2:" in str(err.value)
 
 
 def test_resolved_text_round_trips():
+    # every scalar key set away from its default
     spec = parse_config("""
         node_counts = 2,6
         seeds = 4,5
         protocol = csma-eca hyst
         protocol = csma-ca agg=16
+        output_dir = out
         arrival_rate = saturated
         cw_min = 32
-        payload_bits = 8000
+        max_stage = 3
+        queue_capacity = 40
+        max_aggregation = 2
+        sim_slots = 5000
+        warmup_slots = 500
+        hysteresis = yes
+        rejoin_inclusive = 1
         slot_empty = 10.5
+        sifs = 10.0
+        difs = 28
+        phy_header = 24.25
+        data_rate = 6.5
+        ack_rate = 12.0
+        ack_bits = 100
+        payload_bits = 8000
     """)
     echo = spec.resolved_text()
+    assert echo == """\
+# resolved sweep configuration
+node_counts = 2,6
+seeds = 4,5
+protocol = csma-eca hyst
+protocol = csma-ca agg=16
+output_dir = out
+arrival_rate = saturated
+cw_min = 32
+max_stage = 3
+queue_capacity = 40
+max_aggregation = 2
+sim_slots = 5000
+warmup_slots = 500
+hysteresis = true
+rejoin_inclusive = true
+slot_empty = 10.5
+sifs = 10.0
+difs = 28.0
+phy_header = 24.25
+data_rate = 6.5
+ack_rate = 12.0
+ack_bits = 100
+payload_bits = 8000
+"""
+    defaults = parse_config("node_counts = 2,6\n").resolved_text()
+    assert not set(echo.splitlines()[5:]) & set(defaults.splitlines())
     again = parse_config(echo)
+    assert again == spec
     assert again.resolved_text() == echo
-    assert again.base.cw_min == 32
-    assert again.base.timing.payload_bits == 8000
-    assert again.base.timing.slot_empty == 10.5
-    assert [v.label for v in again.variants] == ["csma-eca-hyst",
-                                                 "csma-ca-agg16"]
 
 
 def test_overrides_replace_file_values(tmp_path):
@@ -275,15 +313,6 @@ def test_fault_writes_partial_results_and_reraises(tmp_path, monkeypatch):
     assert rows[2][0] == FAULT_MARKER
     assert rows[2][1].startswith("csma-ca,3,1:")
     assert len(rows[2]) == len(CSV_COLUMNS)
-
-
-def test_cell_lookup(tmp_path):
-    spec = _tiny_spec(tmp_path)
-    results = run_sweep(spec, workers=1)
-    row = results.cell("csma-eca", 3, 2)
-    assert (row.label, row.n_nodes, row.seed) == ("csma-eca", 3, 2)
-    with pytest.raises(KeyError):
-        results.cell("csma-eca", 3, 99)
 
 
 # -- loading results back -----------------------------------------------------

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ecasim import DEFAULT_TIMING, EMPTY, Collision, ConfigError, Success, TimingTable
-from ecasim.engine import slot_duration
+from ecasim import Collision, ConfigError, Protocol, SimConfig, Simulation
+from ecasim.timing import DEFAULT_TIMING, TimingTable
 
 # defaults, one 12000-bit payload, worked out by hand:
 #   34 (difs) + 20 (phy) + 12000/54 + 16 (sifs) + 20 (phy) + 112/24
@@ -23,12 +23,17 @@ def test_aggregated_exchange_matches_hand_arithmetic():
     assert got == pytest.approx(HAND_BATCH8_US, rel=1e-12)
 
 
-def test_slot_duration_dispatch():
+def test_collision_holds_the_channel_for_the_longest_frame():
+    sim = Simulation(SimConfig(protocol=Protocol.CSMA_CA, arrival_rate=0.0,
+                               max_aggregation=4, sim_slots=10,
+                               warmup_slots=0))
+    sim.inject_packets(0, 3)
+    sim.inject_packets(1, 1)
+    sim.set_backoff(0, 0)
+    sim.set_backoff(1, 0)
+    assert sim.advance_slot() == Collision(transmitters=(0, 1))
     t = DEFAULT_TIMING
-    assert slot_duration(EMPTY, t) == 9.0
-    assert slot_duration(Success(0, 1), t, 12000) == t.exchange_us(12000)
-    # a collision holds the channel as long as the largest frame involved
-    assert slot_duration(Collision((0, 1)), t, 24000) == t.exchange_us(24000)
+    assert sim.clock.busy_us == t.exchange_us(3 * t.payload_bits)
 
 
 def test_empty_slot_is_cheapest():
