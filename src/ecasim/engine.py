@@ -11,8 +11,17 @@ regardless of how busy the channel is.
 Because a counter ticks once per slot unconditionally, "counter c at slot s"
 is the same thing as "transmits at slot s + c".  The engine therefore keeps a
 heap of absolute due-slots instead of decrementing N counters per slot, and
-run() skips event-free idle gaps in bulk.  No randomness is consumed in a
-skipped gap, so bulk skipping is exactly equivalent to stepping slot by slot.
+run() skips idle gaps in bulk up to the next due transmission or the next
+arrival at an idle node.  No shared randomness is consumed in a skipped gap,
+so bulk skipping is exactly equivalent to stepping slot by slot.
+
+An arrival at a node that is already contending draws nothing from the shared
+RNG and only grows its queue, which nothing reads until the node's next pop.
+So run() keeps only idle nodes in the arrival heap and applies an active
+node's arrivals, from its private stream, where they matter: before it
+transmits with fewer than max_aggregation packets queued (they fix the batch
+size), before a success pops its queue, and at the end of the run.  Appended
+later but in the same order, they give the same stamps, drops and RNG states.
 
 advance_slot() is the reference stepper: it resolves one slot through the
 protocol, traffic and metrics functions.  run() does the same work in one
@@ -40,6 +49,7 @@ and replayed; aggregated runs stay in the general loop throughout.
 
 import heapq
 import random
+from math import inf, log
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -183,6 +193,9 @@ class Simulation:
             self.streams.append(stream)
         self.last_collision_slot = -1
         self._settled = False
+        # end instant of the last resolved slot, as stepping computes it
+        # (clock.now_us can differ by an ulp); run() catches up to it
+        self.slot_end_us = 0.0
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot 0
             for node in self.nodes:
@@ -267,7 +280,7 @@ class Simulation:
                 self.last_collision_slot = s
             duration = t.exchange_us(max(sizes) * t.payload_bits)
 
-        slot_end = clock.now_us + duration
+        slot_end = self.slot_end_us = clock.now_us + duration
 
         # arrivals land mid-slot; a node they wake joins from the next slot on
         arr_heap = self.arrival_heap
@@ -317,10 +330,10 @@ class Simulation:
         """Run to cfg.sim_slots and report.
 
         Does exactly what repeated advance_slot() calls do, plus bulk skipping
-        of event-free idle gaps and the settled replay, in one loop: node,
-        clock and ledger state is loaded into locals here and written back
-        before the report, so the test hooks, the node objects and a later
-        advance_slot() all see it.
+        of idle gaps, lazy arrivals at active nodes and the settled replay, in
+        one loop: node, clock, stream and ledger state is loaded into locals
+        here and written back before the report, so the test hooks, the node
+        objects and a later advance_slot() all see it.
         """
         cfg = self.cfg
         t = cfg.timing
@@ -328,11 +341,10 @@ class Simulation:
         clock = self.clock
         acc = self.acc
         tx_heap = self.tx_heap
-        arr_heap = self.arrival_heap
         heappush = heapq.heappush
         heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
-        randrange = self.proto_rng.randrange
+        # randrange(w), inlined: the same getrandbits calls, so the same state
+        getrandbits = self.proto_rng.getrandbits
 
         se = t.slot_empty
         end = cfg.sim_slots
@@ -348,6 +360,9 @@ class Simulation:
         keep_stage = cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis
         eca_counter = cw_min // 2 - 1
         rejoin_window = cw_min + 1 if cfg.rejoin_inclusive else cw_min
+        cw_bits = cw_min.bit_length()
+        rejoin_bits = rejoin_window.bit_length()
+        poisson = 0 < rate < inf
         exchange = [t.exchange_us(k * bits) for k in range(agg + 1)]
         n_nodes = len(nodes)
         # saturated csma-eca may settle into a collision-free schedule; from
@@ -366,8 +381,13 @@ class Simulation:
         active = [n.active for n in nodes]
         stage = [n.backoff_stage for n in nodes]
         next_tx = [n.next_tx_slot for n in nodes]
-        draws = [None if st is None else st.rng.expovariate
-                 for st in self.streams]
+        # each node's next arrival not yet applied (inf without a Poisson
+        # source); only idle nodes wait for theirs in arr_heap
+        next_us = [inf if st is None else st.next_us for st in self.streams]
+        rnds = [None if st is None else st.rng.random for st in self.streams]
+        arr_heap = [(next_us[nid], nid) for nid in range(n_nodes)
+                    if poisson and not active[nid]]
+        heapq.heapify(arr_heap)
         # whole-run tallies (NodeCounters)
         arrivals = [n.counters.arrivals for n in nodes]
         delivered = [n.counters.delivered for n in nodes]
@@ -396,6 +416,33 @@ class Simulation:
         slot = clock.slot
         empty_count = clock.empty_count
         busy_us = clock.busy_us
+        prev_end = self.slot_end_us
+        # a drop counts iff its arrival lands from the end of slot warm - 1
+        drop_from = -inf if warm_end is not None else inf
+
+        def catch_up(nid, until):
+            """Apply nid's arrivals before `until` (on_packet_arrival without
+            the rejoin): append each to the queue, or drop it if full."""
+            nonlocal drops
+            t = next_us[nid]
+            q = queues[nid]
+            rnd = rnds[nid]
+            landed = lost = counted_lost = 0
+            while t < until:
+                landed += 1
+                if len(q) < cap:
+                    q.append(t)
+                else:
+                    lost += 1
+                    if t >= drop_from:
+                        counted_lost += 1
+                t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
+            next_us[nid] = t
+            arrivals[nid] += landed
+            if lost:
+                dropped[nid] += lost
+                drops += counted_lost
+                node_drops[nid] += counted_lost
 
         while slot < end:
             # -- the general loop, up to the end or the next settled check
@@ -403,7 +450,7 @@ class Simulation:
             while slot < stop:
                 due = tx_heap[0][0] if tx_heap else end
                 if due > slot:
-                    # skip idle slots up to the next transmission or arrival
+                    # skip idle slots up to the next transmission or wake
                     gap_end = due if due < end else end
                     if arr_heap:
                         a = arr_heap[0][0]
@@ -418,11 +465,14 @@ class Simulation:
                             assert slot <= warm
                             warm_end = (se * (empty_count + warm - slot)
                                         + busy_us)
+                            drop_from = (prev_end if slot == warm else se * (
+                                empty_count + warm - slot - 1) + busy_us + se)
                         first = warm if slot < warm else slot
                         if gap_end > first:
                             slots_empty += gap_end - first
                         empty_count += gap_end - slot
                         slot = gap_end
+                        prev_end = se * (empty_count - 1) + busy_us + se
                         continue
                 assert due >= slot, "overdue transmission in heap"
 
@@ -432,12 +482,17 @@ class Simulation:
                 counted = s >= warm
                 if counted and warm_end is None:
                     warm_end = now
+                    drop_from = prev_end
                 winner = -1
                 colliders = None
                 if due == s:
+                    # a batch's size is fixed by what landed before the slot
                     nid = heappop(tx_heap)[1]
                     assert active[nid] and next_tx[nid] == s
-                    size = len(queues[nid])
+                    q = queues[nid]
+                    if len(q) < agg and next_us[nid] < prev_end:
+                        catch_up(nid, prev_end)
+                    size = len(q)
                     if size > agg:
                         size = agg
                     if tx_heap and tx_heap[0][0] == s:
@@ -447,7 +502,10 @@ class Simulation:
                             nid = heappop(tx_heap)[1]
                             assert active[nid] and next_tx[nid] == s
                             colliders.append(nid)
-                            size = len(queues[nid])
+                            q = queues[nid]
+                            if len(q) < agg and next_us[nid] < prev_end:
+                                catch_up(nid, prev_end)
+                            size = len(q)
                             if size > longest:
                                 longest = size
                         duration = exchange[longest if longest < agg else agg]
@@ -458,39 +516,32 @@ class Simulation:
                     duration = se
                 slot_end = now + duration
 
-                # -- arrivals before the slot ends (on_packet_arrival, inlined)
+                # -- idle nodes' arrivals before the slot ends; the first one
+                # queued wakes its node (on_packet_arrival, inlined)
                 while arr_heap and arr_heap[0][0] < slot_end:
-                    next_us, nid = arr_heap[0]
+                    nid = heappop(arr_heap)[1]
                     q = queues[nid]
-                    draw = draws[nid]
-                    landed = 0
-                    lost = 0
-                    while next_us < slot_end:
-                        landed += 1
-                        if len(q) >= cap:
-                            lost += 1
-                        else:
-                            q.append(next_us)
-                            if not active[nid]:
-                                active[nid] = True
-                                if not keep_stage:
-                                    stage[nid] = 0
-                                c = s + 1 + randrange(rejoin_window)
-                                next_tx[nid] = c
-                                heappush(tx_heap, (c, nid))
-                        next_us += draw(rate) * 1e6
-                    heapreplace(arr_heap, (next_us, nid))
-                    arrivals[nid] += landed
-                    if lost:
-                        dropped[nid] += lost
-                        if counted:
-                            drops += lost
-                            node_drops[nid] += lost
+                    held = len(q)
+                    catch_up(nid, slot_end)
+                    if len(q) == held:  # an idle queue overfilled by a hook
+                        heappush(arr_heap, (next_us[nid], nid))
+                        continue
+                    active[nid] = True
+                    if not keep_stage:
+                        stage[nid] = 0
+                    r = getrandbits(rejoin_bits)
+                    while r >= rejoin_window:
+                        r = getrandbits(rejoin_bits)
+                    c = s + 1 + r
+                    next_tx[nid] = c
+                    heappush(tx_heap, (c, nid))
 
                 # -- outcome (after_transmission and record_* calls, inlined)
                 if winner >= 0:
                     nid = winner
                     q = queues[nid]
+                    if next_us[nid] < slot_end:  # arrivals precede the pops
+                        catch_up(nid, slot_end)
                     delivered[nid] += size
                     if counted:
                         node_tx[nid] += 1
@@ -526,7 +577,10 @@ class Simulation:
                     if q:
                         if random_success:
                             stage[nid] = 0
-                            c = s + 1 + randrange(cw_min)
+                            r = getrandbits(cw_bits)
+                            while r >= cw_min:
+                                r = getrandbits(cw_bits)
+                            c = s + 1 + r
                         elif keep_stage:
                             c = s + (cw_min << stage[nid]) // 2
                         else:
@@ -536,6 +590,8 @@ class Simulation:
                         heappush(tx_heap, (c, nid))
                     else:
                         active[nid] = False
+                        if poisson:
+                            heappush(arr_heap, (next_us[nid], nid))
                         queue_empties[nid] += 1
                         if counted:
                             node_queue_empty[nid] += 1
@@ -547,7 +603,11 @@ class Simulation:
                         if st > max_stage:
                             st = max_stage
                         stage[nid] = st
-                        c = s + 1 + randrange(cw_min << st)
+                        w = cw_min << st
+                        r = getrandbits(cw_bits + st)
+                        while r >= w:
+                            r = getrandbits(cw_bits + st)
+                        c = s + 1 + r
                         next_tx[nid] = c
                         heappush(tx_heap, (c, nid))
                         if counted:
@@ -561,6 +621,7 @@ class Simulation:
                     empty_count += 1
                     if counted:
                         slots_empty += 1
+                prev_end = slot_end
                 slot += 1
 
             if slot >= end:
@@ -618,7 +679,17 @@ class Simulation:
             slots_empty += reps * idle_per
             slot += reps * hyper
             tx_heap[:] = sorted(zip(next_tx, range(n_nodes)))
+            # prev_end now lags, but saturated runs have no arrivals to catch up
 
+        # what landed at active nodes since their last catch-up
+        for nid, st in enumerate(self.streams):
+            if active[nid]:
+                catch_up(nid, prev_end)
+            if st is not None:
+                st.next_us = next_us[nid]
+        self.arrival_heap = sorted((next_us[nid], nid) for nid in range(n_nodes)
+                                   if poisson)
+        self.slot_end_us = prev_end
         self._settled = settled
         self.last_collision_slot = last_collision
         clock.slot = slot
@@ -643,8 +714,6 @@ class Simulation:
             ct.delivered = delivered[i]
             ct.dropped = dropped[i]
             ct.queue_empty_events = queue_empties[i]
-        for next_us, nid in arr_heap:
-            self.streams[nid].next_us = next_us
         return self._finalize()
 
     def _finalize(self) -> MetricsReport:

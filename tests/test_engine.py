@@ -314,6 +314,66 @@ def test_run_equals_stepping_on_an_overfilled_saturated_queue():
     assert _same(_end_state(fast_sim), _end_state(slow_sim))
 
 
+# -- arrivals at active nodes, which run() applies only where they matter -----
+
+def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
+    """Full queues drop arrivals before and after the warmup boundary; only
+    those landing from the end of slot warmup_slots - 1 on are counted."""
+    cfg = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3,
+                    arrival_rate=20_000.0, max_aggregation=16,
+                    queue_capacity=16, sim_slots=3000, warmup_slots=1500,
+                    seed=1)
+    sim = _assert_run_equals_stepping(cfg)
+    report = sim._finalize()
+    assert report.drops > 0
+    assert sum(n.counters.dropped for n in sim.nodes) > report.drops
+
+
+def test_run_equals_stepping_when_a_node_rejoins_beside_backlogged_ones():
+    """Node 0 keeps emptying its queue and waking again while other nodes
+    hold several packets and so never leave contention.  The run ends in an
+    idle gap whose last slot ends an ulp away from the clock's now_us."""
+    cfg = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=4, arrival_rate=650.0,
+                    sim_slots=4901, warmup_slots=500, seed=1,
+                    timing=TimingTable(slot_empty=10.3, payload_bits=8000))
+    sim = _assert_run_equals_stepping(cfg)
+    # only a success empties a queue, so a second empty event means node 0
+    # transmitted again after the first
+    assert sim.nodes[0].counters.queue_empty_events >= 2
+    stepped, rejoins = Simulation(cfg), 0
+    while stepped.clock.slot < cfg.sim_slots:
+        idle = not stepped.nodes[0].active
+        stepped.advance_slot()
+        if (idle and stepped.nodes[0].active
+                and any(len(n.queue) > 1 for n in stepped.nodes[1:])):
+            rejoins += 1
+    assert rejoins >= 2
+    # where a run() after this one would start catching up
+    assert stepped.slot_end_us != stepped.clock.now_us
+    assert sim.slot_end_us == stepped.slot_end_us
+
+
+def test_run_after_a_prefix_ending_in_a_busy_slot():
+    """After a busy slot the clock's now_us and the slot's end differ by an
+    ulp here; run() must catch up to the latter, and node 2 has an arrival
+    pending that lands before it transmits with a short queue."""
+    cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=4, arrival_rate=3000.0,
+                    max_aggregation=4, queue_capacity=8, sim_slots=2000,
+                    warmup_slots=100, seed=16)
+    prefix = 112
+    sim = Simulation(cfg)
+    for _ in range(prefix):
+        out = sim.advance_slot()
+    assert out is not EMPTY
+    assert sim.slot_end_us != sim.clock.now_us
+    node = sim.nodes[2]
+    assert node.active and len(node.queue) < cfg.max_aggregation
+    first_tx_us = (sim.clock.now_us
+                   + sim.backoff_counter(2) * cfg.timing.slot_empty)
+    assert sim.streams[2].next_us < first_tx_us
+    _assert_run_equals_stepping(cfg, prefix)
+
+
 # -- conservation grid --------------------------------------------------------
 
 GRID = [
