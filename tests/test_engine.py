@@ -314,6 +314,23 @@ def test_run_equals_stepping_on_an_overfilled_saturated_queue():
     assert _same(_end_state(fast_sim), _end_state(slow_sim))
 
 
+def test_run_equals_stepping_on_a_full_idle_queue():
+    """inject_packets can fill an idle node's queue; its arrivals are then
+    all dropped and it never wakes, under either driver."""
+    cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2, arrival_rate=2000.0,
+                    queue_capacity=2, sim_slots=2000, warmup_slots=500, seed=4)
+    fast_sim, slow_sim = Simulation(cfg), Simulation(cfg)
+    for sim in (fast_sim, slow_sim):
+        sim.inject_packets(0, 2)
+    fast = fast_sim.run()
+    while slow_sim.clock.slot < cfg.sim_slots:
+        slow_sim.advance_slot()
+    assert _reports_equal(fast, slow_sim._finalize())
+    assert _same(_end_state(fast_sim), _end_state(slow_sim))
+    assert not fast_sim.nodes[0].active
+    assert fast.per_node[0].drops > 0 and fast.per_node[0].transmissions == 0
+
+
 # -- arrivals at active nodes, which run() applies only where they matter -----
 
 def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
