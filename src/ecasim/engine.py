@@ -23,11 +23,13 @@ transmits with fewer than max_aggregation packets queued (they fix the batch
 size), before a success pops its queue, and at the end of the run.  Appended
 later but in the same order, they give the same stamps, drops and RNG states.
 
-advance_slot() is the reference stepper: it resolves one slot through the
-protocol, traffic and metrics functions.  run() does the same work in one
-fused loop over local per-node lists, with those functions inlined and the
-same random draws in the same order, and a differential test holds it equal
-to stepping with advance_slot().
+Simulation owns every node's state as lists indexed by node id: queues,
+active, stage and next_tx, and the whole-run ledger arrivals, delivered,
+dropped and queue_empties.  advance_slot() is the reference stepper: it
+resolves one slot through on_packet_arrival, after_transmission and the
+traffic and metrics functions.  run() does the same work in one fused loop
+over the same lists, with those functions inlined and the same random draws
+in the same order, and a differential test holds it equal to stepping.
 
 Time is tracked as (idle slot count, accumulated busy time) and composed on
 demand, which keeps the clock bit-identical between the bulk and single-step
@@ -49,15 +51,16 @@ and replayed; aggregated runs stay in the general loop throughout.
 
 import heapq
 import random
+from collections import deque, namedtuple
 from math import inf, log
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
+from . import protocols  # rules looked up per call, so wrappers apply
 from .config import Protocol, SimConfig
 from .errors import ConsistencyError
 from .metrics import (MetricsAccumulator, MetricsReport,
                       negative_delay_error)
-from .protocols import NodeState, after_transmission, on_packet_arrival
 from .traffic import ArrivalStream
 
 
@@ -83,6 +86,11 @@ class Collision:
 
 
 SlotOutcome = Union[Empty, Success, Collision]
+
+NodeSnapshot = namedtuple("NodeSnapshot",
+                          "node_id queue active stage next_tx counters")
+LedgerSnapshot = namedtuple("LedgerSnapshot",
+                            "arrivals delivered dropped queue_empties")
 
 
 class SimClock:
@@ -165,6 +173,64 @@ def _replay_busy_slots(plan, reps, se, empty_count, idle_per, duration,
     return busy_us, counted_busy_us, delay_sum_us
 
 
+def on_packet_arrival(sim, nid: int, enqueue_us: float) -> int | None:
+    """Enqueue one arrival at node nid; returns a backoff counter iff the
+    node rejoined.
+
+    A full queue drops the packet.  An inactive node becomes active again with
+    a uniform counter over the base window; csma-eca with hysteresis keeps its
+    inflated stage across the idle period, everything else restarts at stage 0.
+    """
+    cfg = sim.cfg
+    sim.arrivals[nid] += 1
+    queue = sim.queues[nid]
+    if len(queue) >= cfg.queue_capacity:
+        sim.dropped[nid] += 1
+        return None
+    queue.append(enqueue_us)
+    if sim.active[nid]:
+        return None
+    sim.active[nid] = True
+    if not (cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis):
+        sim.stage[nid] = 0
+    return protocols.rejoin_backoff(cfg.cw_min, cfg.rejoin_inclusive,
+                                    sim.proto_rng)
+
+
+def after_transmission(sim, nid: int, success: bool,
+                       batch_size: int) -> tuple[list[float], int | None]:
+    """Apply the outcome of node nid's transmission attempt.
+
+    On success the batch leaves the queue and a saturated source tops the
+    queue back up to capacity; a node whose queue is then empty leaves
+    contention (one queue-empty event).  On collision the batch stays queued
+    for retry and the window doubles.  Returns the enqueue instants of the
+    delivered packets and the next backoff counter, or None if the node went
+    idle.
+    """
+    cfg = sim.cfg
+    if not success:
+        sim.stage[nid], counter = protocols.next_backoff_after_collision(
+            sim.stage[nid], cfg.max_stage, cfg.cw_min, sim.proto_rng)
+        return [], counter
+    queue = sim.queues[nid]
+    batch = [queue.popleft() for _ in range(batch_size)]
+    sim.delivered[nid] += batch_size
+    if cfg.saturated:
+        added = sim.streams[nid].refill(len(queue), cfg.queue_capacity,
+                                        sim.clock.now_us)
+        queue.extend(added)
+        sim.arrivals[nid] += len(added)
+    if not queue:
+        sim.active[nid] = False
+        sim.queue_empties[nid] += 1
+        return batch, None
+    sim.stage[nid], counter = protocols.next_backoff_after_success(
+        cfg.protocol, cfg.hysteresis, sim.stage[nid], cfg.cw_min,
+        sim.proto_rng)
+    return batch, counter
+
+
 class Simulation:
     """One configured run.  Drive it with advance_slot() or just run()."""
 
@@ -174,7 +240,16 @@ class Simulation:
         t = cfg.timing
         master = random.Random(cfg.seed)
         self.proto_rng = random.Random(master.getrandbits(64))
-        self.nodes = [NodeState(i) for i in range(cfg.n_nodes)]
+        n = cfg.n_nodes
+        self.queues = [deque() for _ in range(n)]  # enqueue instants, us, FIFO
+        self.active = [False] * n
+        self.stage = [0] * n       # backoff stage
+        self.next_tx = [-1] * n    # due slot; meaningless while inactive
+        # the whole-run packet ledger
+        self.arrivals = [0] * n
+        self.delivered = [0] * n
+        self.dropped = [0] * n
+        self.queue_empties = [0] * n
         self.clock = SimClock(t.slot_empty)
         self.acc = MetricsAccumulator(cfg.n_nodes, t.slot_empty, t.payload_bits)
         if cfg.warmup_slots == 0:
@@ -182,14 +257,13 @@ class Simulation:
         self.tx_heap: list = []       # (due slot, node id), one entry per active node
         self.arrival_heap: list = []  # (next arrival us, node id), poisson only
         self.streams: list = []
-        for node in self.nodes:
+        for nid in range(n):
             rng = random.Random(master.getrandbits(64))
             stream = None
             if cfg.arrival_rate > 0:  # inf, the saturated rate, included
                 stream = ArrivalStream(cfg.arrival_rate, rng)
                 if not stream.saturated:
-                    heapq.heappush(self.arrival_heap,
-                                   (stream.next_us, node.node_id))
+                    heapq.heappush(self.arrival_heap, (stream.next_us, nid))
             self.streams.append(stream)
         self.last_collision_slot = -1
         self._settled = False
@@ -198,14 +272,12 @@ class Simulation:
         self.slot_end_us = 0.0
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot 0
-            for node in self.nodes:
-                for enqueue_us in self.streams[node.node_id].refill(
-                        0, cfg.queue_capacity, 0.0):
-                    counter = on_packet_arrival(node, enqueue_us, cfg,
-                                                self.proto_rng)
+            for nid, stream in enumerate(self.streams):
+                for enqueue_us in stream.refill(0, cfg.queue_capacity, 0.0):
+                    counter = on_packet_arrival(self, nid, enqueue_us)
                     if counter is not None:
-                        node.next_tx_slot = counter
-                        heapq.heappush(self.tx_heap, (counter, node.node_id))
+                        self.next_tx[nid] = counter
+                        heapq.heappush(self.tx_heap, (counter, nid))
 
     # -- inspection helpers (handy in tests and debugging) -------------------
 
@@ -215,36 +287,39 @@ class Simulation:
         collision can follow (see _settled_firings); None otherwise."""
         return self.last_collision_slot + 1 if self._settled else None
 
+    @property
+    def nodes(self) -> list:
+        """A read-only copy of each node's list entries, built on access,
+        with the whole-run ledger under counters."""
+        return [NodeSnapshot(nid, tuple(self.queues[nid]), self.active[nid],
+                             self.stage[nid], self.next_tx[nid],
+                             LedgerSnapshot(self.arrivals[nid],
+                                            self.delivered[nid],
+                                            self.dropped[nid],
+                                            self.queue_empties[nid]))
+                for nid in range(self.cfg.n_nodes)]
+
     def backoff_counter(self, node_id: int) -> int | None:
         """Slots left before this node transmits, None while inactive."""
-        node = self.nodes[node_id]
-        if not node.active:
+        if not self.active[node_id]:
             return None
-        return node.next_tx_slot - self.clock.slot
+        return self.next_tx[node_id] - self.clock.slot
 
     def inject_packets(self, node_id: int, count: int) -> None:
         """Test hook: place packets in a queue without touching contention."""
-        node = self.nodes[node_id]
-        node.queue.extend([self.clock.now_us] * count)
-        node.counters.arrivals += count
+        self.queues[node_id].extend([self.clock.now_us] * count)
+        self.arrivals[node_id] += count
 
     def set_backoff(self, node_id: int, counter: int) -> None:
         """Test hook: activate a node with an explicit counter."""
         assert counter >= 0
-        node = self.nodes[node_id]
-        assert node.queue, "a contending node needs something to send"
-        assert not node.active, "node already scheduled"
-        node.active = True
-        node.next_tx_slot = self.clock.slot + counter
-        heapq.heappush(self.tx_heap, (node.next_tx_slot, node_id))
+        assert self.queues[node_id], "a contending node needs something to send"
+        assert not self.active[node_id], "node already scheduled"
+        self.active[node_id] = True
+        self.next_tx[node_id] = self.clock.slot + counter
+        heapq.heappush(self.tx_heap, (self.next_tx[node_id], node_id))
 
     # -- the reference stepper --------------------------------------------------
-
-    def _replenish(self, node: NodeState) -> None:
-        added = self.streams[node.node_id].refill(
-            len(node.queue), self.cfg.queue_capacity, self.clock.now_us)
-        node.queue.extend(added)
-        node.counters.arrivals += len(added)
 
     def advance_slot(self) -> SlotOutcome:
         """Resolve exactly one contention slot and advance the clock."""
@@ -260,14 +335,13 @@ class Simulation:
         txs = []
         while tx_heap and tx_heap[0][0] == s:
             _, nid = heapq.heappop(tx_heap)
-            node = self.nodes[nid]
-            assert node.active and node.next_tx_slot == s
+            assert self.active[nid] and self.next_tx[nid] == s
             txs.append(nid)
         assert not tx_heap or tx_heap[0][0] > s, "overdue transmission in heap"
 
         t = cfg.timing
         # a batch's size is fixed before this slot's arrivals are enqueued
-        sizes = [min(len(self.nodes[nid].queue), cfg.max_aggregation)
+        sizes = [min(len(self.queues[nid]), cfg.max_aggregation)
                  for nid in txs]
         if not txs:
             outcome: SlotOutcome = EMPTY
@@ -284,37 +358,32 @@ class Simulation:
 
         # arrivals land mid-slot; a node they wake joins from the next slot on
         arr_heap = self.arrival_heap
-        rng = self.proto_rng
         while arr_heap and arr_heap[0][0] < slot_end:
             _, nid = heapq.heappop(arr_heap)
             stream = self.streams[nid]
-            node = self.nodes[nid]
             for enqueue_us in stream.drain_poisson(slot_end):
-                dropped_before = node.counters.dropped
-                counter = on_packet_arrival(node, enqueue_us, cfg, rng)
+                dropped_before = self.dropped[nid]
+                counter = on_packet_arrival(self, nid, enqueue_us)
                 if counter is not None:
-                    node.next_tx_slot = s + 1 + counter
-                    heapq.heappush(tx_heap, (node.next_tx_slot, nid))
-                elif counted and node.counters.dropped > dropped_before:
+                    self.next_tx[nid] = s + 1 + counter
+                    heapq.heappush(tx_heap, (s + 1 + counter, nid))
+                elif counted and self.dropped[nid] > dropped_before:
                     acc.record_drop(nid)
             heapq.heappush(arr_heap, (stream.next_us, nid))
 
         if txs:
             success = len(txs) == 1
-            replenish = self._replenish if cfg.saturated else None
             for nid, size in zip(txs, sizes):
-                node = self.nodes[nid]
-                delivered, counter = after_transmission(
-                    node, success, size, cfg, rng, replenish)
+                batch, counter = after_transmission(self, nid, success, size)
                 if counted:
                     acc.record_attempt(nid, success)
-                    if delivered:
-                        acc.record_delivery(nid, delivered, slot_end)
+                    if batch:
+                        acc.record_delivery(nid, batch, slot_end)
                     if success and counter is None:
                         acc.record_queue_empty(nid)
                 if counter is not None:
-                    node.next_tx_slot = s + 1 + counter
-                    heapq.heappush(tx_heap, (node.next_tx_slot, nid))
+                    self.next_tx[nid] = s + 1 + counter
+                    heapq.heappush(tx_heap, (s + 1 + counter, nid))
 
         if counted:
             acc.record_slot(outcome, duration)
@@ -331,13 +400,12 @@ class Simulation:
 
         Does exactly what repeated advance_slot() calls do, plus bulk skipping
         of idle gaps, lazy arrivals at active nodes and the settled replay, in
-        one loop: node, clock, stream and ledger state is loaded into locals
-        here and written back before the report, so the test hooks, the node
-        objects and a later advance_slot() all see it.
+        one loop over the simulation's own lists.  Scalars (clock, ledger
+        sums, idle-node arrival heap) live in locals and are written back
+        before the report, so a later advance_slot() sees the same state.
         """
         cfg = self.cfg
         t = cfg.timing
-        nodes = self.nodes
         clock = self.clock
         acc = self.acc
         tx_heap = self.tx_heap
@@ -354,7 +422,6 @@ class Simulation:
         cw_min = cfg.cw_min
         max_stage = cfg.max_stage
         rate = cfg.arrival_rate
-        bits = t.payload_bits
         saturated = cfg.saturated
         random_success = cfg.protocol is Protocol.CSMA_CA
         keep_stage = cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis
@@ -363,8 +430,8 @@ class Simulation:
         cw_bits = cw_min.bit_length()
         rejoin_bits = rejoin_window.bit_length()
         poisson = 0 < rate < inf
-        exchange = [t.exchange_us(k * bits) for k in range(agg + 1)]
-        n_nodes = len(nodes)
+        exchange = [t.exchange_us(k * t.payload_bits) for k in range(agg + 1)]
+        n_nodes = cfg.n_nodes
         # saturated csma-eca may settle into a collision-free schedule; from
         # the warmup boundary on, test for it once per period (without hyst
         # more than cw_min/2 nodes cannot all fit one period, so never).  The
@@ -377,42 +444,33 @@ class Simulation:
         settled = self._settled
         last_collision = self.last_collision_slot
 
-        queues = [n.queue for n in nodes]
-        active = [n.active for n in nodes]
-        stage = [n.backoff_stage for n in nodes]
-        next_tx = [n.next_tx_slot for n in nodes]
-        # each node's next arrival not yet applied (inf without a Poisson
-        # source); only idle nodes wait for theirs in arr_heap
-        next_us = [inf if st is None else st.next_us for st in self.streams]
-        rnds = [None if st is None else st.rng.random for st in self.streams]
-        arr_heap = [(next_us[nid], nid) for nid in range(n_nodes)
+        queues = self.queues
+        active = self.active
+        stage = self.stage
+        next_tx = self.next_tx
+        arrivals = self.arrivals
+        delivered = self.delivered
+        dropped = self.dropped
+        queue_empties = self.queue_empties
+        streams = self.streams
+        # each stream's next_us is its next arrival not yet applied; only idle
+        # nodes wait for theirs in arr_heap
+        arr_heap = [(streams[nid].next_us, nid) for nid in range(n_nodes)
                     if poisson and not active[nid]]
         heapq.heapify(arr_heap)
-        # whole-run tallies (NodeCounters)
-        arrivals = [n.counters.arrivals for n in nodes]
-        delivered = [n.counters.delivered for n in nodes]
-        dropped = [n.counters.dropped for n in nodes]
-        queue_empties = [n.counters.queue_empty_events for n in nodes]
         # counted-window ledger: lists change in place, scalars are written back
-        node_tx = acc.node_tx
         node_success = acc.node_success
         node_collision = acc.node_collision
         node_queue_empty = acc.node_queue_empty
         node_drops = acc.node_drops
         node_delivered = acc.node_delivered
-        node_bits = acc.node_bits
         node_delay_sum = acc.node_delay_sum
         node_delay_n = acc.node_delay_n
         warm_end = acc.warmup_end_us
         slots_empty = acc.slots_empty
-        slots_success = acc.slots_success
         slots_collision = acc.slots_collision
         counted_busy_us = acc.busy_us
-        delivered_bits = acc.delivered_bits
-        delivered_packets = acc.delivered_packets
         delay_sum_us = acc.delay_sum_us
-        delay_samples = acc.delay_samples
-        drops = acc.drops
         slot = clock.slot
         empty_count = clock.empty_count
         busy_us = clock.busy_us
@@ -423,10 +481,10 @@ class Simulation:
         def catch_up(nid, until):
             """Apply nid's arrivals before `until` (on_packet_arrival without
             the rejoin): append each to the queue, or drop it if full."""
-            nonlocal drops
-            t = next_us[nid]
+            st = streams[nid]
+            t = st.next_us
             q = queues[nid]
-            rnd = rnds[nid]
+            rnd = st.rng.random
             landed = lost = counted_lost = 0
             while t < until:
                 landed += 1
@@ -437,11 +495,10 @@ class Simulation:
                     if t >= drop_from:
                         counted_lost += 1
                 t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
-            next_us[nid] = t
+            st.next_us = t
             arrivals[nid] += landed
             if lost:
                 dropped[nid] += lost
-                drops += counted_lost
                 node_drops[nid] += counted_lost
 
         while slot < end:
@@ -490,7 +547,8 @@ class Simulation:
                     nid = heappop(tx_heap)[1]
                     assert active[nid] and next_tx[nid] == s
                     q = queues[nid]
-                    if len(q) < agg and next_us[nid] < prev_end:
+                    if (poisson and len(q) < agg
+                            and streams[nid].next_us < prev_end):
                         catch_up(nid, prev_end)
                     size = len(q)
                     if size > agg:
@@ -503,7 +561,8 @@ class Simulation:
                             assert active[nid] and next_tx[nid] == s
                             colliders.append(nid)
                             q = queues[nid]
-                            if len(q) < agg and next_us[nid] < prev_end:
+                            if (poisson and len(q) < agg
+                                    and streams[nid].next_us < prev_end):
                                 catch_up(nid, prev_end)
                             size = len(q)
                             if size > longest:
@@ -524,7 +583,7 @@ class Simulation:
                     held = len(q)
                     catch_up(nid, slot_end)
                     if len(q) == held:  # an idle queue overfilled by a hook
-                        heappush(arr_heap, (next_us[nid], nid))
+                        heappush(arr_heap, (streams[nid].next_us, nid))
                         continue
                     active[nid] = True
                     if not keep_stage:
@@ -540,16 +599,13 @@ class Simulation:
                 if winner >= 0:
                     nid = winner
                     q = queues[nid]
-                    if next_us[nid] < slot_end:  # arrivals precede the pops
+                    # arrivals precede the pops
+                    if poisson and streams[nid].next_us < slot_end:
                         catch_up(nid, slot_end)
                     delivered[nid] += size
                     if counted:
-                        node_tx[nid] += 1
                         node_success[nid] += 1
                         node_delivered[nid] += size
-                        node_bits[nid] += size * bits
-                        delivered_packets += size
-                        delivered_bits += size * bits
                         node_sum = node_delay_sum[nid]
                         samples = 0
                         for _ in range(size):
@@ -564,8 +620,6 @@ class Simulation:
                                 samples += 1
                         node_delay_sum[nid] = node_sum
                         node_delay_n[nid] += samples
-                        delay_samples += samples
-                        slots_success += 1
                         counted_busy_us += duration
                     else:
                         for _ in range(size):
@@ -591,7 +645,7 @@ class Simulation:
                     else:
                         active[nid] = False
                         if poisson:
-                            heappush(arr_heap, (next_us[nid], nid))
+                            heappush(arr_heap, (streams[nid].next_us, nid))
                         queue_empties[nid] += 1
                         if counted:
                             node_queue_empty[nid] += 1
@@ -611,7 +665,6 @@ class Simulation:
                         next_tx[nid] = c
                         heappush(tx_heap, (c, nid))
                         if counted:
-                            node_tx[nid] += 1
                             node_collision[nid] += 1
                     if counted:
                         slots_collision += 1
@@ -662,33 +715,26 @@ class Simulation:
             empty_count += reps * idle_per
             for nid, period in enumerate(periods):
                 fired = reps * (hyper // period)
-                node_tx[nid] += fired
                 node_success[nid] += fired
                 delivered[nid] += fired
                 arrivals[nid] += fired
                 node_delivered[nid] += fired
-                node_bits[nid] += fired * bits
                 node_delay_n[nid] += fired - stale[nid]
-                delay_samples += fired - stale[nid]
-                delivered_packets += fired
-                delivered_bits += fired * bits
                 next_tx[nid] += reps * hyper
                 if not keep_stage:
                     stage[nid] = 0
-            slots_success += reps * len(firings)
             slots_empty += reps * idle_per
             slot += reps * hyper
             tx_heap[:] = sorted(zip(next_tx, range(n_nodes)))
             # prev_end now lags, but saturated runs have no arrivals to catch up
 
-        # what landed at active nodes since their last catch-up
-        for nid, st in enumerate(self.streams):
-            if active[nid]:
-                catch_up(nid, prev_end)
-            if st is not None:
-                st.next_us = next_us[nid]
-        self.arrival_heap = sorted((next_us[nid], nid) for nid in range(n_nodes)
-                                   if poisson)
+        if poisson:
+            # what landed at active nodes since their last catch-up
+            for nid in range(n_nodes):
+                if active[nid]:
+                    catch_up(nid, prev_end)
+            self.arrival_heap = sorted((st.next_us, nid)
+                                       for nid, st in enumerate(streams))
         self.slot_end_us = prev_end
         self._settled = settled
         self.last_collision_slot = last_collision
@@ -697,38 +743,26 @@ class Simulation:
         clock.busy_us = busy_us
         acc.warmup_end_us = warm_end
         acc.slots_empty = slots_empty
-        acc.slots_success = slots_success
         acc.slots_collision = slots_collision
         acc.busy_us = counted_busy_us
-        acc.delivered_bits = delivered_bits
-        acc.delivered_packets = delivered_packets
         acc.delay_sum_us = delay_sum_us
-        acc.delay_samples = delay_samples
-        acc.drops = drops
-        for i, node in enumerate(nodes):
-            node.active = active[i]
-            node.backoff_stage = stage[i]
-            node.next_tx_slot = next_tx[i]
-            ct = node.counters
-            ct.arrivals = arrivals[i]
-            ct.delivered = delivered[i]
-            ct.dropped = dropped[i]
-            ct.queue_empty_events = queue_empties[i]
         return self._finalize()
 
     def _finalize(self) -> MetricsReport:
         cfg = self.cfg
-        report = self.acc.finalize(self.nodes, cfg.sim_slots - cfg.warmup_slots)
-        for node in self.nodes:
-            c = node.counters
-            if c.arrivals != c.delivered + c.dropped + len(node.queue):
+        report = self.acc.finalize(self.queues, self.stage,
+                                   cfg.sim_slots - cfg.warmup_slots)
+        for nid, queue in enumerate(self.queues):
+            arrivals, delivered = self.arrivals[nid], self.delivered[nid]
+            dropped = self.dropped[nid]
+            if arrivals != delivered + dropped + len(queue):
                 raise ConsistencyError(
-                    f"packet ledger mismatch for node {node.node_id}: "
-                    f"{c.arrivals} in, {c.delivered} out, {c.dropped} dropped, "
-                    f"{len(node.queue)} still queued")
-            if cfg.saturated and c.queue_empty_events:
+                    f"packet ledger mismatch for node {nid}: "
+                    f"{arrivals} in, {delivered} out, {dropped} dropped, "
+                    f"{len(queue)} still queued")
+            if cfg.saturated and self.queue_empties[nid]:
                 raise ConsistencyError(
-                    f"saturated node {node.node_id} ran out of traffic")
+                    f"saturated node {nid} ran out of traffic")
         return report
 
 

@@ -63,30 +63,26 @@ class MetricsReport:
 
 
 class MetricsAccumulator:
-    """Collects counted-window tallies; the engine drives it slot by slot."""
+    """Collects counted-window tallies; the engine drives it slot by slot.
+
+    Totals that follow from the per-node tallies are derived in finalize().
+    The float sums are kept as they accrue: summed in another order, they
+    could differ in the last bit."""
 
     def __init__(self, n_nodes: int, slot_empty_us: float, payload_bits: int):
-        self.n_nodes = n_nodes
         self.slot_empty_us = slot_empty_us
         self.payload_bits = payload_bits
         self.warmup_end_us: float | None = None
         self.slots_empty = 0
-        self.slots_success = 0
         self.slots_collision = 0
         self.busy_us = 0.0          # sum of success/collision slot durations
-        self.delivered_bits = 0
-        self.delivered_packets = 0
         self.delay_sum_us = 0.0
-        self.delay_samples = 0
-        self.drops = 0
         z = [0] * n_nodes
-        self.node_tx = list(z)
         self.node_success = list(z)
         self.node_collision = list(z)
         self.node_queue_empty = list(z)
         self.node_drops = list(z)
         self.node_delivered = list(z)
-        self.node_bits = list(z)
         self.node_delay_sum = [0.0] * n_nodes
         self.node_delay_n = list(z)
 
@@ -98,9 +94,7 @@ class MetricsAccumulator:
             self.slots_empty += 1
             return
         self.busy_us += duration_us
-        if kind == "success":
-            self.slots_success += 1
-        else:
+        if kind == "collision":
             self.slots_collision += 1
 
     def record_empty_bulk(self, count: int) -> None:
@@ -108,7 +102,6 @@ class MetricsAccumulator:
         self.slots_empty += count
 
     def record_attempt(self, node_id: int, success: bool) -> None:
-        self.node_tx[node_id] += 1
         if success:
             self.node_success[node_id] += 1
         else:
@@ -118,7 +111,6 @@ class MetricsAccumulator:
         self.node_queue_empty[node_id] += 1
 
     def record_drop(self, node_id: int) -> None:
-        self.drops += 1
         self.node_drops[node_id] += 1
 
     def record_delivery(self, node_id: int, batch, ack_us: float) -> None:
@@ -128,9 +120,6 @@ class MetricsAccumulator:
         """
         assert self.warmup_end_us is not None
         cutoff = self.warmup_end_us
-        bits = self.payload_bits * len(batch)
-        self.delivered_bits += bits
-        self.node_bits[node_id] += bits
         for enqueue_us in batch:
             if enqueue_us >= cutoff:
                 delay = ack_us - enqueue_us
@@ -138,67 +127,69 @@ class MetricsAccumulator:
                     raise negative_delay_error(delay, node_id, ack_us,
                                                enqueue_us)
                 self.delay_sum_us += delay
-                self.delay_samples += 1
                 self.node_delay_sum[node_id] += delay
                 self.node_delay_n[node_id] += 1
-        self.delivered_packets += len(batch)
         self.node_delivered[node_id] += len(batch)
 
     # -- reporting ----------------------------------------------------------
 
-    def finalize(self, nodes, expected_slots: int) -> MetricsReport:
-        """Close the run out; nodes supply the end-of-run queue/stage snapshot."""
-        slots = self.slots_empty + self.slots_success + self.slots_collision
+    def finalize(self, queues, stages, expected_slots: int) -> MetricsReport:
+        """Close the run out; queues and stages are each node's end state."""
+        slots_success = sum(self.node_success)
+        slots = self.slots_empty + slots_success + self.slots_collision
         if slots != expected_slots:
             raise ConsistencyError(
                 f"slot ledger mismatch: recorded {slots}, expected {expected_slots}")
         duration_us = self.slots_empty * self.slot_empty_us + self.busy_us
-        transmissions = sum(self.node_tx)
+        collisions = sum(self.node_collision)
+        transmissions = slots_success + collisions
         queue_empties = sum(self.node_queue_empty)
+        delivered_packets = sum(self.node_delivered)
+        delivered_bits = delivered_packets * self.payload_bits
+        delay_samples = sum(self.node_delay_n)
         empty_run = slots == 0 or transmissions == 0
 
         per_node = []
-        for n in nodes:
-            i = n.node_id
+        for i, queue in enumerate(queues):
             per_node.append(NodeStats(
                 node_id=i,
-                transmissions=self.node_tx[i],
+                transmissions=self.node_success[i] + self.node_collision[i],
                 successes=self.node_success[i],
                 collisions=self.node_collision[i],
                 queue_empty_events=self.node_queue_empty[i],
                 drops=self.node_drops[i],
                 delivered_packets=self.node_delivered[i],
-                delivered_bits=self.node_bits[i],
+                delivered_bits=self.node_delivered[i] * self.payload_bits,
                 delay_samples=self.node_delay_n[i],
                 mean_delay_s=(self.node_delay_sum[i] / self.node_delay_n[i] / 1e6
                               if self.node_delay_n[i] else math.nan),
-                end_queue=len(n.queue),
-                end_stage=n.backoff_stage,
+                end_queue=len(queue),
+                end_stage=stages[i],
             ))
 
-        n_nodes = len(nodes)
+        n_nodes = len(queues)
         return MetricsReport(
             duration_s=duration_us / 1e6,
-            throughput_bps=(self.delivered_bits / (duration_us / 1e6)
+            throughput_bps=(delivered_bits / (duration_us / 1e6)
                             if duration_us > 0 else 0.0),
-            mean_delay_s=(self.delay_sum_us / self.delay_samples / 1e6
-                          if self.delay_samples else math.nan),
-            delay_samples=self.delay_samples,
-            avg_end_queue=sum(len(n.queue) for n in nodes) / n_nodes,
-            avg_end_stage=sum(n.backoff_stage for n in nodes) / n_nodes,
+            mean_delay_s=(self.delay_sum_us / delay_samples / 1e6
+                          if delay_samples else math.nan),
+            delay_samples=delay_samples,
+            avg_end_queue=sum(len(q) for q in queues) / n_nodes,
+            avg_end_stage=sum(stages) / n_nodes,
             queue_empty_per_tx=(queue_empties / transmissions
                                 if transmissions else 0.0),
             collision_fraction=(self.slots_collision / slots if slots else 0.0),
-            drops=self.drops,
+            drops=sum(self.node_drops),
             transmissions=transmissions,
-            successes=sum(self.node_success),
-            collisions=sum(self.node_collision),
+            successes=slots_success,
+            collisions=collisions,
             slots_total=slots,
             slots_empty=self.slots_empty,
-            slots_success=self.slots_success,
+            slots_success=slots_success,
             slots_collision=self.slots_collision,
-            delivered_packets=self.delivered_packets,
-            delivered_bits=self.delivered_bits,
+            delivered_packets=delivered_packets,
+            delivered_bits=delivered_bits,
             empty_run=empty_run,
             per_node=per_node,
         )

@@ -1,4 +1,4 @@
-"""Node contention state and the CSMA/CA / CSMA/ECA backoff rules.
+"""The CSMA/CA and CSMA/ECA backoff rules.
 
 Both protocols share the listen-before-talk skeleton: a node holds a backoff
 counter, spends one tick of it per contention slot, and transmits in the slot
@@ -14,14 +14,14 @@ transmission:
 
 Nodes with an empty queue leave contention entirely and come back on the next
 arrival with a fresh uniform counter, which is what makes the non-saturated
-regime behave differently from the classic always-backlogged picture.
+regime behave differently from the classic always-backlogged picture.  The
+engine owns every node's queue, stage and due slot, and applies these rules
+in engine.on_packet_arrival and engine.after_transmission.
 """
 
 import random
-from collections import deque
-from dataclasses import dataclass, field
 
-from .config import Protocol, SimConfig
+from .config import Protocol
 
 
 def contention_window(cw_min: int, stage: int) -> int:
@@ -53,72 +53,3 @@ def next_backoff_after_collision(stage: int, max_stage: int, cw_min: int,
 def rejoin_backoff(cw_min: int, inclusive: bool, rng: random.Random) -> int:
     """Counter drawn when an idle node re-enters contention on an arrival."""
     return rng.randrange(cw_min + 1 if inclusive else cw_min)
-
-
-@dataclass
-class NodeCounters:
-    """Whole-run tallies for the end-of-run ledger and saturation checks."""
-    arrivals: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    queue_empty_events: int = 0
-
-
-@dataclass
-class NodeState:
-    node_id: int
-    queue: deque = field(default_factory=deque)  # enqueue instants, us, FIFO
-    active: bool = False
-    backoff_stage: int = 0
-    next_tx_slot: int = -1  # engine-owned; meaningless while inactive
-    counters: NodeCounters = field(default_factory=NodeCounters)
-
-
-def on_packet_arrival(node: NodeState, enqueue_us: float, cfg: SimConfig,
-                      rng: random.Random) -> int | None:
-    """Enqueue one arrival; returns a backoff counter iff the node rejoined.
-
-    A full queue drops the packet.  An inactive node becomes active again with
-    a uniform counter over the base window; csma-eca with hysteresis keeps its
-    inflated stage across the idle period, everything else restarts at stage 0.
-    """
-    node.counters.arrivals += 1
-    if len(node.queue) >= cfg.queue_capacity:
-        node.counters.dropped += 1
-        return None
-    node.queue.append(enqueue_us)
-    if node.active:
-        return None
-    node.active = True
-    if not (cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis):
-        node.backoff_stage = 0
-    return rejoin_backoff(cfg.cw_min, cfg.rejoin_inclusive, rng)
-
-
-def after_transmission(node: NodeState, success: bool, batch_size: int,
-                       cfg: SimConfig, rng: random.Random,
-                       replenish=None) -> tuple[list[float], int | None]:
-    """Apply the outcome of this node's transmission attempt.
-
-    On success the batch leaves the queue; a node whose queue is then empty
-    leaves contention (one queue_empty event).  On collision the batch stays
-    queued for retry and the window doubles.  Returns the enqueue instants of
-    the delivered packets and the next backoff counter, or None if the node
-    went idle.  replenish, when given, refills a saturated queue before the
-    empty check so saturated nodes never drop out.
-    """
-    if not success:
-        node.backoff_stage, counter = next_backoff_after_collision(
-            node.backoff_stage, cfg.max_stage, cfg.cw_min, rng)
-        return [], counter
-    delivered = [node.queue.popleft() for _ in range(batch_size)]
-    node.counters.delivered += batch_size
-    if replenish is not None:
-        replenish(node)
-    if not node.queue:
-        node.active = False
-        node.counters.queue_empty_events += 1
-        return delivered, None
-    node.backoff_stage, counter = next_backoff_after_success(
-        cfg.protocol, cfg.hysteresis, node.backoff_stage, cfg.cw_min, rng)
-    return delivered, counter

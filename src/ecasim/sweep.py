@@ -466,14 +466,18 @@ def load_results(csv_path, echo_path=None) -> ResultsTable:
             if row[0] == FAULT_MARKER:
                 raise ConfigError(
                     f"{csv_path}: results contain a fault marker: {row[1]}")
-            label, n, seed = row[0], int(row[1]), row[2]
+            where = f"{csv_path}:{reader.line_num}"
+            if len(row) != len(CSV_COLUMNS):
+                raise ConfigError(f"{where}: expected {len(CSV_COLUMNS)} "
+                                  f"cells, got {len(row)}")
+            label, n, seed = row[0], _cast_int("n_nodes", row[1], where), row[2]
+            values = {c: _cast_float(c, v, where)
+                      for c, v in zip(METRIC_COLUMNS, row[3:])}
             if label not in labels:
                 labels.append(label)
             if n not in node_counts:
                 node_counts.append(n)
             if seed in ("mean", "stddev"):
-                values = {c: float(v)
-                          for c, v in zip(METRIC_COLUMNS, row[3:])}
                 (mean if seed == "mean" else stddev)[(label, n)] = values
     meta = None
     if echo_path is None:

@@ -6,6 +6,7 @@ slot of fixed width or an atomic data/ACK exchange; the exchange length is the
 only place payload size enters the clock.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -24,8 +25,10 @@ class TimingTable:
 
     def validate(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ConfigError(f"timing field {f.name} must be positive")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"timing field {f.name} must be finite and "
+                                  f"positive, got {value}")
 
     def exchange_us(self, batch_bits: int) -> float:
         """Duration of one full data/ACK exchange carrying batch_bits.

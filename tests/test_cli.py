@@ -8,7 +8,7 @@ import pytest
 from ecasim import ConsistencyError
 import ecasim.sweep as sweep_mod
 from ecasim.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, main
-from ecasim.sweep import FAULT_MARKER
+from ecasim.sweep import CSV_COLUMNS, FAULT_MARKER
 
 
 def _write_config(tmp_path, extra=""):
@@ -40,6 +40,14 @@ def test_validate_reports_config_errors_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "bogus" in err and ":2:" in err
+
+
+def test_validate_rejects_a_non_finite_timing_value(tmp_path, capsys):
+    path, _ = _write_config(tmp_path, "slot_empty = nan\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "slot_empty must be finite and positive" in err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -111,6 +119,25 @@ def test_figures_needs_an_existing_results_file(tmp_path, capsys):
     assert main(["figures", "--results", str(tmp_path / "no.csv"),
                  "--fig", "2", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "cannot read results file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cells, message", [
+    (["csma-ca", "two", "mean"] + ["1.0"] * 9, "n_nodes expects an integer"),
+    (["csma-ca", "2", "mean", "abc"] + ["1.0"] * 8,
+     "throughput_bps expects a number"),
+    (["csma-ca", "2", "mean"] + ["1.0"] * 8, "expected 12 cells, got 11"),
+], ids=["n-nodes", "metric", "short-row"])
+def test_figures_rejects_malformed_results_rows(tmp_path, capsys, cells,
+                                                message):
+    results = tmp_path / "results.csv"
+    good = ["csma-ca", "2", "1"] + ["1.0"] * 9
+    results.write_text("\n".join(",".join(row)
+                                 for row in (CSV_COLUMNS, good, cells)) + "\n")
+    assert main(["figures", "--results", str(results),
+                 "--fig", "2", "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {results}:3: ")
+    assert message in err
 
 
 def test_subcommand_is_required():

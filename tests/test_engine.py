@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
-from ecasim import (SATURATED, Collision, Empty, Protocol, SimConfig,
-                    Simulation, Success, run_simulation)
+from ecasim import (SATURATED, Collision, ConsistencyError, Empty, Protocol,
+                    SimConfig, Simulation, Success, run_simulation)
 from ecasim.engine import EMPTY
 from ecasim.timing import DEFAULT_TIMING, TimingTable
 
@@ -57,7 +57,7 @@ def test_lone_zero_counter_wins_the_slot():
     # the winner still has a packet, so it redraws from the base window
     c0 = sim.backoff_counter(0)
     assert c0 is not None and 0 <= c0 < 16
-    assert sim.nodes[0].backoff_stage == 0
+    assert sim.stage[0] == 0
 
 
 def test_two_zero_counters_collide_and_escalate():
@@ -69,8 +69,8 @@ def test_two_zero_counters_collide_and_escalate():
     out = sim.advance_slot()
     assert out == Collision(transmitters=(0, 1))
     for nid in (0, 1):
-        assert sim.nodes[nid].backoff_stage == 1
-        assert len(sim.nodes[nid].queue) == 1  # nothing delivered
+        assert sim.stage[nid] == 1
+        assert len(sim.queues[nid]) == 1  # nothing delivered
         assert 0 <= sim.backoff_counter(nid) < 32
 
 
@@ -99,9 +99,9 @@ def test_hysteresis_scales_the_deterministic_redraw():
     sim = _idle_sim(protocol=Protocol.CSMA_ECA, hysteresis=True)
     sim.inject_packets(0, 2)
     sim.set_backoff(0, 0)
-    sim.nodes[0].backoff_stage = 3
+    sim.stage[0] = 3
     assert isinstance(sim.advance_slot(), Success)
-    assert sim.nodes[0].backoff_stage == 3
+    assert sim.stage[0] == 3
     assert sim.backoff_counter(0) == (16 << 3) // 2 - 1
 
 
@@ -111,8 +111,8 @@ def test_sender_leaves_contention_when_its_queue_drains():
     sim.set_backoff(0, 0)
     sim.advance_slot()
     assert sim.backoff_counter(0) is None
-    assert not sim.nodes[0].active
-    assert sim.nodes[0].counters.queue_empty_events == 1
+    assert not sim.active[0]
+    assert sim.queue_empties[0] == 1
 
 
 def test_aggregation_drains_a_batch_per_success():
@@ -121,7 +121,7 @@ def test_aggregation_drains_a_batch_per_success():
     sim.set_backoff(0, 0)
     out = sim.advance_slot()
     assert out == Success(transmitter=0, batch_size=4)
-    assert len(sim.nodes[0].queue) == 2
+    assert len(sim.queues[0]) == 2
 
 
 def test_delivery_delay_is_one_exchange_for_an_instant_winner():
@@ -142,10 +142,16 @@ def _end_state(sim):
     """Everything a run leaves behind, beyond the report."""
     return {
         "clock": (sim.clock.slot, sim.clock.empty_count, sim.clock.busy_us),
-        "nodes": [(list(n.queue), n.active, n.backoff_stage, n.next_tx_slot,
-                   dataclasses.asdict(n.counters)) for n in sim.nodes],
+        "queues": [list(q) for q in sim.queues],
+        "active": sim.active,
+        "stage": sim.stage,
+        "next_tx": sim.next_tx,
+        "arrivals": sim.arrivals,
+        "delivered": sim.delivered,
+        "dropped": sim.dropped,
+        "queue_empties": sim.queue_empties,
         "tx_heap": sorted(sim.tx_heap),
-        "arrivals": sorted(sim.arrival_heap),
+        "arrival_heap": sorted(sim.arrival_heap),
         "next_us": [None if st is None else st.next_us for st in sim.streams],
         "rng": [sim.proto_rng.getstate()]
                + [None if st is None else st.rng.getstate() for st in sim.streams],
@@ -169,9 +175,10 @@ def _assert_run_equals_stepping(cfg, prefix=0):
     # both ledgers balance (_finalize raises otherwise; spelled out here)
     assert fast.slots_total == cfg.sim_slots - cfg.warmup_slots
     assert fast.transmissions == fast.successes + fast.collisions
-    for node, row in zip(fast_sim.nodes, fast.per_node):
-        c = node.counters
-        assert c.arrivals == c.delivered + c.dropped + len(node.queue)
+    for nid, row in enumerate(fast.per_node):
+        assert fast_sim.arrivals[nid] == (fast_sim.delivered[nid]
+                                          + fast_sim.dropped[nid]
+                                          + len(fast_sim.queues[nid]))
         assert row.transmissions == row.successes + row.collisions
     return fast_sim
 
@@ -327,7 +334,7 @@ def test_run_equals_stepping_on_a_full_idle_queue():
         slow_sim.advance_slot()
     assert _reports_equal(fast, slow_sim._finalize())
     assert _same(_end_state(fast_sim), _end_state(slow_sim))
-    assert not fast_sim.nodes[0].active
+    assert not fast_sim.active[0]
     assert fast.per_node[0].drops > 0 and fast.per_node[0].transmissions == 0
 
 
@@ -343,7 +350,7 @@ def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
     sim = _assert_run_equals_stepping(cfg)
     report = sim._finalize()
     assert report.drops > 0
-    assert sum(n.counters.dropped for n in sim.nodes) > report.drops
+    assert sum(sim.dropped) > report.drops
 
 
 def test_run_equals_stepping_when_a_node_rejoins_beside_backlogged_ones():
@@ -356,13 +363,13 @@ def test_run_equals_stepping_when_a_node_rejoins_beside_backlogged_ones():
     sim = _assert_run_equals_stepping(cfg)
     # only a success empties a queue, so a second empty event means node 0
     # transmitted again after the first
-    assert sim.nodes[0].counters.queue_empty_events >= 2
+    assert sim.queue_empties[0] >= 2
     stepped, rejoins = Simulation(cfg), 0
     while stepped.clock.slot < cfg.sim_slots:
-        idle = not stepped.nodes[0].active
+        idle = not stepped.active[0]
         stepped.advance_slot()
-        if (idle and stepped.nodes[0].active
-                and any(len(n.queue) > 1 for n in stepped.nodes[1:])):
+        if (idle and stepped.active[0]
+                and any(len(q) > 1 for q in stepped.queues[1:])):
             rejoins += 1
     assert rejoins >= 2
     # where a run() after this one would start catching up
@@ -383,8 +390,7 @@ def test_run_after_a_prefix_ending_in_a_busy_slot():
         out = sim.advance_slot()
     assert out is not EMPTY
     assert sim.slot_end_us != sim.clock.now_us
-    node = sim.nodes[2]
-    assert node.active and len(node.queue) < cfg.max_aggregation
+    assert sim.active[2] and len(sim.queues[2]) < cfg.max_aggregation
     first_tx_us = (sim.clock.now_us
                    + sim.backoff_counter(2) * cfg.timing.slot_empty)
     assert sim.streams[2].next_us < first_tx_us
@@ -452,6 +458,26 @@ def test_overload_drops_and_still_balances_the_ledger():
     report = run_simulation(cfg)  # _finalize re-checks the packet ledger
     assert report.drops > 0
     assert report.drops == sum(s.drops for s in report.per_node)
+
+
+def test_finalize_rejects_an_unbalanced_packet_ledger():
+    sim = Simulation(SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2,
+                               arrival_rate=500.0, sim_slots=500,
+                               warmup_slots=0, seed=1))
+    sim.run()
+    sim.arrivals[0] += 1
+    with pytest.raises(ConsistencyError,
+                       match="packet ledger mismatch for node 0"):
+        sim._finalize()
+
+
+def test_finalize_rejects_a_saturated_node_that_ran_dry():
+    sim = Simulation(_eca(n_nodes=2, sim_slots=500, warmup_slots=0, seed=1))
+    sim.run()
+    sim.queue_empties[0] = 1
+    with pytest.raises(ConsistencyError,
+                       match="saturated node 0 ran out of traffic"):
+        sim._finalize()
 
 
 # -- convergence to the deterministic schedule --------------------------------

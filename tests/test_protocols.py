@@ -1,16 +1,14 @@
 """Backoff rules, rejoin behavior, and queue bookkeeping per node."""
 
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ecasim import ConfigError, Protocol, SimConfig
-from ecasim.protocols import (NodeState, after_transmission, contention_window,
-                              next_backoff_after_collision,
-                              next_backoff_after_success, on_packet_arrival,
-                              rejoin_backoff)
+from ecasim import SATURATED, ConfigError, Protocol, SimConfig, Simulation
+from ecasim.engine import after_transmission, on_packet_arrival
+from ecasim.protocols import (contention_window, next_backoff_after_collision,
+                              next_backoff_after_success, rejoin_backoff)
 
 # chi-square 0.999 quantiles, indexed by degrees of freedom
 CHI2_CRIT = {15: 37.697, 31: 61.098}
@@ -105,34 +103,32 @@ def test_rejoin_upper_bound_flag():
 
 # -- arrival handling ---------------------------------------------------------
 
-def _node(prefill=0):
-    """A node whose queue holds packets enqueued at 0.0, 1.0, ... us."""
-    node = NodeState(0)
-    for k in range(prefill):
-        node.queue.append(float(k))
-        node.counters.arrivals += 1
-    return node
+def _sim(prefill=0, **kw):
+    """One node with no traffic source, its queue holding packets enqueued
+    at 0.0, 1.0, ... us."""
+    sim = Simulation(SimConfig(n_nodes=1, arrival_rate=0.0, **kw))
+    sim.queues[0].extend(float(k) for k in range(prefill))
+    sim.arrivals[0] += prefill
+    return sim
 
 
 def test_arrival_wakes_idle_node_with_base_window_counter():
-    cfg = SimConfig(queue_capacity=4)
-    node = _node()
-    counter = on_packet_arrival(node, 0.0, cfg, random.Random(1))
-    assert node.active
-    assert counter is not None and 0 <= counter < cfg.cw_min
-    assert node.backoff_stage == 0
+    sim = _sim(queue_capacity=4)
+    counter = on_packet_arrival(sim, 0, 0.0)
+    assert sim.active[0]
+    assert counter is not None and 0 <= counter < sim.cfg.cw_min
+    assert sim.stage[0] == 0
     # second arrival while active must not reschedule anything
-    assert on_packet_arrival(node, 0.0, cfg, random.Random(2)) is None
-    assert len(node.queue) == 2
+    assert on_packet_arrival(sim, 0, 0.0) is None
+    assert len(sim.queues[0]) == 2
 
 
 def test_full_queue_drops_and_keeps_contention_untouched():
-    cfg = SimConfig(queue_capacity=2)
-    node = _node(prefill=2)
-    node.active = True
-    assert on_packet_arrival(node, 0.0, cfg, random.Random(1)) is None
-    assert node.counters.dropped == 1
-    assert len(node.queue) == 2
+    sim = _sim(prefill=2, queue_capacity=2)
+    sim.active[0] = True
+    assert on_packet_arrival(sim, 0, 0.0) is None
+    assert sim.dropped[0] == 1
+    assert len(sim.queues[0]) == 2
 
 
 def test_rejoin_resets_stage_without_hysteresis():
@@ -140,80 +136,69 @@ def test_rejoin_resets_stage_without_hysteresis():
             (Protocol.CSMA_CA, False, 0),
             (Protocol.CSMA_ECA, False, 0),
             (Protocol.CSMA_ECA, True, 4)]:
-        cfg = SimConfig(protocol=proto, hysteresis=hyst)
-        node = _node()
-        node.backoff_stage = 4
-        on_packet_arrival(node, 0.0, cfg, random.Random(3))
-        assert node.backoff_stage == expected_stage
+        sim = _sim(protocol=proto, hysteresis=hyst)
+        sim.stage[0] = 4
+        on_packet_arrival(sim, 0, 0.0)
+        assert sim.stage[0] == expected_stage
 
 
 # -- transmission outcomes ----------------------------------------------------
 
 def test_success_delivers_fifo_batch_and_redraws():
-    cfg = SimConfig(protocol=Protocol.CSMA_CA, max_aggregation=2,
-                    queue_capacity=8)
-    node = _node(prefill=3)
-    node.active = True
-    node.backoff_stage = 2
-    delivered, counter = after_transmission(node, True, 2, cfg, random.Random(7))
+    sim = _sim(prefill=3, protocol=Protocol.CSMA_CA, max_aggregation=2,
+               queue_capacity=8)
+    sim.active[0] = True
+    sim.stage[0] = 2
+    delivered, counter = after_transmission(sim, 0, True, 2)
     assert delivered == [0.0, 1.0]
-    assert len(node.queue) == 1
-    assert node.backoff_stage == 0
-    assert counter is not None and 0 <= counter < cfg.cw_min
-    assert node.counters.delivered == 2
+    assert len(sim.queues[0]) == 1
+    assert sim.stage[0] == 0
+    assert counter is not None and 0 <= counter < sim.cfg.cw_min
+    assert sim.delivered[0] == 2
 
 
 def test_success_on_last_packet_leaves_contention():
-    cfg = SimConfig()
-    node = _node(prefill=1)
-    node.active = True
-    delivered, counter = after_transmission(node, True, 1, cfg, random.Random(7))
+    sim = _sim(prefill=1)
+    sim.active[0] = True
+    delivered, counter = after_transmission(sim, 0, True, 1)
     assert len(delivered) == 1
     assert counter is None
-    assert not node.active
-    assert node.counters.queue_empty_events == 1
+    assert not sim.active[0]
+    assert sim.queue_empties[0] == 1
 
 
 def test_collision_keeps_batch_and_escalates():
-    cfg = SimConfig(cw_min=16, max_stage=5)
-    node = _node(prefill=2)
-    node.active = True
-    delivered, counter = after_transmission(node, False, 2, cfg, random.Random(7))
+    sim = _sim(prefill=2, cw_min=16, max_stage=5)
+    sim.active[0] = True
+    delivered, counter = after_transmission(sim, 0, False, 2)
     assert delivered == []
-    assert len(node.queue) == 2
-    assert node.backoff_stage == 1
+    assert len(sim.queues[0]) == 2
+    assert sim.stage[0] == 1
     assert 0 <= counter < 32
-    assert node.counters.delivered == 0
-    assert node.counters.queue_empty_events == 0
+    assert sim.delivered[0] == 0
+    assert sim.queue_empties[0] == 0
 
 
 def test_collision_stage_saturates_at_max_stage():
-    cfg = SimConfig(cw_min=16, max_stage=5)
-    node = _node(prefill=1)
-    node.active = True
-    node.backoff_stage = 5
-    _, counter = after_transmission(node, False, 1, cfg, random.Random(7))
-    assert node.backoff_stage == 5
+    sim = _sim(prefill=1, cw_min=16, max_stage=5)
+    sim.active[0] = True
+    sim.stage[0] = 5
+    _, counter = after_transmission(sim, 0, False, 1)
+    assert sim.stage[0] == 5
     assert 0 <= counter < 16 * 2 ** 5
 
 
 def test_replenish_keeps_a_saturated_node_in_contention():
-    cfg = SimConfig(queue_capacity=4)
-    node = _node(prefill=1)
-    node.active = True
-
-    def refill(n):
-        while len(n.queue) < cfg.queue_capacity:
-            n.queue.append(99.0)
-            n.counters.arrivals += 1
-
-    delivered, counter = after_transmission(node, True, 1, cfg,
-                                            random.Random(7), replenish=refill)
+    sim = Simulation(SimConfig(n_nodes=1, arrival_rate=SATURATED,
+                               queue_capacity=4))
+    assert sim.active[0] and len(sim.queues[0]) == 4
+    delivered, counter = after_transmission(sim, 0, True, 1)
     assert len(delivered) == 1
-    assert node.active
+    assert sim.active[0]
     assert counter is not None
-    assert node.counters.queue_empty_events == 0
-    assert len(node.queue) == cfg.queue_capacity
+    assert sim.queue_empties[0] == 0
+    assert len(sim.queues[0]) == 4
+    assert sim.arrivals[0] == 5  # the refill counts as an arrival
 
 
 def test_hysteresis_rejected_for_ca():

@@ -1,5 +1,7 @@
 """Slot duration arithmetic against hand-computed values."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,10 +57,12 @@ def test_exchange_decomposes_into_overhead_plus_airtime(bits):
         overhead + bits / t.data_rate, rel=1e-12)
 
 
-@pytest.mark.parametrize("field", ["slot_empty", "sifs", "difs", "phy_header",
-                                   "data_rate", "ack_rate", "ack_bits",
-                                   "payload_bits"])
-def test_non_positive_timing_rejected(field):
-    table = TimingTable(**{field: 0})
-    with pytest.raises(ConfigError):
+@pytest.mark.parametrize("field,value", [
+    pytest.param(field, value, id=field + suffix)
+    for field in ["slot_empty", "sifs", "difs", "phy_header", "data_rate",
+                  "ack_rate", "ack_bits", "payload_bits"]
+    for value, suffix in [(0, ""), (math.nan, "-nan"), (math.inf, "-inf")]])
+def test_non_positive_timing_rejected(field, value):
+    table = TimingTable(**{field: value})
+    with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
         table.validate()
