@@ -87,10 +87,8 @@ class Collision:
 
 SlotOutcome = Union[Empty, Success, Collision]
 
-NodeSnapshot = namedtuple("NodeSnapshot",
-                          "node_id queue active stage next_tx counters")
-LedgerSnapshot = namedtuple("LedgerSnapshot",
-                            "arrivals delivered dropped queue_empties")
+NodeSnapshot = namedtuple("NodeSnapshot", "counters")
+DropCount = namedtuple("DropCount", "dropped")
 
 
 class SimClock:
@@ -289,15 +287,10 @@ class Simulation:
 
     @property
     def nodes(self) -> list:
-        """A read-only copy of each node's list entries, built on access,
-        with the whole-run ledger under counters."""
-        return [NodeSnapshot(nid, tuple(self.queues[nid]), self.active[nid],
-                             self.stage[nid], self.next_tx[nid],
-                             LedgerSnapshot(self.arrivals[nid],
-                                            self.delivered[nid],
-                                            self.dropped[nid],
-                                            self.queue_empties[nid]))
-                for nid in range(self.cfg.n_nodes)]
+        """Each node's drop count as nodes[i].counters.dropped, a read-only
+        copy built on access.  Kept only because perfbench/tracer.py reads
+        it (ROADMAP items 4 and 5); everything else reads sim.dropped."""
+        return [NodeSnapshot(DropCount(d)) for d in self.dropped]
 
     def backoff_counter(self, node_id: int) -> int | None:
         """Slots left before this node transmits, None while inactive."""

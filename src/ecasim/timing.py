@@ -26,7 +26,11 @@ class TimingTable:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
+            try:
+                ok = value > 0 and math.isfinite(value)
+            except OverflowError:   # an int too large for a float
+                ok = False
+            if not ok:
                 raise ConfigError(f"timing field {f.name} must be finite and "
                                   f"positive, got {value}")
 

@@ -192,13 +192,15 @@ def test_replenish_keeps_a_saturated_node_in_contention():
     sim = Simulation(SimConfig(n_nodes=1, arrival_rate=SATURATED,
                                queue_capacity=4))
     assert sim.active[0] and len(sim.queues[0]) == 4
-    delivered, counter = after_transmission(sim, 0, True, 1)
-    assert len(delivered) == 1
+    # deliver the whole queue: only a refill before the empty check keeps
+    # the node in contention
+    delivered, counter = after_transmission(sim, 0, True, 4)
+    assert delivered == [0.0] * 4
     assert sim.active[0]
     assert counter is not None
     assert sim.queue_empties[0] == 0
     assert len(sim.queues[0]) == 4
-    assert sim.arrivals[0] == 5  # the refill counts as an arrival
+    assert sim.arrivals[0] == 8  # the refill counts as arrivals
 
 
 def test_hysteresis_rejected_for_ca():

@@ -61,7 +61,9 @@ def test_exchange_decomposes_into_overhead_plus_airtime(bits):
     pytest.param(field, value, id=field + suffix)
     for field in ["slot_empty", "sifs", "difs", "phy_header", "data_rate",
                   "ack_rate", "ack_bits", "payload_bits"]
-    for value, suffix in [(0, ""), (math.nan, "-nan"), (math.inf, "-inf")]])
+    for value, suffix in [(0, ""), (math.nan, "-nan"), (math.inf, "-inf")]]
+    + [pytest.param(field, 10 ** 400, id=field + "-huge")
+       for field in ["ack_bits", "payload_bits"]])
 def test_non_positive_timing_rejected(field, value):
     table = TimingTable(**{field: value})
     with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
