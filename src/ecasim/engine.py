@@ -619,7 +619,10 @@ class Simulation:
                             q.popleft()
                     if saturated and len(q) < cap:
                         fill = cap - len(q)
-                        q.extend([now] * fill)
+                        if fill == 1:  # every success at max_aggregation 1
+                            q.append(now)
+                        else:
+                            q.extend([now] * fill)
                         arrivals[nid] += fill
                     if q:
                         if random_success:

@@ -16,8 +16,6 @@ because results are written back in submission order.
 import csv
 import math
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
@@ -133,8 +131,11 @@ class SweepSpec:
         labels = [v.label for v in self.variants]
         if len(set(labels)) != len(labels):
             raise ConfigError("duplicate protocol entries")
-        for variant, n, seed in self.run_keys():
-            self.config_for(variant, n, seed).validate()
+        # Only the variant can make a run invalid: node counts are positive
+        # (checked above) and any int is a seed.
+        for variant in self.variants:
+            self.config_for(variant, self.node_counts[0],
+                            self.seeds[0]).validate()
 
     def resolved_text(self) -> str:
         """Canonical echo of every resolved value; parses back identically."""
@@ -330,6 +331,7 @@ def _stdev(samples: list) -> float:
         return 0.0
     if not all(math.isfinite(x) for x in samples):
         return math.nan
+    import statistics
     return statistics.stdev(samples)
 
 
@@ -349,6 +351,18 @@ def worker_count(requested: int | None = None) -> int:
     if n < 1:
         raise ConfigError("worker count must be at least 1")
     return n
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported on first use.
+
+    The import loads multiprocessing, which would cost every command (validate,
+    figures, a one-worker run) about as much as the rest of ecasim's import.
+    The name stays a module attribute that _reports looks up at call time, so a
+    caller can still put its own executor class in its place.
+    """
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _reports(configs: list, workers: int):
@@ -394,6 +408,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
         _write_outputs(results)
         raise
 
+    import statistics
     aggregates = {}
     for cell, cell_rows in _cells(rows):
         mean = {}

@@ -1,10 +1,13 @@
 """Command line behavior: exit codes, outputs, and error reporting."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ecasim
 from ecasim import ConsistencyError
 import ecasim.sweep as sweep_mod
 from ecasim.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, main
@@ -152,3 +155,48 @@ def test_module_is_invocable_as_a_script(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert "node_counts = 2,3" in proc.stdout
+
+
+# Runs in a fresh `python -I`: notes the modules each step loads beyond the
+# interpreter's own start-up set, and prints them as the last stdout line.
+IMPORT_DIET_CHILD = """\
+import sys
+baseline = set(sys.modules)
+import json
+sys.path.insert(0, sys.argv[1])
+loaded = {}
+def note(step):
+    loaded[step] = sorted(set(sys.modules) - baseline)
+import ecasim
+note("import")
+from ecasim.cli import main
+from ecasim.sweep import parse_config_with_overrides, run_sweep
+assert main(["validate", "--config", sys.argv[2]]) == 0
+note("validate")
+assert main(["figures", "--results", sys.argv[3], "--fig", "1",
+             "--out", sys.argv[4]]) == 0
+note("figures")
+run_sweep(parse_config_with_overrides(sys.argv[2], ()), workers=1)
+note("one-worker run_sweep")
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
+    """multiprocessing is about as costly to import as ecasim itself, and
+    statistics is needed only to aggregate a finished sweep."""
+    path, _ = _write_config(tmp_path)
+    golden = Path(__file__).resolve().parent / "golden" / "poisson"
+    src = Path(ecasim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_DIET_CHILD, str(src), str(path),
+         str(golden / "results.csv"), str(tmp_path / "plots")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for step, modules in loaded.items():
+        banned = {"multiprocessing", "concurrent.futures.process"}
+        if step != "one-worker run_sweep":  # aggregating needs statistics
+            banned.add("statistics")
+        hits = banned & set(modules)
+        assert not hits, f"{step} loaded {sorted(hits)}"

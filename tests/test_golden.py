@@ -29,11 +29,21 @@ def test_every_sweep_has_committed_bytes():
             assert (GOLDEN / name / output).is_file()
 
 
-@pytest.mark.parametrize("name", SWEEPS)
-def test_sweep_reproduces_golden_bytes(name, tmp_path, monkeypatch):
+def _assert_run_reproduces(name, workers, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # output_dir in each config is relative
-    monkeypatch.setenv("ECASIM_WORKERS", "1")
+    monkeypatch.setenv("ECASIM_WORKERS", str(workers))
     assert main(["run", "--config", str(GOLDEN / f"{name}.cfg")]) == EXIT_OK
     for output in (RESULTS_NAME, ECHO_NAME):
         got = (tmp_path / name / output).read_bytes()
         assert got == (GOLDEN / name / output).read_bytes(), output
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_reproduces_golden_bytes(name, tmp_path, monkeypatch):
+    _assert_run_reproduces(name, 1, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_pooled_sweep_reproduces_golden_bytes(name, tmp_path, monkeypatch):
+    """The process pool, built on first use, must write the same bytes."""
+    _assert_run_reproduces(name, 2, tmp_path, monkeypatch)

@@ -97,6 +97,37 @@ def test_config_errors_name_the_problem(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("variant,message", [
+    ("csma-ca agg=32", "queue_capacity must be at least max_aggregation"),
+    ("csma-ca hyst", "hysteresis applies to csma-eca only"),
+], ids=["agg-over-queue", "hyst-on-ca"])
+def test_an_invalid_second_variant_is_reported(variant, message):
+    text = ("node_counts = 2, 4, 8\nseeds = 1, 2\nqueue_capacity = 16\n"
+            f"protocol = csma-eca\nprotocol = {variant}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+
+
+def test_validation_checks_one_config_per_variant(monkeypatch):
+    checked = []
+    real = SimConfig.validate
+
+    def counting(cfg):
+        checked.append(cfg)
+        real(cfg)
+
+    monkeypatch.setattr(SimConfig, "validate", counting)
+    spec = SweepSpec(base=SimConfig(), node_counts=list(range(1, 17)),
+                     seeds=[1, 2, 3, 4],
+                     variants=[parse_variant("csma-ca"),
+                               parse_variant("csma-eca"),
+                               parse_variant("csma-eca hyst")])
+    spec.validate()
+    assert [cfg.protocol for cfg in checked] == [
+        Protocol.CSMA_CA, Protocol.CSMA_ECA, Protocol.CSMA_ECA]
+
+
 def test_error_messages_carry_the_source_name(tmp_path):
     path = tmp_path / "sweep.conf"
     path.write_text("node_counts = 2\nbogus = 1\n")
