@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ConsistencyError
 from .figures import emit_figure_data, figure_filename
-from .sweep import (RESULTS_NAME, ECHO_NAME, load_results,
+from .sweep import (RESULTS_NAME, ECHO_NAME, load_results, make_dir,
                     parse_config_with_overrides, run_sweep)
 
 EXIT_OK = 0
@@ -71,9 +71,7 @@ def main(argv=None) -> int:
         if args.command == "figures":
             table = load_results(args.results)
             text = emit_figure_data(table, args.fig)
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            target = out_dir / figure_filename(args.fig)
+            target = make_dir(args.out) / figure_filename(args.fig)
             target.write_text(text)
             print(f"figure data: {target}")
             return EXIT_OK

@@ -1,8 +1,8 @@
 """Run configuration for a single simulation."""
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .timing import TimingTable, DEFAULT_TIMING
@@ -18,8 +18,7 @@ class Protocol(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Everything a run depends on; two equal configs give identical runs."""
 
     protocol: Protocol = Protocol.CSMA_CA
@@ -34,7 +33,7 @@ class SimConfig:
     sim_slots: int = 200_000
     warmup_slots: int = 20_000
     seed: int = 1
-    timing: TimingTable = field(default_factory=lambda: DEFAULT_TIMING)
+    timing: TimingTable = DEFAULT_TIMING
 
     @property
     def saturated(self) -> bool:

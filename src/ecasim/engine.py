@@ -53,8 +53,7 @@ import heapq
 import random
 from collections import deque, namedtuple
 from math import inf, log
-from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import NamedTuple, Union
 
 from . import protocols  # rules looked up per call, so wrappers apply
 from .config import Protocol, SimConfig
@@ -64,25 +63,30 @@ from .metrics import (MetricsAccumulator, MetricsReport,
 from .traffic import ArrivalStream
 
 
-@dataclass(frozen=True)
 class Empty:
-    kind: ClassVar[str] = "empty"
+    """An idle slot.  Not a named tuple: one with no fields would be falsy."""
+
+    kind = "empty"
+
+    def __eq__(self, other):
+        return isinstance(other, Empty)
+
+    def __hash__(self):
+        return hash(Empty)
 
 
 EMPTY = Empty()
 
 
-@dataclass(frozen=True)
-class Success:
-    kind: ClassVar[str] = "success"
+class Success(NamedTuple):
     transmitter: int
     batch_size: int
+    kind = "success"
 
 
-@dataclass(frozen=True)
-class Collision:
-    kind: ClassVar[str] = "collision"
+class Collision(NamedTuple):
     transmitters: tuple
+    kind = "collision"
 
 
 SlotOutcome = Union[Empty, Success, Collision]

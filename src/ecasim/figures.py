@@ -8,14 +8,13 @@ resolved sweep configuration, since it is an input line, not a measurement.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .sweep import ResultsTable
 
 
-@dataclass(frozen=True)
-class FigureDef:
+class FigureDef(NamedTuple):
     number: int
     column: str
     title: str

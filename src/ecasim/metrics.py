@@ -9,7 +9,7 @@ throughput * duration equal to the bits that actually crossed the channel.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 
@@ -22,8 +22,7 @@ def negative_delay_error(delay: float, node_id: int, ack_us: float,
         f"ack at {ack_us:.3f}, enqueued at {enqueue_us:.3f}")
 
 
-@dataclass
-class NodeStats:
+class NodeStats(NamedTuple):
     node_id: int
     transmissions: int = 0
     successes: int = 0
@@ -38,8 +37,7 @@ class NodeStats:
     end_stage: int = 0
 
 
-@dataclass
-class MetricsReport:
+class _ReportFields(NamedTuple):
     duration_s: float
     throughput_bps: float
     mean_delay_s: float
@@ -59,7 +57,12 @@ class MetricsReport:
     delivered_packets: int
     delivered_bits: int
     empty_run: bool
-    per_node: list = field(default_factory=list)
+    per_node: list
+
+
+class MetricsReport(_ReportFields):
+    """Without __slots__, a report keeps a __dict__: a caller can attach its
+    own attributes, and they survive pickling from a pool worker."""
 
 
 class MetricsAccumulator:

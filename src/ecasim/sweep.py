@@ -16,9 +16,9 @@ because results are written back in submission order.
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import Protocol, SimConfig, SATURATED
 from .engine import run_simulation
@@ -36,8 +36,7 @@ ECHO_NAME = "config.resolved"
 WORKERS_ENV = "ECASIM_WORKERS"
 
 
-@dataclass(frozen=True)
-class ProtocolVariant:
+class ProtocolVariant(NamedTuple):
     protocol: Protocol
     max_aggregation: int | None = None  # None: inherit the sweep-wide value
     hysteresis: bool = False
@@ -84,19 +83,26 @@ def parse_variant(text: str, where: str = "") -> ProtocolVariant:
     return ProtocolVariant(proto, agg, hyst)
 
 
-@dataclass
 class SweepSpec:
-    base: SimConfig
-    node_counts: list
-    variants: list = field(default_factory=lambda: [
-        ProtocolVariant(Protocol.CSMA_CA), ProtocolVariant(Protocol.CSMA_ECA)])
-    seeds: list = field(default_factory=lambda: [1, 2, 3])
-    output_dir: str = "results"
+    """The runs of a sweep: every variant at every node count and seed."""
+
+    def __init__(self, base: SimConfig, node_counts: list,
+                 variants: list | None = None, seeds: list | None = None,
+                 output_dir: str = "results"):
+        self.base = base
+        self.node_counts = node_counts
+        self.variants = ([ProtocolVariant(Protocol.CSMA_CA),
+                          ProtocolVariant(Protocol.CSMA_ECA)]
+                         if variants is None else variants)
+        self.seeds = [1, 2, 3] if seeds is None else seeds
+        self.output_dir = output_dir
+
+    def __eq__(self, other):
+        return type(other) is SweepSpec and vars(self) == vars(other)
 
     def config_for(self, variant: ProtocolVariant, n: int, seed: int) -> SimConfig:
         base = self.base
-        return replace(
-            base,
+        return base._replace(
             protocol=variant.protocol,
             n_nodes=n,
             seed=seed,
@@ -163,12 +169,11 @@ _LIST_KEYS = {"node_counts", "seeds", "protocol"}
 # One key per scalar field, mapped to its type, in echo order: SimConfig's
 # int fields, then its bool fields, then TimingTable's fields.  n_nodes and
 # seed vary per run (node_counts, seeds); arrival_rate has its own spelling.
-_SIM_FIELDS = [f for f in fields(SimConfig)
-               if f.type in (int, bool) and f.name not in ("n_nodes", "seed")]
-_FIELD_KEYS = {f.name: f.type
-               for f in sorted(_SIM_FIELDS, key=lambda f: f.type is bool)
-               + list(fields(TimingTable))}
-_TIMING_KEYS = {f.name for f in fields(TimingTable)}
+_SIM_FIELDS = [(key, kind) for key, kind in SimConfig.__annotations__.items()
+               if kind in (int, bool) and key not in ("n_nodes", "seed")]
+_FIELD_KEYS = dict(sorted(_SIM_FIELDS, key=lambda item: item[1] is bool)
+                   + list(TimingTable.__annotations__.items()))
+_TIMING_KEYS = set(TimingTable._fields)
 
 
 def _parse_lines(text: str, source: str):
@@ -252,12 +257,9 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
                             if k in _TIMING_KEYS})
     output_dir = taken.pop("output_dir", "results")
     base = SimConfig(timing=timing, **taken)
-    spec = SweepSpec(base=base, node_counts=lists["node_counts"],
-                     output_dir=output_dir)
-    if lists["protocol"]:
-        spec.variants = lists["protocol"]
-    if lists["seeds"]:
-        spec.seeds = lists["seeds"]
+    # an absent list key takes the default; an explicit empty list is rejected
+    spec = SweepSpec(base, lists["node_counts"], lists["protocol"] or None,
+                     lists["seeds"] or None, output_dir)
     spec.validate()
     return spec
 
@@ -290,8 +292,7 @@ def parse_config_with_overrides(path, overrides) -> SweepSpec:
 
 # -- execution and CSV -------------------------------------------------------
 
-@dataclass
-class RunRow:
+class RunRow(NamedTuple):
     label: str
     n_nodes: int
     seed: int
@@ -299,8 +300,7 @@ class RunRow:
     report: object
 
 
-@dataclass
-class SweepResults:
+class SweepResults(NamedTuple):
     spec: SweepSpec
     rows: list
     aggregates: dict          # (label, n) -> {"mean": {...}, "stddev": {...}}
@@ -393,6 +393,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     keys = list(spec.run_keys())
     configs = [spec.config_for(*key) for key in keys]
     workers = worker_count(workers)
+    make_dir(spec.output_dir)  # before the first run, not after the last
 
     rows = []
     try:
@@ -442,17 +443,25 @@ def write_results_csv(results: SweepResults, path) -> None:
                             + [""] * (len(CSV_COLUMNS) - 2))
 
 
+def make_dir(path) -> Path:
+    """Create a directory and its parents; a file in the way is a ConfigError."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc}") from None
+    return path
+
+
 def _write_outputs(results: SweepResults) -> None:
     out = Path(results.spec.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_results_csv(results, out / RESULTS_NAME)
     (out / ECHO_NAME).write_text(results.spec.resolved_text())
 
 
 # -- reading results back (figures work from the CSV, never recompute) -------
 
-@dataclass
-class ResultsTable:
+class ResultsTable(NamedTuple):
     labels: list
     node_counts: list
     mean: dict      # (label, n) -> {column -> float}

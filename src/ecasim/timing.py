@@ -7,13 +7,12 @@ only place payload size enters the clock.
 """
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class TimingTable:
+class TimingTable(NamedTuple):
     slot_empty: float = 9.0     # idle slot width
     sifs: float = 16.0
     difs: float = 34.0
@@ -24,14 +23,13 @@ class TimingTable:
     payload_bits: int = 12000   # MAC payload carried by one packet
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             try:
                 ok = value > 0 and math.isfinite(value)
             except OverflowError:   # an int too large for a float
                 ok = False
             if not ok:
-                raise ConfigError(f"timing field {f.name} must be finite and "
+                raise ConfigError(f"timing field {name} must be finite and "
                                   f"positive, got {value}")
 
     def exchange_us(self, batch_bits: int) -> float:

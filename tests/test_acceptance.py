@@ -25,7 +25,6 @@ all ten seeds.
 
 import math
 import statistics
-from dataclasses import replace
 
 import pytest
 
@@ -103,7 +102,7 @@ def test_accept_02_converged_schedule_period():
             if sim.advance_slot().kind != "success":
                 last_bad = slot
         start = last_bad + 1
-        cfg = replace(probe, sim_slots=start + window, warmup_slots=start)
+        cfg = probe._replace(sim_slots=start + window, warmup_slots=start)
         report = run_simulation(cfg)
         per_node = sorted(row.transmissions for row in report.per_node)
         exact = (report.slots_success == window

@@ -109,6 +109,40 @@ def test_figures_writes_a_dat_file(tmp_path, capsys):
     assert target.read_text().startswith("# figure 1:")
 
 
+@pytest.mark.parametrize("under", [False, True],
+                         ids=["is-a-file", "under-a-file"])
+def test_run_rejects_a_blocked_output_dir_before_the_first_run(
+        tmp_path, capsys, monkeypatch, under):
+    path, _ = _write_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    ran = []
+    monkeypatch.setenv(sweep_mod.WORKERS_ENV, "1")
+    monkeypatch.setattr(sweep_mod, "run_simulation", ran.append)
+    assert main(["run", "--config", str(path),
+                 "--override", f"output_dir={out}"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create directory {out}:")
+    assert "Traceback" not in err
+    assert ran == []
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("under", [False, True],
+                         ids=["is-a-file", "under-a-file"])
+def test_figures_rejects_a_blocked_out_dir(tmp_path, capsys, under):
+    results = Path(__file__).resolve().parent / "golden" / "poisson" / "results.csv"
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "plots" if under else blocker
+    assert main(["figures", "--results", str(results), "--fig", "2",
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create directory {out}:")
+    assert blocker.read_text() == ""
+
+
 def test_figures_rejects_an_unknown_number(tmp_path, capsys):
     path, out = _write_config(tmp_path)
     assert main(["run", "--config", str(path)]) == EXIT_OK
@@ -184,7 +218,9 @@ print(json.dumps(loaded))
 
 def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
     """multiprocessing is about as costly to import as ecasim itself, and
-    statistics is needed only to aggregate a finished sweep."""
+    statistics is needed only to aggregate a finished sweep.  dataclasses,
+    with the inspect it loads, cost more than the rest of ecasim's import, so
+    no step may load either."""
     path, _ = _write_config(tmp_path)
     golden = Path(__file__).resolve().parent / "golden" / "poisson"
     src = Path(ecasim.__file__).resolve().parents[1]
@@ -195,7 +231,8 @@ def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     for step, modules in loaded.items():
-        banned = {"multiprocessing", "concurrent.futures.process"}
+        banned = {"multiprocessing", "concurrent.futures.process",
+                  "dataclasses", "inspect"}
         if step != "one-worker run_sweep":  # aggregating needs statistics
             banned.add("statistics")
         hits = banned & set(modules)

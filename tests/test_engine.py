@@ -1,6 +1,5 @@
 """Slot resolution, run() against the per-slot stepper, and conservation."""
 
-import dataclasses
 import math
 import statistics
 
@@ -39,7 +38,7 @@ def _same(x, y):
 
 
 def _reports_equal(a, b):
-    return _same(dataclasses.asdict(a), dataclasses.asdict(b))
+    return _same(a._asdict(), b._asdict())
 
 
 # -- single-slot resolution ---------------------------------------------------
@@ -534,7 +533,7 @@ def test_settle_slot_is_reported_for_settling_runs(cfg):
         stepped.advance_slot()
     assert stepped.last_collision_slot == sim.last_collision_slot
     assert stepped.settle_slot is None  # only run() proves settling
-    tail = dataclasses.replace(cfg, warmup_slots=sim.settle_slot)
+    tail = cfg._replace(warmup_slots=sim.settle_slot)
     assert run_simulation(tail).slots_collision == 0
 
 

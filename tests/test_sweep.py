@@ -10,6 +10,7 @@ import pytest
 from ecasim import (ConfigError, ConsistencyError, Protocol, SimConfig,
                     SweepSpec)
 import ecasim.sweep as sweep_mod
+from ecasim.engine import run_simulation
 from ecasim.sweep import (CSV_COLUMNS, ECHO_NAME, FAULT_MARKER,
                           METRIC_COLUMNS, RESULTS_NAME, ProtocolVariant,
                           load_results, parse_config,
@@ -344,6 +345,31 @@ def test_fault_writes_partial_results_and_reraises(tmp_path, monkeypatch):
     assert rows[2][0] == FAULT_MARKER
     assert rows[2][1].startswith("csma-ca,3,1:")
     assert len(rows[2]) == len(CSV_COLUMNS)
+
+
+def _fail_csma_ca_at_three_nodes(cfg):
+    """A saboteur at module level, so a pool worker can unpickle it."""
+    if cfg.protocol is Protocol.CSMA_CA and cfg.n_nodes == 3:
+        raise ConsistencyError("planted fault")
+    return run_simulation(cfg)
+
+
+def test_pooled_fault_writes_the_one_worker_bytes(tmp_path, monkeypatch):
+    # the third of eight runs fails; runs after it may finish in the pool
+    monkeypatch.setattr(sweep_mod, "run_simulation",
+                        _fail_csma_ca_at_three_nodes)
+    written = {}
+    for workers in (1, 2):
+        spec = _tiny_spec(tmp_path, output_dir=str(tmp_path / f"w{workers}"))
+        with pytest.raises(ConsistencyError, match="planted fault"):
+            run_sweep(spec, workers=workers)
+        written[workers] = (tmp_path / f"w{workers}" / RESULTS_NAME).read_bytes()
+    assert written[2] == written[1]
+    rows = _read_rows(tmp_path / "w2" / RESULTS_NAME)
+    assert [row[:3] for row in rows[1:3]] == [["csma-ca", "2", "1"],
+                                              ["csma-ca", "2", "2"]]
+    assert rows[3][:2] == [FAULT_MARKER, "csma-ca,3,1: planted fault"]
+    assert len(rows) == 4
 
 
 # -- loading results back -----------------------------------------------------
