@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import ConfigError, ConsistencyError
 from .figures import emit_figure_data, figure_filename
 from .sweep import (RESULTS_NAME, ECHO_NAME, load_results, make_dir,
-                    parse_config_with_overrides, run_sweep)
+                    parse_config_with_overrides, run_sweep, write_text)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,7 +72,7 @@ def main(argv=None) -> int:
             table = load_results(args.results)
             text = emit_figure_data(table, args.fig)
             target = make_dir(args.out) / figure_filename(args.fig)
-            target.write_text(text)
+            write_text(target, text)
             print(f"figure data: {target}")
             return EXIT_OK
     except ConfigError as exc:

@@ -25,11 +25,15 @@ later but in the same order, they give the same stamps, drops and RNG states.
 
 Simulation owns every node's state as lists indexed by node id: queues,
 active, stage and next_tx, and the whole-run ledger arrivals, delivered,
-dropped and queue_empties.  advance_slot() is the reference stepper: it
-resolves one slot through on_packet_arrival, after_transmission and the
-traffic and metrics functions.  run() does the same work in one fused loop
-over the same lists, with those functions inlined and the same random draws
-in the same order, and a differential test holds it equal to stepping.
+dropped and queue_empties.  Every tally counts the whole run; the report
+reads the measured window as its end value minus a snapshot taken when slot
+warmup_slots begins (see metrics), so no event asks whether warmup is over.
+advance_slot() is the reference stepper: it resolves one slot through
+on_packet_arrival, after_transmission and the traffic and metrics functions.
+run() does the same work in one fused loop over the same lists, with those
+functions inlined and the same random draws in the same order, stopping at
+slot warmup_slots to take the snapshot, and a differential test holds it
+equal to stepping.
 
 Time is tracked as (idle slot count, accumulated busy time) and composed on
 demand, which keeps the clock bit-identical between the bulk and single-step
@@ -109,14 +113,6 @@ class SimClock:
     @property
     def now_us(self) -> float:
         return self.slot_empty_us * self.empty_count + self.busy_us
-
-    def advance_empty(self) -> None:
-        self.slot += 1
-        self.empty_count += 1
-
-    def advance_busy(self, duration_us: float) -> None:
-        self.slot += 1
-        self.busy_us += duration_us
 
 
 def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
@@ -253,9 +249,9 @@ class Simulation:
         self.dropped = [0] * n
         self.queue_empties = [0] * n
         self.clock = SimClock(t.slot_empty)
-        self.acc = MetricsAccumulator(cfg.n_nodes, t.slot_empty, t.payload_bits)
-        if cfg.warmup_slots == 0:
-            self.acc.warmup_end_us = 0.0
+        self.acc = MetricsAccumulator(
+            t.slot_empty, t.payload_bits,
+            (self.delivered, self.dropped, self.queue_empties))
         self.tx_heap: list = []       # (due slot, node id), one entry per active node
         self.arrival_heap: list = []  # (next arrival us, node id), poisson only
         self.streams: list = []
@@ -293,7 +289,7 @@ class Simulation:
     def nodes(self) -> list:
         """Each node's drop count as nodes[i].counters.dropped, a read-only
         copy built on access.  Kept only because perfbench/tracer.py reads
-        it (ROADMAP items 4 and 5); everything else reads sim.dropped."""
+        it (ROADMAP item 4); everything else reads sim.dropped."""
         return [NodeSnapshot(DropCount(d)) for d in self.dropped]
 
     def backoff_counter(self, node_id: int) -> int | None:
@@ -304,7 +300,9 @@ class Simulation:
 
     def inject_packets(self, node_id: int, count: int) -> None:
         """Test hook: place packets in a queue without touching contention."""
-        self.queues[node_id].extend([self.clock.now_us] * count)
+        queue = self.queues[node_id]
+        assert len(queue) + count <= self.cfg.queue_capacity, "queue overfilled"
+        queue.extend([self.clock.now_us] * count)
         self.arrivals[node_id] += count
 
     def set_backoff(self, node_id: int, counter: int) -> None:
@@ -324,9 +322,8 @@ class Simulation:
         clock = self.clock
         acc = self.acc
         s = clock.slot
-        if acc.warmup_end_us is None and s >= cfg.warmup_slots:
-            acc.warmup_end_us = clock.now_us
-        counted = s >= cfg.warmup_slots
+        if s == cfg.warmup_slots:
+            acc.open_window(clock.now_us, clock.empty_count)
 
         tx_heap = self.tx_heap
         txs = []
@@ -359,35 +356,28 @@ class Simulation:
             _, nid = heapq.heappop(arr_heap)
             stream = self.streams[nid]
             for enqueue_us in stream.drain_poisson(slot_end):
-                dropped_before = self.dropped[nid]
                 counter = on_packet_arrival(self, nid, enqueue_us)
                 if counter is not None:
                     self.next_tx[nid] = s + 1 + counter
                     heapq.heappush(tx_heap, (s + 1 + counter, nid))
-                elif counted and self.dropped[nid] > dropped_before:
-                    acc.record_drop(nid)
             heapq.heappush(arr_heap, (stream.next_us, nid))
 
         if txs:
             success = len(txs) == 1
             for nid, size in zip(txs, sizes):
                 batch, counter = after_transmission(self, nid, success, size)
-                if counted:
-                    acc.record_attempt(nid, success)
-                    if batch:
-                        acc.record_delivery(nid, batch, slot_end)
-                    if success and counter is None:
-                        acc.record_queue_empty(nid)
+                acc.record_attempt(nid, success)
+                acc.record_delivery(nid, batch, slot_end)
                 if counter is not None:
                     self.next_tx[nid] = s + 1 + counter
                     heapq.heappush(tx_heap, (s + 1 + counter, nid))
 
-        if counted:
-            acc.record_slot(outcome, duration)
+        acc.record_slot(outcome, duration)
+        clock.slot += 1
         if outcome is EMPTY:
-            clock.advance_empty()
+            clock.empty_count += 1
         else:
-            clock.advance_busy(duration)
+            clock.busy_us += duration
         return outcome
 
     # -- the fused loop -----------------------------------------------------------
@@ -413,7 +403,6 @@ class Simulation:
 
         se = t.slot_empty
         end = cfg.sim_slots
-        warm = cfg.warmup_slots
         cap = cfg.queue_capacity
         agg = cfg.max_aggregation
         cw_min = cfg.cw_min
@@ -434,10 +423,11 @@ class Simulation:
         # more than cw_min/2 nodes cannot all fit one period, so never).  The
         # replay moves one packet per busy slot, so aggregation stays stepped.
         eca_periods = [cw_min // 2] * n_nodes
-        check_at = end
-        if (saturated and cfg.protocol is Protocol.CSMA_ECA and agg == 1
-                and (keep_stage or n_nodes <= cw_min // 2)):
-            check_at = warm
+        replayable = (saturated and cfg.protocol is Protocol.CSMA_ECA
+                      and agg == 1 and (keep_stage or n_nodes <= cw_min // 2))
+        warm_end = acc.warmup_end_us
+        # the general loop also stops at warmup_slots, to open the window
+        check_at = cfg.warmup_slots if replayable or warm_end == inf else end
         settled = self._settled
         last_collision = self.last_collision_slot
 
@@ -455,25 +445,17 @@ class Simulation:
         arr_heap = [(streams[nid].next_us, nid) for nid in range(n_nodes)
                     if poisson and not active[nid]]
         heapq.heapify(arr_heap)
-        # counted-window ledger: lists change in place, scalars are written back
+        # the accumulator's lists change in place, scalars are written back
         node_success = acc.node_success
         node_collision = acc.node_collision
-        node_queue_empty = acc.node_queue_empty
-        node_drops = acc.node_drops
-        node_delivered = acc.node_delivered
         node_delay_sum = acc.node_delay_sum
         node_delay_n = acc.node_delay_n
-        warm_end = acc.warmup_end_us
-        slots_empty = acc.slots_empty
-        slots_collision = acc.slots_collision
         counted_busy_us = acc.busy_us
         delay_sum_us = acc.delay_sum_us
         slot = clock.slot
         empty_count = clock.empty_count
         busy_us = clock.busy_us
         prev_end = self.slot_end_us
-        # a drop counts iff its arrival lands from the end of slot warm - 1
-        drop_from = -inf if warm_end is not None else inf
 
         def catch_up(nid, until):
             """Apply nid's arrivals before `until` (on_packet_arrival without
@@ -482,30 +464,33 @@ class Simulation:
             t = st.next_us
             q = queues[nid]
             rnd = st.rng.random
-            landed = lost = counted_lost = 0
+            landed = lost = 0
             while t < until:
                 landed += 1
                 if len(q) < cap:
                     q.append(t)
                 else:
                     lost += 1
-                    if t >= drop_from:
-                        counted_lost += 1
                 t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
             st.next_us = t
             arrivals[nid] += landed
-            if lost:
-                dropped[nid] += lost
-                node_drops[nid] += counted_lost
+            dropped[nid] += lost
+
+        def catch_up_active(until):
+            """What landed at active nodes since their last catch-up."""
+            if poisson:
+                for nid in range(n_nodes):
+                    if active[nid]:
+                        catch_up(nid, until)
 
         while slot < end:
             # -- the general loop, up to the end or the next settled check
             stop = end if end < check_at else check_at
             while slot < stop:
-                due = tx_heap[0][0] if tx_heap else end
+                due = tx_heap[0][0] if tx_heap else stop
                 if due > slot:
                     # skip idle slots up to the next transmission or wake
-                    gap_end = due if due < end else end
+                    gap_end = due if due < stop else stop
                     if arr_heap:
                         a = arr_heap[0][0]
                         now = se * empty_count + busy_us
@@ -515,15 +500,6 @@ class Simulation:
                         if slot + k < gap_end:
                             gap_end = slot + k
                     if gap_end > slot:
-                        if warm_end is None and gap_end > warm:
-                            assert slot <= warm
-                            warm_end = (se * (empty_count + warm - slot)
-                                        + busy_us)
-                            drop_from = (prev_end if slot == warm else se * (
-                                empty_count + warm - slot - 1) + busy_us + se)
-                        first = warm if slot < warm else slot
-                        if gap_end > first:
-                            slots_empty += gap_end - first
                         empty_count += gap_end - slot
                         slot = gap_end
                         prev_end = se * (empty_count - 1) + busy_us + se
@@ -533,10 +509,6 @@ class Simulation:
                 # -- one stepped slot: who transmits, and for how long
                 s = slot
                 now = se * empty_count + busy_us
-                counted = s >= warm
-                if counted and warm_end is None:
-                    warm_end = now
-                    drop_from = prev_end
                 winner = -1
                 colliders = None
                 if due == s:
@@ -579,7 +551,7 @@ class Simulation:
                     q = queues[nid]
                     held = len(q)
                     catch_up(nid, slot_end)
-                    if len(q) == held:  # an idle queue overfilled by a hook
+                    if len(q) == held:  # an idle queue a hook filled
                         heappush(arr_heap, (streams[nid].next_us, nid))
                         continue
                     active[nid] = True
@@ -600,28 +572,22 @@ class Simulation:
                     if poisson and streams[nid].next_us < slot_end:
                         catch_up(nid, slot_end)
                     delivered[nid] += size
-                    if counted:
-                        node_success[nid] += 1
-                        node_delivered[nid] += size
-                        node_sum = node_delay_sum[nid]
-                        samples = 0
-                        for _ in range(size):
-                            enqueue_us = q.popleft()
-                            if enqueue_us >= warm_end:
-                                delay = slot_end - enqueue_us
-                                if delay < 0:
-                                    raise negative_delay_error(
-                                        delay, nid, slot_end, enqueue_us)
-                                delay_sum_us += delay
-                                node_sum += delay
-                                samples += 1
-                        node_delay_sum[nid] = node_sum
-                        node_delay_n[nid] += samples
-                        counted_busy_us += duration
-                    else:
-                        for _ in range(size):
-                            q.popleft()
-                    if saturated and len(q) < cap:
+                    node_success[nid] += 1
+                    node_sum = node_delay_sum[nid]
+                    samples = 0
+                    for _ in range(size):
+                        enqueue_us = q.popleft()
+                        if enqueue_us >= warm_end:
+                            delay = slot_end - enqueue_us
+                            if delay < 0:
+                                raise negative_delay_error(
+                                    delay, nid, slot_end, enqueue_us)
+                            delay_sum_us += delay
+                            node_sum += delay
+                            samples += 1
+                    node_delay_sum[nid] = node_sum
+                    node_delay_n[nid] += samples
+                    if saturated:  # a success always leaves room
                         fill = cap - len(q)
                         if fill == 1:  # every success at max_aggregation 1
                             q.append(now)
@@ -647,8 +613,7 @@ class Simulation:
                         if poisson:
                             heappush(arr_heap, (streams[nid].next_us, nid))
                         queue_empties[nid] += 1
-                        if counted:
-                            node_queue_empty[nid] += 1
+                    counted_busy_us += duration
                     busy_us += duration
                 elif colliders is not None:
                     last_collision = s
@@ -664,27 +629,31 @@ class Simulation:
                         c = s + 1 + r
                         next_tx[nid] = c
                         heappush(tx_heap, (c, nid))
-                        if counted:
-                            node_collision[nid] += 1
-                    if counted:
-                        slots_collision += 1
-                        counted_busy_us += duration
+                        node_collision[nid] += 1
+                    acc.slots_collision += 1
+                    counted_busy_us += duration
                     busy_us += duration
                 else:
                     empty_count += 1
-                    if counted:
-                        slots_empty += 1
                 prev_end = slot_end
                 slot += 1
 
             if slot >= end:
                 break
+            if warm_end == inf:
+                # -- slot warmup_slots begins: with every arrival before it
+                # applied, the snapshot holds the drops stepping counts
+                catch_up_active(prev_end)
+                warm_end = se * empty_count + busy_us
+                acc.open_window(warm_end, empty_count)
+                counted_busy_us = 0.0
+                if not replayable:
+                    check_at = end
+                    continue
             # -- at check_at: once the schedule has settled, replay whole
             # hyperperiods of it with no random draw or heap work.  Only the
             # per-busy-slot float sums are kept, in stepping order; integer
             # tallies are added in bulk afterwards.
-            if warm_end is None:
-                warm_end = se * empty_count + busy_us  # slot == warm
             # saturated nodes are all active, all the time
             periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
                        else eca_periods)
@@ -696,8 +665,7 @@ class Simulation:
             settled = True
             check_at = end
             reps = (end - slot) // hyper
-            # the replay assumes full queues; inject_packets can overfill one
-            if not reps or any(len(q) != cap for q in queues):
+            if not reps:
                 continue
             duration = exchange[1]
             idle_per = hyper - len(firings)
@@ -718,21 +686,16 @@ class Simulation:
                 node_success[nid] += fired
                 delivered[nid] += fired
                 arrivals[nid] += fired
-                node_delivered[nid] += fired
                 node_delay_n[nid] += fired - stale[nid]
                 next_tx[nid] += reps * hyper
                 if not keep_stage:
                     stage[nid] = 0
-            slots_empty += reps * idle_per
             slot += reps * hyper
             tx_heap[:] = sorted(zip(next_tx, range(n_nodes)))
             # prev_end now lags, but saturated runs have no arrivals to catch up
 
+        catch_up_active(prev_end)
         if poisson:
-            # what landed at active nodes since their last catch-up
-            for nid in range(n_nodes):
-                if active[nid]:
-                    catch_up(nid, prev_end)
             self.arrival_heap = sorted((st.next_us, nid)
                                        for nid, st in enumerate(streams))
         self.slot_end_us = prev_end
@@ -741,9 +704,6 @@ class Simulation:
         clock.slot = slot
         clock.empty_count = empty_count
         clock.busy_us = busy_us
-        acc.warmup_end_us = warm_end
-        acc.slots_empty = slots_empty
-        acc.slots_collision = slots_collision
         acc.busy_us = counted_busy_us
         acc.delay_sum_us = delay_sum_us
         return self._finalize()
@@ -751,6 +711,7 @@ class Simulation:
     def _finalize(self) -> MetricsReport:
         cfg = self.cfg
         report = self.acc.finalize(self.queues, self.stage,
+                                   self.clock.empty_count,
                                    cfg.sim_slots - cfg.warmup_slots)
         for nid, queue in enumerate(self.queues):
             arrivals, delivered = self.arrivals[nid], self.delivered[nid]

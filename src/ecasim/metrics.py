@@ -1,11 +1,13 @@
 """Measurement accumulation and the end-of-run report.
 
-Only slots at or past the warmup boundary are recorded.  Delay samples are
-further restricted to packets enqueued after the warmup boundary instant, so a
-packet that entered a queue during warmup never contributes a (stale) delay
-even if it is delivered much later.  Throughput, on the other hand, counts all
-payload bits delivered inside the measured window, which keeps
-throughput * duration equal to the bits that actually crossed the channel.
+Only the window from slot warmup_slots on is reported: each integer tally
+counts the whole run, and the report takes its end value minus a snapshot
+taken when that slot begins.  Delay samples are further restricted to packets
+enqueued from the warmup boundary instant on, so a packet that entered a
+queue during warmup never contributes a (stale) delay even if it is delivered
+much later.  Throughput, on the other hand, counts all payload bits
+delivered inside the measured window, which keeps throughput * duration equal
+to the bits that actually crossed the channel.
 """
 
 import math
@@ -66,43 +68,46 @@ class MetricsReport(_ReportFields):
 
 
 class MetricsAccumulator:
-    """Collects counted-window tallies; the engine drives it slot by slot.
+    """Collects a run's tallies; the engine drives it slot by slot.
 
-    Totals that follow from the per-node tallies are derived in finalize().
-    The float sums are kept as they accrue: summed in another order, they
-    could differ in the last bit."""
+    ledger is the caller's whole-run per-node (delivered, dropped,
+    queue_empties) lists.  Float sums are not differenced, as end minus start
+    is not bit-equal to a sum over the window: busy_us restarts at 0.0 when
+    the window opens, and delays are sampled from warmup_end_us, inf until
+    then."""
 
-    def __init__(self, n_nodes: int, slot_empty_us: float, payload_bits: int):
+    def __init__(self, slot_empty_us: float, payload_bits: int, ledger):
         self.slot_empty_us = slot_empty_us
         self.payload_bits = payload_bits
-        self.warmup_end_us: float | None = None
-        self.slots_empty = 0
+        n_nodes = len(ledger[0])
+        self.warmup_end_us = math.inf
+        self.start = None           # the snapshot open_window() takes
         self.slots_collision = 0
         self.busy_us = 0.0          # sum of success/collision slot durations
         self.delay_sum_us = 0.0
-        z = [0] * n_nodes
-        self.node_success = list(z)
-        self.node_collision = list(z)
-        self.node_queue_empty = list(z)
-        self.node_drops = list(z)
-        self.node_delivered = list(z)
+        self.node_success = [0] * n_nodes
+        self.node_collision = [0] * n_nodes
         self.node_delay_sum = [0.0] * n_nodes
-        self.node_delay_n = list(z)
+        self.node_delay_n = [0] * n_nodes
+        # every per-node integer tally, in the order finalize() unpacks them
+        self.node_tallies = (self.node_success, self.node_collision, *ledger)
+
+    def open_window(self, now_us: float, empty_count: int) -> None:
+        """Slot warmup_slots begins at now_us, after empty_count empty
+        slots: snapshot the integer tallies and restart the busy time."""
+        self.warmup_end_us = now_us
+        self.busy_us = 0.0
+        self.start = (empty_count, self.slots_collision,
+                      [list(t) for t in self.node_tallies])
 
     # -- recording ---------------------------------------------------------
 
     def record_slot(self, outcome, duration_us: float) -> None:
         kind = outcome.kind
-        if kind == "empty":
-            self.slots_empty += 1
-            return
-        self.busy_us += duration_us
-        if kind == "collision":
-            self.slots_collision += 1
-
-    def record_empty_bulk(self, count: int) -> None:
-        """Fast path for a run of idle slots containing no events at all."""
-        self.slots_empty += count
+        if kind != "empty":  # the clock counts empty slots
+            self.busy_us += duration_us
+            if kind == "collision":
+                self.slots_collision += 1
 
     def record_attempt(self, node_id: int, success: bool) -> None:
         if success:
@@ -110,18 +115,11 @@ class MetricsAccumulator:
         else:
             self.node_collision[node_id] += 1
 
-    def record_queue_empty(self, node_id: int) -> None:
-        self.node_queue_empty[node_id] += 1
-
-    def record_drop(self, node_id: int) -> None:
-        self.node_drops[node_id] += 1
-
     def record_delivery(self, node_id: int, batch, ack_us: float) -> None:
         """One successful exchange: the whole batch shares the ACK instant.
 
         batch holds the enqueue instants of the delivered packets.
         """
-        assert self.warmup_end_us is not None
         cutoff = self.warmup_end_us
         for enqueue_us in batch:
             if enqueue_us >= cutoff:
@@ -132,22 +130,40 @@ class MetricsAccumulator:
                 self.delay_sum_us += delay
                 self.node_delay_sum[node_id] += delay
                 self.node_delay_n[node_id] += 1
-        self.node_delivered[node_id] += len(batch)
+
+    # The ledger and clock count these three, but perfbench/tracer.py
+    # patches every record_* method by name, so they stay (ROADMAP item 4).
+    def record_drop(self, node_id: int) -> None:
+        """Kept only for perfbench/tracer.py; records nothing."""
+
+    def record_queue_empty(self, node_id: int) -> None:
+        """Kept only for perfbench/tracer.py; records nothing."""
+
+    def record_empty_bulk(self, count: int) -> None:
+        """Kept only for perfbench/tracer.py; records nothing."""
 
     # -- reporting ----------------------------------------------------------
 
-    def finalize(self, queues, stages, expected_slots: int) -> MetricsReport:
-        """Close the run out; queues and stages are each node's end state."""
-        slots_success = sum(self.node_success)
-        slots = self.slots_empty + slots_success + self.slots_collision
+    def finalize(self, queues, stages, empty_count: int,
+                 expected_slots: int) -> MetricsReport:
+        """Close the window out; queues and stages are each node's end state
+        and empty_count the clock's empty slots over the whole run."""
+        assert self.start is not None, "the measured window never opened"
+        empty_at_start, collision_slots_at_start, node_start = self.start
+        success, collision, delivered, drops, queue_empties = (
+            [end - begin for end, begin in zip(ends, begins)]
+            for ends, begins in zip(self.node_tallies, node_start))
+        slots_empty = empty_count - empty_at_start
+        slots_collision = self.slots_collision - collision_slots_at_start
+        slots_success = sum(success)
+        slots = slots_empty + slots_success + slots_collision
         if slots != expected_slots:
             raise ConsistencyError(
                 f"slot ledger mismatch: recorded {slots}, expected {expected_slots}")
-        duration_us = self.slots_empty * self.slot_empty_us + self.busy_us
-        collisions = sum(self.node_collision)
+        duration_us = slots_empty * self.slot_empty_us + self.busy_us
+        collisions = sum(collision)
         transmissions = slots_success + collisions
-        queue_empties = sum(self.node_queue_empty)
-        delivered_packets = sum(self.node_delivered)
+        delivered_packets = sum(delivered)
         delivered_bits = delivered_packets * self.payload_bits
         delay_samples = sum(self.node_delay_n)
         empty_run = slots == 0 or transmissions == 0
@@ -156,13 +172,13 @@ class MetricsAccumulator:
         for i, queue in enumerate(queues):
             per_node.append(NodeStats(
                 node_id=i,
-                transmissions=self.node_success[i] + self.node_collision[i],
-                successes=self.node_success[i],
-                collisions=self.node_collision[i],
-                queue_empty_events=self.node_queue_empty[i],
-                drops=self.node_drops[i],
-                delivered_packets=self.node_delivered[i],
-                delivered_bits=self.node_delivered[i] * self.payload_bits,
+                transmissions=success[i] + collision[i],
+                successes=success[i],
+                collisions=collision[i],
+                queue_empty_events=queue_empties[i],
+                drops=drops[i],
+                delivered_packets=delivered[i],
+                delivered_bits=delivered[i] * self.payload_bits,
                 delay_samples=self.node_delay_n[i],
                 mean_delay_s=(self.node_delay_sum[i] / self.node_delay_n[i] / 1e6
                               if self.node_delay_n[i] else math.nan),
@@ -180,17 +196,17 @@ class MetricsAccumulator:
             delay_samples=delay_samples,
             avg_end_queue=sum(len(q) for q in queues) / n_nodes,
             avg_end_stage=sum(stages) / n_nodes,
-            queue_empty_per_tx=(queue_empties / transmissions
+            queue_empty_per_tx=(sum(queue_empties) / transmissions
                                 if transmissions else 0.0),
-            collision_fraction=(self.slots_collision / slots if slots else 0.0),
-            drops=sum(self.node_drops),
+            collision_fraction=(slots_collision / slots if slots else 0.0),
+            drops=sum(drops),
             transmissions=transmissions,
             successes=slots_success,
             collisions=collisions,
             slots_total=slots,
-            slots_empty=self.slots_empty,
+            slots_empty=slots_empty,
             slots_success=slots_success,
-            slots_collision=self.slots_collision,
+            slots_collision=slots_collision,
             delivered_packets=delivered_packets,
             delivered_bits=delivered_bits,
             empty_run=empty_run,

@@ -393,7 +393,12 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     keys = list(spec.run_keys())
     configs = [spec.config_for(*key) for key in keys]
     workers = worker_count(workers)
-    make_dir(spec.output_dir)  # before the first run, not after the last
+    # output paths fail before the first run, not after the last
+    out = make_dir(spec.output_dir)
+    if (out / RESULTS_NAME).is_dir():
+        raise ConfigError(f"cannot write {out / RESULTS_NAME}: "
+                          "it is a directory")
+    write_text(out / ECHO_NAME, spec.resolved_text())
 
     rows = []
     try:
@@ -406,7 +411,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
         variant, n, seed = keys[len(rows)]
         fault = f"{variant.label},{n},{seed}: {exc}"
         results = SweepResults(spec, rows, {}, fault=fault)
-        _write_outputs(results)
+        write_results_csv(results, out / RESULTS_NAME)
         raise
 
     import statistics
@@ -421,7 +426,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
         aggregates[cell] = {"mean": mean, "stddev": std}
 
     results = SweepResults(spec, rows, aggregates)
-    _write_outputs(results)
+    write_results_csv(results, out / RESULTS_NAME)
     return results
 
 
@@ -453,10 +458,12 @@ def make_dir(path) -> Path:
     return path
 
 
-def _write_outputs(results: SweepResults) -> None:
-    out = Path(results.spec.output_dir)
-    write_results_csv(results, out / RESULTS_NAME)
-    (out / ECHO_NAME).write_text(results.spec.resolved_text())
+def write_text(path: Path, text: str) -> None:
+    """Write a whole file; a failed write is a ConfigError."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 # -- reading results back (figures work from the CSV, never recompute) -------

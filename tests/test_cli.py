@@ -143,6 +143,34 @@ def test_figures_rejects_a_blocked_out_dir(tmp_path, capsys, under):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("name", ["results.csv", "config.resolved"])
+def test_run_rejects_a_directory_at_an_output_file_before_the_first_run(
+        tmp_path, capsys, monkeypatch, name):
+    path, out = _write_config(tmp_path)
+    (out / name).mkdir(parents=True)
+    ran = []
+    monkeypatch.setenv(sweep_mod.WORKERS_ENV, "1")
+    monkeypatch.setattr(sweep_mod, "run_simulation", ran.append)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}:")
+    assert "Traceback" not in err
+    assert ran == []
+    assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_figures_rejects_a_directory_at_the_dat_file(tmp_path, capsys):
+    results = Path(__file__).resolve().parent / "golden" / "poisson" / "results.csv"
+    target = tmp_path / "plots" / "fig2_mean_delay_s.dat"
+    target.mkdir(parents=True)
+    assert main(["figures", "--results", str(results), "--fig", "2",
+                 "--out", str(target.parent)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target}:")
+    assert "Traceback" not in err
+    assert list(target.iterdir()) == []
+
+
 def test_figures_rejects_an_unknown_number(tmp_path, capsys):
     path, out = _write_config(tmp_path)
     assert main(["run", "--config", str(path)]) == EXIT_OK
@@ -184,9 +212,11 @@ def test_subcommand_is_required():
 
 def test_module_is_invocable_as_a_script(tmp_path):
     path, _ = _write_config(tmp_path)
+    # -m finds the package from the working directory, installed or not
+    src = Path(ecasim.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "ecasim.cli", "validate", "--config", str(path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, cwd=src)
     assert proc.returncode == EXIT_OK
     assert "node_counts = 2,3" in proc.stdout
 

@@ -306,18 +306,19 @@ def test_settled_replay_equals_stepping(cfg, prefix):
         assert sim.settle_slot is not None
 
 
-def test_run_equals_stepping_on_an_overfilled_saturated_queue():
-    """inject_packets can push a saturated queue past capacity; a success
-    then refills nothing, under either driver."""
-    cfg = _eca(n_nodes=2, sim_slots=200, warmup_slots=0, seed=1)
-    fast_sim, slow_sim = Simulation(cfg), Simulation(cfg)
-    for sim in (fast_sim, slow_sim):
-        sim.inject_packets(0, 5)
-    fast = fast_sim.run()
-    while slow_sim.clock.slot < cfg.sim_slots:
-        slow_sim.advance_slot()
-    assert _reports_equal(fast, slow_sim._finalize())
-    assert _same(_end_state(fast_sim), _end_state(slow_sim))
+def test_inject_packets_refuses_to_overfill_a_queue():
+    """advance_slot() and run() assume no queue holds more than
+    queue_capacity, so a success always leaves room for the saturated
+    refill."""
+    sim = Simulation(_eca(n_nodes=2, sim_slots=200, warmup_slots=0, seed=1))
+    with pytest.raises(AssertionError, match="queue overfilled"):
+        sim.inject_packets(0, 1)  # saturated queues start full
+    idle = _idle_sim(queue_capacity=3)
+    idle.inject_packets(0, 3)
+    with pytest.raises(AssertionError, match="queue overfilled"):
+        idle.inject_packets(0, 1)
+    assert [len(q) for q in sim.queues + idle.queues] == [1000, 1000, 3, 0]
+    assert idle.arrivals == [3, 0]
 
 
 def test_run_equals_stepping_on_a_full_idle_queue():
@@ -350,6 +351,62 @@ def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
     report = sim._finalize()
     assert report.drops > 0
     assert sum(sim.dropped) > report.drops
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3, arrival_rate=20_000.0,
+              max_aggregation=16, queue_capacity=16, sim_slots=3000,
+              warmup_slots=1500, seed=1),
+    SimConfig(protocol=Protocol.CSMA_CA, n_nodes=3, arrival_rate=3000.0,
+              max_aggregation=2, queue_capacity=3, sim_slots=3000,
+              warmup_slots=0, seed=2),
+    _eca(n_nodes=8, sim_slots=8000, warmup_slots=2000, seed=1),
+], ids=["drops-both-sides", "warmup-0", "eca-settles"])
+def test_report_counts_only_the_window_from_warmup_slots(cfg):
+    """Recount the window from what stepping returns and from the per-slot
+    changes of the whole-run ledger, without the metrics accumulator."""
+    n = cfg.n_nodes
+    sim = Simulation(cfg)
+    slots = {"empty": 0, "success": 0, "collision": 0}
+    successes, collisions, delivered = [0] * n, [0] * n, [0] * n
+    drops, queue_empties = [0] * n, [0] * n
+    while sim.clock.slot < cfg.sim_slots:
+        counted = sim.clock.slot >= cfg.warmup_slots
+        dropped_before = list(sim.dropped)
+        empties_before = list(sim.queue_empties)
+        out = sim.advance_slot()
+        if not counted:
+            continue
+        slots[out.kind] += 1
+        if out.kind == "success":
+            successes[out.transmitter] += 1
+            delivered[out.transmitter] += out.batch_size
+        elif out.kind == "collision":
+            for nid in out.transmitters:
+                collisions[nid] += 1
+        for nid in range(n):
+            drops[nid] += sim.dropped[nid] - dropped_before[nid]
+            queue_empties[nid] += sim.queue_empties[nid] - empties_before[nid]
+    report = sim._finalize()
+    assert (report.slots_empty, report.slots_success,
+            report.slots_collision) == tuple(slots.values())
+    rows = report.per_node
+    assert [r.successes for r in rows] == successes
+    assert [r.collisions for r in rows] == collisions
+    assert [r.delivered_packets for r in rows] == delivered
+    assert [r.drops for r in rows] == drops
+    assert [r.queue_empty_events for r in rows] == queue_empties
+    assert _reports_equal(run_simulation(cfg), report)
+    if cfg.saturated:  # collides during warmup only, then settles
+        assert 0 < sim.last_collision_slot < cfg.warmup_slots
+        assert slots["collision"] == 0 and sum(delivered) > 0
+    else:
+        assert sum(drops) > 0 and sum(queue_empties) > 0
+        assert slots["collision"] > 0
+        # and with a warmup, both happen before the window too
+        assert ((sum(drops) < sum(sim.dropped))
+                == (sum(queue_empties) < sum(sim.queue_empties))
+                == (cfg.warmup_slots > 0))
 
 
 def test_run_equals_stepping_when_a_node_rejoins_beside_backlogged_ones():
