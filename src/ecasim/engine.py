@@ -28,12 +28,13 @@ active, stage and next_tx, and the whole-run ledger arrivals, delivered,
 dropped and queue_empties.  Every tally counts the whole run; the report
 reads the measured window as its end value minus a snapshot taken when slot
 warmup_slots begins (see metrics), so no event asks whether warmup is over.
-advance_slot() is the reference stepper: it resolves one slot through
-on_packet_arrival, after_transmission and the traffic and metrics functions.
-run() does the same work in one fused loop over the same lists, with those
-functions inlined and the same random draws in the same order, stopping at
-slot warmup_slots to take the snapshot, and a differential test holds it
-equal to stepping.
+advance_slot() is the reference stepper, for tests: it resolves one slot
+through on_packet_arrival, after_transmission and the traffic and metrics
+functions.  run() runs a fresh Simulation from slot 0 to the end in one fused
+loop over the same lists, with those functions inlined and the same random
+draws in the same order, stopping at slot warmup_slots to take the snapshot,
+and a differential test holds it equal to stepping.  The two drivers are not
+mixed: run() refuses a Simulation that advance_slot() has stepped.
 
 Time is tracked as (idle slot count, accumulated busy time) and composed on
 demand, which keeps the clock bit-identical between the bulk and single-step
@@ -230,7 +231,7 @@ def after_transmission(sim, nid: int, success: bool,
 
 
 class Simulation:
-    """One configured run.  Drive it with advance_slot() or just run()."""
+    """One configured run.  run() it, or step it with advance_slot()."""
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -265,17 +266,16 @@ class Simulation:
             self.streams.append(stream)
         self.last_collision_slot = -1
         self._settled = False
-        # end instant of the last resolved slot, as stepping computes it
-        # (clock.now_us can differ by an ulp); run() catches up to it
-        self.slot_end_us = 0.0
         if cfg.saturated:
-            # backlogged from the first instant: full queue, join before slot 0
-            for nid, stream in enumerate(self.streams):
-                for enqueue_us in stream.refill(0, cfg.queue_capacity, 0.0):
-                    counter = on_packet_arrival(self, nid, enqueue_us)
-                    if counter is not None:
-                        self.next_tx[nid] = counter
-                        heapq.heappush(self.tx_heap, (counter, nid))
+            # backlogged from the first instant: full queue, join before slot
+            # 0 with the rejoin draw of the first arrival, in node id order
+            for nid in range(n):
+                self.queues[nid].extend([0.0] * cfg.queue_capacity)
+                self.arrivals[nid] = cfg.queue_capacity
+                self.active[nid] = True
+                self.next_tx[nid] = protocols.rejoin_backoff(
+                    cfg.cw_min, cfg.rejoin_inclusive, self.proto_rng)
+            self.tx_heap = sorted(zip(self.next_tx, range(n)))
 
     # -- inspection helpers (handy in tests and debugging) -------------------
 
@@ -348,7 +348,7 @@ class Simulation:
                 self.last_collision_slot = s
             duration = t.exchange_us(max(sizes) * t.payload_bits)
 
-        slot_end = self.slot_end_us = clock.now_us + duration
+        slot_end = clock.now_us + duration
 
         # arrivals land mid-slot; a node they wake joins from the next slot on
         arr_heap = self.arrival_heap
@@ -383,14 +383,17 @@ class Simulation:
     # -- the fused loop -----------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        """Run to cfg.sim_slots and report.
+        """Run a fresh Simulation from slot 0 to cfg.sim_slots and report.
 
-        Does exactly what repeated advance_slot() calls do, plus bulk skipping
-        of idle gaps, lazy arrivals at active nodes and the settled replay, in
-        one loop over the simulation's own lists.  Scalars (clock, ledger
-        sums, idle-node arrival heap) live in locals and are written back
-        before the report, so a later advance_slot() sees the same state.
+        Does exactly what advance_slot() calls from slot 0 do, plus bulk
+        skipping of idle gaps, lazy arrivals at active nodes and the settled
+        replay, in one loop over the simulation's own lists.  Hooks may fill
+        and schedule nodes first; a stepped Simulation, or an idle node
+        holding packets, is refused.
         """
+        assert self.clock.slot == 0 and all(
+            a or not q for q, a in zip(self.queues, self.active)), \
+            "run() needs a fresh Simulation and no idle node holding packets"
         cfg = self.cfg
         t = cfg.timing
         clock = self.clock
@@ -425,11 +428,11 @@ class Simulation:
         eca_periods = [cw_min // 2] * n_nodes
         replayable = (saturated and cfg.protocol is Protocol.CSMA_ECA
                       and agg == 1 and (keep_stage or n_nodes <= cw_min // 2))
-        warm_end = acc.warmup_end_us
+        warm_end = inf
         # the general loop also stops at warmup_slots, to open the window
-        check_at = cfg.warmup_slots if replayable or warm_end == inf else end
-        settled = self._settled
-        last_collision = self.last_collision_slot
+        check_at = cfg.warmup_slots
+        settled = False
+        last_collision = -1
 
         queues = self.queues
         active = self.active
@@ -450,12 +453,8 @@ class Simulation:
         node_collision = acc.node_collision
         node_delay_sum = acc.node_delay_sum
         node_delay_n = acc.node_delay_n
-        counted_busy_us = acc.busy_us
-        delay_sum_us = acc.delay_sum_us
-        slot = clock.slot
-        empty_count = clock.empty_count
-        busy_us = clock.busy_us
-        prev_end = self.slot_end_us
+        counted_busy_us = delay_sum_us = busy_us = prev_end = 0.0
+        slot = empty_count = 0
 
         def catch_up(nid, until):
             """Apply nid's arrivals before `until` (on_packet_arrival without
@@ -494,7 +493,7 @@ class Simulation:
                     if arr_heap:
                         a = arr_heap[0][0]
                         now = se * empty_count + busy_us
-                        k = int((a - now) / se)
+                        k = int(min((a - now) / se, gap_end - slot))
                         while k > 0 and a < now + k * se:  # float floor guard
                             k -= 1
                         if slot + k < gap_end:
@@ -548,12 +547,7 @@ class Simulation:
                 # queued wakes its node (on_packet_arrival, inlined)
                 while arr_heap and arr_heap[0][0] < slot_end:
                     nid = heappop(arr_heap)[1]
-                    q = queues[nid]
-                    held = len(q)
                     catch_up(nid, slot_end)
-                    if len(q) == held:  # an idle queue a hook filled
-                        heappush(arr_heap, (streams[nid].next_us, nid))
-                        continue
                     active[nid] = True
                     if not keep_stage:
                         stage[nid] = 0
@@ -695,10 +689,6 @@ class Simulation:
             # prev_end now lags, but saturated runs have no arrivals to catch up
 
         catch_up_active(prev_end)
-        if poisson:
-            self.arrival_heap = sorted((st.next_us, nid)
-                                       for nid, st in enumerate(streams))
-        self.slot_end_us = prev_end
         self._settled = settled
         self.last_collision_slot = last_collision
         clock.slot = slot

@@ -273,7 +273,8 @@ def parse_config_with_overrides(path, overrides) -> SweepSpec:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not overrides:
         return parse_config(text, str(path))
-    # overrides replace, so strip earlier assignments of overridden keys
+    # overrides replace, so blank out earlier assignments of overridden keys
+    # (blanked, not dropped, so errors keep the file's line numbers)
     keys = set()
     for item in overrides:
         if "=" not in item:
@@ -283,9 +284,7 @@ def parse_config_with_overrides(path, overrides) -> SweepSpec:
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         key = line.partition("=")[0].strip() if "=" in line else None
-        if key in keys:
-            continue
-        kept.append(raw)
+        kept.append("" if key in keys else raw)
     merged = "\n".join(kept) + "\n" + "\n".join(overrides) + "\n"
     return parse_config(merged, f"{path} (with overrides)")
 

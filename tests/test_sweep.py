@@ -207,6 +207,16 @@ def test_overrides_replace_file_values(tmp_path):
         parse_config_with_overrides(path, ["seeds7"])
 
 
+def test_overrides_keep_the_file_line_numbers_in_errors(tmp_path):
+    """An overridden line is blanked, so later lines keep their numbers."""
+    path = tmp_path / "sweep.conf"
+    path.write_text("node_counts = 2\nseeds = 1\ncw_min = 16\n"
+                    "sim_slots = 2000\nwarmup_slots = 100\nmax_stage = x\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config_with_overrides(path, ["cw_min=8"])
+    assert "(with overrides):6:" in str(err.value)
+
+
 def test_variant_aggregation_overrides_the_base_value():
     spec = parse_config("node_counts = 2\nmax_aggregation = 4\n"
                         "protocol = csma-ca\nprotocol = csma-ca agg=16\n")
