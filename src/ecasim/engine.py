@@ -289,7 +289,7 @@ class Simulation:
     def nodes(self) -> list:
         """Each node's drop count as nodes[i].counters.dropped, a read-only
         copy built on access.  Kept only because perfbench/tracer.py reads
-        it (ROADMAP item 4); everything else reads sim.dropped."""
+        it (ROADMAP item 6); everything else reads sim.dropped."""
         return [NodeSnapshot(DropCount(d)) for d in self.dropped]
 
     def backoff_counter(self, node_id: int) -> int | None:

@@ -16,7 +16,7 @@ because results are written back in submission order.
 import csv
 import math
 import os
-from itertools import groupby
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -320,18 +320,43 @@ def _project(report) -> dict:
     }
 
 
+def _mean(samples: list) -> float:
+    """Arithmetic mean, computed exactly as statistics.fmean computes it."""
+    return math.fsum(samples) / len(samples)
+
+
 def _stdev(samples: list) -> float:
     """Sample standard deviation; 0 for one sample, nan if any is nan or inf.
 
-    statistics.stdev raises on a non-finite sample (a run that measured no
-    delay reports nan), where statistics.fmean lets the nan through.
+    The same float as statistics.stdev, without its Fraction arithmetic.  A
+    finite float is an integer over a power of two, so over the largest such
+    denominator d the samples are integers x_i, and the sample variance is
+    exactly (k*sum(x_i**2) - sum(x_i)**2) / (k*(k-1)*d**2).  Its square root
+    is rounded once, with the round-to-odd isqrt step statistics uses, which
+    makes it correctly rounded.  statistics.stdev raises on a non-finite
+    sample (a run that measured no delay reports nan); this returns nan.
     """
-    if len(samples) < 2:
+    k = len(samples)
+    if k < 2:
         return 0.0
-    if not all(math.isfinite(x) for x in samples):
+    if not all(map(math.isfinite, samples)):
         return math.nan
-    import statistics
-    return statistics.stdev(samples)
+    ratios = [x.as_integer_ratio() for x in samples]
+    d = max(m for _, m in ratios)
+    xs = [n * (d // m) for n, m in ratios]
+    total = sum(xs)
+    num = k * sum(x * x for x in xs) - total * total
+    den = k * (k - 1) * d * d
+    # scale num/den to about 2*53+3 bits, so the integer root keeps at least
+    # two bits beyond a float's 53: round-to-odd there, then one rounding
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return (root << max(q, 0)) / (1 << max(-q, 0))
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -364,13 +389,41 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
+def _run_chunk(run, configs: list) -> list:
+    """run over a contiguous chunk of configs, in a pool worker.
+
+    A ConsistencyError ends the chunk as its last item instead of being
+    raised, so the reports of the cells before it still reach the parent.
+    run is passed in, not looked up here, so that a replacement the parent
+    put at sweep.run_simulation is what the worker runs.
+    """
+    reports = []
+    for cfg in configs:
+        try:
+            reports.append(run(cfg))
+        except ConsistencyError as exc:
+            reports.append(exc)
+            break
+    return reports
+
+
 def _reports(configs: list, workers: int):
-    """run_simulation over configs, in order, on a pool if workers > 1."""
-    if workers == 1 or len(configs) == 1:
+    """run_simulation over configs, in order, on a pool if workers > 1.
+
+    The pool gets contiguous chunks of cells, about 16 chunks per worker, so
+    the parent handles a few dozen results instead of one per cell.
+    """
+    if workers == 1:
         yield from map(run_simulation, configs)
         return
+    size = max(1, len(configs) // (workers * 16))
+    chunks = [configs[i:i + size] for i in range(0, len(configs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run_simulation, configs)
+        for chunk in pool.map(_run_chunk, repeat(run_simulation), chunks):
+            for report in chunk:
+                if isinstance(report, ConsistencyError):
+                    raise report
+                yield report
 
 
 def _cells(rows: list):
@@ -391,7 +444,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     spec.validate()
     keys = list(spec.run_keys())
     configs = [spec.config_for(*key) for key in keys]
-    workers = worker_count(workers)
+    # a pool starts all its processes at once, so none beyond the cell count
+    workers = min(worker_count(workers), len(configs))
     # output paths fail before the first run, not after the last
     out = make_dir(spec.output_dir)
     if (out / RESULTS_NAME).is_dir():
@@ -413,14 +467,13 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
         write_results_csv(results, out / RESULTS_NAME)
         raise
 
-    import statistics
     aggregates = {}
     for cell, cell_rows in _cells(rows):
         mean = {}
         std = {}
         for col in METRIC_COLUMNS:
             samples = [float(r.values[col]) for r in cell_rows]
-            mean[col] = statistics.fmean(samples)
+            mean[col] = _mean(samples)
             std[col] = _stdev(samples)
         aggregates[cell] = {"mean": mean, "stddev": std}
 
@@ -486,33 +539,41 @@ def load_results(csv_path, echo_path=None) -> ResultsTable:
         header = next(reader, None)
         if header != CSV_COLUMNS:
             raise ConfigError(f"{csv_path}: unexpected results header")
-        labels = []
-        node_counts = []
+        labels: dict = {}       # insertion-ordered sets
+        node_counts: dict = {}
         mean: dict = {}
         stddev: dict = {}
+        width = len(CSV_COLUMNS)
         for row in reader:
             if not row:
                 continue
             if row[0] == FAULT_MARKER:
                 raise ConfigError(
                     f"{csv_path}: results contain a fault marker: {row[1]}")
-            where = f"{csv_path}:{reader.line_num}"
-            if len(row) != len(CSV_COLUMNS):
-                raise ConfigError(f"{where}: expected {len(CSV_COLUMNS)} "
-                                  f"cells, got {len(row)}")
-            label, n, seed = row[0], _cast_int("n_nodes", row[1], where), row[2]
-            values = {c: _cast_float(c, v, where)
-                      for c, v in zip(METRIC_COLUMNS, row[3:])}
-            if label not in labels:
-                labels.append(label)
-            if n not in node_counts:
-                node_counts.append(n)
+            if len(row) != width:
+                raise ConfigError(f"{csv_path}:{reader.line_num}: expected "
+                                  f"{width} cells, got {len(row)}")
+            try:
+                n = int(row[1])
+                values = list(map(float, row[3:]))
+            except ValueError:
+                # name the first cell that is not a number
+                where = f"{csv_path}:{reader.line_num}"
+                _cast_int("n_nodes", row[1], where)
+                for col, value in zip(METRIC_COLUMNS, row[3:]):
+                    _cast_float(col, value, where)
+                raise
+            label, seed = row[0], row[2]
+            labels[label] = None
+            node_counts[n] = None
             if seed in ("mean", "stddev"):
-                (mean if seed == "mean" else stddev)[(label, n)] = values
+                (mean if seed == "mean" else stddev)[(label, n)] = dict(
+                    zip(METRIC_COLUMNS, values))
     meta = None
     if echo_path is None:
         candidate = csv_path.parent / ECHO_NAME
         echo_path = candidate if candidate.exists() else None
     if echo_path is not None:
         meta = parse_config_with_overrides(echo_path, ())
-    return ResultsTable(labels, sorted(node_counts), mean, stddev, meta)
+    return ResultsTable(list(labels), sorted(node_counts), mean, stddev,
+                        meta)

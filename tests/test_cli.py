@@ -191,7 +191,9 @@ def test_figures_needs_an_existing_results_file(tmp_path, capsys):
     (["csma-ca", "2", "mean", "abc"] + ["1.0"] * 8,
      "throughput_bps expects a number"),
     (["csma-ca", "2", "mean"] + ["1.0"] * 8, "expected 12 cells, got 11"),
-], ids=["n-nodes", "metric", "short-row"])
+    (["csma-ca", "2", "2", "1.0", "slow"] + ["1.0"] * 7,
+     "mean_delay_s expects a number, got 'slow'"),
+], ids=["n-nodes", "metric", "short-row", "seed-row-metric"])
 def test_figures_rejects_malformed_results_rows(tmp_path, capsys, cells,
                                                 message):
     results = tmp_path / "results.csv"
@@ -240,17 +242,20 @@ note("validate")
 assert main(["figures", "--results", sys.argv[3], "--fig", "1",
              "--out", sys.argv[4]]) == 0
 note("figures")
-run_sweep(parse_config_with_overrides(sys.argv[2], ()), workers=1)
+# two seeds, so every stddev goes through the exact variance
+run_sweep(parse_config_with_overrides(sys.argv[2], ["seeds = 1, 2"]),
+          workers=1)
 note("one-worker run_sweep")
 print(json.dumps(loaded))
 """
 
 
 def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
-    """multiprocessing is about as costly to import as ecasim itself, and
-    statistics is needed only to aggregate a finished sweep.  dataclasses,
-    with the inspect it loads, cost more than the rest of ecasim's import, so
-    no step may load either."""
+    """multiprocessing is about as costly to import as ecasim itself.
+    dataclasses, with the inspect it loads, cost more than the rest of
+    ecasim's import.  statistics, with the fractions and decimal behind it,
+    is not needed at all: a sweep aggregates in floats and integers.  So no
+    step, the one-worker run_sweep included, may load any of them."""
     path, _ = _write_config(tmp_path)
     golden = Path(__file__).resolve().parent / "golden" / "poisson"
     src = Path(ecasim.__file__).resolve().parents[1]
@@ -260,10 +265,8 @@ def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
+    banned = {"multiprocessing", "concurrent.futures.process", "dataclasses",
+              "inspect", "statistics", "fractions", "decimal"}
     for step, modules in loaded.items():
-        banned = {"multiprocessing", "concurrent.futures.process",
-                  "dataclasses", "inspect"}
-        if step != "one-worker run_sweep":  # aggregating needs statistics
-            banned.add("statistics")
         hits = banned & set(modules)
         assert not hits, f"{step} loaded {sorted(hits)}"

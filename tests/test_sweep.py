@@ -4,8 +4,10 @@ import csv
 import math
 import os
 import statistics
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ecasim import (ConfigError, ConsistencyError, Protocol, SimConfig,
                     SweepSpec)
@@ -272,6 +274,63 @@ def test_aggregates_match_a_direct_recomputation(tmp_path):
             assert agg["stddev"][col] == statistics.stdev(samples)
 
 
+FLOAT_MAX = sys.float_info.max
+FLOAT_TINY = sys.float_info.min  # the smallest normal float
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _near_equal(base, steps):
+    """base moved by a few ulps: samples whose spread is at the last bit."""
+    return [base + step * math.ulp(base) for step in steps]
+
+
+sample_lists = st.one_of(
+    st.lists(finite_floats, min_size=2, max_size=10),
+    st.lists(st.floats(-FLOAT_TINY, FLOAT_TINY), min_size=2, max_size=10),
+    st.lists(st.floats(1e307, FLOAT_MAX).flatmap(
+        lambda x: st.sampled_from([x, -x])), min_size=2, max_size=10),
+    st.builds(lambda x, k: [x] * k, finite_floats, st.integers(2, 10)),
+    st.builds(_near_equal, st.floats(-1e300, 1e300),
+              st.lists(st.integers(-4, 4), min_size=2, max_size=10)),
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.stdev is correctly rounded from 3.11")
+@settings(max_examples=400, deadline=None)
+@given(sample_lists)
+@example([5e-324, 1e-323])
+@example([FLOAT_MAX, -FLOAT_MAX])
+@example([0.1, 0.1, 0.1])
+def test_stdev_is_statistics_stdev_bit_for_bit(samples):
+    try:
+        expected = statistics.stdev(samples)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            sweep_mod._stdev(samples)
+        return
+    assert sweep_mod._stdev(samples).hex() == expected.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_lists)
+def test_mean_is_statistics_fmean(samples):
+    try:
+        expected = statistics.fmean(samples)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            sweep_mod._mean(samples)
+        return
+    assert sweep_mod._mean(samples).hex() == expected.hex()
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=9),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_a_non_finite_sample_gives_a_nan_stdev(samples, bad, data):
+    samples.insert(data.draw(st.integers(0, len(samples))), bad)
+    assert math.isnan(sweep_mod._stdev(samples))
+
+
 def test_single_seed_stddev_is_zero(tmp_path):
     spec = _tiny_spec(tmp_path, seeds=[1])
     results = run_sweep(spec, workers=1)
@@ -355,6 +414,87 @@ def test_fault_writes_partial_results_and_reraises(tmp_path, monkeypatch):
     assert rows[2][0] == FAULT_MARKER
     assert rows[2][1].startswith("csma-ca,3,1:")
     assert len(rows[2]) == len(CSV_COLUMNS)
+
+
+class RecordingPool:
+    """A stand-in executor that runs its map here and notes what it got."""
+
+    made = []     # max_workers of each pool built
+    chunks = []   # the chunk sizes each map call handed out
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, runs, chunks):
+        chunks = list(chunks)
+        self.chunks.append([len(chunk) for chunk in chunks])
+        return map(fn, runs, chunks)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(RecordingPool, "chunks", [])
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_the_pool_is_capped_at_the_cell_count(tmp_path, recording_pool):
+    spec = _tiny_spec(tmp_path, seeds=[1])  # 4 cells
+    run_sweep(spec, workers=64)
+    assert recording_pool.made == [4]
+    assert recording_pool.chunks == [[1, 1, 1, 1]]
+    one = _tiny_spec(tmp_path, seeds=[1], node_counts=[2],
+                     variants=[ProtocolVariant(Protocol.CSMA_ECA)],
+                     output_dir=str(tmp_path / "one"))
+    run_sweep(one, workers=8)
+    assert recording_pool.made == [4]  # a single cell runs without a pool
+
+
+def _many_cells_spec(tmp_path, output_dir):
+    """64 cells: at 2 workers the pool gets 32 chunks of 2."""
+    return _tiny_spec(tmp_path, node_counts=list(range(1, 17)),
+                      output_dir=str(tmp_path / output_dir))
+
+
+def test_cells_go_out_in_contiguous_chunks(tmp_path, recording_pool):
+    run_sweep(_many_cells_spec(tmp_path, "one"), workers=1)
+    run_sweep(_many_cells_spec(tmp_path, "pool"), workers=2)
+    assert recording_pool.chunks == [[2] * 32]
+    assert ((tmp_path / "pool" / RESULTS_NAME).read_bytes()
+            == (tmp_path / "one" / RESULTS_NAME).read_bytes())
+
+
+def _fail_csma_ca_at_three_nodes_seed_two(cfg):
+    """Fails cell 5 of _many_cells_spec, the second of its chunk of 2."""
+    if (cfg.protocol is Protocol.CSMA_CA and cfg.n_nodes == 3
+            and cfg.seed == 2):
+        raise ConsistencyError("planted fault")
+    return run_simulation(cfg)
+
+
+def test_a_fault_inside_a_pooled_chunk_writes_the_one_worker_bytes(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(sweep_mod, "run_simulation",
+                        _fail_csma_ca_at_three_nodes_seed_two)
+    for workers in (1, 2):
+        with pytest.raises(ConsistencyError, match="planted fault"):
+            run_sweep(_many_cells_spec(tmp_path, f"w{workers}"),
+                      workers=workers)
+    pooled = (tmp_path / "w2" / RESULTS_NAME).read_bytes()
+    assert pooled == (tmp_path / "w1" / RESULTS_NAME).read_bytes()
+    rows = _read_rows(tmp_path / "w2" / RESULTS_NAME)
+    # the header, cells 0-4 (cell 4 ran in the failing cell's chunk, ahead
+    # of it) and the fault row
+    assert len(rows) == 1 + 5 + 1
+    assert rows[5][:3] == ["csma-ca", "3", "1"]
+    assert rows[6][:2] == [FAULT_MARKER, "csma-ca,3,2: planted fault"]
 
 
 def _fail_csma_ca_at_three_nodes(cfg):
