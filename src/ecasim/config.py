@@ -8,6 +8,11 @@ from .errors import ConfigError
 from .timing import TimingTable, DEFAULT_TIMING
 
 SATURATED = math.inf
+# A Poisson source costs one draw per arrival, and at a huge rate a gap falls
+# below half an ulp of the arrival instant, so time stops and the run never
+# ends.  1e9 pkt/s is about 9000 arrivals per default idle slot: saturation
+# in all but cost.
+MAX_ARRIVAL_RATE = 1e9
 
 
 class Protocol(str, Enum):
@@ -52,6 +57,9 @@ class SimConfig(NamedTuple):
             raise ConfigError("queue_capacity must be at least max_aggregation")
         if self.arrival_rate < 0 or math.isnan(self.arrival_rate):
             raise ConfigError("arrival_rate must be non-negative or inf")
+        if MAX_ARRIVAL_RATE < self.arrival_rate < math.inf:
+            raise ConfigError(f"arrival_rate must be at most "
+                              f"{MAX_ARRIVAL_RATE:g} packets/s, or inf")
         if self.warmup_slots < 0:
             raise ConfigError("warmup_slots must be non-negative")
         if self.sim_slots <= self.warmup_slots:

@@ -1,44 +1,44 @@
 """Slot-synchronous contention engine.
 
-The channel advances one contention slot at a time.  Every active node whose
-backoff counter has reached zero transmits in that slot: exactly one
+The channel advances one contention slot at a time.  Every contending node
+whose backoff counter has reached zero transmits in that slot: exactly one
 transmitter is a success, two or more collide, none leaves the slot idle.  A
 busy exchange is atomic at slot granularity and, like an idle slot, costs
-every other active node exactly one backoff tick.  That uniform tick is what
-lets a deterministic post-success counter of V repeat with period V + 1
+every other contending node exactly one backoff tick.  That uniform tick is
+what lets a deterministic post-success counter of V repeat with period V + 1
 regardless of how busy the channel is.
 
 Because a counter ticks once per slot unconditionally, "counter c at slot s"
-is the same thing as "transmits at slot s + c".  The engine therefore keeps a
-heap of absolute due-slots instead of decrementing N counters per slot, and
-run() skips idle gaps in bulk up to the next due transmission or the next
+is the same thing as "transmits at slot s + c".  So each node's schedule is
+one absolute due slot, next_tx, -1 while the node is idle, instead of a
+counter decremented every slot.  run() orders the due slots in a heap of its
+own and skips idle gaps in bulk up to the next due transmission or the next
 arrival at an idle node.  No shared randomness is consumed in a skipped gap,
 so bulk skipping is exactly equivalent to stepping slot by slot.
 
 An arrival at a node that is already contending draws nothing from the shared
 RNG and only grows its queue, which nothing reads until the node's next pop.
-So run() keeps only idle nodes in the arrival heap and applies an active
+So run() keeps only idle nodes in its arrival heap and applies a contending
 node's arrivals, from its private stream, where they matter: before it
 transmits with fewer than max_aggregation packets queued (they fix the batch
 size), before a success pops its queue, and at the end of the run.  Appended
 later but in the same order, they give the same stamps, drops and RNG states.
 
-Simulation owns every node's state as lists indexed by node id: queues,
-active, stage and next_tx, and the whole-run ledger arrivals, delivered,
-dropped and queue_empties.  Every tally counts the whole run; the report
-reads the measured window as its end value minus a snapshot taken when slot
+Simulation owns every node's state as seven lists indexed by node id: queues,
+stage and next_tx, and the whole-run ledger arrivals, delivered, dropped and
+queue_empties.  Every tally counts the whole run; the report reads the
+measured window as its end value minus a snapshot taken when slot
 warmup_slots begins (see metrics), so no event asks whether warmup is over.
-advance_slot() is the reference stepper, for tests: it resolves one slot
-through on_packet_arrival, after_transmission and the traffic and metrics
-functions.  run() runs a fresh Simulation from slot 0 to the end in one fused
-loop over the same lists, with those functions inlined and the same random
-draws in the same order, stopping at slot warmup_slots to take the snapshot,
-and a differential test holds it equal to stepping.  The two drivers are not
-mixed: run() refuses a Simulation that advance_slot() has stepped.
-
-Time is tracked as (idle slot count, accumulated busy time) and composed on
-demand, which keeps the clock bit-identical between the bulk and single-step
-paths.
+advance_slot() is the reference stepper, for tests.  It drains the slot's
+arrivals in (instant, node id) order, then resolves the nodes due in the slot
+in node id order, through on_packet_arrival, after_transmission and the
+traffic and metrics functions.  run() runs a fresh Simulation from slot 0 to
+the end in one fused loop over the same lists, with those functions inlined
+and the same random draws in the same order, stopping at slot warmup_slots to
+take the snapshot; a differential test holds it equal to stepping, and run()
+refuses a Simulation that advance_slot() has stepped.  The clock is the slot
+index, the count of empty slots and the busy time; now_us composes the last
+two on demand, which keeps time bit-identical between bulk and stepped slots.
 
 Saturated csma-eca can settle: every node due within one post-success period
 and no two nodes ever due in the same slot.  From then on nothing collides and
@@ -100,22 +100,6 @@ NodeSnapshot = namedtuple("NodeSnapshot", "counters")
 DropCount = namedtuple("DropCount", "dropped")
 
 
-class SimClock:
-    """Slot index plus elapsed time, composed from idle and busy parts."""
-
-    __slots__ = ("slot", "empty_count", "busy_us", "slot_empty_us")
-
-    def __init__(self, slot_empty_us: float):
-        self.slot = 0
-        self.empty_count = 0
-        self.busy_us = 0.0
-        self.slot_empty_us = slot_empty_us
-
-    @property
-    def now_us(self) -> float:
-        return self.slot_empty_us * self.empty_count + self.busy_us
-
-
 def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
     """The busy slots of one hyperperiod from slot s, if none can collide.
 
@@ -172,62 +156,63 @@ def _replay_busy_slots(plan, reps, se, empty_count, idle_per, duration,
     return busy_us, counted_busy_us, delay_sum_us
 
 
-def on_packet_arrival(sim, nid: int, enqueue_us: float) -> int | None:
-    """Enqueue one arrival at node nid; returns a backoff counter iff the
-    node rejoined.
+def on_packet_arrival(sim, nid: int, enqueue_us: float) -> None:
+    """Enqueue one arrival at node nid during slot sim.slot.
 
-    A full queue drops the packet.  An inactive node becomes active again with
-    a uniform counter over the base window; csma-eca with hysteresis keeps its
-    inflated stage across the idle period, everything else restarts at stage 0.
+    A full queue drops the packet.  An idle node rejoins contention: it draws
+    a uniform counter over the base window and is due that many slots after
+    this one.  csma-eca with hysteresis keeps its inflated stage across the
+    idle period, everything else restarts at stage 0.
     """
     cfg = sim.cfg
     sim.arrivals[nid] += 1
     queue = sim.queues[nid]
     if len(queue) >= cfg.queue_capacity:
         sim.dropped[nid] += 1
-        return None
+        return
     queue.append(enqueue_us)
-    if sim.active[nid]:
-        return None
-    sim.active[nid] = True
+    if sim.next_tx[nid] >= 0:
+        return
     if not (cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis):
         sim.stage[nid] = 0
-    return protocols.rejoin_backoff(cfg.cw_min, cfg.rejoin_inclusive,
-                                    sim.proto_rng)
+    sim.next_tx[nid] = sim.slot + 1 + protocols.rejoin_backoff(
+        cfg.cw_min, cfg.rejoin_inclusive, sim.proto_rng)
 
 
 def after_transmission(sim, nid: int, success: bool,
-                       batch_size: int) -> tuple[list[float], int | None]:
-    """Apply the outcome of node nid's transmission attempt.
+                       batch_size: int) -> list[float]:
+    """Apply the outcome of node nid's transmission attempt in sim.slot.
 
     On success the batch leaves the queue and a saturated source tops the
     queue back up to capacity; a node whose queue is then empty leaves
     contention (one queue-empty event).  On collision the batch stays queued
-    for retry and the window doubles.  Returns the enqueue instants of the
-    delivered packets and the next backoff counter, or None if the node went
-    idle.
+    for retry and the window doubles.  A node still contending is due its
+    new counter's slots after this one.  Returns the enqueue instants of the
+    delivered packets.
     """
     cfg = sim.cfg
     if not success:
         sim.stage[nid], counter = protocols.next_backoff_after_collision(
             sim.stage[nid], cfg.max_stage, cfg.cw_min, sim.proto_rng)
-        return [], counter
+        sim.next_tx[nid] = sim.slot + 1 + counter
+        return []
     queue = sim.queues[nid]
     batch = [queue.popleft() for _ in range(batch_size)]
     sim.delivered[nid] += batch_size
     if cfg.saturated:
         added = sim.streams[nid].refill(len(queue), cfg.queue_capacity,
-                                        sim.clock.now_us)
+                                        sim.now_us)
         queue.extend(added)
         sim.arrivals[nid] += len(added)
     if not queue:
-        sim.active[nid] = False
+        sim.next_tx[nid] = -1
         sim.queue_empties[nid] += 1
-        return batch, None
+        return batch
     sim.stage[nid], counter = protocols.next_backoff_after_success(
         cfg.protocol, cfg.hysteresis, sim.stage[nid], cfg.cw_min,
         sim.proto_rng)
-    return batch, counter
+    sim.next_tx[nid] = sim.slot + 1 + counter
+    return batch
 
 
 class Simulation:
@@ -241,29 +226,24 @@ class Simulation:
         self.proto_rng = random.Random(master.getrandbits(64))
         n = cfg.n_nodes
         self.queues = [deque() for _ in range(n)]  # enqueue instants, us, FIFO
-        self.active = [False] * n
         self.stage = [0] * n       # backoff stage
-        self.next_tx = [-1] * n    # due slot; meaningless while inactive
+        self.next_tx = [-1] * n    # the slot the node transmits in; -1: idle
         # the whole-run packet ledger
         self.arrivals = [0] * n
         self.delivered = [0] * n
         self.dropped = [0] * n
         self.queue_empties = [0] * n
-        self.clock = SimClock(t.slot_empty)
+        # the clock: slots resolved, how many were empty, the others' time
+        self.slot = 0
+        self.empty_count = 0
+        self.busy_us = 0.0
         self.acc = MetricsAccumulator(
             t.slot_empty, t.payload_bits,
             (self.delivered, self.dropped, self.queue_empties))
-        self.tx_heap: list = []       # (due slot, node id), one entry per active node
-        self.arrival_heap: list = []  # (next arrival us, node id), poisson only
-        self.streams: list = []
-        for nid in range(n):
-            rng = random.Random(master.getrandbits(64))
-            stream = None
-            if cfg.arrival_rate > 0:  # inf, the saturated rate, included
-                stream = ArrivalStream(cfg.arrival_rate, rng)
-                if not stream.saturated:
-                    heapq.heappush(self.arrival_heap, (stream.next_us, nid))
-            self.streams.append(stream)
+        rngs = [random.Random(master.getrandbits(64)) for _ in range(n)]
+        # inf, the saturated rate, included
+        self.streams = [ArrivalStream(cfg.arrival_rate, rng)
+                        if cfg.arrival_rate > 0 else None for rng in rngs]
         self.last_collision_slot = -1
         self._settled = False
         if cfg.saturated:
@@ -272,12 +252,15 @@ class Simulation:
             for nid in range(n):
                 self.queues[nid].extend([0.0] * cfg.queue_capacity)
                 self.arrivals[nid] = cfg.queue_capacity
-                self.active[nid] = True
                 self.next_tx[nid] = protocols.rejoin_backoff(
                     cfg.cw_min, cfg.rejoin_inclusive, self.proto_rng)
-            self.tx_heap = sorted(zip(self.next_tx, range(n)))
 
     # -- inspection helpers (handy in tests and debugging) -------------------
+
+    @property
+    def now_us(self) -> float:
+        """The instant slot `slot` begins."""
+        return self.cfg.timing.slot_empty * self.empty_count + self.busy_us
 
     @property
     def settle_slot(self) -> int | None:
@@ -293,45 +276,40 @@ class Simulation:
         return [NodeSnapshot(DropCount(d)) for d in self.dropped]
 
     def backoff_counter(self, node_id: int) -> int | None:
-        """Slots left before this node transmits, None while inactive."""
-        if not self.active[node_id]:
-            return None
-        return self.next_tx[node_id] - self.clock.slot
+        """Slots left before this node transmits, None while idle."""
+        due = self.next_tx[node_id]
+        return None if due < 0 else due - self.slot
 
     def inject_packets(self, node_id: int, count: int) -> None:
         """Test hook: place packets in a queue without touching contention."""
         queue = self.queues[node_id]
         assert len(queue) + count <= self.cfg.queue_capacity, "queue overfilled"
-        queue.extend([self.clock.now_us] * count)
+        queue.extend([self.now_us] * count)
         self.arrivals[node_id] += count
 
     def set_backoff(self, node_id: int, counter: int) -> None:
-        """Test hook: activate a node with an explicit counter."""
+        """Test hook: schedule an idle node with an explicit counter."""
         assert counter >= 0
         assert self.queues[node_id], "a contending node needs something to send"
-        assert not self.active[node_id], "node already scheduled"
-        self.active[node_id] = True
-        self.next_tx[node_id] = self.clock.slot + counter
-        heapq.heappush(self.tx_heap, (self.next_tx[node_id], node_id))
+        assert self.next_tx[node_id] < 0, "node already scheduled"
+        self.next_tx[node_id] = self.slot + counter
 
     # -- the reference stepper --------------------------------------------------
 
     def advance_slot(self) -> SlotOutcome:
         """Resolve exactly one contention slot and advance the clock."""
         cfg = self.cfg
-        clock = self.clock
         acc = self.acc
-        s = clock.slot
+        s = self.slot
+        now = self.now_us
         if s == cfg.warmup_slots:
-            acc.open_window(clock.now_us, clock.empty_count)
+            acc.open_window(now, self.empty_count)
 
-        tx_heap = self.tx_heap
-        txs = []
-        while tx_heap and tx_heap[0][0] == s:
-            _, nid = heapq.heappop(tx_heap)
-            assert self.active[nid] and self.next_tx[nid] == s
+        next_tx = self.next_tx
+        txs, nid = [], -1
+        for _ in range(next_tx.count(s)):  # the due nodes, in node id order
+            nid = next_tx.index(s, nid + 1)
             txs.append(nid)
-        assert not tx_heap or tx_heap[0][0] > s, "overdue transmission in heap"
 
         t = cfg.timing
         # a batch's size is fixed before this slot's arrivals are enqueued
@@ -348,36 +326,32 @@ class Simulation:
                 self.last_collision_slot = s
             duration = t.exchange_us(max(sizes) * t.payload_bits)
 
-        slot_end = clock.now_us + duration
+        slot_end = now + duration
 
-        # arrivals land mid-slot; a node they wake joins from the next slot on
-        arr_heap = self.arrival_heap
-        while arr_heap and arr_heap[0][0] < slot_end:
-            _, nid = heapq.heappop(arr_heap)
-            stream = self.streams[nid]
-            for enqueue_us in stream.drain_poisson(slot_end):
-                counter = on_packet_arrival(self, nid, enqueue_us)
-                if counter is not None:
-                    self.next_tx[nid] = s + 1 + counter
-                    heapq.heappush(tx_heap, (s + 1 + counter, nid))
-            heapq.heappush(arr_heap, (stream.next_us, nid))
+        # arrivals land mid-slot, in (instant, node id) order; a node they
+        # wake joins from the next slot on
+        if 0 < cfg.arrival_rate < inf:
+            streams = self.streams
+            due = sorted((st.next_us, nid) for nid, st in enumerate(streams)
+                         if st.next_us < slot_end)
+            for _, nid in due:
+                for enqueue_us in streams[nid].drain_poisson(slot_end):
+                    on_packet_arrival(self, nid, enqueue_us)
 
         if txs:
             success = len(txs) == 1
             for nid, size in zip(txs, sizes):
-                batch, counter = after_transmission(self, nid, success, size)
+                batch = after_transmission(self, nid, success, size)
+                assert next_tx[nid] != s, "transmitter left due in its slot"
                 acc.record_attempt(nid, success)
                 acc.record_delivery(nid, batch, slot_end)
-                if counter is not None:
-                    self.next_tx[nid] = s + 1 + counter
-                    heapq.heappush(tx_heap, (s + 1 + counter, nid))
 
         acc.record_slot(outcome, duration)
-        clock.slot += 1
+        self.slot = s + 1
         if outcome is EMPTY:
-            clock.empty_count += 1
+            self.empty_count += 1
         else:
-            clock.busy_us += duration
+            self.busy_us += duration
         return outcome
 
     # -- the fused loop -----------------------------------------------------------
@@ -386,19 +360,18 @@ class Simulation:
         """Run a fresh Simulation from slot 0 to cfg.sim_slots and report.
 
         Does exactly what advance_slot() calls from slot 0 do, plus bulk
-        skipping of idle gaps, lazy arrivals at active nodes and the settled
-        replay, in one loop over the simulation's own lists.  Hooks may fill
-        and schedule nodes first; a stepped Simulation, or an idle node
-        holding packets, is refused.
+        skipping of idle gaps, lazy arrivals at contending nodes and the
+        settled replay, in one loop over the simulation's own lists and two
+        heaps it builds from next_tx and the streams.  Hooks may fill and
+        schedule nodes first; a stepped Simulation, or an idle node holding
+        packets, is refused.
         """
-        assert self.clock.slot == 0 and all(
-            a or not q for q, a in zip(self.queues, self.active)), \
+        assert self.slot == 0 and all(
+            due >= 0 or not q for q, due in zip(self.queues, self.next_tx)), \
             "run() needs a fresh Simulation and no idle node holding packets"
         cfg = self.cfg
         t = cfg.timing
-        clock = self.clock
         acc = self.acc
-        tx_heap = self.tx_heap
         heappush = heapq.heappush
         heappop = heapq.heappop
         # randrange(w), inlined: the same getrandbits calls, so the same state
@@ -435,7 +408,6 @@ class Simulation:
         last_collision = -1
 
         queues = self.queues
-        active = self.active
         stage = self.stage
         next_tx = self.next_tx
         arrivals = self.arrivals
@@ -443,11 +415,13 @@ class Simulation:
         dropped = self.dropped
         queue_empties = self.queue_empties
         streams = self.streams
+        # (due slot, node id), one entry per contending node; sorted is a heap
+        tx_heap = sorted((due, nid) for nid, due in enumerate(next_tx)
+                         if due >= 0)
         # each stream's next_us is its next arrival not yet applied; only idle
         # nodes wait for theirs in arr_heap
-        arr_heap = [(streams[nid].next_us, nid) for nid in range(n_nodes)
-                    if poisson and not active[nid]]
-        heapq.heapify(arr_heap)
+        arr_heap = sorted((streams[nid].next_us, nid) for nid in range(n_nodes)
+                          if poisson and next_tx[nid] < 0)
         # the accumulator's lists change in place, scalars are written back
         node_success = acc.node_success
         node_collision = acc.node_collision
@@ -476,10 +450,10 @@ class Simulation:
             dropped[nid] += lost
 
         def catch_up_active(until):
-            """What landed at active nodes since their last catch-up."""
+            """What landed at contending nodes since their last catch-up."""
             if poisson:
                 for nid in range(n_nodes):
-                    if active[nid]:
+                    if next_tx[nid] >= 0:
                         catch_up(nid, until)
 
         while slot < end:
@@ -513,7 +487,7 @@ class Simulation:
                 if due == s:
                     # a batch's size is fixed by what landed before the slot
                     nid = heappop(tx_heap)[1]
-                    assert active[nid] and next_tx[nid] == s
+                    assert next_tx[nid] == s
                     q = queues[nid]
                     if (poisson and len(q) < agg
                             and streams[nid].next_us < prev_end):
@@ -526,7 +500,7 @@ class Simulation:
                         longest = size
                         while tx_heap and tx_heap[0][0] == s:
                             nid = heappop(tx_heap)[1]
-                            assert active[nid] and next_tx[nid] == s
+                            assert next_tx[nid] == s
                             colliders.append(nid)
                             q = queues[nid]
                             if (poisson and len(q) < agg
@@ -548,7 +522,6 @@ class Simulation:
                 while arr_heap and arr_heap[0][0] < slot_end:
                     nid = heappop(arr_heap)[1]
                     catch_up(nid, slot_end)
-                    active[nid] = True
                     if not keep_stage:
                         stage[nid] = 0
                     r = getrandbits(rejoin_bits)
@@ -603,7 +576,7 @@ class Simulation:
                         next_tx[nid] = c
                         heappush(tx_heap, (c, nid))
                     else:
-                        active[nid] = False
+                        next_tx[nid] = -1
                         if poisson:
                             heappush(arr_heap, (streams[nid].next_us, nid))
                         queue_empties[nid] += 1
@@ -648,7 +621,7 @@ class Simulation:
             # hyperperiods of it with no random draw or heap work.  Only the
             # per-busy-slot float sums are kept, in stepping order; integer
             # tallies are added in bulk afterwards.
-            # saturated nodes are all active, all the time
+            # saturated nodes contend all the time
             periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
                        else eca_periods)
             hyper = max(periods)
@@ -685,15 +658,15 @@ class Simulation:
                 if not keep_stage:
                     stage[nid] = 0
             slot += reps * hyper
-            tx_heap[:] = sorted(zip(next_tx, range(n_nodes)))
+            tx_heap = sorted(zip(next_tx, range(n_nodes)))
             # prev_end now lags, but saturated runs have no arrivals to catch up
 
         catch_up_active(prev_end)
         self._settled = settled
         self.last_collision_slot = last_collision
-        clock.slot = slot
-        clock.empty_count = empty_count
-        clock.busy_us = busy_us
+        self.slot = slot
+        self.empty_count = empty_count
+        self.busy_us = busy_us
         acc.busy_us = counted_busy_us
         acc.delay_sum_us = delay_sum_us
         return self._finalize()
@@ -701,7 +674,7 @@ class Simulation:
     def _finalize(self) -> MetricsReport:
         cfg = self.cfg
         report = self.acc.finalize(self.queues, self.stage,
-                                   self.clock.empty_count,
+                                   self.empty_count,
                                    cfg.sim_slots - cfg.warmup_slots)
         for nid, queue in enumerate(self.queues):
             arrivals, delivered = self.arrivals[nid], self.delivered[nid]

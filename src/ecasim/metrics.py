@@ -68,7 +68,8 @@ class MetricsReport(_ReportFields):
 
 
 class MetricsAccumulator:
-    """Collects a run's tallies; the engine drives it slot by slot.
+    """Collects a run's tallies.  advance_slot() calls its record_* methods
+    slot by slot; run() adds to its lists and sums directly.
 
     ledger is the caller's whole-run per-node (delivered, dropped,
     queue_empties) lists.  Float sums are not differenced, as end minus start

@@ -269,7 +269,7 @@ def parse_config_with_overrides(path, overrides) -> SweepSpec:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not overrides:
         return parse_config(text, str(path))
@@ -531,44 +531,44 @@ class ResultsTable(NamedTuple):
 def load_results(csv_path, echo_path=None) -> ResultsTable:
     csv_path = Path(csv_path)
     try:
-        fh = open(csv_path, newline="")
-    except OSError as exc:
+        with open(csv_path, newline="") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read results file {csv_path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_COLUMNS:
-            raise ConfigError(f"{csv_path}: unexpected results header")
-        labels: dict = {}       # insertion-ordered sets
-        node_counts: dict = {}
-        mean: dict = {}
-        stddev: dict = {}
-        width = len(CSV_COLUMNS)
-        for row in reader:
-            if not row:
-                continue
-            if row[0] == FAULT_MARKER:
-                raise ConfigError(
-                    f"{csv_path}: results contain a fault marker: {row[1]}")
-            if len(row) != width:
-                raise ConfigError(f"{csv_path}:{reader.line_num}: expected "
-                                  f"{width} cells, got {len(row)}")
-            try:
-                n = int(row[1])
-                values = list(map(float, row[3:]))
-            except ValueError:
-                # name the first cell that is not a number
-                where = f"{csv_path}:{reader.line_num}"
-                _cast_int("n_nodes", row[1], where)
-                for col, value in zip(METRIC_COLUMNS, row[3:]):
-                    _cast_float(col, value, where)
-                raise
-            label, seed = row[0], row[2]
-            labels[label] = None
-            node_counts[n] = None
-            if seed in ("mean", "stddev"):
-                (mean if seed == "mean" else stddev)[(label, n)] = dict(
-                    zip(METRIC_COLUMNS, values))
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != CSV_COLUMNS:
+        raise ConfigError(f"{csv_path}: unexpected results header")
+    labels: dict = {}       # insertion-ordered sets
+    node_counts: dict = {}
+    mean: dict = {}
+    stddev: dict = {}
+    width = len(CSV_COLUMNS)
+    for row in reader:
+        if not row:
+            continue
+        if row[0] == FAULT_MARKER:
+            raise ConfigError(
+                f"{csv_path}: results contain a fault marker: {row[1]}")
+        if len(row) != width:
+            raise ConfigError(f"{csv_path}:{reader.line_num}: expected "
+                              f"{width} cells, got {len(row)}")
+        try:
+            n = int(row[1])
+            values = list(map(float, row[3:]))
+        except ValueError:
+            # name the first cell that is not a number
+            where = f"{csv_path}:{reader.line_num}"
+            _cast_int("n_nodes", row[1], where)
+            for col, value in zip(METRIC_COLUMNS, row[3:]):
+                _cast_float(col, value, where)
+            raise
+        label, seed = row[0], row[2]
+        labels[label] = None
+        node_counts[n] = None
+        if seed in ("mean", "stddev"):
+            (mean if seed == "mean" else stddev)[(label, n)] = dict(
+                zip(METRIC_COLUMNS, values))
     meta = None
     if echo_path is None:
         candidate = csv_path.parent / ECHO_NAME

@@ -34,8 +34,7 @@ class ArrivalStream:
             raise ConfigError("arrival rate must be positive")
         self.rate = rate
         self.rng = rng
-        self.saturated = math.isinf(rate)
-        self.next_us = math.inf if self.saturated else sample_interarrival(rate, rng)
+        self.next_us = math.inf if math.isinf(rate) else sample_interarrival(rate, rng)
 
     def drain_poisson(self, window_end_us: float) -> list[float]:
         """Enqueue instants of all arrivals strictly before window_end_us."""
@@ -47,5 +46,5 @@ class ArrivalStream:
 
     def refill(self, queue_len: int, capacity: int, now_us: float) -> list[float]:
         """Saturated top-up: enough packets to put the queue back at capacity."""
-        assert self.saturated
+        assert math.isinf(self.rate)
         return [now_us] * (capacity - queue_len)

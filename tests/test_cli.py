@@ -1,11 +1,14 @@
 """Command line behavior: exit codes, outputs, and error reporting."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ecasim
 from ecasim import ConsistencyError
@@ -56,6 +59,89 @@ def test_validate_rejects_a_non_finite_timing_value(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "no.conf")]) == EXIT_CONFIG
     assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_rate_above_the_bound(tmp_path, capsys):
+    path, _ = _write_config(tmp_path)
+    assert main(["validate", "--config", str(path),
+                 "--override", "arrival_rate = 1e300"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "arrival_rate must be at most 1e+09" in err
+
+
+def test_validate_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"node_counts = 2\n# caf\xe9\n")
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config file {path}: ")
+
+
+# every key of the config grammar, with values its cast takes and values
+# that it or validation refuses
+GRAMMAR_KEYS = sorted({"node_counts", "seeds", "protocol", "arrival_rate",
+                       "output_dir", *sweep_mod._FIELD_KEYS})
+_PLAUSIBLE = {"node_counts": ["2", "1, 4", "3, 2"], "seeds": ["1", "1, 2"],
+              "protocol": ["csma-ca", "csma-eca hyst", "csma-ca agg=16"],
+              "arrival_rate": ["120", "saturated", "1e9", "1e300", "-1"],
+              "output_dir": ["out"], int: ["2", "16", "300000", "0"],
+              bool: ["true", "no"], float: ["9.0", "1e-3", "nan"]}
+_values = st.one_of(st.integers(-2**70, 2**70).map(str),
+                    st.floats().map(repr), st.text(max_size=12))
+
+
+@st.composite
+def _assignments(draw):
+    key = draw(st.sampled_from(GRAMMAR_KEYS))
+    plausible = _PLAUSIBLE[sweep_mod._FIELD_KEYS.get(key, key)]
+    value = st.sampled_from(plausible) if draw(st.integers(0, 2)) else _values
+    return f"{key} = {draw(value)}"
+
+
+@st.composite
+def validate_inputs(draw):
+    """Config bytes and overrides: grammar lines, now and then a stray line
+    or override, and now and then random bytes (often not UTF-8) spliced in
+    at a random place."""
+    def rarely():
+        return draw(st.integers(0, 3)) == 0
+
+    lines = ["node_counts = 2"] if draw(st.booleans()) else []
+    lines += draw(st.lists(_assignments(), max_size=5))
+    if rarely():
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.text(max_size=20)))
+    data = "\n".join(lines).encode()
+    if rarely():
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    overrides = [draw(st.text(max_size=12)) if rarely()
+                 else draw(_assignments()).replace(" = ", "=", 1)
+                 for _ in range(draw(st.integers(0, 2)))]
+    return data, overrides
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=validate_inputs())
+@example(inputs=(b"node_counts = 2\n\xff\n", []))
+@example(inputs=(b"node_counts = 2\n", ["arrival_rate=1e300"]))
+def test_validate_never_shows_a_traceback(tmp_path, inputs):
+    """Whatever the config bytes and overrides, validate exits 0, or 1 with
+    a config error line, and raises nothing."""
+    data, overrides = inputs
+    path = tmp_path / "fuzz.conf"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["validate", "--config", str(path)]
+                    + [f"--override={item}" for item in overrides])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: ")
+    else:
+        assert out.getvalue().startswith("# resolved sweep configuration")
 
 
 def test_run_writes_results_and_echo(tmp_path, capsys):
@@ -184,6 +270,15 @@ def test_figures_needs_an_existing_results_file(tmp_path, capsys):
     assert main(["figures", "--results", str(tmp_path / "no.csv"),
                  "--fig", "2", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "cannot read results file" in capsys.readouterr().err
+
+
+def test_figures_reports_a_results_file_that_is_not_utf8(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_bytes(",".join(CSV_COLUMNS).encode() + b"\ncsma-ca,\xff\n")
+    assert main(["figures", "--results", str(results),
+                 "--fig", "2", "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read results file {results}: ")
 
 
 @pytest.mark.parametrize("cells, message", [

@@ -110,7 +110,7 @@ def test_sender_leaves_contention_when_its_queue_drains():
     sim.set_backoff(0, 0)
     sim.advance_slot()
     assert sim.backoff_counter(0) is None
-    assert not sim.active[0]
+    assert sim.next_tx[0] == -1
     assert sim.queue_empties[0] == 1
 
 
@@ -140,16 +140,14 @@ def test_delivery_delay_is_one_exchange_for_an_instant_winner():
 def _end_state(sim):
     """Everything a run leaves behind, beyond the report."""
     return {
-        "clock": (sim.clock.slot, sim.clock.empty_count, sim.clock.busy_us),
+        "clock": (sim.slot, sim.empty_count, sim.busy_us),
         "queues": [list(q) for q in sim.queues],
-        "active": sim.active,
         "stage": sim.stage,
         "next_tx": sim.next_tx,
         "arrivals": sim.arrivals,
         "delivered": sim.delivered,
         "dropped": sim.dropped,
         "queue_empties": sim.queue_empties,
-        "tx_heap": sorted(sim.tx_heap),
         "next_us": [None if st is None else st.next_us for st in sim.streams],
         "rng": [sim.proto_rng.getstate()]
                + [None if st is None else st.rng.getstate() for st in sim.streams],
@@ -163,7 +161,7 @@ def _assert_run_equals_stepping(cfg):
     fast_sim = Simulation(cfg)
     fast = fast_sim.run()
     slow_sim = Simulation(cfg)
-    while slow_sim.clock.slot < cfg.sim_slots:
+    while slow_sim.slot < cfg.sim_slots:
         slow_sim.advance_slot()
     slow = slow_sim._finalize()
     assert _reports_equal(fast, slow)
@@ -188,7 +186,14 @@ def _assert_run_equals_stepping(cfg):
               sim_slots=1500, warmup_slots=200, seed=3),
     SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2, arrival_rate=SATURATED,
               sim_slots=1500, warmup_slots=100, seed=9, cw_min=4, max_stage=1),
-], ids=["ca-poisson", "eca-poisson", "eca-saturated", "ca-saturated"])
+    # the knee regime of the load sweep: many nodes, queues that fill and
+    # (with aggregation) drop
+    SimConfig(protocol=Protocol.CSMA_CA, n_nodes=36, arrival_rate=120.0,
+              max_aggregation=16, sim_slots=12_000, warmup_slots=1200, seed=5),
+    SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=36, arrival_rate=120.0,
+              sim_slots=12_000, warmup_slots=1200, seed=5),
+], ids=["ca-poisson", "eca-poisson", "eca-saturated", "ca-saturated",
+        "ca-agg16-knee", "eca-knee"])
 def test_run_equals_slot_by_slot_stepping(cfg):
     _assert_run_equals_stepping(cfg)
 
@@ -331,10 +336,10 @@ def test_run_refuses_a_full_idle_queue():
     sim.inject_packets(0, 2)
     with pytest.raises(AssertionError, match="no idle node holding packets"):
         sim.run()
-    while sim.clock.slot < cfg.sim_slots:
+    while sim.slot < cfg.sim_slots:
         sim.advance_slot()
     report = sim._finalize()
-    assert not sim.active[0]
+    assert sim.next_tx[0] == -1
     assert report.per_node[0].drops > 0
     assert report.per_node[0].transmissions == 0
 
@@ -381,8 +386,8 @@ def test_report_counts_only_the_window_from_warmup_slots(cfg):
     slots = {"empty": 0, "success": 0, "collision": 0}
     successes, collisions, delivered = [0] * n, [0] * n, [0] * n
     drops, queue_empties = [0] * n, [0] * n
-    while sim.clock.slot < cfg.sim_slots:
-        counted = sim.clock.slot >= cfg.warmup_slots
+    while sim.slot < cfg.sim_slots:
+        counted = sim.slot >= cfg.warmup_slots
         dropped_before = list(sim.dropped)
         empties_before = list(sim.queue_empties)
         out = sim.advance_slot()
@@ -432,17 +437,17 @@ def test_run_equals_stepping_when_a_node_rejoins_beside_backlogged_ones():
     # transmitted again after the first
     assert sim.queue_empties[0] >= 2
     stepped, rejoins = Simulation(cfg), 0
-    while stepped.clock.slot < cfg.sim_slots:
-        idle = not stepped.active[0]
-        start_us = stepped.clock.now_us
+    while stepped.slot < cfg.sim_slots:
+        idle = stepped.next_tx[0] < 0
+        start_us = stepped.now_us
         out = stepped.advance_slot()
-        if (idle and stepped.active[0]
+        if (idle and stepped.next_tx[0] >= 0
                 and any(len(q) > 1 for q in stepped.queues[1:])):
             rejoins += 1
     assert rejoins >= 2
     # run()'s final catch-up must reach this end, not the clock's now_us
     assert out is EMPTY
-    assert start_us + cfg.timing.slot_empty != stepped.clock.now_us
+    assert start_us + cfg.timing.slot_empty != stepped.now_us
 
 
 # -- conservation grid --------------------------------------------------------
@@ -578,7 +583,7 @@ def test_settle_slot_is_reported_for_settling_runs(cfg):
     assert sim.settle_slot == sim.last_collision_slot + 1
     # stepping agrees on where the last collision was
     stepped = Simulation(cfg)
-    while stepped.clock.slot < cfg.sim_slots:
+    while stepped.slot < cfg.sim_slots:
         stepped.advance_slot()
     assert stepped.last_collision_slot == sim.last_collision_slot
     assert stepped.settle_slot is None  # only run() proves settling

@@ -104,29 +104,38 @@ def test_rejoin_upper_bound_flag():
 # -- arrival handling ---------------------------------------------------------
 
 def _sim(prefill=0, **kw):
-    """One node with no traffic source, its queue holding packets enqueued
-    at 0.0, 1.0, ... us."""
+    """One node with no traffic source at slot 0, its queue holding packets
+    enqueued at 0.0, 1.0, ... us."""
     sim = Simulation(SimConfig(n_nodes=1, arrival_rate=0.0, **kw))
     sim.queues[0].extend(float(k) for k in range(prefill))
     sim.arrivals[0] += prefill
     return sim
 
 
+def _drawn(sim):
+    """The counter node 0 drew in slot sim.slot: it is due that many slots
+    after this one.  None while it is idle."""
+    due = sim.next_tx[0]
+    return None if due < 0 else due - sim.slot - 1
+
+
 def test_arrival_wakes_idle_node_with_base_window_counter():
     sim = _sim(queue_capacity=4)
-    counter = on_packet_arrival(sim, 0, 0.0)
-    assert sim.active[0]
+    on_packet_arrival(sim, 0, 0.0)
+    counter = _drawn(sim)
     assert counter is not None and 0 <= counter < sim.cfg.cw_min
     assert sim.stage[0] == 0
-    # second arrival while active must not reschedule anything
-    assert on_packet_arrival(sim, 0, 0.0) is None
+    # second arrival while contending must not reschedule anything
+    on_packet_arrival(sim, 0, 0.0)
+    assert _drawn(sim) == counter
     assert len(sim.queues[0]) == 2
 
 
 def test_full_queue_drops_and_keeps_contention_untouched():
     sim = _sim(prefill=2, queue_capacity=2)
-    sim.active[0] = True
-    assert on_packet_arrival(sim, 0, 0.0) is None
+    sim.next_tx[0] = 0
+    on_packet_arrival(sim, 0, 0.0)
+    assert sim.next_tx[0] == 0
     assert sim.dropped[0] == 1
     assert len(sim.queues[0]) == 2
 
@@ -147,57 +156,56 @@ def test_rejoin_resets_stage_without_hysteresis():
 def test_success_delivers_fifo_batch_and_redraws():
     sim = _sim(prefill=3, protocol=Protocol.CSMA_CA, max_aggregation=2,
                queue_capacity=8)
-    sim.active[0] = True
+    sim.next_tx[0] = 0
     sim.stage[0] = 2
-    delivered, counter = after_transmission(sim, 0, True, 2)
+    delivered = after_transmission(sim, 0, True, 2)
     assert delivered == [0.0, 1.0]
     assert len(sim.queues[0]) == 1
     assert sim.stage[0] == 0
+    counter = _drawn(sim)
     assert counter is not None and 0 <= counter < sim.cfg.cw_min
     assert sim.delivered[0] == 2
 
 
 def test_success_on_last_packet_leaves_contention():
     sim = _sim(prefill=1)
-    sim.active[0] = True
-    delivered, counter = after_transmission(sim, 0, True, 1)
+    sim.next_tx[0] = 0
+    delivered = after_transmission(sim, 0, True, 1)
     assert len(delivered) == 1
-    assert counter is None
-    assert not sim.active[0]
+    assert sim.next_tx[0] == -1
     assert sim.queue_empties[0] == 1
 
 
 def test_collision_keeps_batch_and_escalates():
     sim = _sim(prefill=2, cw_min=16, max_stage=5)
-    sim.active[0] = True
-    delivered, counter = after_transmission(sim, 0, False, 2)
+    sim.next_tx[0] = 0
+    delivered = after_transmission(sim, 0, False, 2)
     assert delivered == []
     assert len(sim.queues[0]) == 2
     assert sim.stage[0] == 1
-    assert 0 <= counter < 32
+    assert 0 <= _drawn(sim) < 32
     assert sim.delivered[0] == 0
     assert sim.queue_empties[0] == 0
 
 
 def test_collision_stage_saturates_at_max_stage():
     sim = _sim(prefill=1, cw_min=16, max_stage=5)
-    sim.active[0] = True
+    sim.next_tx[0] = 0
     sim.stage[0] = 5
-    _, counter = after_transmission(sim, 0, False, 1)
+    after_transmission(sim, 0, False, 1)
     assert sim.stage[0] == 5
-    assert 0 <= counter < 16 * 2 ** 5
+    assert 0 <= _drawn(sim) < 16 * 2 ** 5
 
 
 def test_replenish_keeps_a_saturated_node_in_contention():
     sim = Simulation(SimConfig(n_nodes=1, arrival_rate=SATURATED,
                                queue_capacity=4))
-    assert sim.active[0] and len(sim.queues[0]) == 4
+    assert sim.next_tx[0] >= 0 and len(sim.queues[0]) == 4
     # deliver the whole queue: only a refill before the empty check keeps
     # the node in contention
-    delivered, counter = after_transmission(sim, 0, True, 4)
+    delivered = after_transmission(sim, 0, True, 4)
     assert delivered == [0.0] * 4
-    assert sim.active[0]
-    assert counter is not None
+    assert _drawn(sim) is not None
     assert sim.queue_empties[0] == 0
     assert len(sim.queues[0]) == 4
     assert sim.arrivals[0] == 8  # the refill counts as arrivals

@@ -35,7 +35,7 @@ def test_collision_holds_the_channel_for_the_longest_frame():
     sim.set_backoff(1, 0)
     assert sim.advance_slot() == Collision(transmitters=(0, 1))
     t = DEFAULT_TIMING
-    assert sim.clock.busy_us == t.exchange_us(3 * t.payload_bits)
+    assert sim.busy_us == t.exchange_us(3 * t.payload_bits)
 
 
 def test_empty_slot_is_cheapest():

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ecasim import ConfigError
+from ecasim import ConfigError, SimConfig
+from ecasim.config import MAX_ARRIVAL_RATE
 from ecasim.traffic import ArrivalStream, sample_interarrival
 
 
@@ -27,6 +28,16 @@ def test_poisson_process_requires_positive_rate():
         ArrivalStream(0.0, random.Random(1))
     with pytest.raises(ConfigError):
         ArrivalStream(-3.0, random.Random(1))
+
+
+def test_a_finite_rate_above_the_bound_is_rejected():
+    """At 1e300 pkt/s a gap is below half an ulp of its arrival instant, so
+    time would stop and the run never end.  The bound itself is valid (it
+    is not run here: a run costs one draw per arrival)."""
+    with pytest.raises(ConfigError, match="arrival_rate must be at most"):
+        SimConfig(arrival_rate=1e300).validate()
+    SimConfig(arrival_rate=MAX_ARRIVAL_RATE).validate()
+    SimConfig(arrival_rate=math.inf).validate()
 
 
 def test_saturated_stream_never_schedules_arrivals():
