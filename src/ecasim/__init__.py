@@ -1,7 +1,7 @@
 """Slot-accurate simulation of CSMA/CA and CSMA/ECA channel contention."""
 
 from .config import Protocol, SimConfig, SATURATED
-from .engine import Collision, Empty, Simulation, Success, run_simulation
+from .engine import Simulation, run_simulation
 from .errors import ConfigError, ConsistencyError
 from .metrics import MetricsReport
 from .sweep import SweepSpec, run_sweep
@@ -9,7 +9,7 @@ from .sweep import SweepSpec, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "Collision", "ConfigError", "ConsistencyError", "Empty", "MetricsReport",
-    "Protocol", "SATURATED", "SimConfig", "Simulation", "Success",
-    "SweepSpec", "run_simulation", "run_sweep",
+    "ConfigError", "ConsistencyError", "MetricsReport", "Protocol",
+    "SATURATED", "SimConfig", "Simulation", "SweepSpec", "run_simulation",
+    "run_sweep",
 ]

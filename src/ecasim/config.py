@@ -13,6 +13,10 @@ SATURATED = math.inf
 # ends.  1e9 pkt/s is about 9000 arrivals per default idle slot: saturation
 # in all but cost.
 MAX_ARRIVAL_RATE = 1e9
+# The longest slot (idle, or an exchange of max_aggregation packets) in us: a
+# huge slot stops time the same way, putting the clock where a gap is below
+# half an ulp, and can overflow to inf.  16 default packets take 3.65 ms.
+MAX_SLOT_US = 1e6
 
 
 class Protocol(str, Enum):
@@ -66,4 +70,12 @@ class SimConfig(NamedTuple):
             raise ConfigError("sim_slots must exceed warmup_slots")
         if self.hysteresis and self.protocol is not Protocol.CSMA_ECA:
             raise ConfigError("hysteresis applies to csma-eca only")
-        self.timing.validate()
+        t = self.timing
+        t.validate()
+        try:
+            longest = t.exchange_us(self.max_aggregation * t.payload_bits)
+        except OverflowError:   # a batch too large for a float
+            longest = math.inf
+        if not (t.slot_empty <= MAX_SLOT_US and longest <= MAX_SLOT_US):
+            raise ConfigError(f"slot_empty and an exchange of max_aggregation "
+                              f"packets must last at most {MAX_SLOT_US:g} us")

@@ -29,16 +29,18 @@ stage and next_tx, and the whole-run ledger arrivals, delivered, dropped and
 queue_empties.  Every tally counts the whole run; the report reads the
 measured window as its end value minus a snapshot taken when slot
 warmup_slots begins (see metrics), so no event asks whether warmup is over.
+A caller sets a node up through the lists alone: queues, arrivals, next_tx.
 advance_slot() is the reference stepper, for tests.  It drains the slot's
 arrivals in (instant, node id) order, then resolves the nodes due in the slot
-in node id order, through on_packet_arrival, after_transmission and the
-traffic and metrics functions.  run() runs a fresh Simulation from slot 0 to
-the end in one fused loop over the same lists, with those functions inlined
-and the same random draws in the same order, stopping at slot warmup_slots to
-take the snapshot; a differential test holds it equal to stepping, and run()
-refuses a Simulation that advance_slot() has stepped.  The clock is the slot
-index, the count of empty slots and the busy time; now_us composes the last
-two on demand, which keeps time bit-identical between bulk and stepped slots.
+in node id order and returns them, the slot's whole outcome, through
+on_packet_arrival, after_transmission and the traffic and metrics functions.
+run() runs a fresh Simulation from slot 0 to the end in one fused loop over
+the same lists, with those functions inlined and the same random draws in the
+same order, stopping at slot warmup_slots to take the snapshot; a
+differential test holds it equal to stepping, and run() refuses a Simulation
+that advance_slot() has stepped.  The clock is the slot index, the count of
+empty slots and the busy time; now_us composes the last two on demand, which
+keeps time bit-identical between bulk and stepped slots.
 
 Saturated csma-eca can settle: every node due within one post-success period
 and no two nodes ever due in the same slot.  From then on nothing collides and
@@ -58,7 +60,6 @@ import heapq
 import random
 from collections import deque, namedtuple
 from math import inf, log
-from typing import NamedTuple, Union
 
 from . import protocols  # rules looked up per call, so wrappers apply
 from .config import Protocol, SimConfig
@@ -67,34 +68,6 @@ from .metrics import (MetricsAccumulator, MetricsReport,
                       negative_delay_error)
 from .traffic import ArrivalStream
 
-
-class Empty:
-    """An idle slot.  Not a named tuple: one with no fields would be falsy."""
-
-    kind = "empty"
-
-    def __eq__(self, other):
-        return isinstance(other, Empty)
-
-    def __hash__(self):
-        return hash(Empty)
-
-
-EMPTY = Empty()
-
-
-class Success(NamedTuple):
-    transmitter: int
-    batch_size: int
-    kind = "success"
-
-
-class Collision(NamedTuple):
-    transmitters: tuple
-    kind = "collision"
-
-
-SlotOutcome = Union[Empty, Success, Collision]
 
 NodeSnapshot = namedtuple("NodeSnapshot", "counters")
 DropCount = namedtuple("DropCount", "dropped")
@@ -255,7 +228,7 @@ class Simulation:
                 self.next_tx[nid] = protocols.rejoin_backoff(
                     cfg.cw_min, cfg.rejoin_inclusive, self.proto_rng)
 
-    # -- inspection helpers (handy in tests and debugging) -------------------
+    # -- derived state ------------------------------------------------------
 
     @property
     def now_us(self) -> float:
@@ -275,29 +248,12 @@ class Simulation:
         it (ROADMAP item 6); everything else reads sim.dropped."""
         return [NodeSnapshot(DropCount(d)) for d in self.dropped]
 
-    def backoff_counter(self, node_id: int) -> int | None:
-        """Slots left before this node transmits, None while idle."""
-        due = self.next_tx[node_id]
-        return None if due < 0 else due - self.slot
-
-    def inject_packets(self, node_id: int, count: int) -> None:
-        """Test hook: place packets in a queue without touching contention."""
-        queue = self.queues[node_id]
-        assert len(queue) + count <= self.cfg.queue_capacity, "queue overfilled"
-        queue.extend([self.now_us] * count)
-        self.arrivals[node_id] += count
-
-    def set_backoff(self, node_id: int, counter: int) -> None:
-        """Test hook: schedule an idle node with an explicit counter."""
-        assert counter >= 0
-        assert self.queues[node_id], "a contending node needs something to send"
-        assert self.next_tx[node_id] < 0, "node already scheduled"
-        self.next_tx[node_id] = self.slot + counter
-
     # -- the reference stepper --------------------------------------------------
 
-    def advance_slot(self) -> SlotOutcome:
-        """Resolve exactly one contention slot and advance the clock."""
+    def advance_slot(self) -> tuple:
+        """Resolve exactly one contention slot, advance the clock and return
+        the slot's transmitters in node id order: () for an idle slot, one
+        node id for a success, more for a collision."""
         cfg = self.cfg
         acc = self.acc
         s = self.slot
@@ -306,26 +262,19 @@ class Simulation:
             acc.open_window(now, self.empty_count)
 
         next_tx = self.next_tx
-        txs, nid = [], -1
+        txs, nid = (), -1
         for _ in range(next_tx.count(s)):  # the due nodes, in node id order
             nid = next_tx.index(s, nid + 1)
-            txs.append(nid)
+            txs += (nid,)
 
         t = cfg.timing
         # a batch's size is fixed before this slot's arrivals are enqueued
         sizes = [min(len(self.queues[nid]), cfg.max_aggregation)
                  for nid in txs]
-        if not txs:
-            outcome: SlotOutcome = EMPTY
-            duration = t.slot_empty
-        else:
-            if len(txs) == 1:
-                outcome = Success(txs[0], sizes[0])
-            else:
-                outcome = Collision(tuple(txs))
-                self.last_collision_slot = s
-            duration = t.exchange_us(max(sizes) * t.payload_bits)
-
+        if len(txs) > 1:
+            self.last_collision_slot = s
+        duration = (t.exchange_us(max(sizes) * t.payload_bits) if txs
+                    else t.slot_empty)
         slot_end = now + duration
 
         # arrivals land mid-slot, in (instant, node id) order; a node they
@@ -338,21 +287,20 @@ class Simulation:
                 for enqueue_us in streams[nid].drain_poisson(slot_end):
                     on_packet_arrival(self, nid, enqueue_us)
 
-        if txs:
-            success = len(txs) == 1
-            for nid, size in zip(txs, sizes):
-                batch = after_transmission(self, nid, success, size)
-                assert next_tx[nid] != s, "transmitter left due in its slot"
-                acc.record_attempt(nid, success)
-                acc.record_delivery(nid, batch, slot_end)
+        success = len(txs) == 1
+        for nid, size in zip(txs, sizes):
+            batch = after_transmission(self, nid, success, size)
+            assert next_tx[nid] != s, "transmitter left due in its slot"
+            acc.record_attempt(nid, success)
+            acc.record_delivery(nid, batch, slot_end)
 
-        acc.record_slot(outcome, duration)
+        acc.record_slot(txs, duration)
         self.slot = s + 1
-        if outcome is EMPTY:
-            self.empty_count += 1
-        else:
+        if txs:
             self.busy_us += duration
-        return outcome
+        else:
+            self.empty_count += 1
+        return txs
 
     # -- the fused loop -----------------------------------------------------------
 
@@ -362,9 +310,9 @@ class Simulation:
         Does exactly what advance_slot() calls from slot 0 do, plus bulk
         skipping of idle gaps, lazy arrivals at contending nodes and the
         settled replay, in one loop over the simulation's own lists and two
-        heaps it builds from next_tx and the streams.  Hooks may fill and
-        schedule nodes first; a stepped Simulation, or an idle node holding
-        packets, is refused.
+        heaps it builds from next_tx and the streams.  A caller may fill
+        queues and set next_tx first; a stepped Simulation, or an idle node
+        holding packets, is refused.
         """
         assert self.slot == 0 and all(
             due >= 0 or not q for q, due in zip(self.queues, self.next_tx)), \

@@ -69,7 +69,8 @@ class MetricsReport(_ReportFields):
 
 class MetricsAccumulator:
     """Collects a run's tallies.  advance_slot() calls its record_* methods
-    slot by slot; run() adds to its lists and sums directly.
+    slot by slot, naming each slot by its transmitters; run() adds to its
+    lists and sums directly.
 
     ledger is the caller's whole-run per-node (delivered, dropped,
     queue_empties) lists.  Float sums are not differenced, as end minus start
@@ -103,11 +104,11 @@ class MetricsAccumulator:
 
     # -- recording ---------------------------------------------------------
 
-    def record_slot(self, outcome, duration_us: float) -> None:
-        kind = outcome.kind
-        if kind != "empty":  # the clock counts empty slots
+    def record_slot(self, transmitters, duration_us: float) -> None:
+        """() is an idle slot, one transmitter a success, more a collision."""
+        if transmitters:
             self.busy_us += duration_us
-            if kind == "collision":
+            if len(transmitters) > 1:
                 self.slots_collision += 1
 
     def record_attempt(self, node_id: int, success: bool) -> None:
@@ -161,7 +162,7 @@ class MetricsAccumulator:
         if slots != expected_slots:
             raise ConsistencyError(
                 f"slot ledger mismatch: recorded {slots}, expected {expected_slots}")
-        duration_us = slots_empty * self.slot_empty_us + self.busy_us
+        duration_s = (slots_empty * self.slot_empty_us + self.busy_us) / 1e6
         collisions = sum(collision)
         transmissions = slots_success + collisions
         delivered_packets = sum(delivered)
@@ -189,9 +190,10 @@ class MetricsAccumulator:
 
         n_nodes = len(queues)
         return MetricsReport(
-            duration_s=duration_us / 1e6,
-            throughput_bps=(delivered_bits / (duration_us / 1e6)
-                            if duration_us > 0 else 0.0),
+            duration_s=duration_s,
+            # a positive duration in us can still round to 0.0 s
+            throughput_bps=(delivered_bits / duration_s
+                            if duration_s > 0 else 0.0),
             mean_delay_s=(self.delay_sum_us / delay_samples / 1e6
                           if delay_samples else math.nan),
             delay_samples=delay_samples,

@@ -43,12 +43,7 @@ class ProtocolVariant(NamedTuple):
 
     @property
     def label(self) -> str:
-        text = self.protocol.value
-        if self.max_aggregation is not None:
-            text += f"-agg{self.max_aggregation}"
-        if self.hysteresis:
-            text += "-hyst"
-        return text
+        return self.spelling().replace(" agg=", "-agg").replace(" hyst", "-hyst")
 
     def spelling(self) -> str:
         """The config-file spelling that parses back to this variant."""
@@ -202,11 +197,10 @@ def _cast_int(key, value, where):
 
 def _cast_float(key, value, where):
     try:
-        out = float(value)
+        return float(value)
     except ValueError:
         raise ConfigError(f"{where}: {key} expects a number, "
                           f"got {value!r}") from None
-    return out
 
 
 def _cast_bool(key, value, where):
@@ -307,17 +301,9 @@ class SweepResults(NamedTuple):
 
 
 def _project(report) -> dict:
-    return {
-        "throughput_bps": report.throughput_bps,
-        "mean_delay_s": report.mean_delay_s,
-        "avg_end_queue": report.avg_end_queue,
-        "q_empty_per_tx": report.queue_empty_per_tx,
-        "avg_end_stage": report.avg_end_stage,
-        "collision_fraction": report.collision_fraction,
-        "drops": report.drops,
-        "transmissions": report.transmissions,
-        "duration_s": report.duration_s,
-    }
+    """The report's CSV values; q_empty_per_tx is queue_empty_per_tx."""
+    return {col: getattr(report, col.replace("q_", "queue_", 1))
+            for col in METRIC_COLUMNS}
 
 
 def _mean(samples: list) -> float:
@@ -448,9 +434,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     workers = min(worker_count(workers), len(configs))
     # output paths fail before the first run, not after the last
     out = make_dir(spec.output_dir)
-    if (out / RESULTS_NAME).is_dir():
-        raise ConfigError(f"cannot write {out / RESULTS_NAME}: "
-                          "it is a directory")
+    _check_writable(out / RESULTS_NAME)
     write_text(out / ECHO_NAME, spec.resolved_text())
 
     rows = []
@@ -483,21 +467,36 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
 
 
 def write_results_csv(results: SweepResults, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for cell, cell_rows in _cells(results.rows):
-            for row in cell_rows:
-                writer.writerow([row.label, row.n_nodes, row.seed]
-                                + [row.values[c] for c in METRIC_COLUMNS])
-            agg = results.aggregates.get(cell)
-            if agg:
-                for kind in ("mean", "stddev"):
-                    writer.writerow(list(cell) + [kind]
-                                    + [agg[kind][c] for c in METRIC_COLUMNS])
-        if results.fault is not None:
-            writer.writerow([FAULT_MARKER, results.fault]
-                            + [""] * (len(CSV_COLUMNS) - 2))
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            for cell, cell_rows in _cells(results.rows):
+                for row in cell_rows:
+                    writer.writerow([row.label, row.n_nodes, row.seed]
+                                    + [row.values[c] for c in METRIC_COLUMNS])
+                agg = results.aggregates.get(cell)
+                if agg:
+                    for kind in ("mean", "stddev"):
+                        writer.writerow(
+                            list(cell) + [kind]
+                            + [agg[kind][c] for c in METRIC_COLUMNS])
+            if results.fault is not None:
+                writer.writerow([FAULT_MARKER, results.fault]
+                                + [""] * (len(CSV_COLUMNS) - 2))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path: Path) -> None:
+    """Open path for writing, truncating nothing and leaving no new file."""
+    existed = path.exists()
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    if not existed:
+        path.resolve().unlink()
 
 
 def make_dir(path) -> Path:

@@ -99,7 +99,7 @@ def test_accept_02_converged_schedule_period():
         sim = Simulation(probe)
         last_bad = -1
         for slot in range(horizon):
-            if sim.advance_slot().kind != "success":
+            if len(sim.advance_slot()) != 1:
                 last_bad = slot
         start = last_bad + 1
         cfg = probe._replace(sim_slots=start + window, warmup_slots=start)

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, outputs, and error reporting."""
 
+import csv
 import io
 import json
 import subprocess
@@ -14,7 +15,9 @@ import ecasim
 from ecasim import ConsistencyError
 import ecasim.sweep as sweep_mod
 from ecasim.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, main
-from ecasim.sweep import CSV_COLUMNS, FAULT_MARKER
+from ecasim.sweep import CSV_COLUMNS, FAULT_MARKER, METRIC_COLUMNS
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _write_config(tmp_path, extra=""):
@@ -70,6 +73,18 @@ def test_validate_rejects_a_rate_above_the_bound(tmp_path, capsys):
     assert "arrival_rate must be at most 1e+09" in err
 
 
+@pytest.mark.parametrize("overrides", [
+    ["difs=1e300"], ["difs=1e308", "sifs=1e308"], ["data_rate=1e-300"]],
+    ids=["difs", "difs-sifs", "data_rate"])
+def test_validate_rejects_a_slot_above_the_bound(tmp_path, capsys, overrides):
+    path, _ = _write_config(tmp_path)
+    assert main(["validate", "--config", str(path)]
+                + [f"--override={item}" for item in overrides]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "must last at most 1e+06 us" in err
+
+
 def test_validate_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "bad.conf"
     path.write_bytes(b"node_counts = 2\n# caf\xe9\n")
@@ -86,7 +101,8 @@ _PLAUSIBLE = {"node_counts": ["2", "1, 4", "3, 2"], "seeds": ["1", "1, 2"],
               "protocol": ["csma-ca", "csma-eca hyst", "csma-ca agg=16"],
               "arrival_rate": ["120", "saturated", "1e9", "1e300", "-1"],
               "output_dir": ["out"], int: ["2", "16", "300000", "0"],
-              bool: ["true", "no"], float: ["9.0", "1e-3", "nan"]}
+              bool: ["true", "no"],
+              float: ["9.0", "1e-3", "nan", "5e-324", "1e300"]}
 _values = st.one_of(st.integers(-2**70, 2**70).map(str),
                     st.floats().map(repr), st.text(max_size=12))
 
@@ -142,6 +158,113 @@ def test_validate_never_shows_a_traceback(tmp_path, inputs):
         assert err.getvalue().startswith("config error: ")
     else:
         assert out.getvalue().startswith("# resolved sweep configuration")
+
+
+def _main_quietly(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@st.composite
+def run_inputs(draw):
+    """validate_inputs, with overrides that pin what each run costs in place
+    of any fuzzed ones of the same keys: at most 300 slots (and a warmup
+    that mostly fits), 4 nodes, 1e4 packets/s (or saturated) and 64 queued
+    packets.  validate accepts node_counts = 1000000000000, so node counts
+    are never left to the fuzzed config."""
+    data, overrides = draw(validate_inputs())
+    slots = draw(st.integers(1, 300))
+    nodes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,
+                          unique=True))
+    pins = {"sim_slots": slots,
+            "warmup_slots": draw(st.integers(0, slots)),
+            "node_counts": ",".join(map(str, sorted(nodes))),
+            "arrival_rate": draw(st.sampled_from(
+                ["0", "5e-324", "120", "1e4", "saturated"])),
+            "queue_capacity": draw(st.integers(1, 64))}
+    kept = [item for item in overrides
+            if item.partition("=")[0].strip() not in [*pins, "output_dir"]]
+    return data, kept + [f"{key}={value}" for key, value in pins.items()]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=run_inputs())
+@example(inputs=(b"node_counts = 2\nslot_empty = 5e-324\nwarmup_slots = 0\n",
+                 ["sim_slots=200", "node_counts=2", "arrival_rate=100",
+                  "queue_capacity=8"]))
+def test_run_never_shows_a_traceback(tmp_path, monkeypatch, inputs):
+    """A run exits 0, 1 with a config error line, or 2 on a fault."""
+    data, overrides = inputs
+    monkeypatch.setenv(sweep_mod.WORKERS_ENV, "1")
+    path = tmp_path / "fuzz.conf"
+    path.write_bytes(data)
+    code, err = _main_quietly(
+        ["run", "--config", str(path)]
+        + [f"--override={item}" for item in overrides]
+        + [f"--override=output_dir={tmp_path / 'out'}"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FAULT)
+    if code == EXIT_CONFIG:
+        assert err.startswith("config error: ")
+
+
+_NUMBERS = st.one_of(st.sampled_from(["0", "1e300", "nan", "inf", "-1"]),
+                     st.floats().map(repr))
+
+
+@st.composite
+def results_inputs(draw):
+    """results.csv bytes, and whether the golden echo sits next to them.
+
+    A header, then for a few (label, n) cells a seed row and the mean and
+    stddev rows, all numbers; and mostly one flaw: a cell (the header's
+    too) replaced by a random value, a row a cell short or long, or random
+    bytes (often not UTF-8) spliced in.
+    """
+    labels = draw(st.lists(st.sampled_from(["csma-ca", "csma-eca-hyst"])
+                           | st.text(max_size=6), min_size=1, max_size=2))
+    counts = draw(st.lists(st.integers(-2**70, 2**70), min_size=1,
+                           max_size=3))
+    rows = [list(CSV_COLUMNS)] + [
+        [label, n, seed] + [draw(_NUMBERS) for _ in METRIC_COLUMNS]
+        for label in labels for n in counts for seed in ("1", "mean", "stddev")]
+    flaw = draw(st.sampled_from([None, "cell", "width", "bytes"]))
+    row = draw(st.sampled_from(rows))
+    if flaw == "cell":
+        row[draw(st.integers(0, len(row) - 1))] = draw(_values)
+    elif flaw == "width":
+        row[-1:] = [] if draw(st.booleans()) else [row[-1], "0"]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    data = text.getvalue().encode()
+    if flaw == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=results_inputs(), fig=st.integers(-1, 9))
+def test_figures_never_shows_a_traceback(tmp_path, inputs, fig):
+    """figures exits 0, or 1 with a config error line."""
+    data, with_echo = inputs
+    results = tmp_path / "res" / "results.csv"
+    results.parent.mkdir(exist_ok=True)
+    results.write_bytes(data)
+    echo = results.parent / "config.resolved"
+    echo.unlink(missing_ok=True)
+    if with_echo:
+        echo.write_text((GOLDEN / "poisson" / "config.resolved").read_text())
+    code, err = _main_quietly(["figures", "--results", str(results),
+                               "--fig", str(fig),
+                               "--out", str(tmp_path / "plots")])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert err.startswith("config error: ")
 
 
 def test_run_writes_results_and_echo(tmp_path, capsys):
@@ -229,11 +352,19 @@ def test_figures_rejects_a_blocked_out_dir(tmp_path, capsys, under):
     assert blocker.read_text() == ""
 
 
-@pytest.mark.parametrize("name", ["results.csv", "config.resolved"])
+def _dangle(path):
+    path.symlink_to(path.parent.parent / "nowhere" / "x")
+
+
+@pytest.mark.parametrize("name, block", [
+    ("results.csv", Path.mkdir), ("config.resolved", Path.mkdir),
+    ("results.csv", _dangle)],
+    ids=["results.csv", "config.resolved", "results.csv-dangling-link"])
 def test_run_rejects_a_directory_at_an_output_file_before_the_first_run(
-        tmp_path, capsys, monkeypatch, name):
+        tmp_path, capsys, monkeypatch, name, block):
     path, out = _write_config(tmp_path)
-    (out / name).mkdir(parents=True)
+    out.mkdir()
+    block(out / name)
     ran = []
     monkeypatch.setenv(sweep_mod.WORKERS_ENV, "1")
     monkeypatch.setattr(sweep_mod, "run_simulation", ran.append)
@@ -243,6 +374,24 @@ def test_run_rejects_a_directory_at_an_output_file_before_the_first_run(
     assert "Traceback" not in err
     assert ran == []
     assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_run_reports_a_results_file_it_cannot_write_at_the_end(
+        tmp_path, capsys, monkeypatch):
+    """results.csv turns into a directory during the runs."""
+    path, out = _write_config(tmp_path)
+    real = sweep_mod.run_simulation
+
+    def blocking(cfg):
+        (out / "results.csv").mkdir(exist_ok=True)
+        return real(cfg)
+
+    monkeypatch.setenv(sweep_mod.WORKERS_ENV, "1")
+    monkeypatch.setattr(sweep_mod, "run_simulation", blocking)
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / 'results.csv'}:")
+    assert "Traceback" not in err
 
 
 def test_figures_rejects_a_directory_at_the_dat_file(tmp_path, capsys):

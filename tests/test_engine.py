@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
-from ecasim import (SATURATED, Collision, ConsistencyError, Empty, Protocol,
-                    SimConfig, Simulation, Success, run_simulation)
-from ecasim.engine import EMPTY
+from ecasim import (SATURATED, ConfigError, ConsistencyError, Protocol,
+                    SimConfig, Simulation, run_simulation)
+from ecasim.config import MAX_SLOT_US
 from ecasim.timing import DEFAULT_TIMING, TimingTable
+from nodes import load_node
 
 # hand arithmetic for the default timing table, one 12000-bit frame:
 # 34 + 20 + 12000/54 + 16 + 20 + 112/24 us
@@ -19,7 +20,7 @@ CEILING_BPS = 12000 / (SINGLE_EXCHANGE_US * 1e-6)
 
 
 def _idle_sim(n=2, **kw):
-    """A sim with no traffic source; tests inject queues and counters."""
+    """A sim with no traffic source; tests load queues and due slots."""
     base = dict(protocol=Protocol.CSMA_CA, n_nodes=n, arrival_rate=0.0,
                 sim_slots=1000, warmup_slots=0, seed=5)
     base.update(kw)
@@ -45,88 +46,76 @@ def _reports_equal(a, b):
 
 def test_lone_zero_counter_wins_the_slot():
     sim = _idle_sim()
-    sim.inject_packets(0, 2)
-    sim.inject_packets(1, 1)
-    sim.set_backoff(0, 0)
-    sim.set_backoff(1, 3)
+    load_node(sim, 0, 2, due_in=0)
+    load_node(sim, 1, 1, due_in=3)
     out = sim.advance_slot()
-    assert out == Success(transmitter=0, batch_size=1)
+    assert out == (0,)
+    assert len(sim.queues[0]) == 1 and sim.delivered == [1, 0]
     # the busy slot costs the bystander one tick
-    assert sim.backoff_counter(1) == 2
+    assert sim.next_tx[1] - sim.slot == 2
     # the winner still has a packet, so it redraws from the base window
-    c0 = sim.backoff_counter(0)
-    assert c0 is not None and 0 <= c0 < 16
+    assert 0 <= sim.next_tx[0] - sim.slot < 16
     assert sim.stage[0] == 0
 
 
 def test_two_zero_counters_collide_and_escalate():
     sim = _idle_sim()
-    sim.inject_packets(0, 1)
-    sim.inject_packets(1, 1)
-    sim.set_backoff(0, 0)
-    sim.set_backoff(1, 0)
+    load_node(sim, 0, 1, due_in=0)
+    load_node(sim, 1, 1, due_in=0)
     out = sim.advance_slot()
-    assert out == Collision(transmitters=(0, 1))
+    assert out == (0, 1)
     for nid in (0, 1):
         assert sim.stage[nid] == 1
         assert len(sim.queues[nid]) == 1  # nothing delivered
-        assert 0 <= sim.backoff_counter(nid) < 32
+        assert 0 <= sim.next_tx[nid] - sim.slot < 32
 
 
 def test_no_zero_counter_leaves_the_slot_idle():
     sim = _idle_sim()
-    sim.inject_packets(0, 1)
-    sim.inject_packets(1, 1)
-    sim.set_backoff(0, 2)
-    sim.set_backoff(1, 5)
+    load_node(sim, 0, 1, due_in=2)
+    load_node(sim, 1, 1, due_in=5)
     out = sim.advance_slot()
-    assert out is EMPTY
-    assert isinstance(out, Empty)
-    assert sim.backoff_counter(0) == 1
-    assert sim.backoff_counter(1) == 4
+    assert out == ()
+    assert sim.next_tx[0] - sim.slot == 1
+    assert sim.next_tx[1] - sim.slot == 4
 
 
 def test_deterministic_redraw_after_success():
     sim = _idle_sim(protocol=Protocol.CSMA_ECA)
-    sim.inject_packets(0, 2)
-    sim.set_backoff(0, 0)
-    assert isinstance(sim.advance_slot(), Success)
-    assert sim.backoff_counter(0) == 7  # cw_min // 2 - 1
+    load_node(sim, 0, 2, due_in=0)
+    assert sim.advance_slot() == (0,)
+    assert sim.next_tx[0] - sim.slot == 7  # cw_min // 2 - 1
 
 
 def test_hysteresis_scales_the_deterministic_redraw():
     sim = _idle_sim(protocol=Protocol.CSMA_ECA, hysteresis=True)
-    sim.inject_packets(0, 2)
-    sim.set_backoff(0, 0)
+    load_node(sim, 0, 2, due_in=0)
     sim.stage[0] = 3
-    assert isinstance(sim.advance_slot(), Success)
+    assert sim.advance_slot() == (0,)
     assert sim.stage[0] == 3
-    assert sim.backoff_counter(0) == (16 << 3) // 2 - 1
+    assert sim.next_tx[0] - sim.slot == (16 << 3) // 2 - 1
 
 
 def test_sender_leaves_contention_when_its_queue_drains():
     sim = _idle_sim()
-    sim.inject_packets(0, 1)
-    sim.set_backoff(0, 0)
+    load_node(sim, 0, 1, due_in=0)
     sim.advance_slot()
-    assert sim.backoff_counter(0) is None
     assert sim.next_tx[0] == -1
     assert sim.queue_empties[0] == 1
 
 
 def test_aggregation_drains_a_batch_per_success():
     sim = _idle_sim(max_aggregation=4, queue_capacity=16)
-    sim.inject_packets(0, 6)
-    sim.set_backoff(0, 0)
+    load_node(sim, 0, 6, due_in=0)
     out = sim.advance_slot()
-    assert out == Success(transmitter=0, batch_size=4)
+    assert out == (0,)
     assert len(sim.queues[0]) == 2
+    assert sim.delivered[0] == 4
 
 
 def test_delivery_delay_is_one_exchange_for_an_instant_winner():
     sim = _idle_sim(n=1, sim_slots=10)
-    sim.inject_packets(0, 1)   # enqueued at t = 0
-    sim.set_backoff(0, 0)
+    load_node(sim, 0, 1, due_in=0)   # enqueued at t = 0
     report = sim.run()
     assert report.delay_samples == 1
     assert report.mean_delay_s == pytest.approx(SINGLE_EXCHANGE_US * 1e-6,
@@ -312,28 +301,87 @@ def test_settled_replay_equals_stepping(cfg):
         assert sim.settle_slot is not None
 
 
-def test_inject_packets_refuses_to_overfill_a_queue():
-    """advance_slot() and run() assume no queue holds more than
-    queue_capacity, so a success always leaves room for the saturated
-    refill."""
-    sim = Simulation(_eca(n_nodes=2, sim_slots=200, warmup_slots=0, seed=1))
-    with pytest.raises(AssertionError, match="queue overfilled"):
-        sim.inject_packets(0, 1)  # saturated queues start full
-    idle = _idle_sim(queue_capacity=3)
-    idle.inject_packets(0, 3)
-    with pytest.raises(AssertionError, match="queue overfilled"):
-        idle.inject_packets(0, 1)
-    assert [len(q) for q in sim.queues + idle.queues] == [1000, 1000, 3, 0]
-    assert idle.arrivals == [3, 0]
+# -- the edges of the validated envelope ---------------------------------------
+
+EDGE_RATES = [0.0, 5e-324, 1e-303, 120.0, 1e6, 1e9, SATURATED]
+# from the smallest float up to the slot bound, and past it
+EDGE_TIMES = [5e-324, 1e-3, 1.0, MAX_SLOT_US / 4, MAX_SLOT_US,
+              2 * MAX_SLOT_US, 1e300]
+FLOAT_TIMES = [name for name, value in DEFAULT_TIMING._asdict().items()
+               if type(value) is float]
+# a slot of a few ns, so that even 1e9 packets/s is a few arrivals per slot
+TINY_TIMING = TimingTable(slot_empty=1e-3, sifs=1e-3, difs=1e-3,
+                          phy_header=1e-3, data_rate=1e300, ack_rate=1e300)
+
+
+@st.composite
+def edge_configs(draw):
+    """Configs at the edges of what validate() accepts, and just past them.
+
+    At high rates sim_slots shrinks, so that an example expects at most
+    about 1e5 arrivals, and a rate that expects more in one slot is not
+    drawn at all.
+    """
+    edges = draw(st.sets(st.sampled_from(FLOAT_TIMES), max_size=2))
+    timing = draw(st.sampled_from([DEFAULT_TIMING, TINY_TIMING]))._replace(
+        **{name: draw(st.sampled_from(EDGE_TIMES)) for name in sorted(edges)})
+    protocol = draw(st.sampled_from(Protocol))
+    agg = draw(st.sampled_from([1, 2, 16]))
+    n = draw(st.integers(1, 4))
+    longest = max(timing.slot_empty,
+                  timing.exchange_us(agg * timing.payload_bits))
+    per_slot = {rate: n * rate * 1e-6 * longest if 0 < rate < math.inf
+                else 0.0 for rate in EDGE_RATES}  # expected arrivals
+    if longest <= MAX_SLOT_US:  # valid timing: keep the run affordable
+        per_slot = {r: a for r, a in per_slot.items() if a <= 1e5}
+    rate = draw(st.sampled_from(sorted(per_slot)))
+    most = int(min(3000, 1e5 / per_slot[rate])) if per_slot[rate] else 3000
+    sim_slots = draw(st.integers(1, max(1, most)))
+    return SimConfig(
+        protocol=protocol,
+        n_nodes=n,
+        arrival_rate=rate,
+        cw_min=draw(st.sampled_from([2, 4, 16, 2**10, 2**20])),
+        max_stage=draw(st.integers(0, 10)),
+        queue_capacity=draw(st.integers(agg, agg + 3)),
+        max_aggregation=agg,
+        hysteresis=protocol is Protocol.CSMA_ECA and draw(st.booleans()),
+        rejoin_inclusive=draw(st.booleans()),
+        sim_slots=sim_slots,
+        warmup_slots=draw(st.one_of(st.just(0),
+                                    st.integers(0, sim_slots - 1))),
+        seed=draw(st.integers(0, 2**32)),
+        timing=timing,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=edge_configs())
+# all 200 slots idle, 1e-323 us in all: the window's duration rounds to 0 s
+@example(SimConfig(n_nodes=2, arrival_rate=100.0, sim_slots=200,
+                   warmup_slots=0, timing=TimingTable(slot_empty=5e-324)))
+@example(SimConfig(n_nodes=4, arrival_rate=1e9, queue_capacity=3,
+                   sim_slots=3000, warmup_slots=0, timing=TINY_TIMING))
+@example(SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3, cw_min=2**20,
+                   max_stage=10, arrival_rate=SATURATED, queue_capacity=1,
+                   sim_slots=3000, warmup_slots=0, seed=2))
+def test_edge_configs_fail_validation_or_run_alike(cfg):
+    """Every config either fails validate() or runs under both drivers to
+    equal reports and end state."""
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    _assert_run_equals_stepping(cfg)
 
 
 def test_run_refuses_a_full_idle_queue():
-    """inject_packets can fill an idle node's queue.  Stepping then drops
-    all its arrivals and never wakes it; run() refuses that state."""
+    """A caller can fill an idle node's queue.  Stepping then drops all its
+    arrivals and never wakes it; run() refuses that state."""
     cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2, arrival_rate=2000.0,
                     queue_capacity=2, sim_slots=2000, warmup_slots=500, seed=4)
     sim = Simulation(cfg)
-    sim.inject_packets(0, 2)
+    load_node(sim, 0, 2)
     with pytest.raises(AssertionError, match="no idle node holding packets"):
         sim.run()
     while sim.slot < cfg.sim_slots:
@@ -379,8 +427,9 @@ def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
     _eca(n_nodes=8, sim_slots=8000, warmup_slots=2000, seed=1),
 ], ids=["drops-both-sides", "warmup-0", "eca-settles"])
 def test_report_counts_only_the_window_from_warmup_slots(cfg):
-    """Recount the window from what stepping returns and from the per-slot
-    changes of the whole-run ledger, without the metrics accumulator."""
+    """Recount the window from the transmitters stepping returns, the batch
+    sizes their queues held, and the per-slot changes of the whole-run
+    ledger, without the metrics accumulator."""
     n = cfg.n_nodes
     sim = Simulation(cfg)
     slots = {"empty": 0, "success": 0, "collision": 0}
@@ -390,15 +439,17 @@ def test_report_counts_only_the_window_from_warmup_slots(cfg):
         counted = sim.slot >= cfg.warmup_slots
         dropped_before = list(sim.dropped)
         empties_before = list(sim.queue_empties)
+        held = [min(len(q), cfg.max_aggregation) for q in sim.queues]
         out = sim.advance_slot()
         if not counted:
             continue
-        slots[out.kind] += 1
-        if out.kind == "success":
-            successes[out.transmitter] += 1
-            delivered[out.transmitter] += out.batch_size
-        elif out.kind == "collision":
-            for nid in out.transmitters:
+        kind = ("empty", "success", "collision")[min(len(out), 2)]
+        slots[kind] += 1
+        if kind == "success":
+            successes[out[0]] += 1
+            delivered[out[0]] += held[out[0]]
+        elif kind == "collision":
+            for nid in out:
                 collisions[nid] += 1
         for nid in range(n):
             drops[nid] += sim.dropped[nid] - dropped_before[nid]
@@ -446,7 +497,7 @@ def test_run_equals_stepping_when_a_node_rejoins_beside_backlogged_ones():
             rejoins += 1
     assert rejoins >= 2
     # run()'s final catch-up must reach this end, not the clock's now_us
-    assert out is EMPTY
+    assert out == ()
     assert start_us + cfg.timing.slot_empty != stepped.now_us
 
 
@@ -566,7 +617,7 @@ def test_full_schedule_eventually_stops_colliding():
         sim = Simulation(cfg)
         last_collision = -1
         for slot in range(60_000):
-            if sim.advance_slot().kind == "collision":
+            if len(sim.advance_slot()) > 1:
                 last_collision = slot
         assert last_collision < 40_000, (n, seed, last_collision)
 
@@ -648,8 +699,7 @@ def test_collision_fraction_tracks_the_chain_model():
 
 # -- inactivity ----------------------------------------------------------------
 
-def test_backoff_counter_is_none_for_an_idle_node():
+def test_idle_nodes_are_not_scheduled():
     sim = _idle_sim()
-    assert sim.backoff_counter(0) is None
-    assert sim.backoff_counter(1) is None
-    assert sim.advance_slot() is EMPTY
+    assert sim.next_tx == [-1, -1]
+    assert sim.advance_slot() == ()

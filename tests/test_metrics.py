@@ -6,7 +6,6 @@ import math
 import pytest
 
 from ecasim import ConsistencyError
-from ecasim.engine import EMPTY, Collision, Success
 from ecasim.metrics import MetricsAccumulator
 
 
@@ -31,7 +30,7 @@ def _report(acc, empty_count, expected_slots, n=2):
 def _success(acc, ledger, node_id, duration_us, batch_size=1):
     """A success slot: the slot, its sender's attempt and the packets it
     delivered, which the caller's ledger counts."""
-    acc.record_slot(Success(node_id, batch_size), duration_us)
+    acc.record_slot((node_id,), duration_us)
     acc.record_attempt(node_id, success=True)
     ledger[0][node_id] += batch_size
 
@@ -39,10 +38,10 @@ def _success(acc, ledger, node_id, duration_us, batch_size=1):
 def test_slot_mixture_yields_collision_fraction():
     acc, ledger = _acc()
     for _ in range(7):
-        acc.record_slot(EMPTY, 9.0)
+        acc.record_slot((), 9.0)
     for _ in range(2):
         _success(acc, ledger, 0, 300.0)
-    acc.record_slot(Collision((0, 1)), 300.0)
+    acc.record_slot((0, 1), 300.0)
     report = _report(acc, empty_count=7, expected_slots=10)
     assert report.slots_total == 10
     assert report.slots_empty == 7
@@ -57,7 +56,7 @@ def test_bulk_empty_recording_matches_repeated_single_slots():
     skipped in bulk, with no record_slot call, report the same."""
     one, _ = _acc()
     for _ in range(5):
-        one.record_slot(EMPTY, 9.0)
+        one.record_slot((), 9.0)
     bulk, _ = _acc()
     a = _report(one, 5, 5)
     b = _report(bulk, 5, 5)
@@ -89,14 +88,14 @@ def test_warmup_enqueues_count_bits_but_not_delay():
 
 def test_negative_delay_aborts():
     acc, _ = _acc()
-    acc.record_slot(Success(0, 1), 300.0)
+    acc.record_slot((0,), 300.0)
     with pytest.raises(ConsistencyError):
         acc.record_delivery(0, [800.0], ack_us=700.0)
 
 
 def test_slot_ledger_mismatch_aborts():
     acc, _ = _acc()
-    acc.record_slot(EMPTY, 9.0)
+    acc.record_slot((), 9.0)
     with pytest.raises(ConsistencyError):
         _report(acc, empty_count=1, expected_slots=3)
 
@@ -120,8 +119,8 @@ def test_zero_slots_marks_empty_run():
 
 def test_queue_empty_rate_uses_attempts_as_denominator():
     acc, (_, _, queue_empties) = _acc()
-    acc.record_slot(Success(0, 1), 300.0)
-    acc.record_slot(Collision((0, 1)), 300.0)
+    acc.record_slot((0,), 300.0)
+    acc.record_slot((0, 1), 300.0)
     acc.record_attempt(0, success=True)
     acc.record_attempt(0, success=False)
     acc.record_attempt(1, success=False)
@@ -156,6 +155,16 @@ def test_per_node_rows_carry_individual_counters():
     assert report.drops == 2
 
 
+def test_a_window_that_rounds_to_zero_seconds_has_zero_throughput():
+    """Two idle slots of 5e-324 us last 1e-323 us, which is 0.0 s."""
+    ledger = ([0, 0], [0, 0], [0, 0])
+    acc = MetricsAccumulator(slot_empty_us=5e-324, payload_bits=12000,
+                             ledger=ledger)
+    acc.open_window(0.0, empty_count=0)
+    report = _report(acc, empty_count=2, expected_slots=2)
+    assert (report.duration_s, report.throughput_bps) == (0.0, 0.0)
+
+
 def test_throughput_is_counted_bits_over_duration():
     acc, ledger = _acc()
     _success(acc, ledger, 0, 1000.0)
@@ -173,7 +182,7 @@ def test_tallies_recorded_before_the_window_opens_are_not_reported():
     # collision and a drop at node 1
     _success(acc, ledger, 0, 300.0)
     queue_empties[0] += 1
-    acc.record_slot(Collision((0, 1)), 300.0)
+    acc.record_slot((0, 1), 300.0)
     acc.record_attempt(0, success=False)
     acc.record_attempt(1, success=False)
     dropped[1] += 1
@@ -199,7 +208,7 @@ def test_busy_time_restarts_when_the_window_opens():
     acc, ledger = _acc(open_window=False)
     _success(acc, ledger, 0, 300.0)
     acc.open_window(300.0, empty_count=0)
-    acc.record_slot(Collision((0, 1)), 700.0)
+    acc.record_slot((0, 1), 700.0)
     acc.record_attempt(0, success=False)
     acc.record_attempt(1, success=False)
     assert acc.busy_us == 700.0

@@ -1,13 +1,12 @@
-"""The contracts of ecasim's records: value semantics, truth, defaults,
-and pickling."""
+"""The contracts of ecasim's records: value semantics, defaults, and
+pickling."""
 
 import pickle
 
 import pytest
 
-from ecasim import (ConfigError, Empty, MetricsReport, Protocol, SimConfig,
+from ecasim import (ConfigError, MetricsReport, Protocol, SimConfig,
                     SweepSpec, run_simulation)
-from ecasim.engine import EMPTY, Collision, Success
 from ecasim.sweep import ProtocolVariant
 from ecasim.timing import TimingTable
 
@@ -32,15 +31,6 @@ def test_config_records_are_immutable_hashable_values(make, field, other):
     assert changed != a
     assert getattr(changed, field) == other
     assert len({a, changed}) == 2
-
-
-def test_empty_is_truthy_and_equal_to_any_empty():
-    assert EMPTY
-    assert EMPTY == Empty()
-    assert hash(EMPTY) == hash(Empty())
-    assert EMPTY.kind == "empty"
-    assert EMPTY != Success(0, 1)
-    assert EMPTY != Collision((0, 1))
 
 
 @pytest.mark.parametrize("key", ["variants", "seeds"])

@@ -561,3 +561,20 @@ def test_load_results_rejects_a_foreign_header(tmp_path):
 def test_load_results_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read results file"):
         load_results(tmp_path / "nope.csv")
+
+
+def test_the_results_write_check_leaves_every_file_as_it_was(tmp_path):
+    """_check_writable opens each path for writing, but an existing file
+    keeps its bytes, and neither a missing file nor a symlink's missing
+    target is left behind."""
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old rows\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "target.csv")
+    for path in (kept, tmp_path / "new.csv", link):
+        sweep_mod._check_writable(path)
+    assert kept.read_text() == "old rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv",
+                                                          "link.csv"]
+    with pytest.raises(ConfigError, match="cannot write"):
+        sweep_mod._check_writable(tmp_path / "no" / "such.csv")

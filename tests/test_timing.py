@@ -5,8 +5,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ecasim import Collision, ConfigError, Protocol, SimConfig, Simulation
+from ecasim import ConfigError, Protocol, SimConfig, Simulation
+from ecasim.config import MAX_SLOT_US
 from ecasim.timing import DEFAULT_TIMING, TimingTable
+from nodes import load_node
 
 # defaults, one 12000-bit payload, worked out by hand:
 #   34 (difs) + 20 (phy) + 12000/54 + 16 (sifs) + 20 (phy) + 112/24
@@ -29,11 +31,9 @@ def test_collision_holds_the_channel_for_the_longest_frame():
     sim = Simulation(SimConfig(protocol=Protocol.CSMA_CA, arrival_rate=0.0,
                                max_aggregation=4, sim_slots=10,
                                warmup_slots=0))
-    sim.inject_packets(0, 3)
-    sim.inject_packets(1, 1)
-    sim.set_backoff(0, 0)
-    sim.set_backoff(1, 0)
-    assert sim.advance_slot() == Collision(transmitters=(0, 1))
+    load_node(sim, 0, 3, due_in=0)
+    load_node(sim, 1, 1, due_in=0)
+    assert sim.advance_slot() == (0, 1)
     t = DEFAULT_TIMING
     assert sim.busy_us == t.exchange_us(3 * t.payload_bits)
 
@@ -68,3 +68,30 @@ def test_non_positive_timing_rejected(field, value):
     table = TimingTable(**{field: value})
     with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
         table.validate()
+
+
+@pytest.mark.parametrize("timing", [
+    TimingTable(difs=1e300),
+    TimingTable(difs=1e308, sifs=1e308),  # the exchange overflows to inf
+    TimingTable(data_rate=1e-300),
+    TimingTable(slot_empty=2 * MAX_SLOT_US),
+], ids=["difs-1e300", "difs-sifs-1e308", "data_rate-1e-300", "slot_empty"])
+def test_a_slot_longer_than_the_bound_is_rejected(timing):
+    """Each table is finite and positive, but has a slot over the bound.
+    After one slot of the first three, an arrival gap is below half an ulp
+    of the clock (or the clock is inf), so a run would never end."""
+    timing.validate()
+    with pytest.raises(ConfigError, match="must last at most 1e\\+06 us"):
+        SimConfig(timing=timing).validate()
+
+
+def test_the_slot_bound_covers_the_aggregated_exchange():
+    SimConfig(timing=TimingTable(slot_empty=MAX_SLOT_US)).validate()
+    t = DEFAULT_TIMING
+    agg = int((MAX_SLOT_US - t.exchange_us(0)) * t.data_rate / t.payload_bits)
+    assert t.exchange_us(agg * t.payload_bits) <= MAX_SLOT_US
+    SimConfig(max_aggregation=agg, queue_capacity=agg).validate()
+    for too_many in (agg + 1, 10 ** 400):  # the last is too large for a float
+        with pytest.raises(ConfigError, match="must last at most"):
+            SimConfig(max_aggregation=too_many,
+                      queue_capacity=too_many).validate()
