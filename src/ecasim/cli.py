@@ -28,16 +28,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="CSMA/CA vs CSMA/ECA contention simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a sweep described by a config file")
-    p_run.add_argument("--config", required=True, help="key = value sweep file")
-    p_run.add_argument("--override", action="append", default=[],
+    for name, text in (("run", "run a sweep described by a config file"),
+                       ("validate", "check a config and echo it resolved")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="key = value sweep file")
+        p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a config value; repeatable")
-
-    p_val = sub.add_parser("validate", help="check a config and echo it resolved")
-    p_val.add_argument("--config", required=True)
-    p_val.add_argument("--override", action="append", default=[],
-                       metavar="KEY=VALUE")
 
     p_fig = sub.add_parser("figures", help="emit plot data from a results CSV")
     p_fig.add_argument("--results", required=True, help="path to results.csv")
@@ -49,25 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            spec = parse_config_with_overrides(args.config, args.override)
-            try:
-                run_sweep(spec)
-            except ConsistencyError as exc:
-                print(f"internal consistency fault: {exc}", file=sys.stderr)
-                print(f"partial results kept in "
-                      f"{Path(spec.output_dir) / RESULTS_NAME}", file=sys.stderr)
-                return EXIT_FAULT
-            out = Path(spec.output_dir)
-            print(f"results: {out / RESULTS_NAME}")
-            print(f"resolved config: {out / ECHO_NAME}")
-            return EXIT_OK
-
-        if args.command == "validate":
-            spec = parse_config_with_overrides(args.config, args.override)
-            sys.stdout.write(spec.resolved_text())
-            return EXIT_OK
-
         if args.command == "figures":
             table = load_results(args.results)
             text = emit_figure_data(table, args.fig)
@@ -75,13 +53,26 @@ def main(argv=None) -> int:
             write_text(target, text)
             print(f"figure data: {target}")
             return EXIT_OK
+
+        spec = parse_config_with_overrides(args.config, args.override)
+        if args.command == "validate":
+            sys.stdout.write(spec.resolved_text())
+            return EXIT_OK
+
+        out = Path(spec.output_dir)
+        try:
+            run_sweep(spec)
+        except ConsistencyError as exc:
+            print(f"internal consistency fault: {exc}", file=sys.stderr)
+            print(f"partial results kept in {out / RESULTS_NAME}",
+                  file=sys.stderr)
+            return EXIT_FAULT
+        print(f"results: {out / RESULTS_NAME}")
+        print(f"resolved config: {out / ECHO_NAME}")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConsistencyError as exc:
-        print(f"internal consistency fault: {exc}", file=sys.stderr)
-        return EXIT_FAULT
-    raise AssertionError("unreachable")
 
 
 def entrypoint() -> None:

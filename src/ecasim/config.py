@@ -17,6 +17,9 @@ MAX_ARRIVAL_RATE = 1e9
 # huge slot stops time the same way, putting the clock where a gap is below
 # half an ulp, and can overflow to inf.  16 default packets take 3.65 ms.
 MAX_SLOT_US = 1e6
+# The most packets one exchange may carry: a run tabulates the duration of an
+# exchange of every batch size up to max_aggregation before its first slot.
+MAX_AGGREGATION = 1024
 
 
 class Protocol(str, Enum):
@@ -79,3 +82,6 @@ class SimConfig(NamedTuple):
         if not (t.slot_empty <= MAX_SLOT_US and longest <= MAX_SLOT_US):
             raise ConfigError(f"slot_empty and an exchange of max_aggregation "
                               f"packets must last at most {MAX_SLOT_US:g} us")
+        if self.max_aggregation > MAX_AGGREGATION:
+            raise ConfigError(
+                f"max_aggregation must be at most {MAX_AGGREGATION}")

@@ -15,7 +15,6 @@ from .sweep import ResultsTable
 
 
 class FigureDef(NamedTuple):
-    number: int
     column: str
     title: str
     log_scale: bool = False
@@ -23,15 +22,15 @@ class FigureDef(NamedTuple):
 
 
 FIGURES = {
-    1: FigureDef(1, "throughput_bps", "throughput vs number of nodes",
+    1: FigureDef("throughput_bps", "throughput vs number of nodes",
                  offered_load=True),
-    2: FigureDef(2, "mean_delay_s", "mean packet delay vs number of nodes"),
-    3: FigureDef(3, "mean_delay_s", "mean packet delay vs number of nodes",
+    2: FigureDef("mean_delay_s", "mean packet delay vs number of nodes"),
+    3: FigureDef("mean_delay_s", "mean packet delay vs number of nodes",
                  log_scale=True),
-    4: FigureDef(4, "avg_end_queue", "average end-of-run queue size"),
-    5: FigureDef(5, "collision_fraction", "fraction of collision slots"),
-    6: FigureDef(6, "q_empty_per_tx", "queue empty events per transmission"),
-    7: FigureDef(7, "avg_end_stage", "average end-of-run backoff stage"),
+    4: FigureDef("avg_end_queue", "average end-of-run queue size"),
+    5: FigureDef("collision_fraction", "fraction of collision slots"),
+    6: FigureDef("q_empty_per_tx", "queue empty events per transmission"),
+    7: FigureDef("avg_end_stage", "average end-of-run backoff stage"),
 }
 
 

@@ -16,7 +16,8 @@ because results are written back in submission order.
 import csv
 import math
 import os
-from itertools import groupby, repeat
+import sys
+from itertools import groupby, product, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,10 +112,7 @@ class SweepSpec:
 
     def run_keys(self):
         """All (variant, n, seed) triples in their fixed execution order."""
-        for variant in self.variants:
-            for n in self.node_counts:
-                for seed in self.seeds:
-                    yield variant, n, seed
+        return product(self.variants, self.node_counts, self.seeds)
 
     def validate(self) -> None:
         if not self.node_counts:
@@ -140,35 +138,31 @@ class SweepSpec:
 
     def resolved_text(self) -> str:
         """Canonical echo of every resolved value; parses back identically."""
-        base = self.base
-        t = base.timing
         lines = ["# resolved sweep configuration"]
         lines.append("node_counts = " + ",".join(str(n) for n in self.node_counts))
         lines.append("seeds = " + ",".join(str(s) for s in self.seeds))
         for v in self.variants:
             lines.append("protocol = " + v.spelling())
         lines.append(f"output_dir = {self.output_dir}")
-        rate = "saturated" if base.arrival_rate == SATURATED else repr(base.arrival_rate)
-        lines.append(f"arrival_rate = {rate}")
         for key, kind in _FIELD_KEYS.items():
-            value = getattr(t if key in _TIMING_KEYS else base, key)
+            value = getattr(self.base.timing if key in TimingTable._fields
+                            else self.base, key)
+            text = str(value).lower() if kind is bool else repr(value)
+            # arrival_rate is the one field that may be inf
             lines.append(f"{key} = "
-                         + (str(value).lower() if kind is bool else repr(value)))
+                         + ("saturated" if value == SATURATED else text))
         return "\n".join(lines) + "\n"
 
 
 # -- config file grammar -----------------------------------------------------
 
-_LIST_KEYS = {"node_counts", "seeds", "protocol"}
-
 # One key per scalar field, mapped to its type, in echo order: SimConfig's
-# int fields, then its bool fields, then TimingTable's fields.  n_nodes and
-# seed vary per run (node_counts, seeds); arrival_rate has its own spelling.
-_SIM_FIELDS = [(key, kind) for key, kind in SimConfig.__annotations__.items()
-               if kind in (int, bool) and key not in ("n_nodes", "seed")]
-_FIELD_KEYS = dict(sorted(_SIM_FIELDS, key=lambda item: item[1] is bool)
-                   + list(TimingTable.__annotations__.items()))
-_TIMING_KEYS = set(TimingTable._fields)
+# number fields, then its bool fields, then TimingTable's fields.  n_nodes and
+# seed vary per run (node_counts, seeds).
+_FIELD_KEYS = dict(sorted(
+    ((key, kind) for key, kind in SimConfig.__annotations__.items()
+     if kind in (int, float, bool) and key not in ("n_nodes", "seed")),
+    key=lambda item: item[1] is bool), **TimingTable.__annotations__)
 
 
 def _parse_lines(text: str, source: str):
@@ -187,32 +181,22 @@ def _parse_lines(text: str, source: str):
         yield lineno, key, value
 
 
-def _cast_int(key, value, where):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{where}: {key} expects an integer, "
-                          f"got {value!r}") from None
-
-
-def _cast_float(key, value, where):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{where}: {key} expects a number, "
-                          f"got {value!r}") from None
-
-
-def _cast_bool(key, value, where):
+def _cast(kind, key, value: str, where: str):
+    """value as kind for key: int, float, bool (true/false, 1/0, yes/no) or
+    str; `saturated` for arrival_rate is the grammar's only special spelling."""
     low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{where}: {key} expects true or false, got {value!r}")
-
-
-_CASTS = {int: _cast_int, float: _cast_float, bool: _cast_bool}
+    if kind is bool:
+        if low in ("true", "1", "yes", "false", "0", "no"):
+            return low in ("true", "1", "yes")
+    elif key == "arrival_rate" and low == "saturated":
+        return SATURATED
+    else:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    noun = {int: "an integer", float: "a number", bool: "true or false"}[kind]
+    raise ConfigError(f"{where}: {key} expects {noun}, got {value!r}")
 
 
 def parse_config(text: str, source: str = "<config>") -> SweepSpec:
@@ -221,25 +205,19 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
     scalars: dict = {}
     for lineno, key, value in _parse_lines(text, source):
         where = f"{source}:{lineno}"
-        if key in _LIST_KEYS:
+        if key in lists:
             items = [v.strip() for v in value.split(",") if v.strip()]
             if key == "protocol":
                 lists[key].extend(
                     parse_variant(item, f" ({where})") for item in items)
             else:
-                lists[key].extend(_cast_int(key, item, where) for item in items)
-        elif key in _FIELD_KEYS or key in ("arrival_rate", "output_dir"):
+                lists[key].extend(_cast(int, key, item, where) for item in items)
+        elif key in _FIELD_KEYS or key == "output_dir":
             if key in scalars:
                 raise ConfigError(f"{where}: {key} already set on line "
                                   f"{scalars[key][1]}")
-            if key in _FIELD_KEYS:
-                parsed = _CASTS[_FIELD_KEYS[key]](key, value, where)
-            elif key == "arrival_rate":
-                parsed = (SATURATED if value.lower() in ("saturated", "inf")
-                          else _cast_float(key, value, where))
-            else:
-                parsed = value
-            scalars[key] = (parsed, lineno)
+            scalars[key] = (_cast(_FIELD_KEYS.get(key, str), key, value, where),
+                            lineno)
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
@@ -248,7 +226,7 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
 
     taken = {k: v for k, (v, _) in scalars.items()}
     timing = TimingTable(**{k: taken.pop(k) for k in list(taken)
-                            if k in _TIMING_KEYS})
+                            if k in TimingTable._fields})
     output_dir = taken.pop("output_dir", "results")
     base = SimConfig(timing=timing, **taken)
     # an absent list key takes the default; an explicit empty list is rejected
@@ -527,7 +505,7 @@ class ResultsTable(NamedTuple):
     meta: SweepSpec | None = None
 
 
-def load_results(csv_path, echo_path=None) -> ResultsTable:
+def load_results(csv_path) -> ResultsTable:
     csv_path = Path(csv_path)
     try:
         with open(csv_path, newline="") as fh:
@@ -558,21 +536,20 @@ def load_results(csv_path, echo_path=None) -> ResultsTable:
         except ValueError:
             # name the first cell that is not a number
             where = f"{csv_path}:{reader.line_num}"
-            _cast_int("n_nodes", row[1], where)
+            _cast(int, "n_nodes", row[1], where)
             for col, value in zip(METRIC_COLUMNS, row[3:]):
-                _cast_float(col, value, where)
+                _cast(float, col, value, where)
             raise
+        if not 1 <= n <= sys.float_info.max:  # figure 1 needs n as a float
+            raise ConfigError(f"{csv_path}:{reader.line_num}: n_nodes must be "
+                              f"from 1 to {sys.float_info.max:g}, got {row[1]!r}")
         label, seed = row[0], row[2]
         labels[label] = None
         node_counts[n] = None
         if seed in ("mean", "stddev"):
             (mean if seed == "mean" else stddev)[(label, n)] = dict(
                 zip(METRIC_COLUMNS, values))
-    meta = None
-    if echo_path is None:
-        candidate = csv_path.parent / ECHO_NAME
-        echo_path = candidate if candidate.exists() else None
-    if echo_path is not None:
-        meta = parse_config_with_overrides(echo_path, ())
+    echo = csv_path.parent / ECHO_NAME
+    meta = parse_config_with_overrides(echo, ()) if echo.exists() else None
     return ResultsTable(list(labels), sorted(node_counts), mean, stddev,
                         meta)

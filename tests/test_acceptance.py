@@ -6,8 +6,9 @@ reports and enforces.  Every simulation is a pure function of its config, so
 each number here reproduces bit-for-bit across reruns and machines running
 the same Python build.
 
-The load sweep shared by checks 4-7 is session-scoped and takes a few
-minutes; the whole file runs in roughly ten minutes on one core.
+The load sweep shared by checks 4-7 is session-scoped and runs on a pool of
+one worker per CPU (about 80 s on 2 vCPUs, 145 s on one); the whole file
+runs in about three minutes on 2 vCPUs.
 
 Known honest failure: check 1 demands that eight saturated deterministic-
 backoff nodes settle into the eight-slot schedule within 10^4 slots for every
@@ -24,6 +25,7 @@ all ten seeds.
 """
 
 import math
+import os
 import statistics
 
 import pytest
@@ -159,7 +161,7 @@ def load_sweep(tmp_path_factory):
                   ProtocolVariant(Protocol.CSMA_ECA),
                   ProtocolVariant(Protocol.CSMA_CA, max_aggregation=16)],
         seeds=SEEDS, output_dir=str(out))
-    return run_sweep(spec, workers=1)
+    return run_sweep(spec, workers=os.cpu_count() or 1)
 
 
 def _mean(sweep, label: str, n: int, column: str) -> float:

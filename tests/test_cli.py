@@ -73,6 +73,16 @@ def test_validate_rejects_a_rate_above_the_bound(tmp_path, capsys):
     assert "arrival_rate must be at most 1e+09" in err
 
 
+def test_validate_rejects_an_aggregation_above_the_bound(tmp_path, capsys):
+    path, _ = _write_config(tmp_path)
+    assert main(["validate", "--config", str(path),
+                 "--override", "max_aggregation=1025",
+                 "--override", "queue_capacity=1025"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "max_aggregation must be at most 1024" in err
+
+
 @pytest.mark.parametrize("overrides", [
     ["difs=1e300"], ["difs=1e308", "sifs=1e308"], ["data_rate=1e-300"]],
     ids=["difs", "difs-sifs", "data_rate"])
@@ -95,8 +105,8 @@ def test_validate_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
 
 # every key of the config grammar, with values its cast takes and values
 # that it or validation refuses
-GRAMMAR_KEYS = sorted({"node_counts", "seeds", "protocol", "arrival_rate",
-                       "output_dir", *sweep_mod._FIELD_KEYS})
+GRAMMAR_KEYS = sorted({"node_counts", "seeds", "protocol", "output_dir",
+                       *sweep_mod._FIELD_KEYS})
 _PLAUSIBLE = {"node_counts": ["2", "1, 4", "3, 2"], "seeds": ["1", "1, 2"],
               "protocol": ["csma-ca", "csma-eca hyst", "csma-ca agg=16"],
               "arrival_rate": ["120", "saturated", "1e9", "1e300", "-1"],
@@ -110,7 +120,8 @@ _values = st.one_of(st.integers(-2**70, 2**70).map(str),
 @st.composite
 def _assignments(draw):
     key = draw(st.sampled_from(GRAMMAR_KEYS))
-    plausible = _PLAUSIBLE[sweep_mod._FIELD_KEYS.get(key, key)]
+    plausible = (_PLAUSIBLE[key] if key in _PLAUSIBLE
+                 else _PLAUSIBLE[sweep_mod._FIELD_KEYS[key]])
     value = st.sampled_from(plausible) if draw(st.integers(0, 2)) else _values
     return f"{key} = {draw(value)}"
 
@@ -145,7 +156,8 @@ def validate_inputs(draw):
 @example(inputs=(b"node_counts = 2\n", ["arrival_rate=1e300"]))
 def test_validate_never_shows_a_traceback(tmp_path, inputs):
     """Whatever the config bytes and overrides, validate exits 0, or 1 with
-    a config error line, and raises nothing."""
+    a config error line, and raises nothing.  On 0 the echo parses back to
+    the same sweep and echoes to the same text."""
     data, overrides = inputs
     path = tmp_path / "fuzz.conf"
     path.write_bytes(data)
@@ -157,7 +169,11 @@ def test_validate_never_shows_a_traceback(tmp_path, inputs):
     if code == EXIT_CONFIG:
         assert err.getvalue().startswith("config error: ")
     else:
-        assert out.getvalue().startswith("# resolved sweep configuration")
+        echo = out.getvalue()
+        assert echo.startswith("# resolved sweep configuration")
+        again = sweep_mod.parse_config(echo)
+        assert again == sweep_mod.parse_config_with_overrides(path, overrides)
+        assert again.resolved_text() == echo
 
 
 def _main_quietly(argv):
@@ -226,8 +242,9 @@ def results_inputs(draw):
     """
     labels = draw(st.lists(st.sampled_from(["csma-ca", "csma-eca-hyst"])
                            | st.text(max_size=6), min_size=1, max_size=2))
-    counts = draw(st.lists(st.integers(-2**70, 2**70), min_size=1,
-                           max_size=3))
+    counts = draw(st.lists(st.integers(-2**70, 2**70)
+                           | st.sampled_from([10**400, -10**400]),
+                           min_size=1, max_size=3))
     rows = [list(CSV_COLUMNS)] + [
         [label, n, seed] + [draw(_NUMBERS) for _ in METRIC_COLUMNS]
         for label in labels for n in counts for seed in ("1", "mean", "stddev")]
@@ -437,7 +454,12 @@ def test_figures_reports_a_results_file_that_is_not_utf8(tmp_path, capsys):
     (["csma-ca", "2", "mean"] + ["1.0"] * 8, "expected 12 cells, got 11"),
     (["csma-ca", "2", "2", "1.0", "slow"] + ["1.0"] * 7,
      "mean_delay_s expects a number, got 'slow'"),
-], ids=["n-nodes", "metric", "short-row", "seed-row-metric"])
+    (["csma-ca", "1" + "0" * 400, "mean"] + ["1.0"] * 9,
+     "n_nodes must be from 1 to 1.79769e+308"),
+    (["csma-ca", "0", "mean"] + ["1.0"] * 9,
+     "n_nodes must be from 1 to 1.79769e+308, got '0'"),
+], ids=["n-nodes", "metric", "short-row", "seed-row-metric", "n-nodes-huge",
+        "n-nodes-zero"])
 def test_figures_rejects_malformed_results_rows(tmp_path, capsys, cells,
                                                 message):
     results = tmp_path / "results.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecasim import ConfigError, Protocol, SimConfig, Simulation
-from ecasim.config import MAX_SLOT_US
+from ecasim.config import MAX_AGGREGATION, MAX_SLOT_US
 from ecasim.timing import DEFAULT_TIMING, TimingTable
 from nodes import load_node
 
@@ -87,11 +87,23 @@ def test_a_slot_longer_than_the_bound_is_rejected(timing):
 
 def test_the_slot_bound_covers_the_aggregated_exchange():
     SimConfig(timing=TimingTable(slot_empty=MAX_SLOT_US)).validate()
-    t = DEFAULT_TIMING
+    # a slow channel, so that the slot bound binds below MAX_AGGREGATION
+    t = DEFAULT_TIMING._replace(data_rate=6.0)
     agg = int((MAX_SLOT_US - t.exchange_us(0)) * t.data_rate / t.payload_bits)
+    assert agg < MAX_AGGREGATION
     assert t.exchange_us(agg * t.payload_bits) <= MAX_SLOT_US
-    SimConfig(max_aggregation=agg, queue_capacity=agg).validate()
+    SimConfig(max_aggregation=agg, queue_capacity=agg, timing=t).validate()
     for too_many in (agg + 1, 10 ** 400):  # the last is too large for a float
         with pytest.raises(ConfigError, match="must last at most"):
-            SimConfig(max_aggregation=too_many,
-                      queue_capacity=too_many).validate()
+            SimConfig(max_aggregation=too_many, queue_capacity=too_many,
+                      timing=t).validate()
+
+
+def test_max_aggregation_is_bounded():
+    """run() tabulates one exchange duration per batch size up to
+    max_aggregation, so a huge one would fill memory before the first slot;
+    1025 default packets still fit the slot bound."""
+    SimConfig(max_aggregation=1024, queue_capacity=1024).validate()
+    with pytest.raises(ConfigError,
+                       match="max_aggregation must be at most 1024"):
+        SimConfig(max_aggregation=1025, queue_capacity=1025).validate()
