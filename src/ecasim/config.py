@@ -20,6 +20,11 @@ MAX_SLOT_US = 1e6
 # The most packets one exchange may carry: a run tabulates the duration of an
 # exchange of every batch size up to max_aggregation before its first slot.
 MAX_AGGREGATION = 1024
+# Each node's state is built before the first slot (10^4 nodes: 39 MB, 0.3 s),
+# a saturated run fills every queue there, and a run holds n_nodes *
+# queue_capacity packets with every queue full (10^7 filled: 87 MB).
+MAX_NODES = 10_000
+MAX_QUEUED_PACKETS = 10**7
 
 
 class Protocol(str, Enum):
@@ -85,3 +90,8 @@ class SimConfig(NamedTuple):
         if self.max_aggregation > MAX_AGGREGATION:
             raise ConfigError(
                 f"max_aggregation must be at most {MAX_AGGREGATION}")
+        if self.n_nodes > MAX_NODES:
+            raise ConfigError(f"n_nodes must be at most {MAX_NODES}")
+        if self.n_nodes * self.queue_capacity > MAX_QUEUED_PACKETS:
+            raise ConfigError(f"n_nodes * queue_capacity must be at most "
+                              f"{MAX_QUEUED_PACKETS}")

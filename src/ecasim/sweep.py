@@ -17,6 +17,7 @@ import csv
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import groupby, product, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -130,10 +131,11 @@ class SweepSpec:
         labels = [v.label for v in self.variants]
         if len(set(labels)) != len(labels):
             raise ConfigError("duplicate protocol entries")
-        # Only the variant can make a run invalid: node counts are positive
-        # (checked above) and any int is a seed.
+        # Only the variant and the largest node count can make a run invalid:
+        # node counts are positive and increasing (checked above), so a bound
+        # on n refuses the largest first, and any int is a seed.
         for variant in self.variants:
-            self.config_for(variant, self.node_counts[0],
+            self.config_for(variant, self.node_counts[-1],
                             self.seeds[0]).validate()
 
     def resolved_text(self) -> str:
@@ -239,10 +241,8 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
 def parse_config_with_overrides(path, overrides) -> SweepSpec:
     """File values first, then command-line overrides replacing them."""
     path = Path(path)
-    try:
+    with _io_errors(f"read config file {path}"):
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if not overrides:
         return parse_config(text, str(path))
     # overrides replace, so blank out earlier assignments of overridden keys
@@ -274,8 +274,7 @@ class RunRow(NamedTuple):
 class SweepResults(NamedTuple):
     spec: SweepSpec
     rows: list
-    aggregates: dict          # (label, n) -> {"mean": {...}, "stddev": {...}}
-    fault: str | None = None  # fault marker text when a run aborted
+    aggregates: dict    # (label, n) -> {"mean": {...}, "stddev": {...}}
 
 
 def _project(report) -> dict:
@@ -353,41 +352,35 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _run_chunk(run, configs: list) -> list:
-    """run over a contiguous chunk of configs, in a pool worker.
+def _run_cell(run, cfg):
+    """run(cfg) in a pool worker; a ConsistencyError is returned, not raised.
 
-    A ConsistencyError ends the chunk as its last item instead of being
-    raised, so the reports of the cells before it still reach the parent.
-    run is passed in, not looked up here, so that a replacement the parent
-    put at sweep.run_simulation is what the worker runs.
+    A chunk of cells is one executor task, so a raise would lose the reports
+    ahead of it in its chunk.  run is passed in so that a replacement put at
+    sweep.run_simulation is what the worker runs.
     """
-    reports = []
-    for cfg in configs:
-        try:
-            reports.append(run(cfg))
-        except ConsistencyError as exc:
-            reports.append(exc)
-            break
-    return reports
+    try:
+        return run(cfg)
+    except ConsistencyError as exc:
+        return exc
 
 
 def _reports(configs: list, workers: int):
     """run_simulation over configs, in order, on a pool if workers > 1.
 
-    The pool gets contiguous chunks of cells, about 16 chunks per worker, so
-    the parent handles a few dozen results instead of one per cell.
+    The executor sends the cells out in contiguous chunks, about 16 per
+    worker, so the parent handles a few dozen results instead of one per cell.
     """
     if workers == 1:
         yield from map(run_simulation, configs)
         return
-    size = max(1, len(configs) // (workers * 16))
-    chunks = [configs[i:i + size] for i in range(0, len(configs), size)]
+    chunksize = max(1, len(configs) // (workers * 16))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_run_chunk, repeat(run_simulation), chunks):
-            for report in chunk:
-                if isinstance(report, ConsistencyError):
-                    raise report
-                yield report
+        for report in pool.map(_run_cell, repeat(run_simulation), configs,
+                               chunksize=chunksize):
+            if isinstance(report, ConsistencyError):
+                raise report
+            yield report
 
 
 def _cells(rows: list):
@@ -424,9 +417,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     except ConsistencyError as exc:
         # results arrive in submission order, so the failed run is the next key
         variant, n, seed = keys[len(rows)]
-        fault = f"{variant.label},{n},{seed}: {exc}"
-        results = SweepResults(spec, rows, {}, fault=fault)
-        write_results_csv(results, out / RESULTS_NAME)
+        write_results_csv(SweepResults(spec, rows, {}), out / RESULTS_NAME,
+                          fault=f"{variant.label},{n},{seed}: {exc}")
         raise
 
     aggregates = {}
@@ -444,35 +436,41 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     return results
 
 
-def write_results_csv(results: SweepResults, path) -> None:
+def write_results_csv(results: SweepResults, path,
+                      fault: str | None = None) -> None:
+    """The results as CSV, ending in a marker row with the fault text if any."""
+    with _io_errors(f"write {path}"), open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for cell, cell_rows in _cells(results.rows):
+            for row in cell_rows:
+                writer.writerow([row.label, row.n_nodes, row.seed]
+                                + [row.values[c] for c in METRIC_COLUMNS])
+            agg = results.aggregates.get(cell)
+            if agg:
+                for kind in ("mean", "stddev"):
+                    writer.writerow(
+                        list(cell) + [kind]
+                        + [agg[kind][c] for c in METRIC_COLUMNS])
+        if fault is not None:
+            writer.writerow([FAULT_MARKER, fault]
+                            + [""] * (len(CSV_COLUMNS) - 2))
+
+
+@contextmanager
+def _io_errors(what: str):
+    """Turn a failed read or write into a ConfigError: cannot <what>: ..."""
     try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for cell, cell_rows in _cells(results.rows):
-                for row in cell_rows:
-                    writer.writerow([row.label, row.n_nodes, row.seed]
-                                    + [row.values[c] for c in METRIC_COLUMNS])
-                agg = results.aggregates.get(cell)
-                if agg:
-                    for kind in ("mean", "stddev"):
-                        writer.writerow(
-                            list(cell) + [kind]
-                            + [agg[kind][c] for c in METRIC_COLUMNS])
-            if results.fault is not None:
-                writer.writerow([FAULT_MARKER, results.fault]
-                                + [""] * (len(CSV_COLUMNS) - 2))
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot {what}: {exc}") from None
 
 
 def _check_writable(path: Path) -> None:
     """Open path for writing, truncating nothing and leaving no new file."""
     existed = path.exists()
-    try:
+    with _io_errors(f"write {path}"):
         open(path, "a").close()
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
     if not existed:
         path.resolve().unlink()
 
@@ -480,19 +478,15 @@ def _check_writable(path: Path) -> None:
 def make_dir(path) -> Path:
     """Create a directory and its parents; a file in the way is a ConfigError."""
     path = Path(path)
-    try:
+    with _io_errors(f"create directory {path}"):
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create directory {path}: {exc}") from None
     return path
 
 
 def write_text(path: Path, text: str) -> None:
     """Write a whole file; a failed write is a ConfigError."""
-    try:
+    with _io_errors(f"write {path}"):
         path.write_text(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 # -- reading results back (figures work from the CSV, never recompute) -------
@@ -507,11 +501,9 @@ class ResultsTable(NamedTuple):
 
 def load_results(csv_path) -> ResultsTable:
     csv_path = Path(csv_path)
-    try:
-        with open(csv_path, newline="") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read results file {csv_path}: {exc}") from None
+    with _io_errors(f"read results file {csv_path}"), \
+            open(csv_path, newline="") as fh:
+        lines = fh.readlines()
     reader = csv.reader(lines)
     header = next(reader, None)
     if header != CSV_COLUMNS:

@@ -6,9 +6,10 @@ reports and enforces.  Every simulation is a pure function of its config, so
 each number here reproduces bit-for-bit across reruns and machines running
 the same Python build.
 
-The load sweep shared by checks 4-7 is session-scoped and runs on a pool of
-one worker per CPU (about 80 s on 2 vCPUs, 145 s on one); the whole file
-runs in about three minutes on 2 vCPUs.
+Checks 1, 3, 5 and 8 and the session-scoped load sweep shared by checks 4-7
+run their grids through run_sweep on a pool of one worker per CPU; check 2
+steps advance_slot() and stays serial.  The whole file runs in about two
+minutes on 2 vCPUs, the load sweep taking about a minute of it.
 
 Known honest failure: check 1 demands that eight saturated deterministic-
 backoff nodes settle into the eight-slot schedule within 10^4 slots for every
@@ -56,6 +57,17 @@ def _check(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"check {num} {name}: {'PASS' if ok else 'FAIL'}{tail}", flush=True)
 
 
+def _sweep_rows(out, base: SimConfig, node_counts: list, protocols,
+                seeds: list) -> list:
+    """run_sweep's rows for base at every (protocol, n, seed), in that nested
+    order, on one worker per CPU.  The count is explicit because the default
+    worker_count() reads ECASIM_WORKERS, which another test may have set."""
+    spec = SweepSpec(base=base, node_counts=node_counts,
+                     variants=[ProtocolVariant(p) for p in protocols],
+                     seeds=seeds, output_dir=str(out))
+    return run_sweep(spec, workers=os.cpu_count() or 1).rows
+
+
 # ---------------------------------------------------------------- checks 1-2
 
 
@@ -66,14 +78,13 @@ def _saturated_eca(n: int, seed: int, sim_slots: int,
                      sim_slots=sim_slots, warmup_slots=warmup_slots, seed=seed)
 
 
-def test_accept_01_collision_free_saturation():
+def test_accept_01_collision_free_saturation(tmp_path):
     """Saturated deterministic backoff stops colliding within 10^4 slots."""
-    bad = []
-    for n in (2, 4, 8):
-        for seed in SEEDS:
-            report = run_simulation(_saturated_eca(n, seed, 110_000, 10_000))
-            if report.slots_collision:
-                bad.append((n, seed, report.slots_collision))
+    base = _saturated_eca(2, 1, 110_000, 10_000)  # each row sets n and seed
+    bad = [(row.n_nodes, row.seed, row.report.slots_collision)
+           for row in _sweep_rows(tmp_path, base, [2, 4, 8],
+                                  [Protocol.CSMA_ECA], SEEDS)
+           if row.report.slots_collision]
     ok = not bad
     _check(1, "collision-free saturation", ok,
            "no collisions in slots [1e4, 1.1e5) for n in {2, 4, 8}, 10 seeds"
@@ -125,21 +136,21 @@ def test_accept_02_converged_schedule_period():
 # ------------------------------------------------------------------ check 3
 
 
-def test_accept_03_offered_load_tracking():
+def test_accept_03_offered_load_tracking(tmp_path):
     """At half the ceiling, throughput equals offered load within 2%."""
     bad = []
     for n in (2, 10):
         rate = 0.5 * CEILING_BPS / (DEFAULT_TIMING.payload_bits * n)
         offered = n * rate * DEFAULT_TIMING.payload_bits
-        for proto in (Protocol.CSMA_CA, Protocol.CSMA_ECA):
-            for seed in SEEDS[:5]:
-                cfg = SimConfig(protocol=proto, n_nodes=n, arrival_rate=rate,
-                                sim_slots=1_500_000, warmup_slots=20_000,
-                                queue_capacity=QUEUE_CAP, seed=seed)
-                report = run_simulation(cfg)
-                rel = abs(report.throughput_bps - offered) / offered
-                if rel > 0.02 or report.drops:
-                    bad.append((proto.value, n, seed, rel, report.drops))
+        base = SimConfig(arrival_rate=rate, sim_slots=1_500_000,
+                         warmup_slots=20_000, queue_capacity=QUEUE_CAP)
+        for row in _sweep_rows(tmp_path / f"n{n}", base, [n],
+                               (Protocol.CSMA_CA, Protocol.CSMA_ECA),
+                               SEEDS[:5]):
+            report = row.report
+            rel = abs(report.throughput_bps - offered) / offered
+            if rel > 0.02 or report.drops:
+                bad.append((row.label, n, row.seed, rel, report.drops))
     ok = not bad
     _check(3, "offered-load tracking", ok,
            "throughput within 2% of offered load, zero drops, both "
@@ -193,7 +204,7 @@ def test_accept_04_saturation_knee_ordering(load_sweep):
     assert ok, f"knee positions not ordered as required: {knees}"
 
 
-def test_accept_05_delay_ordering_below_knee(load_sweep):
+def test_accept_05_delay_ordering_below_knee(load_sweep, tmp_path):
     """Below the knee, deterministic backoff delivers no-worse mean delay.
 
     The sweep's below-knee points are re-run with the same settings but many
@@ -210,14 +221,14 @@ def test_accept_05_delay_ordering_below_knee(load_sweep):
     for n in points:
         means = {}
         sds = {}
+        base = SimConfig(arrival_rate=RATE,
+                         sim_slots=slots_for.get(n, 4_000_000),
+                         warmup_slots=50_000, queue_capacity=QUEUE_CAP)
+        rows = _sweep_rows(tmp_path / f"n{n}", base, [n],
+                           (Protocol.CSMA_CA, Protocol.CSMA_ECA), SEEDS)
         for proto in (Protocol.CSMA_CA, Protocol.CSMA_ECA):
-            delays = []
-            for seed in SEEDS:
-                cfg = SimConfig(protocol=proto, n_nodes=n, arrival_rate=RATE,
-                                sim_slots=slots_for.get(n, 4_000_000),
-                                warmup_slots=50_000,
-                                queue_capacity=QUEUE_CAP, seed=seed)
-                delays.append(run_simulation(cfg).mean_delay_s)
+            delays = [row.report.mean_delay_s for row in rows
+                      if row.label == proto.value]
             means[proto] = statistics.fmean(delays)
             sds[proto] = statistics.stdev(delays)
         ca, eca = means[Protocol.CSMA_CA], means[Protocol.CSMA_ECA]
@@ -294,17 +305,15 @@ def test_accept_07_collision_reappearance(load_sweep):
 # ---------------------------------------------------------------- checks 8-9
 
 
-def test_accept_08_chain_oracle_agreement():
+def test_accept_08_chain_oracle_agreement(tmp_path):
     """Long-run collision fraction matches the exact joint-chain value."""
     expected = collision_slot_fraction(cw_min=4, max_stage=1)
     worst = 0.0
-    for seed in (1, 2, 3):
-        cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2,
-                        arrival_rate=math.inf, cw_min=4, max_stage=1,
-                        sim_slots=2_000_000, warmup_slots=50_000, seed=seed)
-        report = run_simulation(cfg)
+    base = SimConfig(arrival_rate=math.inf, cw_min=4, max_stage=1,
+                     sim_slots=2_000_000, warmup_slots=50_000)
+    for row in _sweep_rows(tmp_path, base, [2], [Protocol.CSMA_CA], [1, 2, 3]):
         worst = max(worst,
-                    abs(report.collision_fraction - expected) / expected)
+                    abs(row.report.collision_fraction - expected) / expected)
     ok = worst <= 0.01
     _check(8, "chain-oracle agreement", ok,
            f"two saturated nodes, cw_min=4, max_stage=1: collision fraction "

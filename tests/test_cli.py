@@ -83,6 +83,24 @@ def test_validate_rejects_an_aggregation_above_the_bound(tmp_path, capsys):
     assert "max_aggregation must be at most 1024" in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["node_counts = 2, 1000000000000"], "n_nodes must be at most 10000"),
+    (["node_counts = 10000", "queue_capacity = 1001"],
+     "n_nodes * queue_capacity must be at most 10000000")],
+    ids=["nodes", "queued-packets"])
+def test_validate_rejects_a_node_count_above_the_bounds(tmp_path, capsys,
+                                                        overrides, message):
+    """The largest node count is the one a bound refuses."""
+    path, _ = _write_config(tmp_path)
+    argv = ["validate", "--config", str(path)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+
+
 @pytest.mark.parametrize("overrides", [
     ["difs=1e300"], ["difs=1e308", "sifs=1e308"], ["data_rate=1e-300"]],
     ids=["difs", "difs-sifs", "data_rate"])
@@ -107,7 +125,7 @@ def test_validate_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
 # that it or validation refuses
 GRAMMAR_KEYS = sorted({"node_counts", "seeds", "protocol", "output_dir",
                        *sweep_mod._FIELD_KEYS})
-_PLAUSIBLE = {"node_counts": ["2", "1, 4", "3, 2"], "seeds": ["1", "1, 2"],
+_PLAUSIBLE = {"node_counts": ["2", "1, 4", "3, 2", "10000, 10001"], "seeds": ["1", "1, 2"],
               "protocol": ["csma-ca", "csma-eca hyst", "csma-ca agg=16"],
               "arrival_rate": ["120", "saturated", "1e9", "1e300", "-1"],
               "output_dir": ["out"], int: ["2", "16", "300000", "0"],
@@ -189,8 +207,8 @@ def run_inputs(draw):
     """validate_inputs, with overrides that pin what each run costs in place
     of any fuzzed ones of the same keys: at most 300 slots (and a warmup
     that mostly fits), 4 nodes, 1e4 packets/s (or saturated) and 64 queued
-    packets.  validate accepts node_counts = 1000000000000, so node counts
-    are never left to the fuzzed config."""
+    packets.  validate accepts 10000 nodes, whose state alone takes 0.3 s to
+    build, so node counts are never left to the fuzzed config."""
     data, overrides = draw(validate_inputs())
     slots = draw(st.integers(1, 300))
     nodes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3,

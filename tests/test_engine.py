@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
 from ecasim import (SATURATED, ConfigError, ConsistencyError, Protocol,
@@ -224,6 +224,46 @@ def sim_configs(draw):
                    sim_slots=2000, warmup_slots=0, seed=1))
 def test_run_equals_stepping_on_generated_configs(cfg):
     _assert_run_equals_stepping(cfg)
+
+
+def _time_scaled(cfg, f):
+    """cfg on a clock f times slower: every duration times f and every rate
+    over f, so with f a power of two each instant is exactly f times as
+    large."""
+    t = cfg.timing
+    return cfg._replace(arrival_rate=cfg.arrival_rate / f, timing=t._replace(
+        slot_empty=t.slot_empty * f, sifs=t.sifs * f, difs=t.difs * f,
+        phy_header=t.phy_header * f, data_rate=t.data_rate / f,
+        ack_rate=t.ack_rate / f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=sim_configs(), k=st.sampled_from([1, -3, 5]))
+@example(cfg=SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=12,
+                       arrival_rate=300.0, max_aggregation=4, hysteresis=True,
+                       sim_slots=6000, warmup_slots=3000, seed=2), k=5)
+@example(cfg=SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=5,
+                       arrival_rate=SATURATED, sim_slots=20_000,
+                       warmup_slots=0, seed=4), k=-3)
+def test_reports_scale_exactly_with_the_clock(cfg, k):
+    """A metamorphic check of the code run() and advance_slot() share
+    (Simulation's set-up, the arrival draws, exchange_us and finalize), which
+    comparing the two cannot see: on a clock 2^k times slower, every count and
+    ratio is equal, every duration and delay is exactly 2^k times as large,
+    and throughput exactly 2^-k times as large."""
+    f = 2.0 ** k
+    scaled_cfg = _time_scaled(cfg, f)
+    try:
+        scaled_cfg.validate()
+    except ConfigError:
+        assume(False)
+    base, scaled = run_simulation(cfg), run_simulation(scaled_cfg)
+    expected = base._replace(
+        duration_s=base.duration_s * f, mean_delay_s=base.mean_delay_s * f,
+        throughput_bps=base.throughput_bps / f,
+        per_node=[row._replace(mean_delay_s=row.mean_delay_s * f)
+                  for row in base.per_node])
+    assert _reports_equal(scaled, expected)
 
 
 @st.composite

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecasim import ConfigError, Protocol, SimConfig, Simulation
-from ecasim.config import MAX_AGGREGATION, MAX_SLOT_US
+from ecasim.config import (MAX_AGGREGATION, MAX_NODES, MAX_QUEUED_PACKETS,
+                           MAX_SLOT_US)
 from ecasim.timing import DEFAULT_TIMING, TimingTable
 from nodes import load_node
 
@@ -107,3 +108,16 @@ def test_max_aggregation_is_bounded():
     with pytest.raises(ConfigError,
                        match="max_aggregation must be at most 1024"):
         SimConfig(max_aggregation=1025, queue_capacity=1025).validate()
+
+
+def test_node_count_and_queued_packets_are_bounded():
+    """A run builds every node's state, and a saturated run fills every
+    queue, before the first slot; 10^4 nodes at the default queue capacity
+    sit at both bounds."""
+    SimConfig(n_nodes=MAX_NODES).validate()
+    SimConfig(n_nodes=1, queue_capacity=MAX_QUEUED_PACKETS).validate()
+    with pytest.raises(ConfigError, match="^n_nodes must be at most 10000$"):
+        SimConfig(n_nodes=MAX_NODES + 1, queue_capacity=1).validate()
+    with pytest.raises(ConfigError, match=r"^n_nodes \* queue_capacity must "
+                                          r"be at most 10000000$"):
+        SimConfig(n_nodes=1, queue_capacity=MAX_QUEUED_PACKETS + 1).validate()
