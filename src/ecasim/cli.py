@@ -2,7 +2,7 @@
 
     ecasim run --config sweep.cfg [--override key=value ...]
     ecasim validate --config sweep.cfg
-    ecasim figures --results out/results.csv --fig 1 --out plots/
+    ecasim figures --results out/results.csv --fig 1 [--fig 2 ...] --out plots/
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when a run died on
 an internal consistency fault (partial results are preserved).
@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figures", help="emit plot data from a results CSV")
     p_fig.add_argument("--results", required=True, help="path to results.csv")
-    p_fig.add_argument("--fig", required=True, type=int, help="figure number 1-7")
+    p_fig.add_argument("--fig", required=True, type=int, action="append",
+                       help="figure number 1-7; repeatable")
     p_fig.add_argument("--out", required=True, help="directory for the .dat file")
     return parser
 
@@ -48,10 +49,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "figures":
             table = load_results(args.results)
-            text = emit_figure_data(table, args.fig)
-            target = make_dir(args.out) / figure_filename(args.fig)
-            write_text(target, text)
-            print(f"figure data: {target}")
+            # every figure renders, or fails, before any file is written
+            texts = [(fig, emit_figure_data(table, fig)) for fig in args.fig]
+            out = make_dir(args.out)
+            for fig, text in texts:
+                target = out / figure_filename(fig)
+                write_text(target, text)
+                print(f"figure data: {target}")
             return EXIT_OK
 
         spec = parse_config_with_overrides(args.config, args.override)

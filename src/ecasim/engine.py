@@ -12,9 +12,10 @@ Because a counter ticks once per slot unconditionally, "counter c at slot s"
 is the same thing as "transmits at slot s + c".  So each node's schedule is
 one absolute due slot, next_tx, -1 while the node is idle, instead of a
 counter decremented every slot.  run() orders the due slots in a heap of its
-own and skips idle gaps in bulk up to the next due transmission or the next
-arrival at an idle node.  No shared randomness is consumed in a skipped gap,
-so bulk skipping is exactly equivalent to stepping slot by slot.
+own, skips each idle gap in bulk and goes straight into the transmission at
+its end, so it steps busy slots only.  An idle slot is resolved only inside
+the skip, where an idle node wakes: the rejoin draw is the only shared
+randomness a gap holds, so bulk skipping is exactly stepping slot by slot.
 
 An arrival at a node that is already contending draws nothing from the shared
 RNG and only grows its queue, which nothing reads until the node's next pop.
@@ -45,15 +46,16 @@ keeps time bit-identical between bulk and stepped slots.
 Saturated csma-eca can settle: every node due within one post-success period
 and no two nodes ever due in the same slot.  From then on nothing collides and
 nothing random is drawn, so run() tests for that state once per period from
-the warmup boundary on and, once it holds, replays whole hyperperiods of the
-schedule without heap or random work.  The replay still performs each busy
-slot's float additions (clock, delays, busy time) in stepping order, because
-an exchange time such as 316.888... us is not a dyadic number and k additions
-of it are not k times it; only integer tallies are added in bulk.  The
-remainder of the run goes back through the general loop.  settle_slot reports
-the first slot after the last collision once run() has proved this state.
-Only runs that send one packet per exchange (max_aggregation 1) are tested
-and replayed; aggregated runs stay in the general loop throughout.
+slot 0 on and, once it holds, replays whole hyperperiods of the schedule
+without heap or random work (before the window opens, only up to
+warmup_slots).  The replay still performs each busy slot's float additions
+(clock, delays, busy time) in stepping order, because an exchange time such
+as 316.888... us is not a dyadic number and k additions of it are not k times
+it; only integer tallies are added in bulk.  The remainder of the run goes
+back through the general loop.  settle_slot reports the first slot after the
+last collision once run() has proved this state.  Only runs that send one
+packet per exchange (max_aggregation 1) are tested and replayed; aggregated
+runs stay in the general loop throughout.
 """
 
 import heapq
@@ -173,10 +175,9 @@ def after_transmission(sim, nid: int, success: bool,
     batch = [queue.popleft() for _ in range(batch_size)]
     sim.delivered[nid] += batch_size
     if cfg.saturated:
-        added = sim.streams[nid].refill(len(queue), cfg.queue_capacity,
-                                        sim.now_us)
-        queue.extend(added)
-        sim.arrivals[nid] += len(added)
+        fill = cfg.queue_capacity - len(queue)
+        queue.extend([sim.now_us] * fill)
+        sim.arrivals[nid] += fill
     if not queue:
         sim.next_tx[nid] = -1
         sim.queue_empties[nid] += 1
@@ -213,12 +214,14 @@ class Simulation:
         self.acc = MetricsAccumulator(
             t.slot_empty, t.payload_bits,
             (self.delivered, self.dropped, self.queue_empties))
-        rngs = [random.Random(master.getrandbits(64)) for _ in range(n)]
-        # inf, the saturated rate, included
-        self.streams = [ArrivalStream(cfg.arrival_rate, rng)
-                        if cfg.arrival_rate > 0 else None for rng in rngs]
+        # only a Poisson source has a stream, seeded after proto_rng
+        self.streams = [ArrivalStream(cfg.arrival_rate,
+                                      random.Random(master.getrandbits(64)))
+                        if 0 < cfg.arrival_rate < inf else None
+                        for _ in range(n)]
         self.last_collision_slot = -1
         self._settled = False
+        self.stepped_slots = self.replayed_slots = 0  # run() counts them
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot
             # 0 with the rejoin draw of the first arrival, in node id order
@@ -342,18 +345,18 @@ class Simulation:
         poisson = 0 < rate < inf
         exchange = [t.exchange_us(k * t.payload_bits) for k in range(agg + 1)]
         n_nodes = cfg.n_nodes
-        # saturated csma-eca may settle into a collision-free schedule; from
-        # the warmup boundary on, test for it once per period (without hyst
-        # more than cw_min/2 nodes cannot all fit one period, so never).  The
-        # replay moves one packet per busy slot, so aggregation stays stepped.
+        # saturated csma-eca may settle into a collision-free schedule; test
+        # for it once per period from slot 0 on (without hyst more than
+        # cw_min/2 nodes cannot all fit one period, so never).  The replay
+        # moves one packet per busy slot, so aggregation stays stepped.
         eca_periods = [cw_min // 2] * n_nodes
         replayable = (saturated and cfg.protocol is Protocol.CSMA_ECA
                       and agg == 1 and (keep_stage or n_nodes <= cw_min // 2))
         warm_end = inf
-        # the general loop also stops at warmup_slots, to open the window
-        check_at = cfg.warmup_slots
+        check_at = 0 if replayable else end
         settled = False
         last_collision = -1
+        replayed = replayed_busy = 0
 
         queues = self.queues
         stage = self.stage
@@ -404,85 +407,91 @@ class Simulation:
                     if next_tx[nid] >= 0:
                         catch_up(nid, until)
 
+        def wake(s, until):
+            """Idle nodes' arrivals before `until`, slot s's end, in instant
+            order: the first one queued wakes its node (on_packet_arrival)."""
+            while arr_heap and arr_heap[0][0] < until:
+                nid = heappop(arr_heap)[1]
+                catch_up(nid, until)
+                if not keep_stage:
+                    stage[nid] = 0
+                r = getrandbits(rejoin_bits)
+                while r >= rejoin_window:
+                    r = getrandbits(rejoin_bits)
+                c = s + 1 + r
+                next_tx[nid] = c
+                heappush(tx_heap, (c, nid))
+
         while slot < end:
-            # -- the general loop, up to the end or the next settled check
-            stop = end if end < check_at else check_at
+            # -- the general loop, up to the next settled check, or to the
+            # end or (until the window opens) the warmup boundary
+            limit = end if warm_end < inf else cfg.warmup_slots
+            stop = limit if limit < check_at else check_at
             while slot < stop:
                 due = tx_heap[0][0] if tx_heap else stop
                 if due > slot:
-                    # skip idle slots up to the next transmission or wake
+                    # skip idle slots up to the next transmission, or through
+                    # the first to end past an idle node's arrival: stepping
+                    # ends slot j at se * (e + j) + busy_us + se, monotone in j
                     gap_end = due if due < stop else stop
                     if arr_heap:
                         a = arr_heap[0][0]
-                        now = se * empty_count + busy_us
-                        k = int(min((a - now) / se, gap_end - slot))
-                        while k > 0 and a < now + k * se:  # float floor guard
-                            k -= 1
-                        if slot + k < gap_end:
-                            gap_end = slot + k
-                    if gap_end > slot:
-                        empty_count += gap_end - slot
-                        slot = gap_end
-                        prev_end = se * (empty_count - 1) + busy_us + se
+                        e = empty_count - slot
+                        if se * (e + gap_end - 1) + busy_us + se > a:
+                            j = int(min(max((a - busy_us) / se - e, slot),
+                                        gap_end - 1))
+                            while j > slot and (se * (e + j - 1) + busy_us
+                                                + se > a):
+                                j -= 1
+                            while se * (e + j) + busy_us + se <= a:
+                                j += 1
+                            gap_end = j + 1
+                    empty_count += gap_end - slot
+                    slot = gap_end
+                    prev_end = se * (empty_count - 1) + busy_us + se
+                    if arr_heap and arr_heap[0][0] < prev_end:
+                        wake(slot - 1, prev_end)  # the gap's last slot
                         continue
-                assert due >= slot, "overdue transmission in heap"
+                    if slot == stop:
+                        break
+                assert due == slot, "overdue transmission in heap"
 
-                # -- one stepped slot: who transmits, and for how long
-                s = slot
+                # -- a busy slot: who transmits, and for how long; a batch's
+                # size is fixed by what landed before the slot
                 now = se * empty_count + busy_us
-                winner = -1
+                nid = heappop(tx_heap)[1]
+                assert next_tx[nid] == slot
+                q = queues[nid]
+                if (poisson and len(q) < agg
+                        and streams[nid].next_us < prev_end):
+                    catch_up(nid, prev_end)
+                size = len(q)
+                if size > agg:
+                    size = agg
                 colliders = None
-                if due == s:
-                    # a batch's size is fixed by what landed before the slot
-                    nid = heappop(tx_heap)[1]
-                    assert next_tx[nid] == s
-                    q = queues[nid]
-                    if (poisson and len(q) < agg
-                            and streams[nid].next_us < prev_end):
-                        catch_up(nid, prev_end)
-                    size = len(q)
-                    if size > agg:
-                        size = agg
-                    if tx_heap and tx_heap[0][0] == s:
-                        colliders = [nid]
-                        longest = size
-                        while tx_heap and tx_heap[0][0] == s:
-                            nid = heappop(tx_heap)[1]
-                            assert next_tx[nid] == s
-                            colliders.append(nid)
-                            q = queues[nid]
-                            if (poisson and len(q) < agg
-                                    and streams[nid].next_us < prev_end):
-                                catch_up(nid, prev_end)
-                            size = len(q)
-                            if size > longest:
-                                longest = size
-                        duration = exchange[longest if longest < agg else agg]
-                    else:
-                        winner = nid
-                        duration = exchange[size]
+                if tx_heap and tx_heap[0][0] == slot:
+                    colliders = [nid]
+                    longest = size
+                    while tx_heap and tx_heap[0][0] == slot:
+                        nid = heappop(tx_heap)[1]
+                        assert next_tx[nid] == slot
+                        colliders.append(nid)
+                        q = queues[nid]
+                        if (poisson and len(q) < agg
+                                and streams[nid].next_us < prev_end):
+                            catch_up(nid, prev_end)
+                        size = len(q)
+                        if size > longest:
+                            longest = size
+                    duration = exchange[longest if longest < agg else agg]
                 else:
-                    duration = se
+                    duration = exchange[size]
                 slot_end = now + duration
-
-                # -- idle nodes' arrivals before the slot ends; the first one
-                # queued wakes its node (on_packet_arrival, inlined)
-                while arr_heap and arr_heap[0][0] < slot_end:
-                    nid = heappop(arr_heap)[1]
-                    catch_up(nid, slot_end)
-                    if not keep_stage:
-                        stage[nid] = 0
-                    r = getrandbits(rejoin_bits)
-                    while r >= rejoin_window:
-                        r = getrandbits(rejoin_bits)
-                    c = s + 1 + r
-                    next_tx[nid] = c
-                    heappush(tx_heap, (c, nid))
+                if arr_heap and arr_heap[0][0] < slot_end:
+                    wake(slot, slot_end)
 
                 # -- outcome (after_transmission and record_* calls, inlined)
-                if winner >= 0:
-                    nid = winner
-                    q = queues[nid]
+                if colliders is None:
                     # arrivals precede the pops
                     if poisson and streams[nid].next_us < slot_end:
                         catch_up(nid, slot_end)
@@ -515,12 +524,12 @@ class Simulation:
                             r = getrandbits(cw_bits)
                             while r >= cw_min:
                                 r = getrandbits(cw_bits)
-                            c = s + 1 + r
+                            c = slot + 1 + r
                         elif keep_stage:
-                            c = s + (cw_min << stage[nid]) // 2
+                            c = slot + (cw_min << stage[nid]) // 2
                         else:
                             stage[nid] = 0
-                            c = s + 1 + eca_counter
+                            c = slot + 1 + eca_counter
                         next_tx[nid] = c
                         heappush(tx_heap, (c, nid))
                     else:
@@ -528,10 +537,8 @@ class Simulation:
                         if poisson:
                             heappush(arr_heap, (streams[nid].next_us, nid))
                         queue_empties[nid] += 1
-                    counted_busy_us += duration
-                    busy_us += duration
-                elif colliders is not None:
-                    last_collision = s
+                else:
+                    last_collision = slot
                     for nid in colliders:
                         st = stage[nid] + 1
                         if st > max_stage:
@@ -541,34 +548,33 @@ class Simulation:
                         r = getrandbits(cw_bits + st)
                         while r >= w:
                             r = getrandbits(cw_bits + st)
-                        c = s + 1 + r
+                        c = slot + 1 + r
                         next_tx[nid] = c
                         heappush(tx_heap, (c, nid))
                         node_collision[nid] += 1
                     acc.slots_collision += 1
-                    counted_busy_us += duration
-                    busy_us += duration
-                else:
-                    empty_count += 1
+                counted_busy_us += duration
+                busy_us += duration
                 prev_end = slot_end
                 slot += 1
 
             if slot >= end:
                 break
-            if warm_end == inf:
+            if warm_end == inf and slot == cfg.warmup_slots:
                 # -- slot warmup_slots begins: with every arrival before it
                 # applied, the snapshot holds the drops stepping counts
                 catch_up_active(prev_end)
                 warm_end = se * empty_count + busy_us
                 acc.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
+                limit = end
                 if not replayable:
-                    check_at = end
                     continue
-            # -- at check_at: once the schedule has settled, replay whole
-            # hyperperiods of it with no random draw or heap work.  Only the
-            # per-busy-slot float sums are kept, in stepping order; integer
-            # tallies are added in bulk afterwards.
+            # -- at check_at or warmup_slots: once the schedule has settled,
+            # replay whole hyperperiods of it, up to the window or the end,
+            # with no random draw or heap work.  Only the per-busy-slot float
+            # sums are kept, in stepping order; integer tallies are added in
+            # bulk afterwards.
             # saturated nodes contend all the time
             periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
                        else eca_periods)
@@ -579,7 +585,7 @@ class Simulation:
                 continue
             settled = True
             check_at = end
-            reps = (end - slot) // hyper
+            reps = (limit - slot) // hyper
             if not reps:
                 continue
             duration = exchange[1]
@@ -606,12 +612,16 @@ class Simulation:
                 if not keep_stage:
                     stage[nid] = 0
             slot += reps * hyper
+            replayed += reps * hyper
+            replayed_busy += reps * len(firings)
             tx_heap = sorted(zip(next_tx, range(n_nodes)))
             # prev_end now lags, but saturated runs have no arrivals to catch up
 
         catch_up_active(prev_end)
         self._settled = settled
         self.last_collision_slot = last_collision
+        self.stepped_slots = slot - empty_count - replayed_busy
+        self.replayed_slots = replayed
         self.slot = slot
         self.empty_count = empty_count
         self.busy_us = busy_us

@@ -45,6 +45,8 @@ class ArrivalStream:
         return out
 
     def refill(self, queue_len: int, capacity: int, now_us: float) -> list[float]:
-        """Saturated top-up: enough packets to put the queue back at capacity."""
+        """Saturated top-up: enough packets to put the queue back at capacity.
+        The engine tops saturated queues up inline and builds them no stream;
+        perfbench/tracer.py still patches this name (ROADMAP item 2)."""
         assert math.isinf(self.rate)
         return [now_us] * (capacity - queue_len)

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ecasim
 from ecasim import ConsistencyError
+import ecasim.cli as cli_mod
 import ecasim.sweep as sweep_mod
 from ecasim.cli import EXIT_CONFIG, EXIT_FAULT, EXIT_OK, main
 from ecasim.sweep import CSV_COLUMNS, FAULT_MARKER, METRIC_COLUMNS
@@ -448,6 +449,39 @@ def test_figures_rejects_an_unknown_number(tmp_path, capsys):
     assert main(["figures", "--results", str(out / "results.csv"),
                  "--fig", "9", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "unknown figure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["poisson", "saturated", "tinyqueue"])
+def test_figures_emits_every_figure_from_one_load(tmp_path, monkeypatch,
+                                                  capsys, name):
+    """--fig 1 ... --fig 7 in one call writes the bytes of seven single
+    calls, and reads the results once."""
+    results = str(GOLDEN / name / "results.csv")
+    for fig in range(1, 8):
+        assert main(["figures", "--results", results, "--fig", str(fig),
+                     "--out", str(tmp_path / "single")]) == EXIT_OK
+    loads = []
+    real_load = cli_mod.load_results
+    monkeypatch.setattr(cli_mod, "load_results",
+                        lambda path: loads.append(path) or real_load(path))
+    argv = ["figures", "--results", results, "--out", str(tmp_path / "all")]
+    for fig in range(1, 8):
+        argv += ["--fig", str(fig)]
+    assert main(argv) == EXIT_OK
+    assert loads == [results]
+    written = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+               for d in ("single", "all")]
+    assert len(written[0]) == 7 and written[1] == written[0]
+
+
+@pytest.mark.parametrize("figs", [("2", "9"), ("9", "2")])
+def test_figures_checks_every_number_before_writing(tmp_path, capsys, figs):
+    results = GOLDEN / "poisson" / "results.csv"
+    plots = tmp_path / "plots"
+    assert main(["figures", "--results", str(results), "--fig", figs[0],
+                 "--fig", figs[1], "--out", str(plots)]) == EXIT_CONFIG
+    assert "unknown figure 9" in capsys.readouterr().err
+    assert not plots.exists()
 
 
 def test_figures_needs_an_existing_results_file(tmp_path, capsys):

@@ -341,6 +341,121 @@ def test_settled_replay_equals_stepping(cfg):
         assert sim.settle_slot is not None
 
 
+# -- wakes inside the bulk skip, replays from slot 0, and run()'s counters ----
+
+NON_DYADIC = TimingTable(slot_empty=10.3, payload_bits=8000)
+
+# sparse Poisson traffic on a non-dyadic clock: queues keep draining, and most
+# wakes fall inside idle gaps, where run() resolves the wake slot in the skip
+WAKES = [
+    SimConfig(protocol=Protocol.CSMA_CA, n_nodes=1, arrival_rate=400.0,
+              sim_slots=20_000, warmup_slots=0, seed=1, timing=NON_DYADIC),
+    SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=2, arrival_rate=120.0,
+              sim_slots=20_000, warmup_slots=7001, seed=2, timing=NON_DYADIC),
+    SimConfig(protocol=Protocol.CSMA_CA, n_nodes=3, arrival_rate=500.0,
+              rejoin_inclusive=True, sim_slots=12_000, warmup_slots=3000,
+              seed=3, timing=NON_DYADIC),
+    SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=4, arrival_rate=300.0,
+              hysteresis=True, max_stage=3, sim_slots=12_000,
+              warmup_slots=999, seed=4, timing=NON_DYADIC),
+    SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=4, arrival_rate=500.0,
+              max_aggregation=2, queue_capacity=3, sim_slots=12_000,
+              warmup_slots=5, seed=5, timing=NON_DYADIC),
+    SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2, arrival_rate=250.0,
+              sim_slots=20_000, warmup_slots=1234, seed=6, timing=NON_DYADIC),
+]
+
+
+@pytest.mark.parametrize("cfg", WAKES)
+def test_run_equals_stepping_when_nodes_wake_inside_idle_gaps(cfg):
+    sim = _assert_run_equals_stepping(cfg)
+    assert sum(sim.queue_empties) >= 30  # each empty queue waits for a wake
+
+
+def test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot():
+    """From an empty clock stepping ends slot k at se * k + se, which need
+    not be (k + 1) * se.  An arrival at exactly that end lands in slot k + 1
+    and one an ulp before it in slot k, whichever way the two roundings
+    differ, and run() finds the same wake slot inside its skip."""
+    se = NON_DYADIC.slot_empty
+    ends_above = [k for k in range(1, 100) if se * k + se > (k + 1) * se]
+    ends_below = [k for k in range(1, 100) if se * k + se < (k + 1) * se]
+    cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=1, arrival_rate=1.0,
+                    sim_slots=200, warmup_slots=0, seed=1, timing=NON_DYADIC)
+    for k in ends_above[:2] + ends_below[:2]:
+        end = se * k + se
+        for arrival, wake_slot in ((end, k + 1),
+                                   (math.nextafter(end, 0.0), k)):
+            fast, slow = Simulation(cfg), Simulation(cfg)
+            fast.streams[0].next_us = slow.streams[0].next_us = arrival
+            report = fast.run()
+            while slow.next_tx[0] < 0:
+                slow.advance_slot()
+            assert slow.slot - 1 == wake_slot
+            while slow.slot < cfg.sim_slots:
+                slow.advance_slot()
+            assert _reports_equal(report, slow._finalize())
+            assert _same(_end_state(fast), _end_state(slow))
+
+
+# a saturated schedule that settles long before a warmup_slots that falls
+# mid-hyperperiod: run() replays up to the last whole hyperperiod before
+# the window, steps to it, and replays the rest
+EARLY_SETTLED = [
+    _eca(n_nodes=2, sim_slots=5003, warmup_slots=2001, seed=1),
+    _eca(n_nodes=6, cw_min=8, hysteresis=True, max_stage=3, sim_slots=12_345,
+         warmup_slots=9001, seed=2, timing=NON_DYADIC),
+]
+
+
+@pytest.mark.parametrize("cfg", EARLY_SETTLED)
+def test_settled_replay_stops_short_of_a_mid_hyperperiod_warmup(cfg):
+    sim = _assert_run_equals_stepping(cfg)
+    assert sim.settle_slot is not None
+    assert sim.settle_slot < cfg.warmup_slots
+    # more slots were replayed than the window holds, so some were before it
+    assert sim.replayed_slots > cfg.sim_slots - cfg.warmup_slots
+
+
+def _hyperperiod(sim):
+    cfg = sim.cfg
+    if cfg.hysteresis:
+        return max((cfg.cw_min << st) // 2 for st in sim.stage)
+    return cfg.cw_min // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=st.one_of(sim_configs(), saturated_eca_configs()))
+@example(WAKES[1])
+@example(WAKES[3])
+def test_run_counts_its_stepped_and_replayed_slots(cfg):
+    """stepped_slots counts the busy slots the general loop resolved and
+    replayed_slots the slots settled replays covered; only a run that can
+    replay has any replayed slots."""
+    sim = Simulation(cfg)
+    sim.run()
+    stepper = Simulation(cfg)
+    busy = sum(bool(stepper.advance_slot()) for _ in range(cfg.sim_slots))
+    replayable = (cfg.saturated and cfg.protocol is Protocol.CSMA_ECA
+                  and cfg.max_aggregation == 1)
+    if not replayable:
+        assert sim.replayed_slots == 0
+    if sim.replayed_slots == 0:
+        assert sim.stepped_slots == busy
+    else:
+        assert sim.replayed_slots % _hyperperiod(sim) == 0
+        assert sim.stepped_slots < busy
+        assert sim.stepped_slots + sim.replayed_slots <= cfg.sim_slots
+
+
+@pytest.mark.parametrize("cfg", REPLAYED + EARLY_SETTLED)
+def test_replayed_slots_are_whole_hyperperiods(cfg):
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim.replayed_slots > 0
+    assert sim.replayed_slots % _hyperperiod(sim) == 0
+
+
 # -- the edges of the validated envelope ---------------------------------------
 
 EDGE_RATES = [0.0, 5e-324, 1e-303, 120.0, 1e6, 1e9, SATURATED]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ecasim import ConfigError, SimConfig
+from ecasim import SATURATED, ConfigError, SimConfig, Simulation
 from ecasim.config import MAX_ARRIVAL_RATE
 from ecasim.traffic import ArrivalStream, sample_interarrival
 
@@ -38,6 +38,22 @@ def test_a_finite_rate_above_the_bound_is_rejected():
         SimConfig(arrival_rate=1e300).validate()
     SimConfig(arrival_rate=MAX_ARRIVAL_RATE).validate()
     SimConfig(arrival_rate=math.inf).validate()
+
+
+@pytest.mark.parametrize("rate, streams", [(100.0, 3), (SATURATED, 0),
+                                           (0.0, 0)])
+def test_only_poisson_nodes_seed_a_stream(monkeypatch, rate, streams):
+    """A saturated or silent node draws no arrival, so it gets no stream and
+    seeds no RNG; proto_rng is seeded first, so it is the same either way."""
+    seeded = []
+    real = random.Random
+    monkeypatch.setattr(random, "Random",
+                        lambda seed: seeded.append(seed) or real(seed))
+    sim = Simulation(SimConfig(n_nodes=3, arrival_rate=rate, seed=4))
+    assert len(seeded) == 2 + streams  # the master seed and proto_rng first
+    assert sum(st is not None for st in sim.streams) == streams
+    master = real(4)
+    assert seeded[1] == master.getrandbits(64)
 
 
 def test_saturated_stream_never_schedules_arrivals():
