@@ -25,6 +25,16 @@ transmits with fewer than max_aggregation packets queued (they fix the batch
 size), before a success pops its queue, and at the end of the run.  Appended
 later but in the same order, they give the same stamps, drops and RNG states.
 
+A node's Poisson stream depends on the seed and the rate alone.  So inside a
+sweep, a run may read a node's instants from the trace an earlier cell of
+the same seed drew (traffic.TraceBook): catch_up takes those before its bound
+with one bisect and one slice into the queue, up to the room left, counts
+the rest as drops, and has the book draw (and record, for later cells) only
+past the trace's end.  A run outside a sweep, or whose seed has no later
+Poisson cell, gets no trace and draws every instant itself, as above.  The
+stamps and drops are the same either way; drawn_arrivals and wakes count
+what the run drew and how often an idle node joined contention.
+
 Simulation owns every node's state as seven lists indexed by node id: queues,
 stage and next_tx, and the whole-run ledger arrivals, delivered, dropped and
 queue_empties.  Every tally counts the whole run; the report reads the
@@ -64,6 +74,7 @@ from collections import deque, namedtuple
 from math import inf, log
 
 from . import protocols  # rules looked up per call, so wrappers apply
+from . import traffic
 from .config import Protocol, SimConfig
 from .errors import ConsistencyError
 from .metrics import (MetricsAccumulator, MetricsReport,
@@ -214,14 +225,32 @@ class Simulation:
         self.acc = MetricsAccumulator(
             t.slot_empty, t.payload_bits,
             (self.delivered, self.dropped, self.queue_empties))
-        # only a Poisson source has a stream, seeded after proto_rng
-        self.streams = [ArrivalStream(cfg.arrival_rate,
-                                      random.Random(master.getrandbits(64)))
-                        if 0 < cfg.arrival_rate < inf else None
-                        for _ in range(n)]
+        # only a Poisson source has a stream, seeded after proto_rng; inside a
+        # sweep, the book of this seed and rate may hold its instants
+        self.streams = [None] * n
+        self.traces = None  # per node, the shared Trace it reads, or None
         self.last_collision_slot = -1
         self._settled = False
-        self.stepped_slots = self.replayed_slots = 0  # run() counts them
+        # run() counts them; drawn_arrivals starts at the streams' first draws
+        self.stepped_slots = self.replayed_slots = 0
+        self.drawn_arrivals = self.wakes = 0
+        rate = cfg.arrival_rate
+        if 0 < rate < inf:
+            book = traffic.book
+            if book is not None and book.key == (cfg.seed, rate):
+                self._book = book
+                self._book_drawn = book.drawn
+                self.traces = [None] * n
+            for nid in range(n):
+                bits = master.getrandbits(64)
+                trace = None if self.traces is None else book.lend(nid, bits)
+                if trace is None:
+                    self.streams[nid] = ArrivalStream(rate, random.Random(bits))
+                    self.drawn_arrivals += 1
+                else:
+                    self.traces[nid] = trace
+                    self.streams[nid] = ArrivalStream(rate, trace.rng,
+                                                      trace.instants[0])
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot
             # 0 with the rejoin draw of the first arrival, in node id order
@@ -257,6 +286,7 @@ class Simulation:
         """Resolve exactly one contention slot, advance the clock and return
         the slot's transmitters in node id order: () for an idle slot, one
         node id for a success, more for a collision."""
+        assert self.traces is None, "only run() reads a sweep's shared traces"
         cfg = self.cfg
         acc = self.acc
         s = self.slot
@@ -381,7 +411,7 @@ class Simulation:
         counted_busy_us = delay_sum_us = busy_us = prev_end = 0.0
         slot = empty_count = 0
 
-        def catch_up(nid, until):
+        def draw(nid, until):
             """Apply nid's arrivals before `until` (on_packet_arrival without
             the rejoin): append each to the queue, or drop it if full."""
             st = streams[nid]
@@ -400,18 +430,81 @@ class Simulation:
             arrivals[nid] += landed
             dropped[nid] += lost
 
+        catch_up = draw
+        traces = self.traces
+        # arrivals[nid] - base[nid] are the draws of a stream that is its own
+        base = [0] * n_nodes
+        if traces is not None:
+            from bisect import bisect_left
+            extend = self._book.extend
+            traced = [tr and tr.instants for tr in traces]
+            cursor = [0] * n_nodes  # the index of nid's next_us in its trace
+
+            def land(nid, instants, pos, k):
+                """Queue instants[pos:k], up to the room left; drop the rest."""
+                q = queues[nid]
+                room = cap - len(q)
+                if k - pos > room:
+                    q.extend(instants[pos:pos + room])
+                    dropped[nid] += k - pos - room
+                else:
+                    q.extend(instants[pos:k])
+                arrivals[nid] += k - pos
+
+            def catch_up(nid, until):
+                """draw(), for a node whose trace holds its next arrival:
+                the trace's instants before `until` land, a lone one by
+                itself and more with one slice, and the book draws more
+                only past the trace's end."""
+                instants = traced[nid]
+                if instants is None:
+                    return draw(nid, until)
+                pos = cursor[nid]
+                if instants[-1] >= until or extend(nid, traces[nid], until):
+                    t = instants[pos + 1]
+                    if t >= until:
+                        cursor[nid] = pos + 1
+                        streams[nid].next_us = t
+                        arrivals[nid] += 1
+                        q = queues[nid]
+                        if len(q) < cap:
+                            q.append(instants[pos])
+                        else:
+                            dropped[nid] += 1
+                        return
+                    k = bisect_left(instants, until, pos + 2)
+                    cursor[nid] = k
+                    streams[nid].next_us = instants[k]
+                    land(nid, instants, pos, k)
+                    return
+                # the book does not hold the trace (any more): land all it
+                # holds but the last, and go on from that one alone
+                last = len(instants) - 1
+                if pos < last:
+                    land(nid, instants, pos, last)
+                traced[nid] = None
+                st = streams[nid]
+                st.rng = traces[nid].rng
+                st.next_us = instants[last]
+                base[nid] = arrivals[nid]
+                draw(nid, until)
+
         def catch_up_active(until):
             """What landed at contending nodes since their last catch-up."""
             if poisson:
                 for nid in range(n_nodes):
-                    if next_tx[nid] >= 0:
+                    if next_tx[nid] >= 0 and streams[nid].next_us < until:
                         catch_up(nid, until)
+
+        wakes = 0
 
         def wake(s, until):
             """Idle nodes' arrivals before `until`, slot s's end, in instant
             order: the first one queued wakes its node (on_packet_arrival)."""
+            nonlocal wakes
             while arr_heap and arr_heap[0][0] < until:
                 nid = heappop(arr_heap)[1]
+                wakes += 1
                 catch_up(nid, until)
                 if not keep_stage:
                     stage[nid] = 0
@@ -618,6 +711,13 @@ class Simulation:
             # prev_end now lags, but saturated runs have no arrivals to catch up
 
         catch_up_active(prev_end)
+        if poisson:
+            self.drawn_arrivals += sum(
+                arrivals[nid] - base[nid] for nid in range(n_nodes)
+                if traces is None or traced[nid] is None)
+            if traces is not None:
+                self.drawn_arrivals += self._book.drawn - self._book_drawn
+        self.wakes = wakes
         self._settled = settled
         self.last_collision_slot = last_collision
         self.stepped_slots = slot - empty_count - replayed_busy

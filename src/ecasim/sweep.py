@@ -8,20 +8,23 @@ variant: the protocol plus optional space separated flags, e.g.
     protocol = csma-ca agg=16
     protocol = csma-eca hyst
 
-Runs are keyed by (protocol label, n_nodes, seed) and executed in that fixed
-order; a worker pool only changes wall-clock time, never the emitted bytes,
-because results are written back in submission order.
+Runs are keyed by (protocol label, n_nodes, seed) and submitted in that fixed
+order.  They execute grouped by seed, so that a cell reads the arrival
+instants earlier cells of its seed drew (traffic.TraceBook); neither that nor
+a worker pool changes the emitted bytes, because results are written back in
+submission order.
 """
 
 import csv
 import math
 import os
 import sys
-from contextlib import contextmanager
-from itertools import groupby, product, repeat
+from contextlib import contextmanager, nullcontext
+from itertools import groupby, product
 from pathlib import Path
 from typing import NamedTuple
 
+from . import traffic
 from .config import Protocol, SimConfig, SATURATED
 from .engine import run_simulation
 from .errors import ConfigError, ConsistencyError
@@ -352,35 +355,87 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _run_cell(run, cfg):
-    """run(cfg) in a pool worker; a ConsistencyError is returned, not raised.
+def _run_cell(cell: tuple, cfg):
+    """run(cfg) for cell = (run, later), in a pool worker or here, after
+    telling the process's trace book that its later cells read node ids
+    below `later`; a ConsistencyError is returned, not raised.
 
     A chunk of cells is one executor task, so a raise would lose the reports
-    ahead of it in its chunk.  run is passed in so that a replacement put at
-    sweep.run_simulation is what the worker runs.
+    ahead of it in its chunk.  run is what stood at sweep.run_simulation when
+    the sweep began, so that a replacement put there is what runs.
     """
+    run, later = cell
+    traffic.share(cfg.seed, cfg.arrival_rate, later)
     try:
         return run(cfg)
     except ConsistencyError as exc:
         return exc
 
 
-def _reports(configs: list, workers: int):
-    """run_simulation over configs, in order, on a pool if workers > 1.
+def _plan(configs: list, span: int) -> list:
+    """A (run, later) cell per config, for a process that runs configs in
+    order, span at a time (a pool worker gets a chunk of span; a worker may
+    run any chunk).  later is the largest n_nodes of a later Poisson cell in
+    the same span with the same seed and rate, 0 if there is none."""
+    later = [0] * len(configs)
+    for start in range(0, len(configs), span):
+        seen = {}
+        for i in reversed(range(start, min(start + span, len(configs)))):
+            cfg = configs[i]
+            if 0 < cfg.arrival_rate < math.inf:
+                key = (cfg.seed, cfg.arrival_rate)
+                later[i] = seen.get(key, 0)
+                seen[key] = max(later[i], cfg.n_nodes)
+    return [(run_simulation, n) for n in later]
 
-    The executor sends the cells out in contiguous chunks, about 16 per
-    worker, so the parent handles a few dozen results instead of one per cell.
+
+def _reports(configs: list, workers: int):
+    """run_simulation over configs, on a pool if workers > 1, yielded in
+    submission order.
+
+    The cells run grouped by seed (stable within a seed), so that the cells
+    of one seed follow each other and read the arrival instants earlier ones
+    drew (traffic.TraceBook).  The executor sends the cells out in
+    contiguous chunks, about 16 per worker, so the parent handles a few
+    dozen results instead of one per cell.  On a ConsistencyError the cells
+    submitted before the first faulty one still run, and it is raised after
+    their reports.
     """
-    if workers == 1:
-        yield from map(run_simulation, configs)
-        return
-    chunksize = max(1, len(configs) // (workers * 16))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for report in pool.map(_run_cell, repeat(run_simulation), configs,
-                               chunksize=chunksize):
-            if isinstance(report, ConsistencyError):
-                raise report
-            yield report
+    rank = {}
+    for cfg in configs:
+        rank.setdefault(cfg.seed, len(rank))
+    order = sorted(range(len(configs)), key=lambda k: rank[configs[k].seed])
+    ordered = [configs[k] for k in order]
+    first_fault = len(configs)
+
+    def serial():
+        for cell, cfg, k in zip(_plan(ordered, len(ordered)), ordered, order):
+            # a cell submitted after a fault is never written
+            yield _run_cell(cell, cfg) if k < first_fault else None
+
+    done = {}
+    nxt = 0
+    try:
+        with (nullcontext() if workers == 1 else
+              ProcessPoolExecutor(max_workers=workers)) as pool:
+            if pool is None:
+                outcomes = serial()
+            else:
+                chunksize = max(1, len(configs) // (workers * 16))
+                outcomes = pool.map(_run_cell, _plan(ordered, chunksize),
+                                    ordered, chunksize=chunksize)
+            for k, outcome in zip(order, outcomes):
+                if isinstance(outcome, ConsistencyError):
+                    first_fault = min(first_fault, k)
+                done[k] = outcome
+                while nxt in done:
+                    outcome = done.pop(nxt)
+                    if isinstance(outcome, ConsistencyError):
+                        raise outcome
+                    yield outcome
+                    nxt += 1
+    finally:
+        traffic.book = None  # no trace outlives its sweep
 
 
 def _cells(rows: list):

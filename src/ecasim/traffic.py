@@ -6,11 +6,19 @@ queue holds it.  Poisson sources draw exponential interarrival gaps and stamp
 each packet with its exact arrival instant, so delay measurements are not
 quantised to slot boundaries.  A saturated source simply keeps the queue
 topped up: it models a node that always has traffic waiting.
+
+Node i's stream depends on the seed and the rate alone, so every protocol
+variant and node count of a sweep at one seed sees the same instants.  A
+sweep's cells at one (seed, arrival_rate) therefore share them through a
+TraceBook: each instant is drawn once, by the first cell that needs it, and
+later cells read it back.
 """
 
 import math
 import random
+from math import log
 
+from . import config
 from .errors import ConfigError
 
 
@@ -29,12 +37,18 @@ class ArrivalStream:
     what other nodes are doing.
     """
 
-    def __init__(self, rate: float, rng: random.Random):
+    def __init__(self, rate: float, rng: random.Random,
+                 next_us: float | None = None):
+        """next_us, if given, is the first arrival, already drawn; rng then
+        draws the gap after it."""
         if not rate > 0:
             raise ConfigError("arrival rate must be positive")
         self.rate = rate
         self.rng = rng
-        self.next_us = math.inf if math.isinf(rate) else sample_interarrival(rate, rng)
+        if next_us is None:
+            next_us = (math.inf if math.isinf(rate)
+                       else sample_interarrival(rate, rng))
+        self.next_us = next_us
 
     def drain_poisson(self, window_end_us: float) -> list[float]:
         """Enqueue instants of all arrivals strictly before window_end_us."""
@@ -50,3 +64,113 @@ class ArrivalStream:
         perfbench/tracer.py still patches this name (ROADMAP item 2)."""
         assert math.isinf(self.rate)
         return [now_us] * (capacity - queue_len)
+
+
+class Trace:
+    """Every instant one node's Poisson stream has drawn so far, in order,
+    and the stream's RNG, which draws the gap after the last of them."""
+
+    __slots__ = ("instants", "rng")
+
+    def __init__(self, instants, rng: random.Random):
+        self.instants = instants
+        self.rng = rng
+
+
+# A trace grows by at least this many instants at a time, so that a run that
+# records a node one arrival at a time extends it once per 32 draws.  Of the
+# instants a sweep draws, at most this many per node go unread.
+LOOKAHEAD = 32
+
+
+class TraceBook:
+    """The traces of one (seed, arrival_rate), shared by a sweep's cells.
+
+    A run reads a node's instants from its trace, and the book draws more
+    only past the trace's end.  Before each run the sweep sets `later`, the
+    node count a later cell of the same process will read: the run extends
+    the traces of the nodes below it, and takes the traces of the others out
+    of the book, since no later cell reads them.  The book holds at most
+    config.MAX_TRACED_INSTANTS instants (`room` is what it may still take,
+    `drawn` counts every instant it drew); once a run would need more, the
+    book lets go of every trace and keeps none for the rest of its (seed,
+    rate), and runs draw privately.  Which cells share what never changes a
+    report, only how often an instant is drawn.
+    """
+
+    def __init__(self, seed: int, rate: float):
+        self.key = (seed, rate)
+        self.traces = {}       # node id -> Trace
+        self.room = config.MAX_TRACED_INSTANTS
+        self.drawn = 0
+        self.later = 0
+
+    def lend(self, nid: int, seed_bits: int):
+        """The trace nid's stream reads in the next run, or None: the run
+        then draws nid's arrivals from Random(seed_bits) on its own."""
+        if nid >= self.later:
+            trace = self.traces.pop(nid, None)
+            if trace is not None:
+                self.room += len(trace.instants)
+            return trace
+        trace = self.traces.get(nid)
+        if trace is None and self.room:
+            from array import array  # loaded only when cells share arrivals
+            rng = random.Random(seed_bits)
+            trace = Trace(array("d", (sample_interarrival(self.key[1], rng),)),
+                          rng)
+            self.traces[nid] = trace
+            self.room -= 1
+            self.drawn += 1
+        return trace
+
+    def extend(self, nid: int, trace: Trace, until: float) -> bool:
+        """Draw nid's instants past the trace's end, up to the first at or
+        past until and LOOKAHEAD at least, as a stream draws them.
+
+        False if the book does not hold trace (drawing nothing), or if it
+        runs out of room first: it then lets go of every trace, and trace
+        keeps what was drawn.  Either way the caller goes on alone.
+        """
+        if self.traces.get(nid) is not trace:
+            return False
+        instants = trace.instants
+        append = instants.append
+        rnd = trace.rng.random
+        rate = self.key[1]
+        t = instants[-1]
+        room = self.room
+        drew = 0
+        while drew < room and (t < until or drew < LOOKAHEAD):
+            drew += 1
+            t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
+            append(t)
+        self.room = room - drew
+        self.drawn += drew
+        if t >= until:
+            return True
+        self.let_go()
+        return False
+
+    def let_go(self) -> None:
+        """Out of room: hold no trace and take none, for good."""
+        self.traces.clear()
+        self.room = 0
+
+
+# The trace book of the sweep cells this process is running; None outside a
+# sweep, so that a standalone run shares nothing.
+book = None
+
+
+def share(seed: int, rate: float, later: int) -> None:
+    """Set up book for the next run, at (seed, rate), after which cells of
+    this process read node ids below `later` (0: none).  A book of another
+    (seed, rate) is dropped; none is made for a run that no cell follows."""
+    global book
+    if book is not None and book.key != (seed, rate):
+        book = None
+    if book is None and later and 0 < rate < math.inf:
+        book = TraceBook(seed, rate)
+    if book is not None:
+        book.later = later

@@ -573,7 +573,9 @@ def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
     dataclasses, with the inspect it loads, cost more than the rest of
     ecasim's import.  statistics, with the fractions and decimal behind it,
     is not needed at all: a sweep aggregates in floats and integers.  So no
-    step, the one-worker run_sweep included, may load any of them."""
+    step, the one-worker run_sweep included, may load any of them.  array,
+    which holds a sweep's shared arrival traces, is left to the Poisson run
+    that needs it (bisect, its other helper, comes with random)."""
     path, _ = _write_config(tmp_path)
     golden = Path(__file__).resolve().parent / "golden" / "poisson"
     src = Path(ecasim.__file__).resolve().parents[1]
@@ -588,3 +590,6 @@ def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
     for step, modules in loaded.items():
         hits = banned & set(modules)
         assert not hits, f"{step} loaded {sorted(hits)}"
+    for step in ("import", "validate", "figures"):
+        assert "array" not in loaded[step], f"{step} loaded array"
+    assert "array" in loaded["one-worker run_sweep"]  # the seeds share traces

@@ -266,6 +266,45 @@ def test_reports_scale_exactly_with_the_clock(cfg, k):
     assert _reports_equal(scaled, expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(cfg=sim_configs(), k=st.sampled_from([1, 3, 5]))
+@example(cfg=SimConfig(protocol=Protocol.CSMA_CA, n_nodes=3,
+                       arrival_rate=2000.0, max_aggregation=16,
+                       queue_capacity=16, sim_slots=1500, warmup_slots=300,
+                       seed=3), k=3)
+def test_reports_scale_exactly_with_the_payload(cfg, k):
+    """A metamorphic check of the shared code, like the clock scale: with
+    payload_bits and data_rate both 2^k times as large, every exchange lasts
+    just as long, so the run is the same, and only the delivered bits and
+    throughput are exactly 2^k times as large."""
+    f = 2 ** k
+    t = cfg.timing
+    scaled = run_simulation(cfg._replace(timing=t._replace(
+        payload_bits=t.payload_bits * f, data_rate=t.data_rate * f)))
+    base = run_simulation(cfg)
+    expected = base._replace(
+        throughput_bps=base.throughput_bps * f,
+        delivered_bits=base.delivered_bits * f,
+        per_node=[row._replace(delivered_bits=row.delivered_bits * f)
+                  for row in base.per_node])
+    assert _reports_equal(scaled, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=sim_configs())
+@example(SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=6, cw_min=4,
+                   max_stage=0, arrival_rate=SATURATED, sim_slots=1500,
+                   warmup_slots=0, seed=2))
+def test_hysteresis_is_inert_at_max_stage_0(cfg):
+    """At max_stage 0 every stage is 0, so csma-eca's hysteresis keeps
+    nothing and its post-success counter is the plain one: the run is the
+    same with or without it."""
+    eca = cfg._replace(protocol=Protocol.CSMA_ECA, max_stage=0,
+                       hysteresis=False)
+    assert _reports_equal(run_simulation(eca._replace(hysteresis=True)),
+                          run_simulation(eca))
+
+
 @st.composite
 def saturated_eca_configs(draw):
     """Saturated csma-eca that can settle, so run() replays whole periods.
@@ -446,6 +485,29 @@ def test_run_counts_its_stepped_and_replayed_slots(cfg):
         assert sim.replayed_slots % _hyperperiod(sim) == 0
         assert sim.stepped_slots < busy
         assert sim.stepped_slots + sim.replayed_slots <= cfg.sim_slots
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=sim_configs())
+@example(WAKES[2])
+@example(SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3,
+                   arrival_rate=20_000.0, max_aggregation=16,
+                   queue_capacity=16, sim_slots=3000, warmup_slots=1500,
+                   seed=1))
+def test_run_counts_its_draws_and_wakes(cfg):
+    """Outside a sweep a Poisson stream draws each arrival it applies and
+    the one after its last: drawn_arrivals is sum(arrivals) + n_nodes.  Each
+    wake puts an idle node into contention, which it leaves only when its
+    queue empties: wakes is sum(queue_empties) plus the nodes contending at
+    the end.  Saturated and silent runs draw nothing and wake no node."""
+    sim = Simulation(cfg)
+    sim.run()
+    contending = sum(due >= 0 for due in sim.next_tx)
+    if 0 < cfg.arrival_rate < math.inf:
+        assert sim.drawn_arrivals == sum(sim.arrivals) + cfg.n_nodes
+        assert sim.wakes == sum(sim.queue_empties) + contending
+    else:
+        assert sim.drawn_arrivals == sim.wakes == 0
 
 
 @pytest.mark.parametrize("cfg", REPLAYED + EARLY_SETTLED)

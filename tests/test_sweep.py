@@ -5,6 +5,7 @@ import math
 import os
 import statistics
 import sys
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,12 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from ecasim import (ConfigError, ConsistencyError, Protocol, SimConfig,
                     SweepSpec)
 import ecasim.sweep as sweep_mod
-from ecasim.engine import run_simulation
+from ecasim import config, traffic
+from ecasim.engine import Simulation, run_simulation
 from ecasim.sweep import (CSV_COLUMNS, ECHO_NAME, FAULT_MARKER,
                           METRIC_COLUMNS, RESULTS_NAME, ProtocolVariant,
                           load_results, parse_config,
                           parse_config_with_overrides, parse_variant,
                           run_sweep, worker_count, write_results_csv)
+from ecasim.timing import DEFAULT_TIMING, TimingTable
 
 
 def _tiny_spec(tmp_path, **kw):
@@ -520,6 +523,199 @@ def test_pooled_fault_writes_the_one_worker_bytes(tmp_path, monkeypatch):
                                               ["csma-ca", "2", "2"]]
     assert rows[3][:2] == [FAULT_MARKER, "csma-ca,3,1: planted fault"]
     assert len(rows) == 4
+
+
+# -- shared arrival traces ----------------------------------------------------
+
+def _standalone(spec):
+    """Each cell's report run alone, outside any sweep, in run_keys order."""
+    return [run_simulation(spec.config_for(*key)) for key in spec.run_keys()]
+
+
+def _same_rows(results, reports):
+    # repr is exact for floats and spells nan one way
+    return [repr(row.report) for row in results.rows] == list(map(repr,
+                                                                  reports))
+
+
+@st.composite
+def shared_sweeps(draw):
+    """Poisson sweeps whose cells share traces: several variants, node counts
+    and seeds, rates that fill small queues and drop, warmup 0, aggregation
+    and rejoin_inclusive."""
+    agg = draw(st.sampled_from([1, 2, 16]))
+    sim_slots = draw(st.integers(20, 400))
+    base = SimConfig(
+        arrival_rate=draw(st.sampled_from([60.0, 900.0, 8000.0, 40_000.0])),
+        queue_capacity=draw(st.one_of(st.integers(agg, agg + 2),
+                                      st.just(1000))),
+        max_aggregation=agg,
+        rejoin_inclusive=draw(st.booleans()),
+        cw_min=draw(st.sampled_from([4, 16])),
+        sim_slots=sim_slots,
+        warmup_slots=draw(st.one_of(st.just(0),
+                                    st.integers(0, sim_slots - 1))),
+        timing=draw(st.sampled_from([
+            DEFAULT_TIMING, TimingTable(slot_empty=10.3, payload_bits=8000)])))
+    variants = draw(st.lists(st.sampled_from([
+        ProtocolVariant(Protocol.CSMA_CA),
+        ProtocolVariant(Protocol.CSMA_ECA),
+        ProtocolVariant(Protocol.CSMA_ECA, hysteresis=True),
+        ProtocolVariant(Protocol.CSMA_CA, max_aggregation=1)]),
+        min_size=2, max_size=3, unique=True))
+    node_counts = sorted(draw(st.sets(st.integers(1, 8), min_size=2,
+                                      max_size=4)))
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=3,
+                          unique=True))
+    return SweepSpec(base, node_counts, variants, seeds)
+
+
+MANY_CELLS = SweepSpec(
+    SimConfig(arrival_rate=8000.0, queue_capacity=3, max_aggregation=2,
+              rejoin_inclusive=True, sim_slots=300, warmup_slots=0),
+    list(range(1, 12)),
+    [ProtocolVariant(Protocol.CSMA_CA), ProtocolVariant(Protocol.CSMA_ECA),
+     ProtocolVariant(Protocol.CSMA_ECA, hysteresis=True)],
+    [5, 6])
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=shared_sweeps())
+# 66 cells: at 2 workers a pool chunk holds 2 cells, which share
+@example(spec=MANY_CELLS)
+def test_shared_traces_give_every_cell_its_standalone_report(spec):
+    """Cells of one seed read the arrival instants the first of them drew;
+    at 1 and 2 workers every row is still the report of its cell run alone."""
+    expected = _standalone(spec)
+    with tempfile.TemporaryDirectory() as out:
+        for workers in (1, 2):
+            spec.output_dir = os.path.join(out, str(workers))
+            assert _same_rows(run_sweep(spec, workers=workers), expected)
+            assert traffic.book is None  # no trace outlives its sweep
+
+
+def _counted_run(cfg):
+    sim = Simulation(cfg)
+    report = sim.run()
+    report.drawn_arrivals = sim.drawn_arrivals
+    return report
+
+
+def test_a_seed_draws_each_instant_once(tmp_path, monkeypatch):
+    """Node i's stream is the same in every cell of a seed, so the cells of
+    one seed draw between them each instant once: as many as the cell that
+    needs the most of node i's instants, summed over i, plus fewer than
+    LOOKAHEAD per node that the book drew ahead and no cell reached."""
+    monkeypatch.setattr(sweep_mod, "run_simulation", _counted_run)
+    spec = _tiny_spec(tmp_path, node_counts=[2, 5, 8], variants=[
+        ProtocolVariant(Protocol.CSMA_CA), ProtocolVariant(Protocol.CSMA_ECA),
+        ProtocolVariant(Protocol.CSMA_CA, max_aggregation=16)])
+    spec.base = spec.base._replace(queue_capacity=16, sim_slots=3000)
+    rows = run_sweep(spec, workers=1).rows
+    for seed in spec.seeds:
+        most = {}
+        alone = 0
+        for variant, n, _ in spec.run_keys():
+            sim = Simulation(spec.config_for(variant, n, seed))
+            sim.run()
+            alone += sim.drawn_arrivals
+            for nid, arrived in enumerate(sim.arrivals):
+                most[nid] = max(most.get(nid, 0), arrived + 1)
+        drawn = sum(row.report.drawn_arrivals for row in rows
+                    if row.seed == seed)
+        least = sum(most.values())
+        assert least <= drawn < least + traffic.LOOKAHEAD * len(most)
+        assert drawn < alone
+
+
+class _BudgetWatch:
+    """Checks after every lend and every cell that the book holds no more
+    instants than its budget, and that room is the budget less what it
+    holds, so that no run can append past it in between."""
+
+    def __init__(self, monkeypatch, budget):
+        monkeypatch.setattr(config, "MAX_TRACED_INSTANTS", budget)
+        self.budget = budget
+        self.most = 0
+        self.filled = set()  # the books that let go
+        real_lend = traffic.TraceBook.lend
+        real_let_go = traffic.TraceBook.let_go
+        real_run = sweep_mod.run_simulation
+
+        def lend(book, *args):
+            trace = real_lend(book, *args)
+            self.check(book)
+            return trace
+
+        def let_go(book):
+            real_let_go(book)
+            self.filled.add(book)
+
+        def run(cfg):
+            report = real_run(cfg)
+            if traffic.book is not None:
+                self.check(traffic.book)
+            return report
+
+        monkeypatch.setattr(traffic.TraceBook, "lend", lend)
+        monkeypatch.setattr(traffic.TraceBook, "let_go", let_go)
+        monkeypatch.setattr(sweep_mod, "run_simulation", run)
+
+    def check(self, book):
+        held = sum(len(t.instants) for t in book.traces.values())
+        assert 0 <= held <= self.budget and book.room >= 0
+        assert held + book.room == (0 if book in self.filled else self.budget)
+        self.most = max(self.most, held)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 40, 700, config.MAX_TRACED_INSTANTS])
+def test_the_book_keeps_to_its_budget(tmp_path, monkeypatch, budget):
+    """Past its budget the book lets go of every trace and keeps none for
+    the rest of its seed; the runs go on privately, with the same reports."""
+    spec = _tiny_spec(tmp_path, node_counts=[2, 5, 8], seeds=[1, 2, 3])
+    spec.base = spec.base._replace(queue_capacity=4, max_aggregation=2)
+    expected = _standalone(spec)
+    watch = _BudgetWatch(monkeypatch, budget)
+    assert _same_rows(run_sweep(spec, workers=1), expected)
+    assert watch.most <= budget
+    # each seed draws 1892 to 2705 instants, so 700 runs out, 10^7 never;
+    # at 0 the book holds nothing to let go of
+    assert bool(watch.filled) == (0 < budget <= 700)
+
+
+def _fail_csma_eca_at_three_nodes_seed_one(cfg):
+    if (cfg.protocol is Protocol.CSMA_ECA and cfg.n_nodes == 3
+            and cfg.seed == 1):
+        raise ConsistencyError("planted fault")
+    return run_simulation(cfg)
+
+
+def test_a_fault_in_an_early_seed_still_writes_the_cells_submitted_first(
+        tmp_path, monkeypatch):
+    """Seed 1's cells all run before seed 2's, so the faulty cell (the
+    seventh submitted) runs before cells 2, 4 and 6 of seed 2.  Those still
+    run, and the rows are the six cells submitted before it, in order."""
+    monkeypatch.setattr(sweep_mod, "run_simulation",
+                        _fail_csma_eca_at_three_nodes_seed_one)
+    written = {}
+    for workers in (1, 2):
+        spec = _tiny_spec(tmp_path, output_dir=str(tmp_path / f"w{workers}"))
+        with pytest.raises(ConsistencyError, match="planted fault"):
+            run_sweep(spec, workers=workers)
+        assert traffic.book is None
+        written[workers] = (tmp_path / f"w{workers}" / RESULTS_NAME).read_bytes()
+    assert written[2] == written[1]
+    rows = _read_rows(tmp_path / "w1" / RESULTS_NAME)
+    keys = [(v.label, n, s) for v, n, s in spec.run_keys()]
+    assert [tuple(row[:3]) for row in rows[1:7]] == [
+        (label, str(n), str(s)) for label, n, s in keys[:6]]
+    assert rows[7][:2] == [FAULT_MARKER, "csma-eca,3,1: planted fault"]
+    assert len(rows) == 8
+    alone = _standalone(spec)[:6]
+    values = [[row[col] for col in range(3, len(CSV_COLUMNS))]
+              for row in rows[1:7]]
+    assert values == [[str(v) for v in sweep_mod._project(r).values()]
+                      for r in alone]
 
 
 # -- loading results back -----------------------------------------------------
