@@ -17,24 +17,6 @@ its end, so it steps busy slots only.  An idle slot is resolved only inside
 the skip, where an idle node wakes: the rejoin draw is the only shared
 randomness a gap holds, so bulk skipping is exactly stepping slot by slot.
 
-An arrival at a node that is already contending draws nothing from the shared
-RNG and only grows its queue, which nothing reads until the node's next pop.
-So run() keeps only idle nodes in its arrival heap and applies a contending
-node's arrivals, from its private stream, where they matter: before it
-transmits with fewer than max_aggregation packets queued (they fix the batch
-size), before a success pops its queue, and at the end of the run.  Appended
-later but in the same order, they give the same stamps, drops and RNG states.
-
-A node's Poisson stream depends on the seed and the rate alone.  So inside a
-sweep, a run may read a node's instants from the trace an earlier cell of
-the same seed drew (traffic.TraceBook): catch_up takes those before its bound
-with one bisect and one slice into the queue, up to the room left, counts
-the rest as drops, and has the book draw (and record, for later cells) only
-past the trace's end.  A run outside a sweep, or whose seed has no later
-Poisson cell, gets no trace and draws every instant itself, as above.  The
-stamps and drops are the same either way; drawn_arrivals and wakes count
-what the run drew and how often an idle node joined contention.
-
 Simulation owns every node's state as seven lists indexed by node id: queues,
 stage and next_tx, and the whole-run ledger arrivals, delivered, dropped and
 queue_empties.  Every tally counts the whole run; the report reads the
@@ -45,27 +27,41 @@ advance_slot() is the reference stepper, for tests.  It drains the slot's
 arrivals in (instant, node id) order, then resolves the nodes due in the slot
 in node id order and returns them, the slot's whole outcome, through
 on_packet_arrival, after_transmission and the traffic and metrics functions.
-run() runs a fresh Simulation from slot 0 to the end in one fused loop over
-the same lists, with those functions inlined and the same random draws in the
-same order, stopping at slot warmup_slots to take the snapshot; a
-differential test holds it equal to stepping, and run() refuses a Simulation
-that advance_slot() has stepped.  The clock is the slot index, the count of
-empty slots and the busy time; now_us composes the last two on demand, which
-keeps time bit-identical between bulk and stepped slots.
+run() runs a fresh Simulation from slot 0 to the end through one of two
+drivers, saturated or arrival, each with those functions inlined and the
+same random draws and float operations in the same order, stopping at slot
+warmup_slots to take the snapshot; a differential test holds both equal to
+stepping, and run() refuses a Simulation that advance_slot() has stepped.
+The clock is the slot index, the count of empty slots and the busy time;
+now_us composes the last two on demand, which keeps time bit-identical
+between bulk and stepped slots.
 
-Saturated csma-eca can settle: every node due within one post-success period
-and no two nodes ever due in the same slot.  From then on nothing collides and
-nothing random is drawn, so run() tests for that state once per period from
-slot 0 on and, once it holds, replays whole hyperperiods of the schedule
-without heap or random work (before the window opens, only up to
-warmup_slots).  The replay still performs each busy slot's float additions
-(clock, delays, busy time) in stepping order, because an exchange time such
-as 316.888... us is not a dyadic number and k additions of it are not k times
-it; only integer tallies are added in bulk.  The remainder of the run goes
-back through the general loop.  settle_slot reports the first slot after the
-last collision once run() has proved this state.  Only runs that send one
-packet per exchange (max_aggregation 1) are tested and replayed; aggregated
-runs stay in the general loop throughout.
+The saturated driver holds no arrival code.  Every node contends all the
+time with a full queue (run() asserts so at the start; a collision keeps the
+queue and a success refills what it popped), so every batch is
+max_aggregation packets and every busy slot lasts that batch's exchange.
+Saturated csma-eca can also settle: every node due within one post-success
+period and no two nodes ever due in the same slot.  From then on nothing
+collides and nothing random is drawn, so at max_aggregation 1 the driver
+tests for that state once per period from slot 0 on and, once it holds,
+replays whole hyperperiods of the schedule without heap or random work
+(before the window opens, only up to warmup_slots).  The replay still
+performs each busy slot's float additions in stepping order, because an
+exchange time such as 316.888... us is not a dyadic number and k additions
+of it are not k times it; only integer tallies are added in bulk.
+
+The arrival driver runs Poisson and silent (arrival_rate 0) configs.  An
+arrival at a node that is already contending draws nothing from the shared
+RNG and only grows its queue, which nothing reads until the node's next pop.
+So the driver keeps only idle nodes in its arrival heap and applies a
+contending node's arrivals, from its private stream, late but in the same
+order: before it transmits with fewer than max_aggregation packets queued
+(they fix the batch size), before a success pops its queue, and at the end.
+Inside a sweep, catch_up may instead read a node's instants from the trace
+an earlier cell of the same seed and rate drew (traffic.TraceBook), with one
+bisect and one slice up to the room left; the stamps and drops are the same.
+drawn_arrivals and wakes count what the run drew and how often an idle node
+joined contention.
 """
 
 import heapq
@@ -107,39 +103,6 @@ def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
                 return None
             firing[f] = nid
     return sorted(firing.items())
-
-
-def _replay_busy_slots(plan, reps, se, empty_count, idle_per, duration,
-                       warm_end, busy_us, counted_busy_us, delay_sum_us,
-                       node_delay_sum, stale):
-    """The float work of reps settled hyperperiods, in stepping order.
-
-    plan lists each busy slot of the hyperperiod as (empty slots before it,
-    node id, its queue's popleft, its queue's append).  Every busy slot pops
-    one packet, adds its delay if it was stamped from warm_end on (counting
-    it in stale otherwise), refills the queue with its start instant and adds
-    its duration to the clock and the counted busy time.  Returns the clock's
-    busy time, the counted busy time and the delay sum.
-    """
-    e = empty_count
-    for _ in range(reps):
-        for idle, nid, pop, refill in plan:
-            now = se * (e + idle) + busy_us
-            enqueue_us = pop()
-            if enqueue_us >= warm_end:
-                delay = now + duration - enqueue_us
-                if delay < 0:
-                    raise negative_delay_error(delay, nid, now + duration,
-                                               enqueue_us)
-                delay_sum_us += delay
-                node_delay_sum[nid] += delay
-            else:
-                stale[nid] += 1
-            refill(now)
-            busy_us += duration
-            counted_busy_us += duration
-        e += idle_per
-    return busy_us, counted_busy_us, delay_sum_us
 
 
 def on_packet_arrival(sim, nid: int, enqueue_us: float) -> None:
@@ -277,7 +240,7 @@ class Simulation:
     def nodes(self) -> list:
         """Each node's drop count as nodes[i].counters.dropped, a read-only
         copy built on access.  Kept only because perfbench/tracer.py reads
-        it (ROADMAP item 6); everything else reads sim.dropped."""
+        it (ROADMAP item 2); everything else reads sim.dropped."""
         return [NodeSnapshot(DropCount(d)) for d in self.dropped]
 
     # -- the reference stepper --------------------------------------------------
@@ -335,26 +298,243 @@ class Simulation:
             self.empty_count += 1
         return txs
 
-    # -- the fused loop -----------------------------------------------------------
+    # -- the two drivers ------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        """Run a fresh Simulation from slot 0 to cfg.sim_slots and report.
-
-        Does exactly what advance_slot() calls from slot 0 do, plus bulk
-        skipping of idle gaps, lazy arrivals at contending nodes and the
-        settled replay, in one loop over the simulation's own lists and two
-        heaps it builds from next_tx and the streams.  A caller may fill
-        queues and set next_tx first; a stepped Simulation, or an idle node
-        holding packets, is refused.
-        """
+        """Run a fresh Simulation from slot 0 to cfg.sim_slots and report,
+        through _run_saturated() or _run_arrivals().  A caller may fill
+        queues and set next_tx first.  Refused: a stepped Simulation, an
+        idle node holding packets, and a saturated run whose queues are not
+        all full or whose nodes are not all due."""
         assert self.slot == 0 and all(
             due >= 0 or not q for q, due in zip(self.queues, self.next_tx)), \
             "run() needs a fresh Simulation and no idle node holding packets"
+        if self.cfg.saturated:  # full queues, so (above) every node due
+            cap = self.cfg.queue_capacity
+            assert all(len(q) == cap for q in self.queues), \
+                "a saturated run() needs every queue full"
+            drive = self._run_saturated
+        else:
+            drive = self._run_arrivals
+        acc = self.acc
+        (self.slot, self.empty_count, self.busy_us, acc.busy_us,
+         acc.delay_sum_us, self.last_collision_slot, replayed_busy) = drive()
+        self.stepped_slots = self.slot - self.empty_count - replayed_busy
+        return self._finalize()
+
+    def _run_saturated(self) -> tuple:
+        """run()'s saturated driver (see the module docstring).  Returns the
+        clock (slot, empty slots, busy time), the counted busy time, the
+        delay sum, the last collision slot and the replayed busy slots."""
         cfg = self.cfg
         t = cfg.timing
         acc = self.acc
-        heappush = heapq.heappush
-        heappop = heapq.heappop
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # randrange(w), inlined: the same getrandbits calls, so the same state
+        getrandbits = self.proto_rng.getrandbits
+
+        se = t.slot_empty
+        end = cfg.sim_slots
+        agg = cfg.max_aggregation
+        cw_min = cfg.cw_min
+        max_stage = cfg.max_stage
+        random_success = cfg.protocol is Protocol.CSMA_CA
+        keep_stage = cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis
+        eca_counter = cw_min // 2 - 1
+        cw_bits = cw_min.bit_length()
+        duration = t.exchange_us(agg * t.payload_bits)
+        n_nodes = cfg.n_nodes
+        # without hyst, more than cw_min/2 nodes never fit one period; the
+        # replay moves one packet per busy slot, so aggregation is stepped
+        eca_periods = [cw_min // 2] * n_nodes
+        replayable = (cfg.protocol is Protocol.CSMA_ECA and agg == 1
+                      and (keep_stage or n_nodes <= cw_min // 2))
+        warm_end = inf
+        check_at = 0 if replayable else end
+        last_collision = -1
+        replayed_busy = 0
+
+        queues = self.queues
+        stage = self.stage
+        next_tx = self.next_tx
+        arrivals = self.arrivals
+        delivered = self.delivered
+        # (due slot, node id), one entry per node; sorted is a heap
+        tx_heap = sorted(zip(next_tx, range(n_nodes)))
+        # the accumulator's lists change in place, scalars are written back
+        node_success = acc.node_success
+        node_collision = acc.node_collision
+        node_delay_sum = acc.node_delay_sum
+        node_delay_n = acc.node_delay_n
+        counted_busy_us = delay_sum_us = busy_us = 0.0
+        slot = empty_count = 0
+
+        while slot < end:
+            # -- stepping, up to the next settled check, or to the end or
+            # (until the window opens) the warmup boundary
+            limit = end if warm_end < inf else cfg.warmup_slots
+            stop = limit if limit < check_at else check_at
+            while slot < stop:
+                due = tx_heap[0][0]
+                if due > slot:  # skip the idle slots before it
+                    if due >= stop:
+                        empty_count += stop - slot
+                        slot = stop
+                        break
+                    empty_count += due - slot
+                    slot = due
+                nid = heappop(tx_heap)[1]
+                if tx_heap and tx_heap[0][0] == slot:
+                    # -- a collision: the colliders escalate in node id
+                    # order, each due past the slot once it has drawn
+                    last_collision = slot
+                    acc.slots_collision += 1
+                    while True:
+                        st = stage[nid] + 1
+                        if st > max_stage:
+                            st = max_stage
+                        stage[nid] = st
+                        w = cw_min << st
+                        r = getrandbits(cw_bits + st)
+                        while r >= w:
+                            r = getrandbits(cw_bits + st)
+                        c = slot + 1 + r
+                        next_tx[nid] = c
+                        heappush(tx_heap, (c, nid))
+                        node_collision[nid] += 1
+                        if tx_heap[0][0] != slot:
+                            break
+                        nid = heappop(tx_heap)[1]
+                else:
+                    # -- a success: the batch's delays, then the refill
+                    now = se * empty_count + busy_us
+                    q = queues[nid]
+                    if agg == 1:
+                        enqueue_us = q.popleft()
+                        if enqueue_us >= warm_end:
+                            slot_end = now + duration
+                            delay = slot_end - enqueue_us
+                            if delay < 0:
+                                raise negative_delay_error(
+                                    delay, nid, slot_end, enqueue_us)
+                            delay_sum_us += delay
+                            node_delay_sum[nid] += delay
+                            node_delay_n[nid] += 1
+                        q.append(now)
+                    else:
+                        slot_end = now + duration
+                        node_sum = node_delay_sum[nid]
+                        samples = 0
+                        for _ in range(agg):
+                            enqueue_us = q.popleft()
+                            if enqueue_us >= warm_end:
+                                delay = slot_end - enqueue_us
+                                if delay < 0:
+                                    raise negative_delay_error(
+                                        delay, nid, slot_end, enqueue_us)
+                                delay_sum_us += delay
+                                node_sum += delay
+                                samples += 1
+                        node_delay_sum[nid] = node_sum
+                        node_delay_n[nid] += samples
+                        q.extend([now] * agg)
+                    arrivals[nid] += agg
+                    delivered[nid] += agg
+                    node_success[nid] += 1
+                    if random_success:
+                        stage[nid] = 0
+                        r = getrandbits(cw_bits)
+                        while r >= cw_min:
+                            r = getrandbits(cw_bits)
+                        c = slot + 1 + r
+                    elif keep_stage:
+                        c = slot + (cw_min << stage[nid]) // 2
+                    else:
+                        stage[nid] = 0
+                        c = slot + 1 + eca_counter
+                    next_tx[nid] = c
+                    heappush(tx_heap, (c, nid))
+                counted_busy_us += duration
+                busy_us += duration
+                slot += 1
+
+            if slot >= end:
+                break
+            if warm_end == inf and slot == cfg.warmup_slots:
+                # -- slot warmup_slots begins
+                warm_end = se * empty_count + busy_us
+                acc.open_window(warm_end, empty_count)
+                counted_busy_us = 0.0
+                limit = end
+                if not replayable:
+                    continue
+            # -- at check_at or warmup_slots: once the schedule has settled,
+            # replay whole hyperperiods of it, up to the window or the end,
+            # with no random draw or heap work.  Only the per-busy-slot float
+            # sums are kept, in stepping order; integer tallies are added in
+            # bulk afterwards.
+            periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
+                       else eca_periods)
+            hyper = max(periods)
+            firings = _settled_firings(slot, next_tx, periods, hyper)
+            if firings is None:
+                check_at = slot + hyper
+                continue
+            self._settled = True
+            check_at = end
+            reps = (limit - slot) // hyper
+            if not reps:
+                continue
+            idle_per = hyper - len(firings)
+            # per busy slot: empty slots before it in the hyperperiod, the
+            # node, and its queue's pop and refill
+            plan = []
+            for j, (f, nid) in enumerate(firings):
+                q = queues[nid]
+                plan.append((f - slot - j, nid, q.popleft, q.append))
+            # stamps popped from before warm_end give no delay sample
+            stale = [0] * n_nodes
+            for _ in range(reps):
+                for idle, nid, pop, refill in plan:
+                    now = se * (empty_count + idle) + busy_us
+                    enqueue_us = pop()
+                    if enqueue_us >= warm_end:
+                        delay = now + duration - enqueue_us
+                        if delay < 0:
+                            raise negative_delay_error(
+                                delay, nid, now + duration, enqueue_us)
+                        delay_sum_us += delay
+                        node_delay_sum[nid] += delay
+                    else:
+                        stale[nid] += 1
+                    refill(now)
+                    busy_us += duration
+                    counted_busy_us += duration
+                empty_count += idle_per
+            for nid, period in enumerate(periods):
+                fired = reps * (hyper // period)
+                node_success[nid] += fired
+                delivered[nid] += fired
+                arrivals[nid] += fired
+                node_delay_n[nid] += fired - stale[nid]
+                next_tx[nid] += reps * hyper
+                if not keep_stage:
+                    stage[nid] = 0
+            slot += reps * hyper
+            self.replayed_slots += reps * hyper
+            replayed_busy += reps * len(firings)
+            tx_heap = sorted(zip(next_tx, range(n_nodes)))
+
+        return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
+                last_collision, replayed_busy)
+
+    def _run_arrivals(self) -> tuple:
+        """run()'s arrival driver (see the module docstring).  Returns what
+        _run_saturated() returns, with no replayed busy slots."""
+        cfg = self.cfg
+        t = cfg.timing
+        acc = self.acc
+        heappush, heappop = heapq.heappush, heapq.heappop
         # randrange(w), inlined: the same getrandbits calls, so the same state
         getrandbits = self.proto_rng.getrandbits
 
@@ -365,28 +545,17 @@ class Simulation:
         cw_min = cfg.cw_min
         max_stage = cfg.max_stage
         rate = cfg.arrival_rate
-        saturated = cfg.saturated
         random_success = cfg.protocol is Protocol.CSMA_CA
         keep_stage = cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis
         eca_counter = cw_min // 2 - 1
         rejoin_window = cw_min + 1 if cfg.rejoin_inclusive else cw_min
         cw_bits = cw_min.bit_length()
         rejoin_bits = rejoin_window.bit_length()
-        poisson = 0 < rate < inf
+        poisson = rate > 0
         exchange = [t.exchange_us(k * t.payload_bits) for k in range(agg + 1)]
         n_nodes = cfg.n_nodes
-        # saturated csma-eca may settle into a collision-free schedule; test
-        # for it once per period from slot 0 on (without hyst more than
-        # cw_min/2 nodes cannot all fit one period, so never).  The replay
-        # moves one packet per busy slot, so aggregation stays stepped.
-        eca_periods = [cw_min // 2] * n_nodes
-        replayable = (saturated and cfg.protocol is Protocol.CSMA_ECA
-                      and agg == 1 and (keep_stage or n_nodes <= cw_min // 2))
         warm_end = inf
-        check_at = 0 if replayable else end
-        settled = False
         last_collision = -1
-        replayed = replayed_busy = 0
 
         queues = self.queues
         stage = self.stage
@@ -515,11 +684,7 @@ class Simulation:
                 next_tx[nid] = c
                 heappush(tx_heap, (c, nid))
 
-        while slot < end:
-            # -- the general loop, up to the next settled check, or to the
-            # end or (until the window opens) the warmup boundary
-            limit = end if warm_end < inf else cfg.warmup_slots
-            stop = limit if limit < check_at else check_at
+        for stop in (cfg.warmup_slots, end):
             while slot < stop:
                 due = tx_heap[0][0] if tx_heap else stop
                 if due > slot:
@@ -604,13 +769,6 @@ class Simulation:
                             samples += 1
                     node_delay_sum[nid] = node_sum
                     node_delay_n[nid] += samples
-                    if saturated:  # a success always leaves room
-                        fill = cap - len(q)
-                        if fill == 1:  # every success at max_aggregation 1
-                            q.append(now)
-                        else:
-                            q.extend([now] * fill)
-                        arrivals[nid] += fill
                     if q:
                         if random_success:
                             stage[nid] = 0
@@ -651,64 +809,13 @@ class Simulation:
                 prev_end = slot_end
                 slot += 1
 
-            if slot >= end:
-                break
-            if warm_end == inf and slot == cfg.warmup_slots:
+            if stop < end:
                 # -- slot warmup_slots begins: with every arrival before it
                 # applied, the snapshot holds the drops stepping counts
                 catch_up_active(prev_end)
                 warm_end = se * empty_count + busy_us
                 acc.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
-                limit = end
-                if not replayable:
-                    continue
-            # -- at check_at or warmup_slots: once the schedule has settled,
-            # replay whole hyperperiods of it, up to the window or the end,
-            # with no random draw or heap work.  Only the per-busy-slot float
-            # sums are kept, in stepping order; integer tallies are added in
-            # bulk afterwards.
-            # saturated nodes contend all the time
-            periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
-                       else eca_periods)
-            hyper = max(periods)
-            firings = _settled_firings(slot, next_tx, periods, hyper)
-            if firings is None:
-                check_at = slot + hyper
-                continue
-            settled = True
-            check_at = end
-            reps = (limit - slot) // hyper
-            if not reps:
-                continue
-            duration = exchange[1]
-            idle_per = hyper - len(firings)
-            # per busy slot: empty slots before it in the hyperperiod, the
-            # node, and its queue's pop and refill
-            plan = []
-            for j, (f, nid) in enumerate(firings):
-                q = queues[nid]
-                plan.append((f - slot - j, nid, q.popleft, q.append))
-            # stamps popped from before warm_end give no delay sample
-            stale = [0] * n_nodes
-            busy_us, counted_busy_us, delay_sum_us = _replay_busy_slots(
-                plan, reps, se, empty_count, idle_per, duration, warm_end,
-                busy_us, counted_busy_us, delay_sum_us, node_delay_sum, stale)
-            empty_count += reps * idle_per
-            for nid, period in enumerate(periods):
-                fired = reps * (hyper // period)
-                node_success[nid] += fired
-                delivered[nid] += fired
-                arrivals[nid] += fired
-                node_delay_n[nid] += fired - stale[nid]
-                next_tx[nid] += reps * hyper
-                if not keep_stage:
-                    stage[nid] = 0
-            slot += reps * hyper
-            replayed += reps * hyper
-            replayed_busy += reps * len(firings)
-            tx_heap = sorted(zip(next_tx, range(n_nodes)))
-            # prev_end now lags, but saturated runs have no arrivals to catch up
 
         catch_up_active(prev_end)
         if poisson:
@@ -718,16 +825,8 @@ class Simulation:
             if traces is not None:
                 self.drawn_arrivals += self._book.drawn - self._book_drawn
         self.wakes = wakes
-        self._settled = settled
-        self.last_collision_slot = last_collision
-        self.stepped_slots = slot - empty_count - replayed_busy
-        self.replayed_slots = replayed
-        self.slot = slot
-        self.empty_count = empty_count
-        self.busy_us = busy_us
-        acc.busy_us = counted_busy_us
-        acc.delay_sum_us = delay_sum_us
-        return self._finalize()
+        return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
+                last_collision, 0)
 
     def _finalize(self) -> MetricsReport:
         cfg = self.cfg

@@ -134,7 +134,7 @@ class MetricsAccumulator:
                 self.node_delay_n[node_id] += 1
 
     # The ledger and clock count these three, but perfbench/tracer.py
-    # patches every record_* method by name, so they stay (ROADMAP item 6).
+    # patches every record_* method by name, so they stay (ROADMAP item 2).
     def record_drop(self, node_id: int) -> None:
         """Kept only for perfbench/tracer.py; records nothing."""
 

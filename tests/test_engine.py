@@ -306,29 +306,35 @@ def test_hysteresis_is_inert_at_max_stage_0(cfg):
 
 
 @st.composite
-def saturated_eca_configs(draw):
-    """Saturated csma-eca that can settle, so run() replays whole periods.
+def saturated_configs(draw, protocols=tuple(Protocol)):
+    """Saturated configs for run()'s saturated driver; csma-eca can settle,
+    so run() replays whole periods.
 
-    Node counts run two past cw_min/2, where the non-hyst schedule cannot
-    fit; warmup lands at 0, before the usual settle point or after it, and
-    sim_slots ends wherever it ends, mostly mid-period.  Aggregated runs
-    (agg 2 and 16) are never replayed and must agree all the same.
+    Node counts run from 1 (whose heap is empty after each pop) to two past
+    cw_min/2, where the non-hyst schedule cannot fit; warmup lands at 0,
+    anywhere, before the usual settle point or after it, and sim_slots ends
+    wherever it ends, mostly mid-period.  Queues run from one batch deep to
+    1000.  Aggregated runs (agg 2 and 16) are never replayed and must agree
+    all the same.
     """
+    protocol = draw(st.sampled_from(protocols))
     cw_min = draw(st.sampled_from([2, 4, 8, 16, 32]))
     agg = draw(st.sampled_from([1, 1, 2, 16]))
     sim_slots = draw(st.integers(1, 20_000))
     return SimConfig(
-        protocol=Protocol.CSMA_ECA,
+        protocol=protocol,
         n_nodes=draw(st.integers(1, cw_min // 2 + 2)),
         arrival_rate=SATURATED,
         cw_min=cw_min,
         max_stage=draw(st.integers(0, 5)),
         queue_capacity=draw(st.sampled_from([agg, agg + 1, 1000])),
         max_aggregation=agg,
-        hysteresis=draw(st.booleans()),
+        hysteresis=protocol is Protocol.CSMA_ECA and draw(st.booleans()),
+        rejoin_inclusive=draw(st.booleans()),
         sim_slots=sim_slots,
         warmup_slots=draw(st.one_of(
-            st.just(0), st.integers(0, min(300, sim_slots - 1)),
+            st.just(0), st.integers(0, sim_slots - 1),
+            st.integers(0, min(300, sim_slots - 1)),
             st.integers(sim_slots // 2, sim_slots - 1))),
         seed=draw(st.integers(0, 2**32)),
         timing=draw(st.sampled_from([
@@ -363,7 +369,7 @@ REPLAYED = [
 
 
 @settings(max_examples=100, deadline=None)
-@given(cfg=saturated_eca_configs())
+@given(cfg=saturated_configs([Protocol.CSMA_ECA]))
 @example(REPLAYED[0])
 @example(REPLAYED[1])
 @example(REPLAYED[2])
@@ -378,6 +384,54 @@ def test_settled_replay_equals_stepping(cfg):
     sim = _assert_run_equals_stepping(cfg)
     if cfg in REPLAYED:
         assert sim.settle_slot is not None
+
+
+# many_cells_pool's saturated agg=16 cell: 16 stamps popped per success
+MANY_CELLS_AGG16 = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=16,
+                             arrival_rate=SATURATED, max_aggregation=16,
+                             queue_capacity=16, sim_slots=2000,
+                             warmup_slots=200, seed=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=saturated_configs())
+@example(MANY_CELLS_AGG16)
+@example(_eca(n_nodes=1, cw_min=2, max_aggregation=2, queue_capacity=2,
+              sim_slots=999, warmup_slots=500, seed=4))
+def test_saturated_driver_equals_stepping(cfg):
+    """The saturated driver against advance_slot(): report, end state and
+    RNG states (in _end_state), and run()'s counters.  A saturated run
+    draws no arrival and wakes no node, and only csma-eca at agg 1
+    replays."""
+    sim = _assert_run_equals_stepping(cfg)
+    busy = sim.slot - sim.empty_count  # equal to stepping's, checked above
+    assert sim.drawn_arrivals == sim.wakes == 0
+    assert sum(sim.queue_empties) == 0
+    assert all(len(q) == cfg.queue_capacity for q in sim.queues)
+    if sim.replayed_slots == 0:
+        assert sim.stepped_slots == busy
+    else:
+        assert cfg.protocol is Protocol.CSMA_ECA and cfg.max_aggregation == 1
+        assert sim.settle_slot is not None
+        assert sim.replayed_slots % _hyperperiod(sim) == 0
+        assert sim.stepped_slots < busy
+        assert sim.stepped_slots + sim.replayed_slots <= cfg.sim_slots
+
+
+def test_run_refuses_a_saturated_queue_the_caller_shortened():
+    """The saturated driver relies on every queue being full; run() refuses
+    a saturated Simulation one of whose queues a caller has shortened."""
+    cfg = _eca(n_nodes=3, sim_slots=500, warmup_slots=0, seed=1)
+    sim = Simulation(cfg)
+    sim.queues[1].popleft()
+    sim.arrivals[1] -= 1
+    with pytest.raises(AssertionError, match="every queue full"):
+        sim.run()
+    # the stepper runs it: the shortened queue refills on its first success
+    while sim.slot < cfg.sim_slots:
+        sim.advance_slot()
+    sim._finalize()
+    assert len(sim.queues[1]) == cfg.queue_capacity
 
 
 # -- wakes inside the bulk skip, replays from slot 0, and run()'s counters ----
@@ -464,11 +518,11 @@ def _hyperperiod(sim):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=st.one_of(sim_configs(), saturated_eca_configs()))
+@given(cfg=st.one_of(sim_configs(), saturated_configs()))
 @example(WAKES[1])
 @example(WAKES[3])
 def test_run_counts_its_stepped_and_replayed_slots(cfg):
-    """stepped_slots counts the busy slots the general loop resolved and
+    """stepped_slots counts the busy slots either driver stepped and
     replayed_slots the slots settled replays covered; only a run that can
     replay has any replayed slots."""
     sim = Simulation(cfg)
