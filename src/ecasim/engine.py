@@ -40,15 +40,20 @@ The saturated driver holds no arrival code.  Every node contends all the
 time with a full queue (run() asserts so at the start; a collision keeps the
 queue and a success refills what it popped), so every batch is
 max_aggregation packets and every busy slot lasts that batch's exchange.
-Saturated csma-eca can also settle: every node due within one post-success
-period and no two nodes ever due in the same slot.  From then on nothing
-collides and nothing random is drawn, so at max_aggregation 1 the driver
-tests for that state once per period from slot 0 on and, once it holds,
-replays whole hyperperiods of the schedule without heap or random work
-(before the window opens, only up to warmup_slots).  The replay still
-performs each busy slot's float additions in stepping order, because an
-exchange time such as 316.888... us is not a dyadic number and k additions
-of it are not k times it; only integer tallies are added in bulk.
+A success refills with copies of one instant, so above max_aggregation 1
+the driver holds a node's queue, from its first success to the end, as
+[stamp, count] runs of equal stamps: a success takes its batch from the head
+runs and appends one run, and each run's delay is computed once and added
+count times, the float additions of stepping.  Saturated csma-eca can also
+settle: every node due within one post-success period and no two nodes ever
+due in the same slot.  From then on nothing collides and nothing random is
+drawn, so at max_aggregation 1 the driver tests for that state once per
+period from slot 0 on and, once it holds, replays whole hyperperiods of the
+schedule without heap or random work (before the window opens, only up to
+warmup_slots).  The replay still performs each busy slot's float additions
+in stepping order, because an exchange time such as 316.888... us is not a
+dyadic number and k additions of it are not k times it; only integer
+tallies are added in bulk.
 
 The arrival driver runs Poisson and silent (arrival_rate 0) configs.  An
 arrival at a node that is already contending draws nothing from the shared
@@ -67,6 +72,7 @@ joined contention.
 import heapq
 import random
 from collections import deque, namedtuple
+from itertools import groupby
 from math import inf, log
 
 from . import protocols  # rules looked up per call, so wrappers apply
@@ -325,7 +331,9 @@ class Simulation:
     def _run_saturated(self) -> tuple:
         """run()'s saturated driver (see the module docstring).  Returns the
         clock (slot, empty slots, busy time), the counted busy time, the
-        delay sum, the last collision slot and the replayed busy slots."""
+        delay sum, the last collision slot and the replayed busy slots.  At
+        agg > 1, a node that has succeeded works on runs and gets its queue
+        of one stamp per packet back at the end."""
         cfg = self.cfg
         t = cfg.timing
         acc = self.acc
@@ -355,6 +363,9 @@ class Simulation:
         replayed_busy = 0
 
         queues = self.queues
+        # at agg > 1, a node's working queue from its first success on: its
+        # [stamp, count] runs of equal stamps, FIFO; queues[nid] at the end
+        runs = [None] * n_nodes
         stage = self.stage
         next_tx = self.next_tx
         arrivals = self.arrivals
@@ -408,8 +419,8 @@ class Simulation:
                 else:
                     # -- a success: the batch's delays, then the refill
                     now = se * empty_count + busy_us
-                    q = queues[nid]
                     if agg == 1:
+                        q = queues[nid]
                         enqueue_us = q.popleft()
                         if enqueue_us >= warm_end:
                             slot_end = now + duration
@@ -425,19 +436,33 @@ class Simulation:
                         slot_end = now + duration
                         node_sum = node_delay_sum[nid]
                         samples = 0
-                        for _ in range(agg):
-                            enqueue_us = q.popleft()
+                        r = runs[nid]
+                        if r is None:  # the node's first success
+                            r = runs[nid] = deque(
+                                [stamp, len(list(g))]
+                                for stamp, g in groupby(queues[nid]))
+                        need = agg
+                        while need:  # a run, or its head, at a time
+                            head = r[0]
+                            enqueue_us, count = head
+                            if count > need:
+                                head[1] = count - need
+                                count = need
+                            else:
+                                r.popleft()
+                            need -= count
                             if enqueue_us >= warm_end:
                                 delay = slot_end - enqueue_us
                                 if delay < 0:
                                     raise negative_delay_error(
                                         delay, nid, slot_end, enqueue_us)
-                                delay_sum_us += delay
-                                node_sum += delay
-                                samples += 1
+                                for _ in range(count):
+                                    delay_sum_us += delay
+                                    node_sum += delay
+                                samples += count
                         node_delay_sum[nid] = node_sum
                         node_delay_n[nid] += samples
-                        q.extend([now] * agg)
+                        r.append([now, agg])
                     arrivals[nid] += agg
                     delivered[nid] += agg
                     node_success[nid] += 1
@@ -525,6 +550,11 @@ class Simulation:
             replayed_busy += reps * len(firings)
             tx_heap = sorted(zip(next_tx, range(n_nodes)))
 
+        for q, r in zip(queues, runs):
+            if r is not None:
+                q.clear()
+                for stamp, count in r:
+                    q.extend([stamp] * count)
         return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
                 last_collision, replayed_busy)
 

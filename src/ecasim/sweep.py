@@ -2,7 +2,8 @@
 
 Config files are flat key = value text.  Repeated keys and comma separated
 values both build lists; `#` starts a comment.  Protocol entries name a
-variant: the protocol plus optional space separated flags, e.g.
+variant: the protocol plus optional space separated flags, each at most
+once, e.g.
 
     protocol = csma-ca
     protocol = csma-ca agg=16
@@ -71,13 +72,16 @@ def parse_variant(text: str, where: str = "") -> ProtocolVariant:
     agg = None
     hyst = False
     for tok in tokens[1:]:
-        if tok == "hyst":
+        if tok == "hyst" and not hyst:
             hyst = True
-        elif tok.startswith("agg="):
+        elif tok.startswith("agg=") and agg is None:
             try:
                 agg = int(tok[4:])
             except ValueError:
                 raise ConfigError(f"bad aggregation flag {tok!r}{where}") from None
+        elif tok == "hyst" or tok.startswith("agg="):
+            flag = tok.partition("=")[0]
+            raise ConfigError(f"repeated protocol flag {flag!r}{where}")
         else:
             raise ConfigError(f"unknown protocol flag {tok!r}{where}")
     return ProtocolVariant(proto, agg, hyst)

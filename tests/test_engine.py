@@ -145,11 +145,15 @@ def _end_state(sim):
     }
 
 
-def _assert_run_equals_stepping(cfg):
-    """run() against advance_slot() throughout."""
+def _assert_run_equals_stepping(cfg, prepare=None):
+    """run() against advance_slot() throughout, each on a fresh Simulation
+    that prepare(sim), if given, sets up first."""
     fast_sim = Simulation(cfg)
-    fast = fast_sim.run()
     slow_sim = Simulation(cfg)
+    if prepare is not None:
+        prepare(fast_sim)
+        prepare(slow_sim)
+    fast = fast_sim.run()
     while slow_sim.slot < cfg.sim_slots:
         slow_sim.advance_slot()
     slow = slow_sim._finalize()
@@ -386,7 +390,8 @@ def test_settled_replay_equals_stepping(cfg):
         assert sim.settle_slot is not None
 
 
-# many_cells_pool's saturated agg=16 cell: 16 stamps popped per success
+# many_cells_pool's saturated agg=16 cell: each success takes one whole run
+# of 16 equal stamps and appends one
 MANY_CELLS_AGG16 = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=16,
                              arrival_rate=SATURATED, max_aggregation=16,
                              queue_capacity=16, sim_slots=2000,
@@ -398,6 +403,11 @@ MANY_CELLS_AGG16 = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=16,
 @example(MANY_CELLS_AGG16)
 @example(_eca(n_nodes=1, cw_min=2, max_aggregation=2, queue_capacity=2,
               sim_slots=999, warmup_slots=500, seed=4))
+# 24 % 16 != 0: the first success (slot 6, where the window opens) leaves 8
+# stamps of 0.0, so the second takes them, before the window, with the first
+# 8 of the run stamped warm_end itself, inside it
+@example(_eca(n_nodes=1, max_aggregation=16, queue_capacity=24, sim_slots=100,
+              warmup_slots=6, seed=4))
 def test_saturated_driver_equals_stepping(cfg):
     """The saturated driver against advance_slot(): report, end state and
     RNG states (in _end_state), and run()'s counters.  A saturated run
@@ -416,6 +426,32 @@ def test_saturated_driver_equals_stepping(cfg):
         assert sim.replayed_slots % _hyperperiod(sim) == 0
         assert sim.stepped_slots < busy
         assert sim.stepped_slots + sim.replayed_slots <= cfg.sim_slots
+
+
+def _restamp(step):
+    """prepare() for _assert_run_equals_stepping: every queue restamped
+    inside the first exchange, ascending, each stamp repeated step times
+    (1: sorted distinct, 2: pairwise equal), so no delay is negative and
+    warmup can fall between the stamps."""
+    def prepare(sim):
+        cfg, t = sim.cfg, sim.cfg.timing
+        first = t.exchange_us(cfg.max_aggregation * t.payload_bits)
+        cap = cfg.queue_capacity
+        for q in sim.queues:
+            q.clear()
+            q.extend(first * (i // step) / cap for i in range(cap))
+    return prepare
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=saturated_configs())
+@example(_eca(n_nodes=2, cw_min=4, max_aggregation=16, queue_capacity=40,
+              sim_slots=600, warmup_slots=1, seed=3))
+def test_saturated_driver_equals_stepping_on_caller_stamps(cfg):
+    """A caller's own stamps, set before run(): at agg > 1 the driver's
+    first runs are then short, and a batch spans many of them."""
+    for step in (1, 2):
+        _assert_run_equals_stepping(cfg, _restamp(step))
 
 
 def test_run_refuses_a_saturated_queue_the_caller_shortened():

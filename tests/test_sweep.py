@@ -89,14 +89,18 @@ def test_comments_and_blank_lines_are_ignored():
     ("node_counts = 2\nprotocol = csma-ca hyst\n", "hysteresis"),
     ("node_counts = 2\nprotocol = csma-ca turbo\n",
      "unknown protocol flag 'turbo'"),
+    ("node_counts = 2\nprotocol = csma-ca agg=4 agg=16\n",
+     "repeated protocol flag 'agg' (<config>:2)"),
+    ("node_counts = 2\nprotocol = csma-eca hyst hyst\n",
+     "repeated protocol flag 'hyst' (<config>:2)"),
     ("node_counts = 2\ncw_min = 15\n", "power of two"),
     ("node_counts = 2\narrival_rate = fast\n", "expects a number"),
     ("node_counts = 2\njust some words\n", "expected key = value"),
     ("", "node_counts is required"),
 ], ids=["unknown-key", "unsorted-nodes", "bad-int", "repeated-scalar",
         "unknown-protocol", "duplicate-protocol", "hyst-on-ca",
-        "unknown-flag", "bad-cw", "bad-rate", "no-assignment",
-        "missing-nodes"])
+        "unknown-flag", "repeated-agg", "repeated-hyst", "bad-cw", "bad-rate",
+        "no-assignment", "missing-nodes"])
 def test_config_errors_name_the_problem(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
