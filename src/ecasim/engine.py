@@ -58,22 +58,23 @@ tallies are added in bulk.
 The arrival driver runs Poisson and silent (arrival_rate 0) configs.  An
 arrival at a node that is already contending draws nothing from the shared
 RNG and only grows its queue, which nothing reads until the node's next pop.
-So the driver keeps only idle nodes in its arrival heap and applies a
-contending node's arrivals, from its private stream, late but in the same
-order: before it transmits with fewer than max_aggregation packets queued
-(they fix the batch size), before a success pops its queue, and at the end.
-Inside a sweep, catch_up may instead read a node's instants from the trace
-an earlier cell of the same seed and rate drew (traffic.TraceBook), with one
-bisect and one slice up to the room left; the stamps and drops are the same.
+So the driver keeps only idle nodes in its arrival heap and lands a
+contending node's arrivals late but in the same order: before it transmits
+with fewer than max_aggregation packets queued (they fix the batch size),
+before a success pops its queue, and at the end.  Every landing reads the
+node's trace with one search and one slice up to the room left: the book's,
+inside a sweep (traffic.TraceBook), or the run's own, drawn from the node's
+stream only as far as needed and trimmed as the run passes it.
 drawn_arrivals and wakes count what the run drew and how often an idle node
 joined contention.
 """
 
 import heapq
 import random
+from bisect import bisect_left
 from collections import deque, namedtuple
 from itertools import groupby
-from math import inf, log
+from math import inf
 
 from . import protocols  # rules looked up per call, so wrappers apply
 from . import traffic
@@ -81,7 +82,7 @@ from .config import Protocol, SimConfig
 from .errors import ConsistencyError
 from .metrics import (MetricsAccumulator, MetricsReport,
                       negative_delay_error)
-from .traffic import ArrivalStream
+from .traffic import ArrivalStream, Trace
 
 
 NodeSnapshot = namedtuple("NodeSnapshot", "counters")
@@ -195,24 +196,24 @@ class Simulation:
             t.slot_empty, t.payload_bits,
             (self.delivered, self.dropped, self.queue_empties))
         # only a Poisson source has a stream, seeded after proto_rng; inside a
-        # sweep, the book of this seed and rate may hold its instants
+        # sweep, the book of this seed and rate may lend its trace
         self.streams = [None] * n
-        self.traces = None  # per node, the shared Trace it reads, or None
+        self.traces = [None] * n  # per node, the Trace run() reads
         self.last_collision_slot = -1
         self._settled = False
         # run() counts them; drawn_arrivals starts at the streams' first draws
         self.stepped_slots = self.replayed_slots = 0
         self.drawn_arrivals = self.wakes = 0
         rate = cfg.arrival_rate
+        book = traffic.book
+        if book is not None and book.key != (cfg.seed, rate):
+            book = None
+        self._book = book
+        self._book_drawn = book.drawn if book else 0
         if 0 < rate < inf:
-            book = traffic.book
-            if book is not None and book.key == (cfg.seed, rate):
-                self._book = book
-                self._book_drawn = book.drawn
-                self.traces = [None] * n
             for nid in range(n):
                 bits = master.getrandbits(64)
-                trace = None if self.traces is None else book.lend(nid, bits)
+                trace = book and book.lend(nid, bits)
                 if trace is None:
                     self.streams[nid] = ArrivalStream(rate, random.Random(bits))
                     self.drawn_arrivals += 1
@@ -255,7 +256,7 @@ class Simulation:
         """Resolve exactly one contention slot, advance the clock and return
         the slot's transmitters in node id order: () for an idle slot, one
         node id for a success, more for a collision."""
-        assert self.traces is None, "only run() reads a sweep's shared traces"
+        assert not any(self.traces), "only run() reads a sweep's traces"
         cfg = self.cfg
         acc = self.acc
         s = self.slot
@@ -610,83 +611,45 @@ class Simulation:
         counted_busy_us = delay_sum_us = busy_us = prev_end = 0.0
         slot = empty_count = 0
 
-        def draw(nid, until):
-            """Apply nid's arrivals before `until` (on_packet_arrival without
-            the rejoin): append each to the queue, or drop it if full."""
-            st = streams[nid]
-            t = st.next_us
-            q = queues[nid]
-            rnd = st.rng.random
-            landed = lost = 0
-            while t < until:
-                landed += 1
-                if len(q) < cap:
-                    q.append(t)
-                else:
-                    lost += 1
-                t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
-            st.next_us = t
-            arrivals[nid] += landed
-            dropped[nid] += lost
-
-        catch_up = draw
+        # every Poisson node reads a trace: the book's, or one of its own
         traces = self.traces
-        # arrivals[nid] - base[nid] are the draws of a stream that is its own
-        base = [0] * n_nodes
-        if traces is not None:
-            from bisect import bisect_left
-            extend = self._book.extend
-            traced = [tr and tr.instants for tr in traces]
-            cursor = [0] * n_nodes  # the index of nid's next_us in its trace
+        book = self._book
+        drawn = 0  # what the run's own traces drew
+        for nid, st in enumerate(streams):
+            if st and not traces[nid]:
+                traces[nid] = Trace([st.next_us], st.rng)
+        traced = [tr and tr.instants for tr in traces]
+        cursor = [0] * n_nodes  # the index of nid's next_us in its trace
 
-            def land(nid, instants, pos, k):
-                """Queue instants[pos:k], up to the room left; drop the rest."""
-                q = queues[nid]
-                room = cap - len(q)
-                if k - pos > room:
-                    q.extend(instants[pos:pos + room])
-                    dropped[nid] += k - pos - room
-                else:
-                    q.extend(instants[pos:k])
-                arrivals[nid] += k - pos
-
-            def catch_up(nid, until):
-                """draw(), for a node whose trace holds its next arrival:
-                the trace's instants before `until` land, a lone one by
-                itself and more with one slice, and the book draws more
-                only past the trace's end."""
-                instants = traced[nid]
-                if instants is None:
-                    return draw(nid, until)
-                pos = cursor[nid]
-                if instants[-1] >= until or extend(nid, traces[nid], until):
-                    t = instants[pos + 1]
-                    if t >= until:
-                        cursor[nid] = pos + 1
-                        streams[nid].next_us = t
-                        arrivals[nid] += 1
-                        q = queues[nid]
-                        if len(q) < cap:
-                            q.append(instants[pos])
-                        else:
-                            dropped[nid] += 1
-                        return
-                    k = bisect_left(instants, until, pos + 2)
-                    cursor[nid] = k
-                    streams[nid].next_us = instants[k]
-                    land(nid, instants, pos, k)
-                    return
-                # the book does not hold the trace (any more): land all it
-                # holds but the last, and go on from that one alone
-                last = len(instants) - 1
-                if pos < last:
-                    land(nid, instants, pos, last)
-                traced[nid] = None
-                st = streams[nid]
-                st.rng = traces[nid].rng
-                st.next_us = instants[last]
-                base[nid] = arrivals[nid]
-                draw(nid, until)
+        def catch_up(nid, until):
+            """Land nid's arrivals before `until`, instants[pos:k] of its
+            trace, up to the room left (on_packet_arrival without the rejoin).
+            Past its end the book draws more, or the run trims and draws on."""
+            nonlocal drawn
+            instants = traced[nid]
+            pos = cursor[nid]
+            if instants[-1] < until and not (
+                    book is not None and book.extend(nid, traces[nid], until)):
+                del instants[:pos]
+                pos = 0
+                drawn += traces[nid].grow(rate, until)
+                k = len(instants) - 1
+            elif instants[pos + 1] >= until:
+                k = pos + 1
+            else:
+                k = bisect_left(instants, until, pos + 2)
+            cursor[nid] = k
+            streams[nid].next_us = instants[k]
+            arrivals[nid] += k - pos
+            q = queues[nid]
+            room = cap - len(q)
+            if k - pos > room:
+                q.extend(instants[pos:pos + room])
+                dropped[nid] += k - pos - room
+            elif k - pos == 1:  # the common case, without a slice
+                q.append(instants[pos])
+            else:
+                q.extend(instants[pos:k])
 
         def catch_up_active(until):
             """What landed at contending nodes since their last catch-up."""
@@ -848,12 +811,11 @@ class Simulation:
                 counted_busy_us = 0.0
 
         catch_up_active(prev_end)
-        if poisson:
-            self.drawn_arrivals += sum(
-                arrivals[nid] - base[nid] for nid in range(n_nodes)
-                if traces is None or traced[nid] is None)
-            if traces is not None:
-                self.drawn_arrivals += self._book.drawn - self._book_drawn
+        for nid, trace in enumerate(traces):
+            if trace and (book is None or book.traces.get(nid) is not trace):
+                del trace.instants[:cursor[nid]]  # the run's own: trimmed
+        self.drawn_arrivals += drawn + (book.drawn - self._book_drawn
+                                        if book else 0)
         self.wakes = wakes
         return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
                 last_collision, 0)

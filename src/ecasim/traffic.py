@@ -67,14 +67,31 @@ class ArrivalStream:
 
 
 class Trace:
-    """Every instant one node's Poisson stream has drawn so far, in order,
-    and the stream's RNG, which draws the gap after the last of them."""
+    """One node's Poisson instants, in order, from the first that a run
+    still reads on, and the stream's RNG, which draws the gap after the last
+    of them.  The book's traces keep every instant; a run trims its own."""
 
     __slots__ = ("instants", "rng")
 
     def __init__(self, instants, rng: random.Random):
         self.instants = instants
         self.rng = rng
+
+    def grow(self, rate: float, until: float, least: int = 0,
+             most: float = math.inf) -> int:
+        """Draw the stream's next instants onto the end, up to the first at
+        or past until and `least` at least, but `most` at most; returns how
+        many.  run() draws every instant after a stream's first one here."""
+        instants = self.instants
+        append = instants.append
+        rnd = self.rng.random
+        t = instants[-1]
+        drew = 0
+        while drew < most and (t < until or drew < least):
+            drew += 1
+            t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
+            append(t)
+        return drew
 
 
 # A trace grows by at least this many instants at a time, so that a run that
@@ -94,8 +111,9 @@ class TraceBook:
     config.MAX_TRACED_INSTANTS instants (`room` is what it may still take,
     `drawn` counts every instant it drew); once a run would need more, the
     book lets go of every trace and keeps none for the rest of its (seed,
-    rate), and runs draw privately.  Which cells share what never changes a
-    report, only how often an instant is drawn.
+    rate).  A trace the book does not hold is the run's own: it draws it on
+    and trims it, charging the book nothing.  Which cells share what never
+    changes a report, only how often an instant is drawn.
     """
 
     def __init__(self, seed: int, rate: float):
@@ -106,8 +124,9 @@ class TraceBook:
         self.later = 0
 
     def lend(self, nid: int, seed_bits: int):
-        """The trace nid's stream reads in the next run, or None: the run
-        then draws nid's arrivals from Random(seed_bits) on its own."""
+        """The trace nid's stream reads in the next run, taken out of the
+        book if no later cell reads it, or None: the run then builds a trace
+        of its own from Random(seed_bits)."""
         if nid >= self.later:
             trace = self.traces.pop(nid, None)
             if trace is not None:
@@ -126,28 +145,15 @@ class TraceBook:
 
     def extend(self, nid: int, trace: Trace, until: float) -> bool:
         """Draw nid's instants past the trace's end, up to the first at or
-        past until and LOOKAHEAD at least, as a stream draws them.
-
-        False if the book does not hold trace (drawing nothing), or if it
-        runs out of room first: it then lets go of every trace, and trace
-        keeps what was drawn.  Either way the caller goes on alone.
-        """
+        past until and LOOKAHEAD at least.  False if the book does not hold
+        trace (drawing nothing), or runs out of room first: it then lets go
+        of every trace, and trace keeps what was drawn."""
         if self.traces.get(nid) is not trace:
             return False
-        instants = trace.instants
-        append = instants.append
-        rnd = trace.rng.random
-        rate = self.key[1]
-        t = instants[-1]
-        room = self.room
-        drew = 0
-        while drew < room and (t < until or drew < LOOKAHEAD):
-            drew += 1
-            t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
-            append(t)
-        self.room = room - drew
+        drew = trace.grow(self.key[1], until, LOOKAHEAD, self.room)
+        self.room -= drew
         self.drawn += drew
-        if t >= until:
+        if trace.instants[-1] >= until:
             return True
         self.let_go()
         return False

@@ -687,6 +687,50 @@ def test_the_book_keeps_to_its_budget(tmp_path, monkeypatch, budget):
     assert bool(watch.filled) == (0 < budget <= 700)
 
 
+# long and busy: queues fill and drain, so catch-ups land runs of arrivals
+BUSY = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=2, arrival_rate=2000.0,
+                 queue_capacity=5, sim_slots=200_000, seed=1)
+
+
+def test_a_run_trims_the_traces_it_draws_on(monkeypatch):
+    """A trace the book does not hold is the run's own: before it draws on,
+    the run drops the instants it has passed, and at the end it keeps only
+    the stream's next arrival and what follows it, so each node holds O(1)
+    instants.  Checked outside a sweep, and on the last cell of a seed,
+    whose traces lend took out of the book and which reads past their end."""
+    held = []  # what a run's own trace holds each time it draws on
+    grow = traffic.Trace.grow
+
+    def watched(trace, rate, until, least=0, most=math.inf):
+        if not least:  # the book draws LOOKAHEAD at least
+            held.append(len(trace.instants))
+        return grow(trace, rate, until, least, most)
+
+    monkeypatch.setattr(traffic.Trace, "grow", watched)
+    monkeypatch.setattr(traffic, "book", None)
+    bound = traffic.LOOKAHEAD + 1
+
+    def check(sim):
+        assert held and max(held) <= bound
+        for trace, stream in zip(sim.traces, sim.streams):
+            assert len(trace.instants) <= bound
+            assert trace.instants[0] == stream.next_us
+
+    sim = Simulation(BUSY)
+    alone = sim.run()
+    check(sim)
+    # a first cell of the seed, half as long, reads only from the book
+    traffic.share(BUSY.seed, BUSY.arrival_rate, BUSY.n_nodes)
+    Simulation(BUSY._replace(sim_slots=100_000)).run()
+    assert len(traffic.book.traces) == BUSY.n_nodes
+    held.clear()
+    traffic.share(BUSY.seed, BUSY.arrival_rate, 0)
+    sim = Simulation(BUSY)
+    assert not traffic.book.traces  # lent out for good
+    assert repr(sim.run()) == repr(alone)
+    check(sim)
+
+
 def _fail_csma_eca_at_three_nodes_seed_one(cfg):
     if (cfg.protocol is Protocol.CSMA_ECA and cfg.n_nodes == 3
             and cfg.seed == 1):
