@@ -10,6 +10,7 @@ an internal consistency fault (partial results are preserved).
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import ConfigError, ConsistencyError
@@ -22,7 +23,9 @@ EXIT_CONFIG = 1
 EXIT_FAULT = 2
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line grammar, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ecasim",
         description="CSMA/CA vs CSMA/ECA contention simulator")

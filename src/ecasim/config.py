@@ -25,7 +25,7 @@ MAX_AGGREGATION = 1024
 # queue_capacity packets with every queue full (10^7 filled: 87 MB).
 MAX_NODES = 10_000
 MAX_QUEUED_PACKETS = 10**7
-# The most arrival instants a sweep keeps to share between its cells (see
+# The most arrival instants a sweep process keeps to share between cells (see
 # traffic.TraceBook): as many as the most packets one run may queue, 80 MB.
 MAX_TRACED_INSTANTS = MAX_QUEUED_PACKETS
 

@@ -11,9 +11,9 @@ once, e.g.
 
 Runs are keyed by (protocol label, n_nodes, seed) and submitted in that fixed
 order.  They execute grouped by seed, so that a cell reads the arrival
-instants earlier cells of its seed drew (traffic.TraceBook); neither that nor
-a worker pool changes the emitted bytes, because results are written back in
-submission order.
+instants that earlier cells of its seed drew in the same process
+(traffic.TraceBook); neither that nor a worker pool changes the emitted
+bytes, because results are written back in submission order.
 """
 
 import csv
@@ -359,38 +359,20 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _run_cell(cell: tuple, cfg):
-    """run(cfg) for cell = (run, later), in a pool worker or here, after
-    telling the process's trace book that its later cells read node ids
-    below `later`; a ConsistencyError is returned, not raised.
+def _run_cell(run, cfg):
+    """run(cfg), in a pool worker or here, reading the arrival instants of
+    the process's trace book for cfg's (seed, rate) (traffic.share); a
+    ConsistencyError is returned, not raised.
 
     A chunk of cells is one executor task, so a raise would lose the reports
     ahead of it in its chunk.  run is what stood at sweep.run_simulation when
     the sweep began, so that a replacement put there is what runs.
     """
-    run, later = cell
-    traffic.share(cfg.seed, cfg.arrival_rate, later)
+    traffic.share(cfg.seed, cfg.arrival_rate)
     try:
         return run(cfg)
     except ConsistencyError as exc:
         return exc
-
-
-def _plan(configs: list, span: int) -> list:
-    """A (run, later) cell per config, for a process that runs configs in
-    order, span at a time (a pool worker gets a chunk of span; a worker may
-    run any chunk).  later is the largest n_nodes of a later Poisson cell in
-    the same span with the same seed and rate, 0 if there is none."""
-    later = [0] * len(configs)
-    for start in range(0, len(configs), span):
-        seen = {}
-        for i in reversed(range(start, min(start + span, len(configs)))):
-            cfg = configs[i]
-            if 0 < cfg.arrival_rate < math.inf:
-                key = (cfg.seed, cfg.arrival_rate)
-                later[i] = seen.get(key, 0)
-                seen[key] = max(later[i], cfg.n_nodes)
-    return [(run_simulation, n) for n in later]
 
 
 def _reports(configs: list, workers: int):
@@ -398,24 +380,25 @@ def _reports(configs: list, workers: int):
     submission order.
 
     The cells run grouped by seed (stable within a seed), so that the cells
-    of one seed follow each other and read the arrival instants earlier ones
-    drew (traffic.TraceBook).  The executor sends the cells out in
-    contiguous chunks, about 16 per worker, so the parent handles a few
-    dozen results instead of one per cell.  On a ConsistencyError the cells
-    submitted before the first faulty one still run, and it is raised after
-    their reports.
+    of one seed follow each other and a process reads the instants its
+    earlier cells of that seed drew, in any chunk (traffic.TraceBook).  The
+    executor sends the cells out in contiguous chunks, about 16 per worker,
+    so the parent handles a few dozen results instead of one per cell.  On
+    a ConsistencyError the cells submitted before the first faulty one
+    still run, and it is raised after their reports.
     """
     rank = {}
     for cfg in configs:
         rank.setdefault(cfg.seed, len(rank))
     order = sorted(range(len(configs)), key=lambda k: rank[configs[k].seed])
     ordered = [configs[k] for k in order]
+    runs = [run_simulation] * len(ordered)
     first_fault = len(configs)
 
     def serial():
-        for cell, cfg, k in zip(_plan(ordered, len(ordered)), ordered, order):
+        for run, cfg, k in zip(runs, ordered, order):
             # a cell submitted after a fault is never written
-            yield _run_cell(cell, cfg) if k < first_fault else None
+            yield _run_cell(run, cfg) if k < first_fault else None
 
     done = {}
     nxt = 0
@@ -426,8 +409,8 @@ def _reports(configs: list, workers: int):
                 outcomes = serial()
             else:
                 chunksize = max(1, len(configs) // (workers * 16))
-                outcomes = pool.map(_run_cell, _plan(ordered, chunksize),
-                                    ordered, chunksize=chunksize)
+                outcomes = pool.map(_run_cell, runs, ordered,
+                                    chunksize=chunksize)
             for k, outcome in zip(order, outcomes):
                 if isinstance(outcome, ConsistencyError):
                     first_fault = min(first_fault, k)

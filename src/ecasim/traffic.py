@@ -10,8 +10,8 @@ topped up: it models a node that always has traffic waiting.
 Node i's stream depends on the seed and the rate alone, so every protocol
 variant and node count of a sweep at one seed sees the same instants.  A
 sweep's cells at one (seed, arrival_rate) therefore share them through a
-TraceBook: each instant is drawn once, by the first cell that needs it, and
-later cells read it back.
+TraceBook: a process draws each instant once, for the first of its cells
+that needs it, and its later cells read it back.
 """
 
 import math
@@ -101,13 +101,11 @@ LOOKAHEAD = 32
 
 
 class TraceBook:
-    """The traces of one (seed, arrival_rate), shared by a sweep's cells.
+    """The traces of one (seed, arrival_rate), shared by every cell of that
+    key that a process runs, whatever pool chunk it came in.
 
     A run reads a node's instants from its trace, and the book draws more
-    only past the trace's end.  Before each run the sweep sets `later`, the
-    node count a later cell of the same process will read: the run extends
-    the traces of the nodes below it, and takes the traces of the others out
-    of the book, since no later cell reads them.  The book holds at most
+    only past the trace's end.  The book holds at most
     config.MAX_TRACED_INSTANTS instants (`room` is what it may still take,
     `drawn` counts every instant it drew); once a run would need more, the
     book lets go of every trace and keeps none for the rest of its (seed,
@@ -121,17 +119,11 @@ class TraceBook:
         self.traces = {}       # node id -> Trace
         self.room = config.MAX_TRACED_INSTANTS
         self.drawn = 0
-        self.later = 0
 
     def lend(self, nid: int, seed_bits: int):
-        """The trace nid's stream reads in the next run, taken out of the
-        book if no later cell reads it, or None: the run then builds a trace
-        of its own from Random(seed_bits)."""
-        if nid >= self.later:
-            trace = self.traces.pop(nid, None)
-            if trace is not None:
-                self.room += len(trace.instants)
-            return trace
+        """The trace nid's stream reads in the next run, begun from
+        Random(seed_bits) if the book has none yet, or None if it has none
+        and no room: the run then builds a trace of its own."""
         trace = self.traces.get(nid)
         if trace is None and self.room:
             from array import array  # loaded only when cells share arrivals
@@ -169,14 +161,10 @@ class TraceBook:
 book = None
 
 
-def share(seed: int, rate: float, later: int) -> None:
-    """Set up book for the next run, at (seed, rate), after which cells of
-    this process read node ids below `later` (0: none).  A book of another
-    (seed, rate) is dropped; none is made for a run that no cell follows."""
+def share(seed: int, rate: float) -> None:
+    """Set up book for the next run, at (seed, rate): the book of that key
+    this process already holds, or a new one for a Poisson rate.  A book of
+    another (seed, rate) is dropped."""
     global book
-    if book is not None and book.key != (seed, rate):
-        book = None
-    if book is None and later and 0 < rate < math.inf:
-        book = TraceBook(seed, rate)
-    if book is not None:
-        book.later = later
+    if book is None or book.key != (seed, rate):
+        book = TraceBook(seed, rate) if 0 < rate < math.inf else None

@@ -474,6 +474,28 @@ def test_figures_emits_every_figure_from_one_load(tmp_path, monkeypatch,
     assert len(written[0]) == 7 and written[1] == written[0]
 
 
+def test_calls_in_one_process_share_a_parser_and_nothing_else(tmp_path,
+                                                              capsys):
+    """main() builds its parser once per process, and each call sees only
+    its own --override and --fig values."""
+    path, _ = _write_config(tmp_path)
+    assert main(["validate", "--config", str(path), "--override", "seeds=7",
+                 "--override", "sim_slots=500"]) == EXIT_OK
+    first = capsys.readouterr().out.splitlines()
+    assert main(["validate", "--config", str(path)]) == EXIT_OK
+    second = capsys.readouterr().out.splitlines()
+    assert "seeds = 7" in first and "sim_slots = 500" in first
+    assert "seeds = 1" in second and "sim_slots = 400" in second
+    results = str(GOLDEN / "poisson" / "results.csv")
+    assert main(["figures", "--results", results, "--fig", "1", "--fig", "2",
+                 "--out", str(tmp_path / "two")]) == EXIT_OK
+    assert main(["figures", "--results", results, "--fig", "3",
+                 "--out", str(tmp_path / "one")]) == EXIT_OK
+    assert [p.name for p in (tmp_path / "one").iterdir()] == [
+        cli_mod.figure_filename(3)]
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+
+
 @pytest.mark.parametrize("figs", [("2", "9"), ("9", "2")])
 def test_figures_checks_every_number_before_writing(tmp_path, capsys, figs):
     results = GOLDEN / "poisson" / "results.csv"

@@ -6,6 +6,7 @@ import os
 import statistics
 import sys
 import tempfile
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -632,6 +633,29 @@ def test_a_seed_draws_each_instant_once(tmp_path, monkeypatch):
         assert drawn < alone
 
 
+def test_pooled_cells_share_traces_across_chunks(tmp_path, monkeypatch):
+    """A pool worker's book serves every cell of its seed that the worker
+    runs, whatever chunk the cell came in.  At 2 workers the pool gets 32
+    chunks of 2, and still each worker draws a seed's instants once: at
+    most as many as the cell that needs the most of node i's instants,
+    summed over i, plus LOOKAHEAD per node drawn ahead."""
+    monkeypatch.setattr(sweep_mod, "run_simulation", _counted_run)
+    workers = 2
+    spec = _many_cells_spec(tmp_path, "pool")
+    rows = run_sweep(spec, workers=workers).rows
+    for seed in spec.seeds:
+        most = {}
+        for variant, n in product(spec.variants, spec.node_counts):
+            sim = Simulation(spec.config_for(variant, n, seed))
+            sim.run()
+            for nid, arrived in enumerate(sim.arrivals):
+                most[nid] = max(most.get(nid, 0), arrived + 1)
+        drawn = sum(row.report.drawn_arrivals for row in rows
+                    if row.seed == seed)
+        least = sum(most.values())
+        assert drawn <= workers * (least + traffic.LOOKAHEAD * len(most))
+
+
 class _BudgetWatch:
     """Checks after every lend and every cell that the book holds no more
     instants than its budget, and that room is the budget less what it
@@ -696,8 +720,9 @@ def test_a_run_trims_the_traces_it_draws_on(monkeypatch):
     """A trace the book does not hold is the run's own: before it draws on,
     the run drops the instants it has passed, and at the end it keeps only
     the stream's next arrival and what follows it, so each node holds O(1)
-    instants.  Checked outside a sweep, and on the last cell of a seed,
-    whose traces lend took out of the book and which reads past their end."""
+    instants.  Checked outside a sweep, and on a sweep cell whose book runs
+    out of room halfway: the run reads the book's traces, which become its
+    own when the book lets go, and reads on past their end."""
     held = []  # what a run's own trace holds each time it draws on
     grow = traffic.Trace.grow
 
@@ -719,15 +744,15 @@ def test_a_run_trims_the_traces_it_draws_on(monkeypatch):
     sim = Simulation(BUSY)
     alone = sim.run()
     check(sim)
-    # a first cell of the seed, half as long, reads only from the book
-    traffic.share(BUSY.seed, BUSY.arrival_rate, BUSY.n_nodes)
-    Simulation(BUSY._replace(sim_slots=100_000)).run()
-    assert len(traffic.book.traces) == BUSY.n_nodes
+    monkeypatch.setattr(config, "MAX_TRACED_INSTANTS", sim.drawn_arrivals // 2)
+    traffic.share(BUSY.seed, BUSY.arrival_rate)
+    book = traffic.book
     held.clear()
-    traffic.share(BUSY.seed, BUSY.arrival_rate, 0)
     sim = Simulation(BUSY)
-    assert not traffic.book.traces  # lent out for good
+    assert all(book.traces[nid] is trace
+               for nid, trace in enumerate(sim.traces))
     assert repr(sim.run()) == repr(alone)
+    assert not book.traces and book.room == 0  # let go for good
     check(sim)
 
 
