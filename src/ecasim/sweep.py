@@ -20,7 +20,7 @@ import csv
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from itertools import groupby, product
 from pathlib import Path
 from typing import NamedTuple
@@ -362,7 +362,7 @@ def ProcessPoolExecutor(max_workers: int):
 def _run_cell(run, cfg):
     """run(cfg), in a pool worker or here, reading the arrival instants of
     the process's trace book for cfg's (seed, rate) (traffic.share); a
-    ConsistencyError is returned, not raised.
+    ConsistencyError is returned, not raised, as the cell's outcome.
 
     A chunk of cells is one executor task, so a raise would lose the reports
     ahead of it in its chunk.  run is what stood at sweep.run_simulation when
@@ -376,16 +376,16 @@ def _run_cell(run, cfg):
 
 
 def _reports(configs: list, workers: int):
-    """run_simulation over configs, on a pool if workers > 1, yielded in
-    submission order.
+    """Each config's outcome, its report or the ConsistencyError it
+    returned, in submission order, from one map over the cells: on a pool
+    if workers > 1.
 
     The cells run grouped by seed (stable within a seed), so that the cells
     of one seed follow each other and a process reads the instants its
     earlier cells of that seed drew, in any chunk (traffic.TraceBook).  The
     executor sends the cells out in contiguous chunks, about 16 per worker,
-    so the parent handles a few dozen results instead of one per cell.  On
-    a ConsistencyError the cells submitted before the first faulty one
-    still run, and it is raised after their reports.
+    so the parent handles a few dozen results instead of one per cell.
+    Closing this early cancels the queued chunks; the running ones finish.
     """
     rank = {}
     for cfg in configs:
@@ -393,36 +393,22 @@ def _reports(configs: list, workers: int):
     order = sorted(range(len(configs)), key=lambda k: rank[configs[k].seed])
     ordered = [configs[k] for k in order]
     runs = [run_simulation] * len(ordered)
-    first_fault = len(configs)
-
-    def serial():
-        for run, cfg, k in zip(runs, ordered, order):
-            # a cell submitted after a fault is never written
-            yield _run_cell(run, cfg) if k < first_fault else None
-
-    done = {}
-    nxt = 0
+    pool = None if workers == 1 else ProcessPoolExecutor(max_workers=workers)
     try:
-        with (nullcontext() if workers == 1 else
-              ProcessPoolExecutor(max_workers=workers)) as pool:
-            if pool is None:
-                outcomes = serial()
-            else:
-                chunksize = max(1, len(configs) // (workers * 16))
-                outcomes = pool.map(_run_cell, runs, ordered,
-                                    chunksize=chunksize)
-            for k, outcome in zip(order, outcomes):
-                if isinstance(outcome, ConsistencyError):
-                    first_fault = min(first_fault, k)
-                done[k] = outcome
-                while nxt in done:
-                    outcome = done.pop(nxt)
-                    if isinstance(outcome, ConsistencyError):
-                        raise outcome
-                    yield outcome
-                    nxt += 1
+        outcomes = (map(_run_cell, runs, ordered) if pool is None else
+                    pool.map(_run_cell, runs, ordered,
+                             chunksize=max(1, len(configs) // (workers * 16))))
+        done = {}
+        nxt = 0
+        for k, outcome in zip(order, outcomes):
+            done[k] = outcome
+            while nxt in done:
+                yield done.pop(nxt)
+                nxt += 1
     finally:
         traffic.book = None  # no trace outlives its sweep
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _cells(rows: list):
@@ -436,9 +422,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     """Run every (protocol, n, seed) cell and write results under output_dir.
 
     Results land in submission order regardless of the pool size, so reruns
-    and different worker counts produce byte-identical CSV files.  If a run
-    dies with an internal consistency fault, everything finished before it is
-    still written, followed by a fault marker row, and the error propagates.
+    and different worker counts produce byte-identical CSV files.  At the
+    first cell, in submission order, that dies with an internal consistency
+    fault, the rows before it are written with a fault row, and it is raised.
     """
     spec.validate()
     keys = list(spec.run_keys())
@@ -451,17 +437,15 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
     write_text(out / ECHO_NAME, spec.resolved_text())
 
     rows = []
-    try:
-        for (variant, n, seed), report in zip(keys,
-                                              _reports(configs, workers)):
-            rows.append(RunRow(variant.label, n, seed, _project(report),
-                               report))
-    except ConsistencyError as exc:
-        # results arrive in submission order, so the failed run is the next key
-        variant, n, seed = keys[len(rows)]
-        write_results_csv(SweepResults(spec, rows, {}), out / RESULTS_NAME,
-                          fault=f"{variant.label},{n},{seed}: {exc}")
-        raise
+    with closing(_reports(configs, workers)) as outcomes:
+        for (variant, n, seed), outcome in zip(keys, outcomes):
+            if isinstance(outcome, ConsistencyError):
+                fault = f"{variant.label},{n},{seed}: {outcome}"
+                write_results_csv(SweepResults(spec, rows, {}),
+                                  out / RESULTS_NAME, fault)
+                raise outcome
+            rows.append(RunRow(variant.label, n, seed, _project(outcome),
+                               outcome))
 
     aggregates = {}
     for cell, cell_rows in _cells(rows):

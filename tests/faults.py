@@ -1,0 +1,283 @@
+"""The fault catalogue: faults planted by hand in src/ecasim, each with the
+tests that catch it, kept so that any later change can plant them again.
+
+    python tests/faults.py [NAME ...]
+
+copies src/, tests/, perfbench/, pyproject.toml and BENCHMARK.json into a
+temporary directory: pyproject's `pythonpath = ["src"]` and perfbench's
+check of where ecasim was imported from must both find the patched copy.
+There it first runs the catching tests of the named faults (every fault
+when none is named) on the unpatched code, which must pass; then, one fault
+at a time, it replaces the fault's `old` text with its `new` text and runs
+the fault's tests with -x.  Each fault prints as caught or survived, with
+its seconds.  The exit status is 1 if a fault that is not a known survivor
+survived (or the unpatched tests fail), and nothing is written outside the
+temporary directory.
+
+A known survivor is a real fault that no test catches, with the reason; it
+is run like the others and never counted as caught.  tests/test_faults.py,
+in the suite, is the cheap guard: every `old` text occurs exactly once in
+its file, every patched module compiles, and every catching test exists.
+A change that moves a fault's code re-targets its entry.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src") / "ecasim"
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json")
+
+
+class Fault(NamedTuple):
+    name: str
+    path: str           # the patched file, under src/ecasim
+    old: str            # occurs exactly once in it
+    new: str
+    tests: tuple        # pytest node ids, from the checkout root
+    survives: str = ""  # for a known survivor: why no test catches it
+
+
+SWEEP = "tests/test_sweep.py::"
+ENGINE = "tests/test_engine.py::"
+GOLDEN = "tests/test_golden.py::"
+ULP = ("the boundary moves by at most one ulp, and no drawn arrival lands "
+       "inside it")
+
+FAULTS = [
+    # -- one path for a sweep's outcomes
+    Fault("reports-in-execution-order", "sweep.py",
+          "            done[k] = outcome\n",
+          "            done[nxt] = outcome\n",
+          (SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
+           "_submitted_first",
+           GOLDEN + "test_sweep_reproduces_golden_bytes[poisson]")),
+    Fault("faulty-cell-row-written", "sweep.py",
+          '                fault = f"{variant.label},{n},{seed}: {outcome}"\n',
+          '                fault = f"{variant.label},{n},{seed}: {outcome}"\n'
+          "                rows.append(RunRow(variant.label, n, seed,\n"
+          '                                   dict.fromkeys(METRIC_COLUMNS, ""),'
+          "\n                                   outcome))\n",
+          (SWEEP + "test_fault_writes_partial_results_and_reraises",
+           SWEEP + "test_pooled_fault_writes_the_one_worker_bytes")),
+    Fault("queued-chunks-not-cancelled", "sweep.py",
+          "            pool.shutdown(cancel_futures=True)\n",
+          "            pool.shutdown()\n",
+          (SWEEP + "test_a_faulted_pooled_sweep_drops_the_chunks_no_one"
+           "_will_read",)),
+    Fault("outcomes-not-closed", "sweep.py",
+          "    with closing(_reports(configs, workers)) as outcomes:\n",
+          "    for outcomes in [_reports(configs, workers)]:\n",
+          (SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
+           "_submitted_first",
+           SWEEP + "test_a_faulted_pooled_sweep_drops_the_chunks_no_one"
+           "_will_read")),
+    # -- one sharing rule for arrival traces
+    Fault("share-keeps-a-foreign-book", "traffic.py",
+          "    if book is None or book.key != (seed, rate):\n",
+          "    if book is None:\n",
+          (SWEEP + "test_a_seed_draws_each_instant_once",
+           SWEEP + "test_pooled_cells_share_traces_across_chunks")),
+    Fault("run-reads-a-foreign-book", "engine.py",
+          "        if book is not None and book.key != (cfg.seed, rate):\n"
+          "            book = None\n",
+          "",
+          (SWEEP + "test_a_run_ignores_a_book_of_another_seed_or_rate[seed]",
+           SWEEP + "test_a_run_ignores_a_book_of_another_seed_or_rate[rate]")),
+    Fault("sweep-keeps-its-book", "sweep.py",
+          "        traffic.book = None  # no trace outlives its sweep\n",
+          "        pass\n",
+          (SWEEP + "test_a_cell_that_raises_anything_else_propagates_it[1]",
+           SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
+           "_submitted_first",
+           SWEEP + "test_a_seed_draws_each_instant_once")),
+    Fault("lend-redraws-a-held-trace", "traffic.py",
+          "        if trace is None and self.room:\n",
+          "        if self.room:\n",
+          (SWEEP + "test_a_seed_draws_each_instant_once",
+           SWEEP + "test_pooled_cells_share_traces_across_chunks",
+           SWEEP + "test_the_book_keeps_to_its_budget[700]")),
+    Fault("lend-ignores-room", "traffic.py",
+          "        if trace is None and self.room:\n",
+          "        if trace is None:\n",
+          (SWEEP + "test_the_book_keeps_to_its_budget[0]",
+           SWEEP + "test_the_book_keeps_to_its_budget[40]")),
+    # -- one arrival path
+    Fault("trim-before-drawing-on-one-too-many", "engine.py",
+          "                del instants[:pos]\n",
+          "                del instants[:pos + 1]\n",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]",
+           ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
+           "_warmup")),
+    Fault("end-trim-one-too-far", "engine.py",
+          "                del trace.instants[:cursor[nid]]",
+          "                del trace.instants[:cursor[nid] + 1]",
+          (SWEEP + "test_a_run_trims_the_traces_it_draws_on",)),
+    Fault("handoff-relands-held-instants", "engine.py",
+          "                del instants[:pos]\n                pos = 0\n",
+          "                pos = 0\n",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]",
+           SWEEP + "test_the_book_keeps_to_its_budget[40]")),
+    Fault("let-go-keeps-its-traces", "traffic.py",
+          "        self.traces.clear()\n        self.room = 0\n",
+          "        self.room = 0\n",
+          (SWEEP + "test_the_book_keeps_to_its_budget[1]",
+           SWEEP + "test_the_book_keeps_to_its_budget[40]",
+           SWEEP + "test_a_run_trims_the_traces_it_draws_on")),
+    # -- saturated queues as refill runs
+    Fault("run-count-off-by-one", "engine.py",
+          "                                head[1] = count - need\n",
+          "                                head[1] = count - need + 1\n",
+          (ENGINE + "test_saturated_driver_equals_stepping",
+           ENGINE + "test_saturated_driver_equals_stepping_on_caller_stamps")),
+    Fault("run-delay-added-once", "engine.py",
+          "                                for _ in range(count):\n"
+          "                                    delay_sum_us += delay\n"
+          "                                    node_sum += delay\n",
+          "                                delay_sum_us += delay\n"
+          "                                node_sum += delay\n",
+          (ENGINE + "test_saturated_driver_equals_stepping",
+           GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]")),
+    Fault("write-back-max-aggregation-copies", "engine.py",
+          "                    q.extend([stamp] * count)\n",
+          "                    q.extend([stamp] * agg)\n",
+          (ENGINE + "test_saturated_driver_equals_stepping_on_caller_stamps",
+           ENGINE + "test_saturated_driver_equals_stepping")),
+    # -- run() split by traffic: the saturated driver
+    Fault("saturated-collision-not-recorded", "engine.py",
+          "                    last_collision = slot\n"
+          "                    acc.slots_collision += 1\n",
+          "                    acc.slots_collision += 1\n",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-saturated]",
+           ENGINE + "test_saturated_driver_equals_stepping")),
+    Fault("saturated-one-packet-exchange", "engine.py",
+          "        duration = t.exchange_us(agg * t.payload_bits)\n",
+          "        duration = t.exchange_us(t.payload_bits)\n",
+          (ENGINE + "test_saturated_driver_equals_stepping",
+           GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]")),
+    Fault("saturated-refill-stamped-at-slot-end", "engine.py",
+          "                        q.append(now)\n",
+          "                        q.append(now + duration)\n",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",
+           ENGINE + "test_saturated_driver_equals_stepping")),
+    # -- lazy arrivals: a catch-up boundary moved by one ulp.  Each reads
+    # the exact float slot end, as stepping computes it; now_us can differ
+    # from it in the last bit.  Only the idle-gap one has a test that puts an
+    # arrival inside that ulp.
+    Fault("gap-end-taken-as-now", "engine.py",
+          "                    prev_end = se * (empty_count - 1) + busy_us + se\n",
+          "                    prev_end = se * empty_count + busy_us\n",
+          (ENGINE + "test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next"
+           "_slot",)),
+    Fault("stepped-slot-boundary-taken-as-now", "engine.py",
+          "                if (poisson and len(q) < agg\n"
+          "                        and streams[nid].next_us < prev_end):\n"
+          "                    catch_up(nid, prev_end)\n"
+          "                size = len(q)\n",
+          "                if (poisson and len(q) < agg\n"
+          "                        and streams[nid].next_us < now):\n"
+          "                    catch_up(nid, now)\n"
+          "                size = len(q)\n",
+          (ENGINE + "test_run_equals_stepping_on_generated_configs",
+           ENGINE + "test_run_equals_stepping_when_a_node_rejoins_beside"
+           "_backlogged_ones"),
+          survives=ULP),
+    Fault("warmup-boundary-taken-as-now", "engine.py",
+          "                catch_up_active(prev_end)\n"
+          "                warm_end = se * empty_count + busy_us\n",
+          "                catch_up_active(se * empty_count + busy_us)\n"
+          "                warm_end = se * empty_count + busy_us\n",
+          (ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
+           "_warmup",
+           ENGINE + "test_report_counts_only_the_window_from_warmup_slots"),
+          survives=ULP),
+    Fault("end-boundary-taken-as-now", "engine.py",
+          "        catch_up_active(prev_end)\n        for nid, trace in",
+          "        catch_up_active(se * empty_count + busy_us)\n"
+          "        for nid, trace in",
+          (ENGINE + "test_run_equals_stepping_on_generated_configs",
+           ENGINE + "test_run_counts_its_draws_and_wakes"),
+          survives=ULP),
+    Fault("drop-counted-only-after-the-boundary", "engine.py",
+          "                    if next_tx[nid] >= 0 and streams[nid].next_us"
+          " < until:\n",
+          "                    if next_tx[nid] >= 0 and streams[nid].next_us"
+          " <= until:\n",
+          (ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
+           "_warmup",
+           ENGINE + "test_report_counts_only_the_window_from_warmup_slots"),
+          survives="an arrival exactly at the warmup boundary or the end "
+                   "lands on the wrong side of it, and no drawn arrival "
+                   "lands exactly there"),
+]
+
+
+def patched(fault: Fault, root: Path = ROOT) -> str:
+    """The fault's file with the fault planted."""
+    return (root / PACKAGE / fault.path).read_text().replace(fault.old,
+                                                             fault.new)
+
+
+def _pytest(tmp: Path, tests) -> int:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(tmp / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         f"--basetemp={tmp / 'pytest'}", *tests],
+        cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
+
+
+def main(names) -> int:
+    known = {f.name: f for f in FAULTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown faults: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    faults = [known[name] for name in names] if names else FAULTS
+    escaped = 0
+    begun = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in COPIED:
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, tmp / name,
+                                ignore=shutil.ignore_patterns(
+                                    "__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(ROOT / name, tmp / name)
+        tests = list(dict.fromkeys(t for f in faults for t in f.tests))
+        if _pytest(tmp, tests) != 0:
+            print("the catching tests fail on the unpatched code",
+                  file=sys.stderr)
+            return 1
+        for fault in faults:
+            target = tmp / PACKAGE / fault.path
+            clean = target.read_text()
+            target.write_text(patched(fault, tmp))
+            start = time.perf_counter()
+            code = _pytest(tmp, fault.tests)
+            target.write_text(clean)
+            if code not in (0, 1):
+                print(f"{fault.name}: pytest exited {code}", file=sys.stderr)
+                return 2
+            verdict = "caught" if code else "survived"
+            if code == 0 and not fault.survives:
+                escaped += 1
+            note = (f" (known survivor: {fault.survives})" if fault.survives
+                    else "")
+            print(f"{fault.name}: {verdict} in "
+                  f"{time.perf_counter() - start:.1f} s{note}", flush=True)
+    print(f"{len(faults)} faults, {escaped} escaped, "
+          f"{time.perf_counter() - begun:.0f} s in all")
+    return 1 if escaped else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,9 @@ import os
 import statistics
 import sys
 import tempfile
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -432,11 +434,8 @@ class RecordingPool:
     def __init__(self, max_workers):
         self.made.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def map(self, fn, runs, configs, chunksize=1):
         configs = list(configs)
@@ -528,6 +527,65 @@ def test_pooled_fault_writes_the_one_worker_bytes(tmp_path, monkeypatch):
                                               ["csma-ca", "2", "2"]]
     assert rows[3][:2] == [FAULT_MARKER, "csma-ca,3,1: planted fault"]
     assert len(rows) == 4
+
+
+MARKS_ENV = "ECASIM_TEST_MARKS"  # where _mark_and_fail_the_first_cell marks
+
+
+def _mark_and_fail_the_first_cell(cfg):
+    """Fails _many_cells_spec's first submitted cell (csma-ca, n=1, seed 1);
+    every other cell leaves a marker file, takes 20 ms more and runs."""
+    if (cfg.protocol is Protocol.CSMA_CA and cfg.n_nodes == 1
+            and cfg.seed == 1):
+        raise ConsistencyError("planted fault")
+    (Path(os.environ[MARKS_ENV])
+     / f"{cfg.protocol.value}-{cfg.n_nodes}-{cfg.seed}").touch()
+    time.sleep(0.02)
+    return run_simulation(cfg)
+
+
+def test_a_faulted_pooled_sweep_drops_the_chunks_no_one_will_read(
+        tmp_path, monkeypatch):
+    """Once the first cell's fault is raised, the pool's queued chunks are
+    cancelled: only the chunks already handed to a worker still run, and
+    they have finished when run_sweep raises."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setenv(MARKS_ENV, str(marks))
+    monkeypatch.setattr(sweep_mod, "run_simulation",
+                        _mark_and_fail_the_first_cell)
+    with pytest.raises(ConsistencyError, match="planted fault"):
+        run_sweep(_many_cells_spec(tmp_path, "pool"), workers=2)
+    assert traffic.book is None
+    ran = sorted(marks.iterdir())
+    assert len(ran) < 63 / 2, f"{len(ran)} of the 63 cells after the fault ran"
+    time.sleep(0.1)  # two cells' time: no worker runs on
+    assert sorted(marks.iterdir()) == ran
+    rows = _read_rows(tmp_path / "pool" / RESULTS_NAME)
+    assert rows[1:] == [[FAULT_MARKER, "csma-ca,1,1: planted fault"]
+                        + [""] * (len(CSV_COLUMNS) - 2)]
+
+
+def _raise_runtime_error_at_csma_eca(cfg):
+    """A saboteur at module level, so a pool worker can unpickle it."""
+    if cfg.protocol is Protocol.CSMA_ECA:
+        raise RuntimeError("not a consistency fault")
+    return run_simulation(cfg)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_cell_that_raises_anything_else_propagates_it(
+        tmp_path, monkeypatch, workers):
+    """Only a ConsistencyError is a cell's outcome; any other exception
+    leaves the sweep as it is, with no results.csv and no trace book."""
+    monkeypatch.setattr(sweep_mod, "run_simulation",
+                        _raise_runtime_error_at_csma_eca)
+    spec = _tiny_spec(tmp_path)
+    with pytest.raises(RuntimeError, match="^not a consistency fault$"):
+        run_sweep(spec, workers=workers)
+    assert not (tmp_path / "out" / RESULTS_NAME).exists()
+    assert (tmp_path / "out" / ECHO_NAME).is_file()
+    assert traffic.book is None
 
 
 # -- shared arrival traces ----------------------------------------------------
@@ -654,6 +712,23 @@ def test_pooled_cells_share_traces_across_chunks(tmp_path, monkeypatch):
                     if row.seed == seed)
         least = sum(most.values())
         assert drawn <= workers * (least + traffic.LOOKAHEAD * len(most))
+
+
+@pytest.mark.parametrize("other", [(1, 1.0), (0, 2.0)],
+                         ids=["seed", "rate"])
+def test_a_run_ignores_a_book_of_another_seed_or_rate(monkeypatch, other):
+    """A book left at another (seed, rate) lends the run nothing and draws
+    nothing for it; the run reads its own traces and reports as alone."""
+    cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=3, seed=1,
+                    arrival_rate=2000.0, sim_slots=400, warmup_slots=100)
+    alone = run_simulation(cfg)
+    assert alone.transmissions
+    foreign = traffic.TraceBook(cfg.seed + other[0],
+                                cfg.arrival_rate * other[1])
+    monkeypatch.setattr(traffic, "book", foreign)
+    assert repr(run_simulation(cfg)) == repr(alone)
+    assert not foreign.traces and foreign.drawn == 0
+    assert foreign.room == config.MAX_TRACED_INSTANTS
 
 
 class _BudgetWatch:
