@@ -53,7 +53,10 @@ schedule without heap or random work (before the window opens, only up to
 warmup_slots).  The replay still performs each busy slot's float additions
 in stepping order, because an exchange time such as 316.888... us is not a
 dyadic number and k additions of it are not k times it; only integer
-tallies are added in bulk.
+tallies are added in bulk.  The driver keeps no per-success ledger: every
+success delivers max_aggregation packets and refills as many, so it writes
+delivered from the node's successes when the window opens, and delivered
+and arrivals at the end.
 
 The arrival driver runs Poisson and silent (arrival_rate 0) configs.  An
 arrival at a node that is already contending draws nothing from the shared
@@ -464,8 +467,6 @@ class Simulation:
                         node_delay_sum[nid] = node_sum
                         node_delay_n[nid] += samples
                         r.append([now, agg])
-                    arrivals[nid] += agg
-                    delivered[nid] += agg
                     node_success[nid] += 1
                     if random_success:
                         stage[nid] = 0
@@ -489,6 +490,9 @@ class Simulation:
             if warm_end == inf and slot == cfg.warmup_slots:
                 # -- slot warmup_slots begins
                 warm_end = se * empty_count + busy_us
+                # the ledger, from the successes: each delivered agg packets
+                # and refilled as many (arrivals are set at the end)
+                delivered[:] = [agg * s for s in node_success]
                 acc.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
                 limit = end
@@ -540,8 +544,6 @@ class Simulation:
             for nid, period in enumerate(periods):
                 fired = reps * (hyper // period)
                 node_success[nid] += fired
-                delivered[nid] += fired
-                arrivals[nid] += fired
                 node_delay_n[nid] += fired - stale[nid]
                 next_tx[nid] += reps * hyper
                 if not keep_stage:
@@ -551,6 +553,8 @@ class Simulation:
             replayed_busy += reps * len(firings)
             tx_heap = sorted(zip(next_tx, range(n_nodes)))
 
+        delivered[:] = [agg * s for s in node_success]
+        arrivals[:] = [a + d for a, d in zip(arrivals, delivered)]
         for q, r in zip(queues, runs):
             if r is not None:
                 q.clear()

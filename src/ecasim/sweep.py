@@ -16,7 +16,6 @@ instants that earlier cells of its seed drew in the same process
 bytes, because results are written back in submission order.
 """
 
-import csv
 import math
 import os
 import sys
@@ -25,9 +24,7 @@ from itertools import groupby, product
 from pathlib import Path
 from typing import NamedTuple
 
-from . import traffic
 from .config import Protocol, SimConfig, SATURATED
-from .engine import run_simulation
 from .errors import ConfigError, ConsistencyError
 from .timing import TimingTable
 
@@ -359,6 +356,18 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
+def run_simulation(cfg):
+    """engine.run_simulation(cfg), with the engine imported on first use.
+
+    ecasim's import and the commands that run no cell (validate, figures)
+    never load the simulator.  The name stays a module attribute that
+    _reports looks up at call time, so a caller can put its own cell runner
+    in its place.
+    """
+    from .engine import run_simulation as run
+    return run(cfg)
+
+
 def _run_cell(run, cfg):
     """run(cfg), in a pool worker or here, reading the arrival instants of
     the process's trace book for cfg's (seed, rate) (traffic.share); a
@@ -368,6 +377,7 @@ def _run_cell(run, cfg):
     ahead of it in its chunk.  run is what stood at sweep.run_simulation when
     the sweep began, so that a replacement put there is what runs.
     """
+    from . import traffic
     traffic.share(cfg.seed, cfg.arrival_rate)
     try:
         return run(cfg)
@@ -386,7 +396,10 @@ def _reports(configs: list, workers: int):
     executor sends the cells out in contiguous chunks, about 16 per worker,
     so the parent handles a few dozen results instead of one per cell.
     Closing this early cancels the queued chunks; the running ones finish.
+    The engine is imported before the pool starts, so that forked workers
+    inherit it instead of each importing it again.
     """
+    from . import engine, traffic
     rank = {}
     for cfg in configs:
         rank.setdefault(cfg.seed, len(rank))
@@ -465,6 +478,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResults:
 def write_results_csv(results: SweepResults, path,
                       fault: str | None = None) -> None:
     """The results as CSV, ending in a marker row with the fault text if any."""
+    import csv
     with _io_errors(f"write {path}"), open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -526,6 +540,7 @@ class ResultsTable(NamedTuple):
 
 
 def load_results(csv_path) -> ResultsTable:
+    import csv
     csv_path = Path(csv_path)
     with _io_errors(f"read results file {csv_path}"), \
             open(csv_path, newline="") as fh:

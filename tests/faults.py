@@ -47,6 +47,8 @@ class Fault(NamedTuple):
 SWEEP = "tests/test_sweep.py::"
 ENGINE = "tests/test_engine.py::"
 GOLDEN = "tests/test_golden.py::"
+CLI = "tests/test_cli.py::"
+TIMING = "tests/test_timing.py::"
 ULP = ("the boundary moves by at most one ulp, and no drawn arrival lands "
        "inside it")
 
@@ -166,6 +168,43 @@ FAULTS = [
           "                        q.append(now + duration)\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",
            ENGINE + "test_saturated_driver_equals_stepping")),
+    # -- commands load only what they run
+    Fault("sweep-imports-the-engine-eagerly", "sweep.py",
+          "from .config import Protocol, SimConfig, SATURATED\n",
+          "from . import engine\n"
+          "from .config import Protocol, SimConfig, SATURATED\n",
+          (CLI + "test_commands_that_run_no_cell_skip_the_simulator",)),
+    Fault("workers-import-the-engine", "sweep.py",
+          "    from . import engine, traffic\n",
+          "    from . import traffic\n",
+          (CLI + "test_a_pooled_sweep_loads_the_engine_before_its_workers"
+           "_start",)),
+    # -- the saturated ledger, from the successes
+    Fault("saturated-window-opens-on-a-stale-ledger", "engine.py",
+          "                # and refilled as many (arrivals are set at the end)\n"
+          "                delivered[:] = [agg * s for s in node_success]\n",
+          "",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
+    # -- planted by hand in earlier changes, each with one target
+    Fault("first-arrival-nine-us-late", "traffic.py",
+          "                       else sample_interarrival(rate, rng))\n",
+          "                       else sample_interarrival(rate, rng) + 9)\n",
+          (SWEEP + "test_the_book_keeps_to_its_budget[40]",
+           ENGINE + "test_reports_scale_exactly_with_the_clock")),
+    Fault("exchange-one-us-long", "timing.py",
+          "                + self.phy_header + self.ack_bits / self.ack_rate)\n",
+          "                + self.phy_header + self.ack_bits / self.ack_rate"
+          " + 1)\n",
+          (TIMING + "test_success_exchange_matches_hand_arithmetic",
+           GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]")),
+    Fault("throughput-bits-hard-coded", "metrics.py",
+          "        delivered_bits = delivered_packets * self.payload_bits\n",
+          "        delivered_bits = delivered_packets * 12000\n",
+          (ENGINE + "test_reports_scale_exactly_with_the_payload",)),
+    Fault("hyst-nodes-start-at-stage-1", "engine.py",
+          "        self.stage = [0] * n       # backoff stage\n",
+          "        self.stage = [int(cfg.hysteresis)] * n       # backoff stage\n",
+          (ENGINE + "test_hysteresis_is_inert_at_max_stage_0",)),
     # -- lazy arrivals: a catch-up boundary moved by one ulp.  Each reads
     # the exact float slot end, as stepping computes it; now_us can differ
     # from it in the last bit.  Only the idle-gap one has a test that puts an

@@ -615,3 +615,61 @@ def test_commands_without_a_pool_skip_its_import_and_statistics(tmp_path):
     for step in ("import", "validate", "figures"):
         assert "array" not in loaded[step], f"{step} loaded array"
     assert "array" in loaded["one-worker run_sweep"]  # the seeds share traces
+
+
+SIMULATOR = {"ecasim.engine", "ecasim.metrics", "ecasim.traffic",
+             "ecasim.protocols"}
+
+
+def test_commands_that_run_no_cell_skip_the_simulator(tmp_path):
+    """import ecasim and validate parse and check a config; figures reads a
+    results CSV.  None of them runs a cell, so none loads the engine or what
+    it brings (metrics, traffic, protocols, heapq); only reading or writing
+    results loads csv.  The first cell a sweep runs loads the engine."""
+    path, _ = _write_config(tmp_path)
+    golden = Path(__file__).resolve().parent / "golden" / "poisson"
+    src = Path(ecasim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_DIET_CHILD, str(src), str(path),
+         str(golden / "results.csv"), str(tmp_path / "plots")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    for step, banned in (("import", SIMULATOR | {"heapq", "csv"}),
+                         ("validate", SIMULATOR | {"heapq", "csv"}),
+                         ("figures", SIMULATOR | {"heapq"})):
+        hits = banned & set(loaded[step])
+        assert not hits, f"{step} loaded {sorted(hits)}"
+    assert "ecasim.engine" in loaded["one-worker run_sweep"]
+
+
+# Runs a 2-worker sweep in a fresh `python -I`, through a pool class that
+# notes whether the engine was loaded when the pool was built.
+POOLED_IMPORT_CHILD = """\
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+from concurrent.futures import ProcessPoolExecutor
+from ecasim import sweep
+built = []
+class RecordingPool(ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        built.append("ecasim.engine" in sys.modules)
+        super().__init__(max_workers=max_workers)
+sweep.ProcessPoolExecutor = RecordingPool
+sweep.run_sweep(sweep.parse_config_with_overrides(sys.argv[2], ()), workers=2)
+print(json.dumps(built))
+"""
+
+
+def test_a_pooled_sweep_loads_the_engine_before_its_workers_start(tmp_path):
+    """Forked workers inherit what the parent has loaded; a pool started
+    before the engine loads has every worker of every sweep import it."""
+    path, out = _write_config(tmp_path)
+    src = Path(ecasim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", POOLED_IMPORT_CHILD, str(src), str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [True]
+    assert (out / "results.csv").exists()
