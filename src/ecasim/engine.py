@@ -12,10 +12,12 @@ Because a counter ticks once per slot unconditionally, "counter c at slot s"
 is the same thing as "transmits at slot s + c".  So each node's schedule is
 one absolute due slot, next_tx, -1 while the node is idle, instead of a
 counter decremented every slot.  run() orders the due slots in a heap of its
-own, skips each idle gap in bulk and goes straight into the transmission at
-its end, so it steps busy slots only.  An idle slot is resolved only inside
-the skip, where an idle node wakes: the rejoin draw is the only shared
-randomness a gap holds, so bulk skipping is exactly stepping slot by slot.
+own, one int per node, due << NODE_BITS | nid, which orders as (due, nid)
+does for every node id below config.MAX_NODES.  It skips each idle gap in
+bulk and goes straight into the transmission at its end, so it steps busy
+slots only.  An idle slot is resolved only inside the skip, where an idle
+node wakes: the rejoin draw is the only shared randomness a gap holds, so
+bulk skipping is exactly stepping slot by slot.
 
 Simulation owns every node's state as seven lists indexed by node id: queues,
 stage and next_tx, and the whole-run ledger arrivals, delivered, dropped and
@@ -67,7 +69,11 @@ with fewer than max_aggregation packets queued (they fix the batch size),
 before a success pops its queue, and at the end.  Every landing reads the
 node's trace with one search and one slice up to the room left: the book's,
 inside a sweep (traffic.TraceBook), or the run's own, drawn from the node's
-stream only as far as needed and trimmed as the run passes it.
+stream only as far as needed and trimmed as the run passes it.  The one
+exception is a lone wake: when the trace already holds the instant after an
+idle node's arrival, at or past the slot end, the wake lands that arrival
+itself, into a queue that is empty.  The driver keeps each node's next
+arrival in a flat list and writes it back to the node's stream at the end.
 drawn_arrivals and wakes count what the run drew and how often an idle node
 joined contention.
 """
@@ -81,7 +87,7 @@ from math import inf
 
 from . import protocols  # rules looked up per call, so wrappers apply
 from . import traffic
-from .config import Protocol, SimConfig
+from .config import MAX_NODES, Protocol, SimConfig
 from .errors import ConsistencyError
 from .metrics import (MetricsAccumulator, MetricsReport,
                       negative_delay_error)
@@ -90,6 +96,11 @@ from .traffic import ArrivalStream, Trace
 
 NodeSnapshot = namedtuple("NodeSnapshot", "counters")
 DropCount = namedtuple("DropCount", "dropped")
+
+# run()'s heap of due nodes holds one int per node, due << NODE_BITS | nid,
+# which orders as (due, nid) does for every node id a config allows
+NODE_BITS = (MAX_NODES - 1).bit_length()
+NODE_MASK = (1 << NODE_BITS) - 1
 
 
 def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
@@ -374,8 +385,9 @@ class Simulation:
         next_tx = self.next_tx
         arrivals = self.arrivals
         delivered = self.delivered
-        # (due slot, node id), one entry per node; sorted is a heap
-        tx_heap = sorted(zip(next_tx, range(n_nodes)))
+        # due << NODE_BITS | nid, one entry per node; sorted is a heap
+        tx_heap = sorted([due << NODE_BITS | nid
+                          for nid, due in enumerate(next_tx)])
         # the accumulator's lists change in place, scalars are written back
         node_success = acc.node_success
         node_collision = acc.node_collision
@@ -390,7 +402,7 @@ class Simulation:
             limit = end if warm_end < inf else cfg.warmup_slots
             stop = limit if limit < check_at else check_at
             while slot < stop:
-                due = tx_heap[0][0]
+                due = tx_heap[0] >> NODE_BITS
                 if due > slot:  # skip the idle slots before it
                     if due >= stop:
                         empty_count += stop - slot
@@ -398,8 +410,8 @@ class Simulation:
                         break
                     empty_count += due - slot
                     slot = due
-                nid = heappop(tx_heap)[1]
-                if tx_heap and tx_heap[0][0] == slot:
+                nid = heappop(tx_heap) & NODE_MASK
+                if tx_heap and tx_heap[0] >> NODE_BITS == slot:
                     # -- a collision: the colliders escalate in node id
                     # order, each due past the slot once it has drawn
                     last_collision = slot
@@ -415,11 +427,11 @@ class Simulation:
                             r = getrandbits(cw_bits + st)
                         c = slot + 1 + r
                         next_tx[nid] = c
-                        heappush(tx_heap, (c, nid))
+                        heappush(tx_heap, c << NODE_BITS | nid)
                         node_collision[nid] += 1
-                        if tx_heap[0][0] != slot:
+                        if tx_heap[0] >> NODE_BITS != slot:
                             break
-                        nid = heappop(tx_heap)[1]
+                        nid = heappop(tx_heap) & NODE_MASK
                 else:
                     # -- a success: the batch's delays, then the refill
                     now = se * empty_count + busy_us
@@ -480,7 +492,7 @@ class Simulation:
                         stage[nid] = 0
                         c = slot + 1 + eca_counter
                     next_tx[nid] = c
-                    heappush(tx_heap, (c, nid))
+                    heappush(tx_heap, c << NODE_BITS | nid)
                 counted_busy_us += duration
                 busy_us += duration
                 slot += 1
@@ -551,7 +563,8 @@ class Simulation:
             slot += reps * hyper
             self.replayed_slots += reps * hyper
             replayed_busy += reps * len(firings)
-            tx_heap = sorted(zip(next_tx, range(n_nodes)))
+            tx_heap = sorted([due << NODE_BITS | nid
+                              for nid, due in enumerate(next_tx)])
 
         delivered[:] = [agg * s for s in node_success]
         arrivals[:] = [a + d for a, d in zip(arrivals, delivered)]
@@ -600,12 +613,14 @@ class Simulation:
         dropped = self.dropped
         queue_empties = self.queue_empties
         streams = self.streams
-        # (due slot, node id), one entry per contending node; sorted is a heap
-        tx_heap = sorted((due, nid) for nid, due in enumerate(next_tx)
-                         if due >= 0)
-        # each stream's next_us is its next arrival not yet applied; only idle
-        # nodes wait for theirs in arr_heap
-        arr_heap = sorted((streams[nid].next_us, nid) for nid in range(n_nodes)
+        # due << NODE_BITS | nid, one entry per contending node; sorted is a
+        # heap
+        tx_heap = sorted([due << NODE_BITS | nid
+                          for nid, due in enumerate(next_tx) if due >= 0])
+        # nxt[nid] is the node's next arrival not yet applied, its stream's
+        # next_us at the end; only idle nodes wait for theirs in arr_heap
+        nxt = [st.next_us for st in streams] if poisson else None
+        arr_heap = sorted((nxt[nid], nid) for nid in range(n_nodes)
                           if poisson and next_tx[nid] < 0)
         # the accumulator's lists change in place, scalars are written back
         node_success = acc.node_success
@@ -623,7 +638,7 @@ class Simulation:
             if st and not traces[nid]:
                 traces[nid] = Trace([st.next_us], st.rng)
         traced = [tr and tr.instants for tr in traces]
-        cursor = [0] * n_nodes  # the index of nid's next_us in its trace
+        cursor = [0] * n_nodes  # the index of nxt[nid] in nid's trace
 
         def catch_up(nid, until):
             """Land nid's arrivals before `until`, instants[pos:k] of its
@@ -643,7 +658,7 @@ class Simulation:
             else:
                 k = bisect_left(instants, until, pos + 2)
             cursor[nid] = k
-            streams[nid].next_us = instants[k]
+            nxt[nid] = instants[k]
             arrivals[nid] += k - pos
             q = queues[nid]
             room = cap - len(q)
@@ -659,19 +674,29 @@ class Simulation:
             """What landed at contending nodes since their last catch-up."""
             if poisson:
                 for nid in range(n_nodes):
-                    if next_tx[nid] >= 0 and streams[nid].next_us < until:
+                    if next_tx[nid] >= 0 and nxt[nid] < until:
                         catch_up(nid, until)
 
         wakes = 0
 
         def wake(s, until):
             """Idle nodes' arrivals before `until`, slot s's end, in instant
-            order: the first one queued wakes its node (on_packet_arrival)."""
+            order: the first one queued wakes its node (on_packet_arrival).
+            A lone arrival, whose successor the trace already holds, lands
+            here; the queue of an idle node is empty, so it has room."""
             nonlocal wakes
             while arr_heap and arr_heap[0][0] < until:
                 nid = heappop(arr_heap)[1]
                 wakes += 1
-                catch_up(nid, until)
+                instants = traced[nid]
+                pos = cursor[nid] + 1
+                if instants[-1] >= until and instants[pos] >= until:
+                    cursor[nid] = pos
+                    nxt[nid] = instants[pos]
+                    arrivals[nid] += 1
+                    queues[nid].append(instants[pos - 1])
+                else:
+                    catch_up(nid, until)
                 if not keep_stage:
                     stage[nid] = 0
                 r = getrandbits(rejoin_bits)
@@ -679,11 +704,11 @@ class Simulation:
                     r = getrandbits(rejoin_bits)
                 c = s + 1 + r
                 next_tx[nid] = c
-                heappush(tx_heap, (c, nid))
+                heappush(tx_heap, c << NODE_BITS | nid)
 
         for stop in (cfg.warmup_slots, end):
             while slot < stop:
-                due = tx_heap[0][0] if tx_heap else stop
+                due = tx_heap[0] >> NODE_BITS if tx_heap else stop
                 if due > slot:
                     # skip idle slots up to the next transmission, or through
                     # the first to end past an idle node's arrival: stepping
@@ -693,8 +718,13 @@ class Simulation:
                         a = arr_heap[0][0]
                         e = empty_count - slot
                         if se * (e + gap_end - 1) + busy_us + se > a:
-                            j = int(min(max((a - busy_us) / se - e, slot),
-                                        gap_end - 1))
+                            j = (a - busy_us) / se - e
+                            if j < slot:
+                                j = slot
+                            elif j > gap_end - 1:
+                                j = gap_end - 1
+                            else:
+                                j = int(j)
                             while j > slot and (se * (e + j - 1) + busy_us
                                                 + se > a):
                                 j -= 1
@@ -714,26 +744,24 @@ class Simulation:
                 # -- a busy slot: who transmits, and for how long; a batch's
                 # size is fixed by what landed before the slot
                 now = se * empty_count + busy_us
-                nid = heappop(tx_heap)[1]
+                nid = heappop(tx_heap) & NODE_MASK
                 assert next_tx[nid] == slot
                 q = queues[nid]
-                if (poisson and len(q) < agg
-                        and streams[nid].next_us < prev_end):
+                if poisson and len(q) < agg and nxt[nid] < prev_end:
                     catch_up(nid, prev_end)
                 size = len(q)
                 if size > agg:
                     size = agg
                 colliders = None
-                if tx_heap and tx_heap[0][0] == slot:
+                if tx_heap and tx_heap[0] >> NODE_BITS == slot:
                     colliders = [nid]
                     longest = size
-                    while tx_heap and tx_heap[0][0] == slot:
-                        nid = heappop(tx_heap)[1]
+                    while tx_heap and tx_heap[0] >> NODE_BITS == slot:
+                        nid = heappop(tx_heap) & NODE_MASK
                         assert next_tx[nid] == slot
                         colliders.append(nid)
                         q = queues[nid]
-                        if (poisson and len(q) < agg
-                                and streams[nid].next_us < prev_end):
+                        if poisson and len(q) < agg and nxt[nid] < prev_end:
                             catch_up(nid, prev_end)
                         size = len(q)
                         if size > longest:
@@ -748,13 +776,11 @@ class Simulation:
                 # -- outcome (after_transmission and record_* calls, inlined)
                 if colliders is None:
                     # arrivals precede the pops
-                    if poisson and streams[nid].next_us < slot_end:
+                    if poisson and nxt[nid] < slot_end:
                         catch_up(nid, slot_end)
                     delivered[nid] += size
                     node_success[nid] += 1
-                    node_sum = node_delay_sum[nid]
-                    samples = 0
-                    for _ in range(size):
+                    if size == 1:
                         enqueue_us = q.popleft()
                         if enqueue_us >= warm_end:
                             delay = slot_end - enqueue_us
@@ -762,10 +788,23 @@ class Simulation:
                                 raise negative_delay_error(
                                     delay, nid, slot_end, enqueue_us)
                             delay_sum_us += delay
-                            node_sum += delay
-                            samples += 1
-                    node_delay_sum[nid] = node_sum
-                    node_delay_n[nid] += samples
+                            node_delay_sum[nid] += delay
+                            node_delay_n[nid] += 1
+                    else:
+                        node_sum = node_delay_sum[nid]
+                        samples = 0
+                        for _ in range(size):
+                            enqueue_us = q.popleft()
+                            if enqueue_us >= warm_end:
+                                delay = slot_end - enqueue_us
+                                if delay < 0:
+                                    raise negative_delay_error(
+                                        delay, nid, slot_end, enqueue_us)
+                                delay_sum_us += delay
+                                node_sum += delay
+                                samples += 1
+                        node_delay_sum[nid] = node_sum
+                        node_delay_n[nid] += samples
                     if q:
                         if random_success:
                             stage[nid] = 0
@@ -779,11 +818,11 @@ class Simulation:
                             stage[nid] = 0
                             c = slot + 1 + eca_counter
                         next_tx[nid] = c
-                        heappush(tx_heap, (c, nid))
+                        heappush(tx_heap, c << NODE_BITS | nid)
                     else:
                         next_tx[nid] = -1
                         if poisson:
-                            heappush(arr_heap, (streams[nid].next_us, nid))
+                            heappush(arr_heap, (nxt[nid], nid))
                         queue_empties[nid] += 1
                 else:
                     last_collision = slot
@@ -798,7 +837,7 @@ class Simulation:
                             r = getrandbits(cw_bits + st)
                         c = slot + 1 + r
                         next_tx[nid] = c
-                        heappush(tx_heap, (c, nid))
+                        heappush(tx_heap, c << NODE_BITS | nid)
                         node_collision[nid] += 1
                     acc.slots_collision += 1
                 counted_busy_us += duration
@@ -818,6 +857,9 @@ class Simulation:
         for nid, trace in enumerate(traces):
             if trace and (book is None or book.traces.get(nid) is not trace):
                 del trace.instants[:cursor[nid]]  # the run's own: trimmed
+        if poisson:
+            for st, next_us in zip(streams, nxt):
+                st.next_us = next_us
         self.drawn_arrivals += drawn + (book.drawn - self._book_drawn
                                         if book else 0)
         self.wakes = wakes

@@ -8,8 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
 from ecasim import (SATURATED, ConfigError, ConsistencyError, Protocol,
-                    SimConfig, Simulation, run_simulation)
-from ecasim.config import MAX_SLOT_US
+                    SimConfig, Simulation, run_simulation, traffic)
+from ecasim.config import MAX_NODES, MAX_SLOT_US
+from ecasim.engine import NODE_BITS
 from ecasim.timing import DEFAULT_TIMING, TimingTable
 from nodes import load_node
 
@@ -29,6 +30,8 @@ def _idle_sim(n=2, **kw):
 
 def _same(x, y):
     """Structural equality where nan == nan (reports carry nan delays)."""
+    if x == y:  # the common case, without a walk
+        return True
     if isinstance(x, float) and isinstance(y, float):
         return (math.isnan(x) and math.isnan(y)) or x == y
     if isinstance(x, dict):
@@ -189,6 +192,30 @@ def _assert_run_equals_stepping(cfg, prepare=None):
         "ca-agg16-knee", "eca-knee"])
 def test_run_equals_slot_by_slot_stepping(cfg):
     _assert_run_equals_stepping(cfg)
+
+
+def test_every_node_id_fits_the_heap_key():
+    """run()'s heap orders due << NODE_BITS | nid, which is (due, nid) order
+    only while every node id fits in NODE_BITS bits."""
+    assert MAX_NODES - 1 < 1 << NODE_BITS
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(protocol=Protocol.CSMA_CA, n_nodes=MAX_NODES,
+              arrival_rate=SATURATED, queue_capacity=1, sim_slots=300,
+              warmup_slots=50, seed=2),
+    SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=MAX_NODES,
+              arrival_rate=20.0, queue_capacity=1, sim_slots=300,
+              warmup_slots=50, seed=2),
+], ids=["saturated", "poisson"])
+def test_run_equals_stepping_at_the_most_nodes(cfg):
+    """At MAX_NODES, node ids at and above 2^(NODE_BITS - 1) use the key's
+    top node bit: thousands of them collide, each slot's colliders drawing
+    in node id order as stepping draws them."""
+    sim = _assert_run_equals_stepping(cfg)
+    top = 1 << (NODE_BITS - 1)
+    assert MAX_NODES > top
+    assert sum(sim.acc.node_collision[top:]) > 1000
 
 
 @st.composite
@@ -499,6 +526,29 @@ WAKES = [
 def test_run_equals_stepping_when_nodes_wake_inside_idle_gaps(cfg):
     sim = _assert_run_equals_stepping(cfg)
     assert sum(sim.queue_empties) >= 30  # each empty queue waits for a wake
+
+
+@pytest.mark.parametrize("cfg", WAKES)
+def test_run_on_a_book_trace_equals_stepping(cfg, monkeypatch):
+    """A run outside a sweep draws its own trace only up to the next
+    arrival, so its wakes all land through catch_up.  A book's trace holds
+    instants past a wake's slot end, so a sweep cell lands most lone wakes
+    inline; that run equals stepping too.  The book draws ahead, so only
+    the streams' RNG states may differ."""
+    monkeypatch.setattr(traffic, "book", None)
+    traffic.share(cfg.seed, cfg.arrival_rate)
+    fast_sim = Simulation(cfg)
+    assert all(fast_sim.traces)
+    fast = fast_sim.run()
+    traffic.book = None
+    slow_sim = Simulation(cfg)
+    while slow_sim.slot < cfg.sim_slots:
+        slow_sim.advance_slot()
+    assert _reports_equal(fast, slow_sim._finalize())
+    fast_end, slow_end = _end_state(fast_sim), _end_state(slow_sim)
+    for end in (fast_end, slow_end):
+        del end["rng"][1:]
+    assert _same(fast_end, slow_end)
 
 
 def test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot():
