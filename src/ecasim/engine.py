@@ -69,11 +69,9 @@ with fewer than max_aggregation packets queued (they fix the batch size),
 before a success pops its queue, and at the end.  Every landing reads the
 node's trace with one search and one slice up to the room left: the book's,
 inside a sweep (traffic.TraceBook), or the run's own, drawn from the node's
-stream only as far as needed and trimmed as the run passes it.  The one
-exception is a lone wake: when the trace already holds the instant after an
-idle node's arrival, at or past the slot end, the wake lands that arrival
-itself, into a queue that is empty.  The driver keeps each node's next
-arrival in a flat list and writes it back to the node's stream at the end.
+stream only as far as needed and trimmed as the run passes it.  The driver
+keeps each node's next arrival in a flat list and writes it back to the
+node's stream at the end.
 drawn_arrivals and wakes count what the run drew and how often an idle node
 joined contention.
 """
@@ -681,22 +679,12 @@ class Simulation:
 
         def wake(s, until):
             """Idle nodes' arrivals before `until`, slot s's end, in instant
-            order: the first one queued wakes its node (on_packet_arrival).
-            A lone arrival, whose successor the trace already holds, lands
-            here; the queue of an idle node is empty, so it has room."""
+            order: the first one queued wakes its node (on_packet_arrival)."""
             nonlocal wakes
             while arr_heap and arr_heap[0][0] < until:
                 nid = heappop(arr_heap)[1]
                 wakes += 1
-                instants = traced[nid]
-                pos = cursor[nid] + 1
-                if instants[-1] >= until and instants[pos] >= until:
-                    cursor[nid] = pos
-                    nxt[nid] = instants[pos]
-                    arrivals[nid] += 1
-                    queues[nid].append(instants[pos - 1])
-                else:
-                    catch_up(nid, until)
+                catch_up(nid, until)
                 if not keep_stage:
                     stage[nid] = 0
                 r = getrandbits(rejoin_bits)
@@ -780,7 +768,8 @@ class Simulation:
                         catch_up(nid, slot_end)
                     delivered[nid] += size
                     node_success[nid] += 1
-                    if size == 1:
+                    while size:  # pop the batch
+                        size -= 1
                         enqueue_us = q.popleft()
                         if enqueue_us >= warm_end:
                             delay = slot_end - enqueue_us
@@ -790,21 +779,6 @@ class Simulation:
                             delay_sum_us += delay
                             node_delay_sum[nid] += delay
                             node_delay_n[nid] += 1
-                    else:
-                        node_sum = node_delay_sum[nid]
-                        samples = 0
-                        for _ in range(size):
-                            enqueue_us = q.popleft()
-                            if enqueue_us >= warm_end:
-                                delay = slot_end - enqueue_us
-                                if delay < 0:
-                                    raise negative_delay_error(
-                                        delay, nid, slot_end, enqueue_us)
-                                delay_sum_us += delay
-                                node_sum += delay
-                                samples += 1
-                        node_delay_sum[nid] = node_sum
-                        node_delay_n[nid] += samples
                     if q:
                         if random_success:
                             stage[nid] = 0

@@ -86,13 +86,10 @@ class Trace:
         append = instants.append
         rnd = self.rng.random
         t = instants[-1]
-        drew = least if least < most else most
-        for _ in range(drew):
-            t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
-            append(t)
-        while t < until and drew < most:
+        drew = 0
+        while drew < most and (t < until or drew < least):
             drew += 1
-            t += -log(1.0 - rnd()) / rate * 1e6
+            t += -log(1.0 - rnd()) / rate * 1e6  # expovariate(rate) * 1e6
             append(t)
         return drew
 

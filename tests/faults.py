@@ -10,12 +10,10 @@ There it first runs the catching tests of the named faults (every fault
 when none is named) on the unpatched code, which must pass; then, one fault
 at a time, it replaces the fault's `old` text with its `new` text and runs
 the fault's tests with -x.  Each fault prints as caught or survived, with
-its seconds; one whose tests run three times as long as the unpatched run
-of every catching test (60 s at least) is stopped there and counts as
-caught, since a hang fails its tests as surely as an assert.  The exit
-status is 1 if a fault that is not a known survivor survived (or the
-unpatched tests fail), and nothing is written outside the temporary
-directory.
+its seconds.  The exit status is 1 if a fault that is not a known survivor
+survived (or the unpatched tests fail), and nothing is written outside the
+temporary directory.  The runner has no time limit: a fault that can hang
+names first a test that it fails without hanging.
 
 A known survivor is a real fault that no test catches, with the reason; it
 is run like the others and never counted as caught.  tests/test_faults.py,
@@ -188,15 +186,7 @@ FAULTS = [
           "                delivered[:] = [agg * s for s in node_success]\n",
           "",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
-    # -- cheaper events: an int-keyed heap, a flat next-arrival list and
-    # the lone wake landed inline
-    Fault("inline-wake-queues-the-next-instant", "engine.py",
-          "                    queues[nid].append(instants[pos - 1])\n",
-          "                    queues[nid].append(instants[pos])\n",
-          (ENGINE + "test_run_on_a_book_trace_equals_stepping",
-           GOLDEN + "test_sweep_reproduces_golden_bytes[poisson]",
-           SWEEP + "test_shared_traces_give_every_cell_its_standalone"
-           "_report")),
+    # -- cheaper events: an int-keyed heap and a flat next-arrival list
     Fault("next-arrivals-not-written-back", "engine.py",
           "        if poisson:\n"
           "            for st, next_us in zip(streams, nxt):\n"
@@ -334,20 +324,14 @@ def patched(fault: Fault, root: Path = ROOT) -> str:
                                                              fault.new)
 
 
-HUNG = -1  # _pytest's status for tests stopped at their time limit
-
-
-def _pytest(tmp: Path, tests, limit=None) -> int:
+def _pytest(tmp: Path, tests) -> int:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(tmp / "src"))
-    try:
-        return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", f"--basetemp={tmp / 'pytest'}", *tests],
-            cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=limit).returncode
-    except subprocess.TimeoutExpired:
-        return HUNG
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         f"--basetemp={tmp / 'pytest'}", *tests],
+        cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL).returncode
 
 
 def main(names) -> int:
@@ -369,24 +353,21 @@ def main(names) -> int:
             else:
                 shutil.copy2(ROOT / name, tmp / name)
         tests = list(dict.fromkeys(t for f in faults for t in f.tests))
-        start = time.perf_counter()
         if _pytest(tmp, tests) != 0:
             print("the catching tests fail on the unpatched code",
                   file=sys.stderr)
             return 1
-        limit = max(60.0, 3 * (time.perf_counter() - start))
         for fault in faults:
             target = tmp / PACKAGE / fault.path
             clean = target.read_text()
             target.write_text(patched(fault, tmp))
             start = time.perf_counter()
-            code = _pytest(tmp, fault.tests, limit)
+            code = _pytest(tmp, fault.tests)
             target.write_text(clean)
-            if code not in (0, 1, HUNG):
+            if code not in (0, 1):
                 print(f"{fault.name}: pytest exited {code}", file=sys.stderr)
                 return 2
-            verdict = ("survived" if code == 0 else "caught" if code == 1
-                       else f"caught (hung, stopped at {limit:.0f} s)")
+            verdict = "caught" if code else "survived"
             if code == 0 and not fault.survives:
                 escaped += 1
             note = (f" (known survivor: {fault.survives})" if fault.survives

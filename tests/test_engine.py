@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
 from ecasim import (SATURATED, ConfigError, ConsistencyError, Protocol,
-                    SimConfig, Simulation, run_simulation, traffic)
+                    SimConfig, Simulation, run_simulation)
 from ecasim.config import MAX_NODES, MAX_SLOT_US
 from ecasim.engine import NODE_BITS
 from ecasim.timing import DEFAULT_TIMING, TimingTable
@@ -526,29 +526,6 @@ WAKES = [
 def test_run_equals_stepping_when_nodes_wake_inside_idle_gaps(cfg):
     sim = _assert_run_equals_stepping(cfg)
     assert sum(sim.queue_empties) >= 30  # each empty queue waits for a wake
-
-
-@pytest.mark.parametrize("cfg", WAKES)
-def test_run_on_a_book_trace_equals_stepping(cfg, monkeypatch):
-    """A run outside a sweep draws its own trace only up to the next
-    arrival, so its wakes all land through catch_up.  A book's trace holds
-    instants past a wake's slot end, so a sweep cell lands most lone wakes
-    inline; that run equals stepping too.  The book draws ahead, so only
-    the streams' RNG states may differ."""
-    monkeypatch.setattr(traffic, "book", None)
-    traffic.share(cfg.seed, cfg.arrival_rate)
-    fast_sim = Simulation(cfg)
-    assert all(fast_sim.traces)
-    fast = fast_sim.run()
-    traffic.book = None
-    slow_sim = Simulation(cfg)
-    while slow_sim.slot < cfg.sim_slots:
-        slow_sim.advance_slot()
-    assert _reports_equal(fast, slow_sim._finalize())
-    fast_end, slow_end = _end_state(fast_sim), _end_state(slow_sim)
-    for end in (fast_end, slow_end):
-        del end["rng"][1:]
-    assert _same(fast_end, slow_end)
 
 
 def test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot():
