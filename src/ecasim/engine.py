@@ -24,7 +24,8 @@ stage and next_tx, and the whole-run ledger arrivals, delivered, dropped and
 queue_empties.  Every tally counts the whole run; the report reads the
 measured window as its end value minus a snapshot taken when slot
 warmup_slots begins (see metrics), so no event asks whether warmup is over.
-A caller sets a node up through the lists alone: queues, arrivals, next_tx.
+A caller sets a node up through the lists alone: queues, arrivals, next_tx,
+and the instants of streams[nid], a Poisson node's ArrivalStream.
 advance_slot() is the reference stepper, for tests.  It drains the slot's
 arrivals in (instant, node id) order, then resolves the nodes due in the slot
 in node id order and returns them, the slot's whole outcome, through
@@ -67,11 +68,11 @@ So the driver keeps only idle nodes in its arrival heap and lands a
 contending node's arrivals late but in the same order: before it transmits
 with fewer than max_aggregation packets queued (they fix the batch size),
 before a success pops its queue, and at the end.  Every landing reads the
-node's trace with one search and one slice up to the room left: the book's,
-inside a sweep (traffic.TraceBook), or the run's own, drawn from the node's
-stream only as far as needed and trimmed as the run passes it.  The driver
-keeps each node's next arrival in a flat list and writes it back to the
-node's stream at the end.
+node's stream (traffic.ArrivalStream) with one search and one slice up to
+the room left: the book's, inside a sweep (traffic.TraceBook), or the run's
+own, drawn only as far as needed and trimmed as the run passes it, so that
+after run() its first instant is the node's next arrival.  The driver keeps
+each node's next arrival in a flat list, a cache of the stream's instant.
 drawn_arrivals and wakes count what the run drew and how often an idle node
 joined contention.
 """
@@ -89,7 +90,7 @@ from .config import MAX_NODES, Protocol, SimConfig
 from .errors import ConsistencyError
 from .metrics import (MetricsAccumulator, MetricsReport,
                       negative_delay_error)
-from .traffic import ArrivalStream, Trace
+from .traffic import ArrivalStream
 
 
 NodeSnapshot = namedtuple("NodeSnapshot", "counters")
@@ -207,10 +208,9 @@ class Simulation:
         self.acc = MetricsAccumulator(
             t.slot_empty, t.payload_bits,
             (self.delivered, self.dropped, self.queue_empties))
-        # only a Poisson source has a stream, seeded after proto_rng; inside a
-        # sweep, the book of this seed and rate may lend its trace
+        # only a Poisson source has a stream, seeded after proto_rng: inside a
+        # sweep, the one the book of this seed and rate lends, or its own
         self.streams = [None] * n
-        self.traces = [None] * n  # per node, the Trace run() reads
         self.last_collision_slot = -1
         self._settled = False
         # run() counts them; drawn_arrivals starts at the streams' first draws
@@ -225,14 +225,11 @@ class Simulation:
         if 0 < rate < inf:
             for nid in range(n):
                 bits = master.getrandbits(64)
-                trace = book and book.lend(nid, bits)
-                if trace is None:
-                    self.streams[nid] = ArrivalStream(rate, random.Random(bits))
-                    self.drawn_arrivals += 1
-                else:
-                    self.traces[nid] = trace
-                    self.streams[nid] = ArrivalStream(rate, trace.rng,
-                                                      trace.instants[0])
+                stream = book and book.lend(nid, bits)
+                if stream is None:
+                    stream = ArrivalStream([], random.Random(bits))
+                    self.drawn_arrivals += stream.grow(rate, 0.0, 1)
+                self.streams[nid] = stream
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot
             # 0 with the rejoin draw of the first arrival, in node id order
@@ -268,7 +265,7 @@ class Simulation:
         """Resolve exactly one contention slot, advance the clock and return
         the slot's transmitters in node id order: () for an idle slot, one
         node id for a success, more for a collision."""
-        assert not any(self.traces), "only run() reads a sweep's traces"
+        assert self._book is None, "only run() reads a sweep's streams"
         cfg = self.cfg
         acc = self.acc
         s = self.slot
@@ -294,12 +291,14 @@ class Simulation:
 
         # arrivals land mid-slot, in (instant, node id) order; a node they
         # wake joins from the next slot on
-        if 0 < cfg.arrival_rate < inf:
+        rate = cfg.arrival_rate
+        if 0 < rate < inf:
             streams = self.streams
-            due = sorted((st.next_us, nid) for nid, st in enumerate(streams)
-                         if st.next_us < slot_end)
+            due = sorted((st.instants[0], nid)
+                         for nid, st in enumerate(streams)
+                         if st.instants[0] < slot_end)
             for _, nid in due:
-                for enqueue_us in streams[nid].drain_poisson(slot_end):
+                for enqueue_us in streams[nid].drain_poisson(rate, slot_end):
                     on_packet_arrival(self, nid, enqueue_us)
 
         success = len(txs) == 1
@@ -522,6 +521,7 @@ class Simulation:
                 continue
             self._settled = True
             check_at = end
+            assert slot <= limit, "a replay passed the slot it replays to"
             reps = (limit - slot) // hyper
             if not reps:
                 continue
@@ -615,9 +615,9 @@ class Simulation:
         # heap
         tx_heap = sorted([due << NODE_BITS | nid
                           for nid, due in enumerate(next_tx) if due >= 0])
-        # nxt[nid] is the node's next arrival not yet applied, its stream's
-        # next_us at the end; only idle nodes wait for theirs in arr_heap
-        nxt = [st.next_us for st in streams] if poisson else None
+        # nxt[nid] is the node's next arrival not yet applied, a cache of
+        # instants[cursor[nid]]; only idle nodes wait for theirs in arr_heap
+        nxt = [st.instants[0] for st in streams] if poisson else None
         arr_heap = sorted((nxt[nid], nid) for nid in range(n_nodes)
                           if poisson and next_tx[nid] < 0)
         # the accumulator's lists change in place, scalars are written back
@@ -628,28 +628,25 @@ class Simulation:
         counted_busy_us = delay_sum_us = busy_us = prev_end = 0.0
         slot = empty_count = 0
 
-        # every Poisson node reads a trace: the book's, or one of its own
-        traces = self.traces
+        # every Poisson node reads its stream: the book's, or its own
         book = self._book
-        drawn = 0  # what the run's own traces drew
-        for nid, st in enumerate(streams):
-            if st and not traces[nid]:
-                traces[nid] = Trace([st.next_us], st.rng)
-        traced = [tr and tr.instants for tr in traces]
-        cursor = [0] * n_nodes  # the index of nxt[nid] in nid's trace
+        drawn = 0  # what the run's own streams drew
+        traced = [st and st.instants for st in streams]
+        cursor = [0] * n_nodes  # the index of nxt[nid] in nid's stream
 
         def catch_up(nid, until):
             """Land nid's arrivals before `until`, instants[pos:k] of its
-            trace, up to the room left (on_packet_arrival without the rejoin).
-            Past its end the book draws more, or the run trims and draws on."""
+            stream, up to the room left (on_packet_arrival without the
+            rejoin).  Past its end the book draws more, or the run trims and
+            draws on."""
             nonlocal drawn
             instants = traced[nid]
             pos = cursor[nid]
-            if instants[-1] < until and not (
-                    book is not None and book.extend(nid, traces[nid], until)):
+            if instants[-1] < until and (
+                    book is None or not book.extend(nid, streams[nid], until)):
                 del instants[:pos]
                 pos = 0
-                drawn += traces[nid].grow(rate, until)
+                drawn += streams[nid].grow(rate, until)
                 k = len(instants) - 1
             elif instants[pos + 1] >= until:
                 k = pos + 1
@@ -828,12 +825,9 @@ class Simulation:
                 counted_busy_us = 0.0
 
         catch_up_active(prev_end)
-        for nid, trace in enumerate(traces):
-            if trace and (book is None or book.traces.get(nid) is not trace):
-                del trace.instants[:cursor[nid]]  # the run's own: trimmed
-        if poisson:
-            for st, next_us in zip(streams, nxt):
-                st.next_us = next_us
+        for nid, st in enumerate(streams):
+            if st and (book is None or book.traces.get(nid) is not st):
+                del st.instants[:cursor[nid]]  # the run's own: trimmed
         self.drawn_arrivals += drawn + (book.drawn - self._book_drawn
                                         if book else 0)
         self.wakes = wakes

@@ -12,8 +12,7 @@ at a time, it replaces the fault's `old` text with its `new` text and runs
 the fault's tests with -x.  Each fault prints as caught or survived, with
 its seconds.  The exit status is 1 if a fault that is not a known survivor
 survived (or the unpatched tests fail), and nothing is written outside the
-temporary directory.  The runner has no time limit: a fault that can hang
-names first a test that it fails without hanging.
+temporary directory.
 
 A known survivor is a real fault that no test catches, with the reason; it
 is run like the others and never counted as caught.  tests/test_faults.py,
@@ -50,8 +49,9 @@ ENGINE = "tests/test_engine.py::"
 GOLDEN = "tests/test_golden.py::"
 CLI = "tests/test_cli.py::"
 TIMING = "tests/test_timing.py::"
-ULP = ("the boundary moves by at most one ulp, and no drawn arrival lands "
-       "inside it")
+TRAFFIC = "tests/test_traffic.py::"
+BOUNDARY = (ENGINE + "test_an_arrival_on_a_boundary_lands_as_stepping_lands"
+            "_it[{}]")
 
 FAULTS = [
     # -- one path for a sweep's outcomes
@@ -101,14 +101,14 @@ FAULTS = [
            "_submitted_first",
            SWEEP + "test_a_seed_draws_each_instant_once")),
     Fault("lend-redraws-a-held-trace", "traffic.py",
-          "        if trace is None and self.room:\n",
+          "        if stream is None and self.room:\n",
           "        if self.room:\n",
           (SWEEP + "test_a_seed_draws_each_instant_once",
            SWEEP + "test_pooled_cells_share_traces_across_chunks",
            SWEEP + "test_the_book_keeps_to_its_budget[700]")),
     Fault("lend-ignores-room", "traffic.py",
-          "        if trace is None and self.room:\n",
-          "        if trace is None:\n",
+          "        if stream is None and self.room:\n",
+          "        if stream is None:\n",
           (SWEEP + "test_the_book_keeps_to_its_budget[0]",
            SWEEP + "test_the_book_keeps_to_its_budget[40]")),
     # -- one arrival path
@@ -119,9 +119,19 @@ FAULTS = [
            ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
            "_warmup")),
     Fault("end-trim-one-too-far", "engine.py",
-          "                del trace.instants[:cursor[nid]]",
-          "                del trace.instants[:cursor[nid] + 1]",
+          "                del st.instants[:cursor[nid]]",
+          "                del st.instants[:cursor[nid] + 1]",
           (SWEEP + "test_a_run_trims_the_traces_it_draws_on",)),
+    Fault("own-stream-left-untrimmed", "engine.py",
+          "                del st.instants[:cursor[nid]]  # the run's own: "
+          "trimmed\n",
+          "                pass\n",
+          (SWEEP + "test_a_run_trims_the_traces_it_draws_on",
+           ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]")),
+    Fault("drain-takes-an-instant-on-until", "traffic.py",
+          "        k = bisect_left(instants, until)\n",
+          "        k = bisect_left(instants, math.nextafter(until, math.inf))\n",
+          (TRAFFIC + "test_drain_takes_an_instant_on_until_in_the_next_window",)),
     Fault("handoff-relands-held-instants", "engine.py",
           "                del instants[:pos]\n                pos = 0\n",
           "                pos = 0\n",
@@ -187,13 +197,6 @@ FAULTS = [
           "",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
     # -- cheaper events: an int-keyed heap and a flat next-arrival list
-    Fault("next-arrivals-not-written-back", "engine.py",
-          "        if poisson:\n"
-          "            for st, next_us in zip(streams, nxt):\n"
-          "                st.next_us = next_us\n",
-          "",
-          (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]",
-           SWEEP + "test_a_run_trims_the_traces_it_draws_on")),
     Fault("replay-heap-rebuild-drops-an-entry", "engine.py",
           "            tx_heap = sorted([due << NODE_BITS | nid\n"
           "                              for nid, due in enumerate(next_tx)])\n",
@@ -218,8 +221,6 @@ FAULTS = [
     Fault("replay-reps-rounded-up", "engine.py",
           "            reps = (limit - slot) // hyper\n",
           "            reps = -(-(limit - slot) // hyper)\n",
-          # first a test it fails without hanging: a replay that overshoots
-          # the warmup boundary never returns (see CHANGES.md)
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",
            ENGINE + "test_settled_replay_equals_stepping",
            ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
@@ -252,10 +253,11 @@ FAULTS = [
           (ENGINE + "test_settled_replay_equals_stepping",)),
     # -- planted by hand in earlier changes, each with one target
     Fault("first-arrival-nine-us-late", "traffic.py",
-          "                       else sample_interarrival(rate, rng))\n",
-          "                       else sample_interarrival(rate, rng) + 9)\n",
-          (SWEEP + "test_the_book_keeps_to_its_budget[40]",
-           ENGINE + "test_reports_scale_exactly_with_the_clock")),
+          "        t = instants[-1] if instants else 0.0\n",
+          "        t = instants[-1] if instants else 9.0\n",
+          (TRAFFIC + "test_grow_draws_expovariate_bit_for_bit[list]",
+           ENGINE + "test_reports_scale_exactly_with_the_clock",
+           GOLDEN + "test_sweep_reproduces_golden_bytes[poisson]")),
     Fault("exchange-one-us-long", "timing.py",
           "                + self.phy_header + self.ack_bits / self.ack_rate)\n",
           "                + self.phy_header + self.ack_bits / self.ack_rate"
@@ -272,8 +274,7 @@ FAULTS = [
           (ENGINE + "test_hysteresis_is_inert_at_max_stage_0",)),
     # -- lazy arrivals: a catch-up boundary moved by one ulp.  Each reads
     # the exact float slot end, as stepping computes it; now_us can differ
-    # from it in the last bit.  Only the idle-gap one has a test that puts an
-    # arrival inside that ulp.
+    # from it in the last bit, and a test lays an arrival inside that ulp.
     Fault("gap-end-taken-as-now", "engine.py",
           "                    prev_end = se * (empty_count - 1) + busy_us + se\n",
           "                    prev_end = se * empty_count + busy_us\n",
@@ -286,35 +287,23 @@ FAULTS = [
           "                if poisson and len(q) < agg and nxt[nid] < now:\n"
           "                    catch_up(nid, now)\n"
           "                size = len(q)\n",
-          (ENGINE + "test_run_equals_stepping_on_generated_configs",
-           ENGINE + "test_run_equals_stepping_when_a_node_rejoins_beside"
-           "_backlogged_ones"),
-          survives=ULP),
+          (BOUNDARY.format("stepped-below"),
+           BOUNDARY.format("stepped-above"))),
     Fault("warmup-boundary-taken-as-now", "engine.py",
           "                catch_up_active(prev_end)\n"
           "                warm_end = se * empty_count + busy_us\n",
           "                catch_up_active(se * empty_count + busy_us)\n"
           "                warm_end = se * empty_count + busy_us\n",
-          (ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
-           "_warmup",
-           ENGINE + "test_report_counts_only_the_window_from_warmup_slots"),
-          survives=ULP),
+          (BOUNDARY.format("warmup-below"), BOUNDARY.format("warmup-above"))),
     Fault("end-boundary-taken-as-now", "engine.py",
-          "        catch_up_active(prev_end)\n        for nid, trace in",
+          "        catch_up_active(prev_end)\n        for nid, st in",
           "        catch_up_active(se * empty_count + busy_us)\n"
-          "        for nid, trace in",
-          (ENGINE + "test_run_equals_stepping_on_generated_configs",
-           ENGINE + "test_run_counts_its_draws_and_wakes"),
-          survives=ULP),
+          "        for nid, st in",
+          (BOUNDARY.format("end-below"), BOUNDARY.format("end-above"))),
     Fault("drop-counted-only-after-the-boundary", "engine.py",
           "                    if next_tx[nid] >= 0 and nxt[nid] < until:\n",
           "                    if next_tx[nid] >= 0 and nxt[nid] <= until:\n",
-          (ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
-           "_warmup",
-           ENGINE + "test_report_counts_only_the_window_from_warmup_slots"),
-          survives="an arrival exactly at the warmup boundary or the end "
-                   "lands on the wrong side of it, and no drawn arrival "
-                   "lands exactly there"),
+          (BOUNDARY.format("warmup-below"), BOUNDARY.format("end-below"))),
 ]
 
 

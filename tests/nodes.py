@@ -11,3 +11,10 @@ def load_node(sim, nid, packets, due_in=-1):
     sim.arrivals[nid] += packets
     assert queue or due_in < 0, "a contending node needs something to send"
     sim.next_tx[nid] = sim.slot + due_in if due_in >= 0 else -1
+
+
+def lay_arrivals(sim, nid, instants):
+    """Make instants, in increasing order, node nid's next arrivals in place
+    of what its stream holds; the stream draws on after the last of them."""
+    assert sim.slot == 0 and list(instants) == sorted(set(instants))
+    sim.streams[nid].instants[:] = instants

@@ -12,7 +12,7 @@ from ecasim import (SATURATED, ConfigError, ConsistencyError, Protocol,
 from ecasim.config import MAX_NODES, MAX_SLOT_US
 from ecasim.engine import NODE_BITS
 from ecasim.timing import DEFAULT_TIMING, TimingTable
-from nodes import load_node
+from nodes import lay_arrivals, load_node
 
 # hand arithmetic for the default timing table, one 12000-bit frame:
 # 34 + 20 + 12000/54 + 16 + 20 + 112/24 us
@@ -140,7 +140,8 @@ def _end_state(sim):
         "delivered": sim.delivered,
         "dropped": sim.dropped,
         "queue_empties": sim.queue_empties,
-        "next_us": [None if st is None else st.next_us for st in sim.streams],
+        "instants": [None if st is None else list(st.instants)
+                     for st in sim.streams],
         "rng": [sim.proto_rng.getstate()]
                + [None if st is None else st.rng.getstate() for st in sim.streams],
         "warmup_end_us": sim.acc.warmup_end_us,
@@ -543,7 +544,8 @@ def test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot():
         for arrival, wake_slot in ((end, k + 1),
                                    (math.nextafter(end, 0.0), k)):
             fast, slow = Simulation(cfg), Simulation(cfg)
-            fast.streams[0].next_us = slow.streams[0].next_us = arrival
+            lay_arrivals(fast, 0, [arrival])
+            lay_arrivals(slow, 0, [arrival])
             report = fast.run()
             while slow.next_tx[0] < 0:
                 slow.advance_slot()
@@ -552,6 +554,38 @@ def test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot():
                 slow.advance_slot()
             assert _reports_equal(report, slow._finalize())
             assert _same(_end_state(fast), _end_state(slow))
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("boundary", ["stepped", "warmup", "end"])
+def test_an_arrival_on_a_boundary_lands_as_stepping_lands_it(boundary, side):
+    """After k idle slots stepping begins slot k at the end of slot k - 1,
+    se * (k - 1) + se, which need not be se * k.  An arrival at the lower of
+    the two, at a contending node, lands as stepping lands it: before the
+    node's batch in slot k is fixed, before the window opens at warmup_slots
+    k, and before a run of k slots ends, only if it is before that end.  With
+    the end below se * k the arrival sits exactly on it."""
+    se = NON_DYADIC.slot_empty
+    k = next(k for k in range(1, 100)
+             if (se * (k - 1) + se < se * k) == (side == "below")
+             and se * (k - 1) + se != se * k)
+    arrival = min(se * (k - 1) + se, se * k)
+    cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=1, arrival_rate=1.0,
+                    max_aggregation=2, queue_capacity=2,
+                    sim_slots=k if boundary == "end" else k + 40,
+                    warmup_slots=k if boundary == "warmup" else 0,
+                    seed=1, timing=NON_DYADIC)
+
+    def prepare(sim):
+        # one packet, so the arrival would join its batch, or a full queue
+        # due past the boundary, so that it is dropped
+        if boundary == "stepped":
+            load_node(sim, 0, 1, due_in=k)
+        else:
+            load_node(sim, 0, 2, due_in=k + 3)
+        lay_arrivals(sim, 0, [arrival])
+
+    _assert_run_equals_stepping(cfg, prepare)
 
 
 # a saturated schedule that settles long before a warmup_slots that falls

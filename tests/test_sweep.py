@@ -792,40 +792,47 @@ BUSY = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=2, arrival_rate=2000.0,
 
 
 def test_a_run_trims_the_traces_it_draws_on(monkeypatch):
-    """A trace the book does not hold is the run's own: before it draws on,
+    """A stream the book does not hold is the run's own: before it draws on,
     the run drops the instants it has passed, and at the end it keeps only
-    the stream's next arrival and what follows it, so each node holds O(1)
+    the node's next arrival and what follows it, so each node holds O(1)
     instants.  Checked outside a sweep, and on a sweep cell whose book runs
-    out of room halfway: the run reads the book's traces, which become its
+    out of room halfway: the run reads the book's streams, which become its
     own when the book lets go, and reads on past their end."""
-    held = []  # what a run's own trace holds each time it draws on
-    grow = traffic.Trace.grow
+    held = []  # what a run's own stream holds each time it draws on
+    grow = traffic.ArrivalStream.grow
 
-    def watched(trace, rate, until, least=0, most=math.inf):
-        if not least:  # the book draws LOOKAHEAD at least
-            held.append(len(trace.instants))
-        return grow(trace, rate, until, least, most)
+    def watched(stream, rate, until, least=0, most=math.inf):
+        if not least:  # the book draws LOOKAHEAD at least, a first draw 1
+            held.append(len(stream.instants))
+        return grow(stream, rate, until, least, most)
 
-    monkeypatch.setattr(traffic.Trace, "grow", watched)
+    monkeypatch.setattr(traffic.ArrivalStream, "grow", watched)
     monkeypatch.setattr(traffic, "book", None)
     bound = traffic.LOOKAHEAD + 1
+    sim = Simulation(BUSY)
+    alone = sim.run()
+    # each node's next arrival, the one after the sim.arrivals[nid] it
+    # landed, drawn afresh
+    nexts = []
+    for nid, landed in enumerate(sim.arrivals):
+        fresh = Simulation(BUSY).streams[nid]
+        fresh.grow(BUSY.arrival_rate, 0.0, landed)
+        nexts.append(fresh.instants[landed])
 
     def check(sim):
         assert held and max(held) <= bound
-        for trace, stream in zip(sim.traces, sim.streams):
-            assert len(trace.instants) <= bound
-            assert trace.instants[0] == stream.next_us
+        for stream, next_us in zip(sim.streams, nexts):
+            assert len(stream.instants) <= bound
+            assert stream.instants[0] == next_us
 
-    sim = Simulation(BUSY)
-    alone = sim.run()
     check(sim)
     monkeypatch.setattr(config, "MAX_TRACED_INSTANTS", sim.drawn_arrivals // 2)
     traffic.share(BUSY.seed, BUSY.arrival_rate)
     book = traffic.book
     held.clear()
     sim = Simulation(BUSY)
-    assert all(book.traces[nid] is trace
-               for nid, trace in enumerate(sim.traces))
+    assert all(book.traces[nid] is stream
+               for nid, stream in enumerate(sim.streams))
     assert repr(sim.run()) == repr(alone)
     assert not book.traces and book.room == 0  # let go for good
     check(sim)
