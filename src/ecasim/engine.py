@@ -25,7 +25,7 @@ queue_empties.  Every tally counts the whole run; the report reads the
 measured window as its end value minus a snapshot taken when slot
 warmup_slots begins (see metrics), so no event asks whether warmup is over.
 A caller sets a node up through the lists alone: queues, arrivals, next_tx,
-and the instants of streams[nid], a Poisson node's ArrivalStream.
+and the instants of streams[nid], the node's ArrivalStream.
 advance_slot() is the reference stepper, for tests.  It drains the slot's
 arrivals in (instant, node id) order, then resolves the nodes due in the slot
 in node id order and returns them, the slot's whole outcome, through
@@ -61,20 +61,20 @@ success delivers max_aggregation packets and refills as many, so it writes
 delivered from the node's successes when the window opens, and delivered
 and arrivals at the end.
 
-The arrival driver runs Poisson and silent (arrival_rate 0) configs.  An
-arrival at a node that is already contending draws nothing from the shared
-RNG and only grows its queue, which nothing reads until the node's next pop.
-So the driver keeps only idle nodes in its arrival heap and lands a
-contending node's arrivals late but in the same order: before it transmits
-with fewer than max_aggregation packets queued (they fix the batch size),
-before a success pops its queue, and at the end.  Every landing reads the
-node's stream (traffic.ArrivalStream) with one search and one slice up to
-the room left: the book's, inside a sweep (traffic.TraceBook), or the run's
-own, drawn only as far as needed and trimmed as the run passes it, so that
-after run() its first instant is the node's next arrival.  The driver keeps
-each node's next arrival in a flat list, a cache of the stream's instant.
-drawn_arrivals and wakes count what the run drew and how often an idle node
-joined contention.
+The arrival driver runs Poisson and silent (arrival_rate 0) configs; a
+silent node's stream never fires.  An arrival at a contending node draws
+nothing from the shared RNG and only grows its queue, which nothing reads
+until the node's next pop.  So the driver keeps only idle nodes in its
+arrival heap and lands a contending node's arrivals late but in the same
+order: before it transmits with fewer than max_aggregation packets queued
+(they fix the batch size), before a success pops its queue, and at the
+end.  Every landing reads the node's stream (traffic.ArrivalStream) with
+one search and one slice up to the room left: the book's, inside a sweep
+(traffic.TraceBook), or the run's own, drawn only as far as needed and
+trimmed as the run passes it, so that after run() its first instant is the
+node's next arrival.  The driver keeps each node's next arrival in a flat
+list, a cache of the stream's instant.  drawn_arrivals and wakes count
+what the run drew and how often an idle node joined contention.
 """
 
 import heapq
@@ -208,9 +208,9 @@ class Simulation:
         self.acc = MetricsAccumulator(
             t.slot_empty, t.payload_bits,
             (self.delivered, self.dropped, self.queue_empties))
-        # only a Poisson source has a stream, seeded after proto_rng: inside a
-        # sweep, the one the book of this seed and rate lends, or its own
-        self.streams = [None] * n
+        # a Poisson stream is seeded after proto_rng (inside a sweep, the
+        # book's if it lends one); every other never fires and seeds nothing
+        self.streams = [ArrivalStream([inf], None) for _ in range(n)]
         self.last_collision_slot = -1
         self._settled = False
         # run() counts them; drawn_arrivals starts at the streams' first draws
@@ -291,15 +291,13 @@ class Simulation:
 
         # arrivals land mid-slot, in (instant, node id) order; a node they
         # wake joins from the next slot on
-        rate = cfg.arrival_rate
-        if 0 < rate < inf:
-            streams = self.streams
-            due = sorted((st.instants[0], nid)
-                         for nid, st in enumerate(streams)
-                         if st.instants[0] < slot_end)
-            for _, nid in due:
-                for enqueue_us in streams[nid].drain_poisson(rate, slot_end):
-                    on_packet_arrival(self, nid, enqueue_us)
+        streams = self.streams
+        due = sorted((st.instants[0], nid) for nid, st in enumerate(streams)
+                     if st.instants[0] < slot_end)
+        for _, nid in due:
+            for enqueue_us in streams[nid].drain_poisson(cfg.arrival_rate,
+                                                         slot_end):
+                on_packet_arrival(self, nid, enqueue_us)
 
         success = len(txs) == 1
         for nid, size in zip(txs, sizes):
@@ -597,7 +595,6 @@ class Simulation:
         rejoin_window = cw_min + 1 if cfg.rejoin_inclusive else cw_min
         cw_bits = cw_min.bit_length()
         rejoin_bits = rejoin_window.bit_length()
-        poisson = rate > 0
         exchange = [t.exchange_us(k * t.payload_bits) for k in range(agg + 1)]
         n_nodes = cfg.n_nodes
         warm_end = inf
@@ -617,9 +614,9 @@ class Simulation:
                           for nid, due in enumerate(next_tx) if due >= 0])
         # nxt[nid] is the node's next arrival not yet applied, a cache of
         # instants[cursor[nid]]; only idle nodes wait for theirs in arr_heap
-        nxt = [st.instants[0] for st in streams] if poisson else None
+        nxt = [st.instants[0] for st in streams]
         arr_heap = sorted((nxt[nid], nid) for nid in range(n_nodes)
-                          if poisson and next_tx[nid] < 0)
+                          if next_tx[nid] < 0)
         # the accumulator's lists change in place, scalars are written back
         node_success = acc.node_success
         node_collision = acc.node_collision
@@ -631,7 +628,7 @@ class Simulation:
         # every Poisson node reads its stream: the book's, or its own
         book = self._book
         drawn = 0  # what the run's own streams drew
-        traced = [st and st.instants for st in streams]
+        traced = [st.instants for st in streams]
         cursor = [0] * n_nodes  # the index of nxt[nid] in nid's stream
 
         def catch_up(nid, until):
@@ -656,21 +653,17 @@ class Simulation:
             nxt[nid] = instants[k]
             arrivals[nid] += k - pos
             q = queues[nid]
-            room = cap - len(q)
-            if k - pos > room:
-                q.extend(instants[pos:pos + room])
-                dropped[nid] += k - pos - room
-            elif k - pos == 1:  # the common case, without a slice
-                q.append(instants[pos])
-            else:
-                q.extend(instants[pos:k])
+            fits = pos + cap - len(q)  # past the last instant with room
+            if k > fits:
+                dropped[nid] += k - fits
+                k = fits
+            q.extend(instants[pos:k])
 
         def catch_up_active(until):
             """What landed at contending nodes since their last catch-up."""
-            if poisson:
-                for nid in range(n_nodes):
-                    if next_tx[nid] >= 0 and nxt[nid] < until:
-                        catch_up(nid, until)
+            for nid in range(n_nodes):
+                if next_tx[nid] >= 0 and nxt[nid] < until:
+                    catch_up(nid, until)
 
         wakes = 0
 
@@ -726,34 +719,29 @@ class Simulation:
                         break
                 assert due == slot, "overdue transmission in heap"
 
-                # -- a busy slot: who transmits, and for how long; a batch's
-                # size is fixed by what landed before the slot
+                # -- a busy slot: who transmits, and for how long.  A batch's
+                # size is fixed by what landed before the slot, and size is
+                # a success's batch or a collision's longest
                 now = se * empty_count + busy_us
-                nid = heappop(tx_heap) & NODE_MASK
-                assert next_tx[nid] == slot
-                q = queues[nid]
-                if poisson and len(q) < agg and nxt[nid] < prev_end:
-                    catch_up(nid, prev_end)
-                size = len(q)
-                if size > agg:
-                    size = agg
-                colliders = None
-                if tx_heap and tx_heap[0] >> NODE_BITS == slot:
-                    colliders = [nid]
-                    longest = size
-                    while tx_heap and tx_heap[0] >> NODE_BITS == slot:
-                        nid = heappop(tx_heap) & NODE_MASK
-                        assert next_tx[nid] == slot
+                colliders = None  # started when a second node is due
+                size = 0
+                while True:
+                    nid = heappop(tx_heap) & NODE_MASK
+                    assert next_tx[nid] == slot
+                    q = queues[nid]
+                    n = len(q)
+                    if n < agg and nxt[nid] < prev_end:
+                        catch_up(nid, prev_end)
+                        n = len(q)
+                    if n > size:
+                        size = n if n < agg else agg
+                    if colliders is not None:
                         colliders.append(nid)
-                        q = queues[nid]
-                        if poisson and len(q) < agg and nxt[nid] < prev_end:
-                            catch_up(nid, prev_end)
-                        size = len(q)
-                        if size > longest:
-                            longest = size
-                    duration = exchange[longest if longest < agg else agg]
-                else:
-                    duration = exchange[size]
+                    if not tx_heap or tx_heap[0] >> NODE_BITS != slot:
+                        break
+                    if colliders is None:
+                        colliders = [nid]
+                duration = exchange[size]
                 slot_end = now + duration
                 if arr_heap and arr_heap[0][0] < slot_end:
                     wake(slot, slot_end)
@@ -761,7 +749,7 @@ class Simulation:
                 # -- outcome (after_transmission and record_* calls, inlined)
                 if colliders is None:
                     # arrivals precede the pops
-                    if poisson and nxt[nid] < slot_end:
+                    if nxt[nid] < slot_end:
                         catch_up(nid, slot_end)
                     delivered[nid] += size
                     node_success[nid] += 1
@@ -792,8 +780,7 @@ class Simulation:
                         heappush(tx_heap, c << NODE_BITS | nid)
                     else:
                         next_tx[nid] = -1
-                        if poisson:
-                            heappush(arr_heap, (nxt[nid], nid))
+                        heappush(arr_heap, (nxt[nid], nid))
                         queue_empties[nid] += 1
                 else:
                     last_collision = slot
@@ -826,7 +813,7 @@ class Simulation:
 
         catch_up_active(prev_end)
         for nid, st in enumerate(streams):
-            if st and (book is None or book.traces.get(nid) is not st):
+            if book is None or book.traces.get(nid) is not st:
                 del st.instants[:cursor[nid]]  # the run's own: trimmed
         self.drawn_arrivals += drawn + (book.drawn - self._book_drawn
                                         if book else 0)

@@ -5,9 +5,8 @@ a run carries the config-wide payload size, and its source is the node whose
 queue holds it.  A Poisson node's arrivals are one ArrivalStream: the
 instants its RNG has drawn, each the last plus an exponential gap, so delay
 measurements are not quantised to slot boundaries.  run() and the reference
-stepper read the same stream, with the same one draw.  A saturated source
-has no stream: the engine keeps its queue topped up, a node that always has
-traffic waiting.
+stepper read the same stream, with the same one draw.  A saturated or
+silent source's stream never fires: it is one instant, inf, and no RNG.
 
 Node i's stream depends on the seed and the rate alone, so every protocol
 variant and node count of a sweep at one seed sees the same instants.  A
@@ -25,11 +24,11 @@ from . import config
 
 
 class ArrivalStream:
-    """One node's Poisson arrivals: its instants, in order, from the first
-    that is not yet applied on, and its own RNG, which draws the gap after
-    the last of them.  The arrival sequence of a node depends only on the
-    run seed and the node id, never on what other nodes are doing.  The
-    book's streams keep every instant; a run trims its own."""
+    """One node's arrivals: its instants, in order, from the first that is
+    not yet applied on, and its own RNG (None if it never fires), which
+    draws the gap after the last of them.  The arrival sequence of a node
+    depends only on the run seed and the node id, never on what other nodes
+    are doing.  The book's streams keep every instant; a run trims its own."""
 
     __slots__ = ("instants", "rng")
 

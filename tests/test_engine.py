@@ -140,10 +140,9 @@ def _end_state(sim):
         "delivered": sim.delivered,
         "dropped": sim.dropped,
         "queue_empties": sim.queue_empties,
-        "instants": [None if st is None else list(st.instants)
-                     for st in sim.streams],
+        "instants": [list(st.instants) for st in sim.streams],
         "rng": [sim.proto_rng.getstate()]
-               + [None if st is None else st.rng.getstate() for st in sim.streams],
+               + [st.rng and st.rng.getstate() for st in sim.streams],
         "warmup_end_us": sim.acc.warmup_end_us,
         "last_collision_slot": sim.last_collision_slot,
     }
@@ -557,14 +556,17 @@ def test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot():
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
-@pytest.mark.parametrize("boundary", ["stepped", "warmup", "end"])
+@pytest.mark.parametrize("boundary", ["stepped", "warmup", "end", "drain"])
 def test_an_arrival_on_a_boundary_lands_as_stepping_lands_it(boundary, side):
     """After k idle slots stepping begins slot k at the end of slot k - 1,
     se * (k - 1) + se, which need not be se * k.  An arrival at the lower of
     the two, at a contending node, lands as stepping lands it: before the
     node's batch in slot k is fixed, before the window opens at warmup_slots
     k, and before a run of k slots ends, only if it is before that end.  With
-    the end below se * k the arrival sits exactly on it."""
+    the end below se * k the arrival sits exactly on it.  The drain case
+    lays two arrivals in slot k - 1, the second exactly on its end, at a
+    full queue: stepping's one read of the slot drops only the first before
+    the window opens."""
     se = NON_DYADIC.slot_empty
     k = next(k for k in range(1, 100)
              if (se * (k - 1) + se < se * k) == (side == "below")
@@ -573,7 +575,7 @@ def test_an_arrival_on_a_boundary_lands_as_stepping_lands_it(boundary, side):
     cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=1, arrival_rate=1.0,
                     max_aggregation=2, queue_capacity=2,
                     sim_slots=k if boundary == "end" else k + 40,
-                    warmup_slots=k if boundary == "warmup" else 0,
+                    warmup_slots=k if boundary in ("warmup", "drain") else 0,
                     seed=1, timing=NON_DYADIC)
 
     def prepare(sim):
@@ -583,9 +585,32 @@ def test_an_arrival_on_a_boundary_lands_as_stepping_lands_it(boundary, side):
             load_node(sim, 0, 1, due_in=k)
         else:
             load_node(sim, 0, 2, due_in=k + 3)
-        lay_arrivals(sim, 0, [arrival])
+        if boundary == "drain":
+            end = se * (k - 1) + se
+            lay_arrivals(sim, 0, [math.nextafter(end, 0.0), end])
+        else:
+            lay_arrivals(sim, 0, [arrival])
 
     _assert_run_equals_stepping(cfg, prepare)
+
+
+def test_run_equals_stepping_when_silent_nodes_empty_their_queues():
+    """A silent node's stream never fires, so a loaded node that empties
+    its queue waits in run()'s arrival heap on inf for good, as a node idle
+    from the start does; nothing wakes it and nothing is drawn."""
+    cfg = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=4, arrival_rate=0.0,
+                    max_aggregation=2, queue_capacity=5, sim_slots=400,
+                    warmup_slots=37, seed=8, timing=NON_DYADIC)
+
+    def prepare(sim):
+        # nodes 1 and 2 collide in slot 2; node 3 never holds a packet
+        for nid, (packets, due_in) in enumerate([(5, 0), (3, 2), (1, 2)]):
+            load_node(sim, nid, packets, due_in)
+
+    sim = _assert_run_equals_stepping(cfg, prepare)
+    assert sim.queue_empties == [1, 1, 1, 0]
+    assert sim.last_collision_slot >= 2
+    assert sim.wakes == sim.drawn_arrivals == 0
 
 
 # a saturated schedule that settles long before a warmup_slots that falls

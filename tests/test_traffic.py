@@ -49,8 +49,8 @@ def test_interarrival_is_positive():
 
 
 def test_poisson_process_requires_positive_rate():
-    """A negative or NaN rate is refused (a zero one is silent: it seeds no
-    stream, below)."""
+    """A negative or NaN rate is refused (a zero one is silent: its streams
+    never fire, below)."""
     for rate in (-3.0, math.nan):
         with pytest.raises(ConfigError):
             SimConfig(arrival_rate=rate).validate()
@@ -69,17 +69,23 @@ def test_a_finite_rate_above_the_bound_is_rejected():
 @pytest.mark.parametrize("rate, streams", [(100.0, 3), (SATURATED, 0),
                                            (0.0, 0)])
 def test_only_poisson_nodes_seed_a_stream(monkeypatch, rate, streams):
-    """A saturated or silent node draws no arrival, so it gets no stream and
-    seeds no RNG; proto_rng is seeded first, so it is the same either way."""
+    """A saturated or silent node draws no arrival: its stream holds one
+    instant, inf, which never fires, and no RNG, so it seeds none.  The
+    seeds are the master's, proto_rng's first and then one per Poisson
+    stream, in node id order."""
     seeded = []
     real = random.Random
     monkeypatch.setattr(random, "Random",
                         lambda seed: seeded.append(seed) or real(seed))
     sim = Simulation(SimConfig(n_nodes=3, arrival_rate=rate, seed=4))
-    assert len(seeded) == 2 + streams  # the master seed and proto_rng first
-    assert sum(st is not None for st in sim.streams) == streams
     master = real(4)
-    assert seeded[1] == master.getrandbits(64)
+    assert seeded == [4] + [master.getrandbits(64)
+                            for _ in range(1 + streams)]
+    for st in sim.streams:
+        if streams:
+            assert st.rng is not None and st.instants[0] < math.inf
+        else:
+            assert list(st.instants) == [math.inf] and st.rng is None
 
 
 def test_drain_returns_only_packets_before_window_end():
