@@ -32,9 +32,11 @@ in node id order and returns them, the slot's whole outcome, through
 on_packet_arrival, after_transmission and the traffic and metrics functions.
 run() runs a fresh Simulation from slot 0 to the end through one of two
 drivers, saturated or arrival, each with those functions inlined and the
-same random draws and float operations in the same order, stopping at slot
-warmup_slots to take the snapshot; a differential test holds both equal to
-stepping, and run() refuses a Simulation that advance_slot() has stepped.
+same random draws and float operations in the same order.  Both run two
+phases, up to warmup_slots and up to the end, and settle each phase's
+tallies at its end; the first then takes the snapshot.  A differential
+test holds both drivers equal to stepping, and run() refuses a Simulation
+that advance_slot() has stepped.
 The clock is the slot index, the count of empty slots and the busy time;
 now_us composes the last two on demand, which keeps time bit-identical
 between bulk and stepped slots.
@@ -51,15 +53,15 @@ count times, the float additions of stepping.  Saturated csma-eca can also
 settle: every node due within one post-success period and no two nodes ever
 due in the same slot.  From then on nothing collides and nothing random is
 drawn, so at max_aggregation 1 the driver tests for that state once per
-period from slot 0 on and, once it holds, replays whole hyperperiods of the
-schedule without heap or random work (before the window opens, only up to
-warmup_slots).  The replay still performs each busy slot's float additions
-in stepping order, because an exchange time such as 316.888... us is not a
-dyadic number and k additions of it are not k times it; only integer
-tallies are added in bulk.  The driver keeps no per-success ledger: every
-success delivers max_aggregation packets and refills as many, so it writes
-delivered from the node's successes when the window opens, and delivered
-and arrivals at the end.
+period from slot 0 on and, once it holds, replays the whole hyperperiods of
+the schedule that fit in the phase, without heap or random work; it tests
+again when the window opens, so that the replay resumes there.  The replay
+still performs each busy slot's float additions in stepping order, because
+an exchange time such as 316.888... us is not a dyadic number and k
+additions of it are not k times it; only integer tallies are added in bulk.
+The driver keeps no per-success ledger: every success delivers
+max_aggregation packets and refills as many, so it writes delivered from
+the node's successes at the end of each phase, and arrivals at the end.
 
 The arrival driver runs Poisson and silent (arrival_rate 0) configs; a
 silent node's stream never fires.  An arrival at a contending node draws
@@ -68,13 +70,14 @@ until the node's next pop.  So the driver keeps only idle nodes in its
 arrival heap and lands a contending node's arrivals late but in the same
 order: before it transmits with fewer than max_aggregation packets queued
 (they fix the batch size), before a success pops its queue, and at the
-end.  Every landing reads the node's stream (traffic.ArrivalStream) with
-one search and one slice up to the room left: the book's, inside a sweep
-(traffic.TraceBook), or the run's own, drawn only as far as needed and
-trimmed as the run passes it, so that after run() its first instant is the
-node's next arrival.  The driver keeps each node's next arrival in a flat
-list, a cache of the stream's instant.  drawn_arrivals and wakes count
-what the run drew and how often an idle node joined contention.
+end of each phase.  Every landing reads the node's stream
+(traffic.ArrivalStream) with one search and one slice up to the room left:
+the book's, inside a sweep (traffic.TraceBook), or the run's own, drawn
+only as far as needed and trimmed as the run passes it, so that after run()
+its first instant is the node's next arrival.  The driver keeps each node's
+next arrival in a flat list, a cache of the stream's instant.
+drawn_arrivals and wakes count what the run drew and how often an idle
+node joined contention.
 """
 
 import heapq
@@ -358,7 +361,6 @@ class Simulation:
         max_stage = cfg.max_stage
         random_success = cfg.protocol is Protocol.CSMA_CA
         keep_stage = cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis
-        eca_counter = cw_min // 2 - 1
         cw_bits = cw_min.bit_length()
         duration = t.exchange_us(agg * t.payload_bits)
         n_nodes = cfg.n_nodes
@@ -391,178 +393,174 @@ class Simulation:
         counted_busy_us = delay_sum_us = busy_us = 0.0
         slot = empty_count = 0
 
-        while slot < end:
-            # -- stepping, up to the next settled check, or to the end or
-            # (until the window opens) the warmup boundary
-            limit = end if warm_end < inf else cfg.warmup_slots
-            stop = limit if limit < check_at else check_at
+        for stop in (cfg.warmup_slots, end):
             while slot < stop:
-                due = tx_heap[0] >> NODE_BITS
-                if due > slot:  # skip the idle slots before it
-                    if due >= stop:
-                        empty_count += stop - slot
-                        slot = stop
-                        break
-                    empty_count += due - slot
-                    slot = due
-                nid = heappop(tx_heap) & NODE_MASK
-                if tx_heap and tx_heap[0] >> NODE_BITS == slot:
-                    # -- a collision: the colliders escalate in node id
-                    # order, each due past the slot once it has drawn
-                    last_collision = slot
-                    acc.slots_collision += 1
-                    while True:
-                        st = stage[nid] + 1
-                        if st > max_stage:
-                            st = max_stage
-                        stage[nid] = st
-                        w = cw_min << st
-                        r = getrandbits(cw_bits + st)
-                        while r >= w:
-                            r = getrandbits(cw_bits + st)
-                        c = slot + 1 + r
-                        next_tx[nid] = c
-                        heappush(tx_heap, c << NODE_BITS | nid)
-                        node_collision[nid] += 1
-                        if tx_heap[0] >> NODE_BITS != slot:
+                # -- stepping, up to the next settled check or the phase end
+                step_to = check_at if check_at < stop else stop
+                while slot < step_to:
+                    due = tx_heap[0] >> NODE_BITS
+                    if due > slot:  # skip the idle slots before it
+                        if due >= step_to:
+                            empty_count += step_to - slot
+                            slot = step_to
                             break
-                        nid = heappop(tx_heap) & NODE_MASK
-                else:
-                    # -- a success: the batch's delays, then the refill
-                    now = se * empty_count + busy_us
-                    if agg == 1:
-                        q = queues[nid]
-                        enqueue_us = q.popleft()
-                        if enqueue_us >= warm_end:
-                            slot_end = now + duration
-                            delay = slot_end - enqueue_us
-                            if delay < 0:
-                                raise negative_delay_error(
-                                    delay, nid, slot_end, enqueue_us)
-                            delay_sum_us += delay
-                            node_delay_sum[nid] += delay
-                            node_delay_n[nid] += 1
-                        q.append(now)
+                        empty_count += due - slot
+                        slot = due
+                    nid = heappop(tx_heap) & NODE_MASK
+                    if tx_heap and tx_heap[0] >> NODE_BITS == slot:
+                        # -- a collision: the colliders escalate in node id
+                        # order, each due past the slot once it has drawn
+                        last_collision = slot
+                        acc.slots_collision += 1
+                        while True:
+                            st = stage[nid] + 1
+                            if st > max_stage:
+                                st = max_stage
+                            stage[nid] = st
+                            w = cw_min << st
+                            r = getrandbits(cw_bits + st)
+                            while r >= w:
+                                r = getrandbits(cw_bits + st)
+                            c = slot + 1 + r
+                            next_tx[nid] = c
+                            heappush(tx_heap, c << NODE_BITS | nid)
+                            node_collision[nid] += 1
+                            if tx_heap[0] >> NODE_BITS != slot:
+                                break
+                            nid = heappop(tx_heap) & NODE_MASK
                     else:
-                        slot_end = now + duration
-                        node_sum = node_delay_sum[nid]
-                        samples = 0
-                        r = runs[nid]
-                        if r is None:  # the node's first success
-                            r = runs[nid] = deque(
-                                [stamp, len(list(g))]
-                                for stamp, g in groupby(queues[nid]))
-                        need = agg
-                        while need:  # a run, or its head, at a time
-                            head = r[0]
-                            enqueue_us, count = head
-                            if count > need:
-                                head[1] = count - need
-                                count = need
-                            else:
-                                r.popleft()
-                            need -= count
+                        # -- a success: the batch's delays, then the refill
+                        now = se * empty_count + busy_us
+                        if agg == 1:
+                            q = queues[nid]
+                            enqueue_us = q.popleft()
                             if enqueue_us >= warm_end:
+                                slot_end = now + duration
                                 delay = slot_end - enqueue_us
                                 if delay < 0:
                                     raise negative_delay_error(
                                         delay, nid, slot_end, enqueue_us)
-                                for _ in range(count):
-                                    delay_sum_us += delay
-                                    node_sum += delay
-                                samples += count
-                        node_delay_sum[nid] = node_sum
-                        node_delay_n[nid] += samples
-                        r.append([now, agg])
-                    node_success[nid] += 1
-                    if random_success:
-                        stage[nid] = 0
-                        r = getrandbits(cw_bits)
-                        while r >= cw_min:
+                                delay_sum_us += delay
+                                node_delay_sum[nid] += delay
+                                node_delay_n[nid] += 1
+                            q.append(now)
+                        else:
+                            slot_end = now + duration
+                            node_sum = node_delay_sum[nid]
+                            samples = 0
+                            r = runs[nid]
+                            if r is None:  # the node's first success
+                                r = runs[nid] = deque(
+                                    [stamp, len(list(g))]
+                                    for stamp, g in groupby(queues[nid]))
+                            need = agg
+                            while need:  # a run, or its head, at a time
+                                head = r[0]
+                                enqueue_us, count = head
+                                if count > need:
+                                    head[1] = count - need
+                                    count = need
+                                else:
+                                    r.popleft()
+                                need -= count
+                                if enqueue_us >= warm_end:
+                                    delay = slot_end - enqueue_us
+                                    if delay < 0:
+                                        raise negative_delay_error(
+                                            delay, nid, slot_end, enqueue_us)
+                                    for _ in range(count):
+                                        delay_sum_us += delay
+                                        node_sum += delay
+                                    samples += count
+                            node_delay_sum[nid] = node_sum
+                            node_delay_n[nid] += samples
+                            r.append([now, agg])
+                        node_success[nid] += 1
+                        if not keep_stage:
+                            stage[nid] = 0
+                        if random_success:
                             r = getrandbits(cw_bits)
-                        c = slot + 1 + r
-                    elif keep_stage:
-                        c = slot + (cw_min << stage[nid]) // 2
-                    else:
+                            while r >= cw_min:
+                                r = getrandbits(cw_bits)
+                            c = slot + 1 + r
+                        else:
+                            c = slot + (cw_min << stage[nid]) // 2
+                        next_tx[nid] = c
+                        heappush(tx_heap, c << NODE_BITS | nid)
+                    counted_busy_us += duration
+                    busy_us += duration
+                    slot += 1
+                if slot == stop:
+                    break
+                # -- at check_at: once the schedule has settled, replay whole
+                # hyperperiods of it, up to the phase end, with no random
+                # draw or heap work.  Only the per-busy-slot float sums are
+                # kept, in stepping order; integer tallies are added in bulk
+                # afterwards.
+                periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
+                           else eca_periods)
+                hyper = max(periods)
+                firings = _settled_firings(slot, next_tx, periods, hyper)
+                if firings is None:
+                    check_at = slot + hyper
+                    continue
+                self._settled = True
+                check_at = end
+                reps = (stop - slot) // hyper
+                if not reps:
+                    continue
+                idle_per = hyper - len(firings)
+                # per busy slot: empty slots before it in the hyperperiod, the
+                # node, and its queue's pop and refill
+                plan = []
+                for j, (f, nid) in enumerate(firings):
+                    q = queues[nid]
+                    plan.append((f - slot - j, nid, q.popleft, q.append))
+                # stamps popped from before warm_end give no delay sample
+                stale = [0] * n_nodes
+                for _ in range(reps):
+                    for idle, nid, pop, refill in plan:
+                        now = se * (empty_count + idle) + busy_us
+                        enqueue_us = pop()
+                        if enqueue_us >= warm_end:
+                            delay = now + duration - enqueue_us
+                            if delay < 0:
+                                raise negative_delay_error(
+                                    delay, nid, now + duration, enqueue_us)
+                            delay_sum_us += delay
+                            node_delay_sum[nid] += delay
+                        else:
+                            stale[nid] += 1
+                        refill(now)
+                        busy_us += duration
+                        counted_busy_us += duration
+                    empty_count += idle_per
+                for nid, period in enumerate(periods):
+                    fired = reps * (hyper // period)
+                    node_success[nid] += fired
+                    node_delay_n[nid] += fired - stale[nid]
+                    next_tx[nid] += reps * hyper
+                    if not keep_stage:
                         stage[nid] = 0
-                        c = slot + 1 + eca_counter
-                    next_tx[nid] = c
-                    heappush(tx_heap, c << NODE_BITS | nid)
-                counted_busy_us += duration
-                busy_us += duration
-                slot += 1
+                slot += reps * hyper
+                assert slot <= stop, "a replay passed its phase's end"
+                self.replayed_slots += reps * hyper
+                replayed_busy += reps * len(firings)
+                tx_heap = sorted([due << NODE_BITS | nid
+                                  for nid, due in enumerate(next_tx)])
 
-            if slot >= end:
-                break
-            if warm_end == inf and slot == cfg.warmup_slots:
-                # -- slot warmup_slots begins
+            # -- the phase ends: the ledger, from the successes, each of which
+            # delivered agg packets and refilled as many
+            delivered[:] = [agg * s for s in node_success]
+            if stop < end:
+                # -- slot warmup_slots begins; a replayable run re-tests the
+                # schedule there, so a settled replay resumes in the window
                 warm_end = se * empty_count + busy_us
-                # the ledger, from the successes: each delivered agg packets
-                # and refilled as many (arrivals are set at the end)
-                delivered[:] = [agg * s for s in node_success]
                 acc.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
-                limit = end
-                if not replayable:
-                    continue
-            # -- at check_at or warmup_slots: once the schedule has settled,
-            # replay whole hyperperiods of it, up to the window or the end,
-            # with no random draw or heap work.  Only the per-busy-slot float
-            # sums are kept, in stepping order; integer tallies are added in
-            # bulk afterwards.
-            periods = ([(cw_min << st) // 2 for st in stage] if keep_stage
-                       else eca_periods)
-            hyper = max(periods)
-            firings = _settled_firings(slot, next_tx, periods, hyper)
-            if firings is None:
-                check_at = slot + hyper
-                continue
-            self._settled = True
-            check_at = end
-            assert slot <= limit, "a replay passed the slot it replays to"
-            reps = (limit - slot) // hyper
-            if not reps:
-                continue
-            idle_per = hyper - len(firings)
-            # per busy slot: empty slots before it in the hyperperiod, the
-            # node, and its queue's pop and refill
-            plan = []
-            for j, (f, nid) in enumerate(firings):
-                q = queues[nid]
-                plan.append((f - slot - j, nid, q.popleft, q.append))
-            # stamps popped from before warm_end give no delay sample
-            stale = [0] * n_nodes
-            for _ in range(reps):
-                for idle, nid, pop, refill in plan:
-                    now = se * (empty_count + idle) + busy_us
-                    enqueue_us = pop()
-                    if enqueue_us >= warm_end:
-                        delay = now + duration - enqueue_us
-                        if delay < 0:
-                            raise negative_delay_error(
-                                delay, nid, now + duration, enqueue_us)
-                        delay_sum_us += delay
-                        node_delay_sum[nid] += delay
-                    else:
-                        stale[nid] += 1
-                    refill(now)
-                    busy_us += duration
-                    counted_busy_us += duration
-                empty_count += idle_per
-            for nid, period in enumerate(periods):
-                fired = reps * (hyper // period)
-                node_success[nid] += fired
-                node_delay_n[nid] += fired - stale[nid]
-                next_tx[nid] += reps * hyper
-                if not keep_stage:
-                    stage[nid] = 0
-            slot += reps * hyper
-            self.replayed_slots += reps * hyper
-            replayed_busy += reps * len(firings)
-            tx_heap = sorted([due << NODE_BITS | nid
-                              for nid, due in enumerate(next_tx)])
+                if replayable:
+                    check_at = slot
 
-        delivered[:] = [agg * s for s in node_success]
         arrivals[:] = [a + d for a, d in zip(arrivals, delivered)]
         for q, r in zip(queues, runs):
             if r is not None:
@@ -591,7 +589,6 @@ class Simulation:
         rate = cfg.arrival_rate
         random_success = cfg.protocol is Protocol.CSMA_CA
         keep_stage = cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis
-        eca_counter = cw_min // 2 - 1
         rejoin_window = cw_min + 1 if cfg.rejoin_inclusive else cw_min
         cw_bits = cw_min.bit_length()
         rejoin_bits = rejoin_window.bit_length()
@@ -658,12 +655,6 @@ class Simulation:
                 dropped[nid] += k - fits
                 k = fits
             q.extend(instants[pos:k])
-
-        def catch_up_active(until):
-            """What landed at contending nodes since their last catch-up."""
-            for nid in range(n_nodes):
-                if next_tx[nid] >= 0 and nxt[nid] < until:
-                    catch_up(nid, until)
 
         wakes = 0
 
@@ -765,17 +756,15 @@ class Simulation:
                             node_delay_sum[nid] += delay
                             node_delay_n[nid] += 1
                     if q:
-                        if random_success:
+                        if not keep_stage:
                             stage[nid] = 0
+                        if random_success:
                             r = getrandbits(cw_bits)
                             while r >= cw_min:
                                 r = getrandbits(cw_bits)
                             c = slot + 1 + r
-                        elif keep_stage:
-                            c = slot + (cw_min << stage[nid]) // 2
                         else:
-                            stage[nid] = 0
-                            c = slot + 1 + eca_counter
+                            c = slot + (cw_min << stage[nid]) // 2
                         next_tx[nid] = c
                         heappush(tx_heap, c << NODE_BITS | nid)
                     else:
@@ -803,15 +792,17 @@ class Simulation:
                 prev_end = slot_end
                 slot += 1
 
-            if stop < end:
-                # -- slot warmup_slots begins: with every arrival before it
-                # applied, the snapshot holds the drops stepping counts
-                catch_up_active(prev_end)
+            # -- the phase ends: what landed at contending nodes since their
+            # last catch-up, so that the window's snapshot and the end hold
+            # the drops stepping counts
+            for nid in range(n_nodes):
+                if next_tx[nid] >= 0 and nxt[nid] < prev_end:
+                    catch_up(nid, prev_end)
+            if stop < end:  # -- slot warmup_slots begins
                 warm_end = se * empty_count + busy_us
                 acc.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
 
-        catch_up_active(prev_end)
         for nid, st in enumerate(streams):
             if book is None or book.traces.get(nid) is not st:
                 del st.instants[:cursor[nid]]  # the run's own: trimmed

@@ -9,19 +9,23 @@ check of where ecasim was imported from must both find the patched copy.
 There it first runs the catching tests of the named faults (every fault
 when none is named) on the unpatched code, which must pass; then, one fault
 at a time, it replaces the fault's `old` text with its `new` text and runs
-the fault's tests with -x.  Each fault prints as caught or survived, with
-its seconds.  The exit status is 1 if a fault survived (or the unpatched
-tests fail), and nothing is written outside the temporary directory.  A
-fault that survives gets a test that catches it.
+the fault's tests with -x, for at most LIMIT_S seconds.  Each fault prints
+as caught, survived or hung (its tests outlasted the limit), with its
+seconds; a hung fault counts as escaped, as a survivor does.  pytest runs
+in a session of its own, and its process group is killed when it is done,
+so no pool worker outlives it.  The exit status is 1 if a fault escaped
+(or the unpatched tests fail), and nothing is written outside the
+temporary directory.  A fault that escapes gets a test that catches it.
 
 tests/test_faults.py, in the suite, is the cheap guard: every `old` text
-occurs exactly once in its file, every patched module compiles, and every
-catching test exists.  A change that moves a fault's code re-targets its
-entry.
+occurs exactly once in its file, every patched module compiles, no two
+faults plant the same change, and every catching test exists.  A change
+that moves a fault's code re-targets its entry.
 """
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,6 +36,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "ecasim"
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json")
+# a fault's tests run this long at most: a caught fault takes seconds, but a
+# hypothesis test can shrink for minutes before -x stops it
+LIMIT_S = 120
 
 
 class Fault(NamedTuple):
@@ -50,6 +57,13 @@ TIMING = "tests/test_timing.py::"
 TRAFFIC = "tests/test_traffic.py::"
 PROTOCOLS = "tests/test_protocols.py::"
 ORACLE = "tests/test_queue_oracle.py::"
+# the csma-eca post-success rule, in the arrival driver (the saturated
+# driver's copy is followed by no `else:`)
+ARRIVAL_ECA_RULE = (
+    "                            c = slot + (cw_min << stage[nid]) // 2\n"
+    "                        next_tx[nid] = c\n"
+    "                        heappush(tx_heap, c << NODE_BITS | nid)\n"
+    "                    else:\n")
 BOUNDARY = (ENGINE + "test_an_arrival_on_a_boundary_lands_as_stepping_lands"
             "_it[{}]")
 
@@ -146,16 +160,16 @@ FAULTS = [
            SWEEP + "test_a_run_trims_the_traces_it_draws_on")),
     # -- saturated queues as refill runs
     Fault("run-count-off-by-one", "engine.py",
-          "                                head[1] = count - need\n",
-          "                                head[1] = count - need + 1\n",
+          "                                    head[1] = count - need\n",
+          "                                    head[1] = count - need + 1\n",
           (ENGINE + "test_saturated_driver_equals_stepping",
            ENGINE + "test_saturated_driver_equals_stepping_on_caller_stamps")),
     Fault("run-delay-added-once", "engine.py",
-          "                                for _ in range(count):\n"
+          "                                    for _ in range(count):\n"
+          "                                        delay_sum_us += delay\n"
+          "                                        node_sum += delay\n",
           "                                    delay_sum_us += delay\n"
           "                                    node_sum += delay\n",
-          "                                delay_sum_us += delay\n"
-          "                                node_sum += delay\n",
           (ENGINE + "test_saturated_driver_equals_stepping",
            GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]")),
     Fault("write-back-max-aggregation-copies", "engine.py",
@@ -165,9 +179,9 @@ FAULTS = [
            ENGINE + "test_saturated_driver_equals_stepping")),
     # -- run() split by traffic: the saturated driver
     Fault("saturated-collision-not-recorded", "engine.py",
-          "                    last_collision = slot\n"
-          "                    acc.slots_collision += 1\n",
-          "                    acc.slots_collision += 1\n",
+          "                        last_collision = slot\n"
+          "                        acc.slots_collision += 1\n",
+          "                        acc.slots_collision += 1\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-saturated]",
            ENGINE + "test_saturated_driver_equals_stepping")),
     Fault("saturated-one-packet-exchange", "engine.py",
@@ -176,8 +190,8 @@ FAULTS = [
           (ENGINE + "test_saturated_driver_equals_stepping",
            GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]")),
     Fault("saturated-refill-stamped-at-slot-end", "engine.py",
-          "                        q.append(now)\n",
-          "                        q.append(now + duration)\n",
+          "                            q.append(now)\n",
+          "                            q.append(now + duration)\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",
            ENGINE + "test_saturated_driver_equals_stepping")),
     # -- commands load only what they run
@@ -193,16 +207,16 @@ FAULTS = [
            "_start",)),
     # -- the saturated ledger, from the successes
     Fault("saturated-window-opens-on-a-stale-ledger", "engine.py",
-          "                # and refilled as many (arrivals are set at the end)\n"
+          "            delivered[:] = [agg * s for s in node_success]\n",
+          "            if stop == end:\n"
           "                delivered[:] = [agg * s for s in node_success]\n",
-          "",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
     # -- cheaper events: an int-keyed heap and a flat next-arrival list
     Fault("replay-heap-rebuild-drops-an-entry", "engine.py",
-          "            tx_heap = sorted([due << NODE_BITS | nid\n"
-          "                              for nid, due in enumerate(next_tx)])\n",
-          "            tx_heap = sorted([due << NODE_BITS | nid\n"
-          "                              for nid, due in enumerate(next_tx)"
+          "                tx_heap = sorted([due << NODE_BITS | nid\n"
+          "                                  for nid, due in enumerate(next_tx)])\n",
+          "                tx_heap = sorted([due << NODE_BITS | nid\n"
+          "                                  for nid, due in enumerate(next_tx)"
           "])[1:]\n",
           (ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
            "_warmup[cfg0]",
@@ -214,25 +228,34 @@ FAULTS = [
            ENGINE + "test_run_equals_stepping_at_the_most_nodes[poisson]")),
     # -- the settled replay
     Fault("replay-keeps-the-stage", "engine.py",
-          "                next_tx[nid] += reps * hyper\n"
-          "                if not keep_stage:\n"
-          "                    stage[nid] = 0\n",
-          "                next_tx[nid] += reps * hyper\n",
+          "                    next_tx[nid] += reps * hyper\n"
+          "                    if not keep_stage:\n"
+          "                        stage[nid] = 0\n",
+          "                    next_tx[nid] += reps * hyper\n",
           (ENGINE + "test_settled_replay_equals_stepping",)),
     Fault("replay-reps-rounded-up", "engine.py",
-          "            reps = (limit - slot) // hyper\n",
-          "            reps = -(-(limit - slot) // hyper)\n",
+          "                reps = (stop - slot) // hyper\n",
+          "                reps = -(-(stop - slot) // hyper)\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",
            ENGINE + "test_settled_replay_equals_stepping",
            ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
            "_warmup[cfg0]")),
+    Fault("window-retest-skipped", "engine.py",
+          "                if replayable:\n"
+          "                    check_at = slot\n",
+          "",
+          (ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
+           "_warmup[cfg0]",
+           ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
+           "_warmup[cfg2]",
+           ENGINE + "test_replayed_slots_are_whole_hyperperiods[cfg5]")),
     Fault("replay-skips-the-idle-slots", "engine.py",
-          "                empty_count += idle_per\n",
+          "                    empty_count += idle_per\n",
           "",
           (ENGINE + "test_settled_replay_equals_stepping",)),
     Fault("replay-counts-stale-stamps-as-samples", "engine.py",
-          "                    else:\n"
-          "                        stale[nid] += 1\n",
+          "                        else:\n"
+          "                            stale[nid] += 1\n",
           "",
           (ENGINE + "test_settled_replay_equals_stepping",)),
     Fault("replay-at-aggregation", "engine.py",
@@ -241,16 +264,16 @@ FAULTS = [
           (ENGINE + "test_settled_replay_equals_stepping",
            ENGINE + "test_saturated_driver_equals_stepping")),
     Fault("replay-idle-time-split", "engine.py",
-          "                    now = se * (empty_count + idle) + busy_us\n",
-          "                    now = se * empty_count + se * idle + busy_us\n",
+          "                        now = se * (empty_count + idle) + busy_us\n",
+          "                        now = se * empty_count + se * idle + busy_us\n",
           (ENGINE + "test_settled_replay_equals_stepping",
            ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
            "_warmup")),
     Fault("replay-counts-a-warm-end-stamp-stale", "engine.py",
-          "                    if enqueue_us >= warm_end:\n"
-          "                        delay = now + duration - enqueue_us\n",
-          "                    if enqueue_us > warm_end:\n"
-          "                        delay = now + duration - enqueue_us\n",
+          "                        if enqueue_us >= warm_end:\n"
+          "                            delay = now + duration - enqueue_us\n",
+          "                        if enqueue_us > warm_end:\n"
+          "                            delay = now + duration - enqueue_us\n",
           (ENGINE + "test_settled_replay_equals_stepping",)),
     # -- planted by hand in earlier changes, each with one target
     Fault("first-arrival-nine-us-late", "traffic.py",
@@ -288,20 +311,18 @@ FAULTS = [
           "                        catch_up(nid, now)\n",
           (BOUNDARY.format("stepped-below"),
            BOUNDARY.format("stepped-above"))),
-    Fault("warmup-boundary-taken-as-now", "engine.py",
-          "                catch_up_active(prev_end)\n"
-          "                warm_end = se * empty_count + busy_us\n",
-          "                catch_up_active(se * empty_count + busy_us)\n"
-          "                warm_end = se * empty_count + busy_us\n",
-          (BOUNDARY.format("warmup-below"), BOUNDARY.format("warmup-above"))),
+    # the end of either phase: the warmup boundary and the end of the run
     Fault("end-boundary-taken-as-now", "engine.py",
-          "        catch_up_active(prev_end)\n        for nid, st in",
-          "        catch_up_active(se * empty_count + busy_us)\n"
-          "        for nid, st in",
-          (BOUNDARY.format("end-below"), BOUNDARY.format("end-above"))),
+          "                if next_tx[nid] >= 0 and nxt[nid] < prev_end:\n"
+          "                    catch_up(nid, prev_end)\n",
+          "                if next_tx[nid] >= 0"
+          " and nxt[nid] < se * empty_count + busy_us:\n"
+          "                    catch_up(nid, se * empty_count + busy_us)\n",
+          (BOUNDARY.format("warmup-below"), BOUNDARY.format("warmup-above"),
+           BOUNDARY.format("end-below"), BOUNDARY.format("end-above"))),
     Fault("drop-counted-only-after-the-boundary", "engine.py",
-          "                if next_tx[nid] >= 0 and nxt[nid] < until:\n",
-          "                if next_tx[nid] >= 0 and nxt[nid] <= until:\n",
+          "                if next_tx[nid] >= 0 and nxt[nid] < prev_end:\n",
+          "                if next_tx[nid] >= 0 and nxt[nid] <= prev_end:\n",
           (BOUNDARY.format("warmup-below"), BOUNDARY.format("end-below"))),
     # -- one copy of each rule in the arrival driver
     Fault("batch-left-uncapped", "engine.py",
@@ -343,9 +364,9 @@ FAULTS = [
            ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle"
            "_gaps[cfg4]")),
     Fault("no-catch-up-before-the-window", "engine.py",
-          "                catch_up_active(prev_end)\n"
-          "                warm_end = se * empty_count + busy_us\n",
-          "                warm_end = se * empty_count + busy_us\n",
+          "                if next_tx[nid] >= 0 and nxt[nid] < prev_end:\n",
+          "                if stop == end and next_tx[nid] >= 0"
+          " and nxt[nid] < prev_end:\n",
           (ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
            "_warmup",)),
     Fault("warmup-drops-left-out-of-the-snapshot", "metrics.py",
@@ -354,16 +375,13 @@ FAULTS = [
           "                       else list(t) for t in self.node_tallies])\n",
           (GOLDEN + "test_sweep_reproduces_golden_bytes[tinyqueue]",)),
     Fault("hysteresis-redraw-one-slot-late", "engine.py",
-          "                        elif keep_stage:\n"
-          "                            c = slot + (cw_min << stage[nid]) // 2\n",
-          "                        elif keep_stage:\n"
-          "                            c = slot + 1 + (cw_min << stage[nid])"
-          " // 2\n",
+          ARRIVAL_ECA_RULE,
+          ARRIVAL_ECA_RULE.replace("// 2\n", "// 2 + keep_stage\n", 1),
           (ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle"
            "_gaps[cfg3]",)),
     Fault("replay-delay-sum-reassociated", "engine.py",
-          "                        delay = now + duration - enqueue_us\n",
-          "                        delay = now - enqueue_us + duration\n",
+          "                            delay = now + duration - enqueue_us\n",
+          "                            delay = now - enqueue_us + duration\n",
           (GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]",
            ENGINE + "test_settled_replay_equals_stepping")),
     Fault("refill-after-the-empty-check", "engine.py",
@@ -385,14 +403,8 @@ FAULTS = [
           "        sim.arrivals[nid] += fill\n",
           (PROTOCOLS + "test_replenish_keeps_a_saturated_node_in_contention",)),
     Fault("eca-service-one-slot-longer", "engine.py",
-          "                            c = slot + 1 + eca_counter\n"
-          "                        next_tx[nid] = c\n"
-          "                        heappush(tx_heap, c << NODE_BITS | nid)\n"
-          "                    else:\n",
-          "                            c = slot + 2 + eca_counter\n"
-          "                        next_tx[nid] = c\n"
-          "                        heappush(tx_heap, c << NODE_BITS | nid)\n"
-          "                    else:\n",
+          ARRIVAL_ECA_RULE,
+          ARRIVAL_ECA_RULE.replace("slot + (", "slot + 1 + (", 1),
           (ORACLE + "test_lone_poisson_node_matches_the_exact_mean_sojourn"
            "[2000.0-csma-eca-False]",
            ENGINE + "test_run_equals_slot_by_slot_stepping[eca-poisson]")),
@@ -404,8 +416,8 @@ FAULTS = [
            ORACLE + "test_lone_poisson_node_matches_the_exact_mean_sojourn"
            "[120.0-csma-ca-False]")),
     Fault("replay-past-the-warmup", "engine.py",
-          "            reps = (limit - slot) // hyper\n",
-          "            reps = (end - slot) // hyper\n",
+          "                reps = (stop - slot) // hyper\n",
+          "                reps = (end - slot) // hyper\n",
           (ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
            "_warmup",)),
     Fault("wake-slot-end-from-slot-count", "engine.py",
@@ -422,14 +434,25 @@ def patched(fault: Fault, root: Path = ROOT) -> str:
                                                              fault.new)
 
 
-def _pytest(tmp: Path, tests) -> int:
+def _pytest(tmp: Path, tests, limit=None) -> int | None:
+    """pytest's exit status, or None if it ran past `limit` seconds."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(tmp / "src"))
-    return subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
          f"--basetemp={tmp / 'pytest'}", *tests],
         cwd=tmp, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL).returncode
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return proc.wait(timeout=limit)
+    except subprocess.TimeoutExpired:
+        return None
+    finally:
+        try:  # pytest and whatever it started
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def main(names) -> int:
@@ -439,7 +462,7 @@ def main(names) -> int:
         print(f"unknown faults: {', '.join(unknown)}", file=sys.stderr)
         return 2
     faults = [known[name] for name in names] if names else FAULTS
-    escaped = 0
+    escaped = hung = 0
     begun = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -460,16 +483,18 @@ def main(names) -> int:
             clean = target.read_text()
             target.write_text(patched(fault, tmp))
             start = time.perf_counter()
-            code = _pytest(tmp, fault.tests)
+            code = _pytest(tmp, fault.tests, LIMIT_S)
             target.write_text(clean)
-            if code not in (0, 1):
+            if code not in (0, 1, None):
                 print(f"{fault.name}: pytest exited {code}", file=sys.stderr)
                 return 2
-            if code == 0:
+            if code != 1:
                 escaped += 1
-            print(f"{fault.name}: {'caught' if code else 'survived'} in "
+                hung += code is None
+            outcome = {0: "survived", 1: "caught", None: "hung"}[code]
+            print(f"{fault.name}: {outcome} in "
                   f"{time.perf_counter() - start:.1f} s", flush=True)
-    print(f"{len(faults)} faults, {escaped} escaped, "
+    print(f"{len(faults)} faults, {escaped} escaped ({hung} hung), "
           f"{time.perf_counter() - begun:.0f} s in all")
     return 1 if escaped else 0
 

@@ -411,6 +411,10 @@ REPLAYED = [
 # aggregated, so stepped throughout even though its schedule settles
 @example(_eca(n_nodes=4, max_aggregation=16, queue_capacity=17, sim_slots=9001,
               warmup_slots=3000, seed=2))
+# a short queue: the replay pops stamps that it refilled inside the window,
+# so each delay's float operations must be stepping's, in stepping's order
+@example(_eca(n_nodes=2, cw_min=8, queue_capacity=4, sim_slots=3000,
+              warmup_slots=500, seed=1))
 def test_settled_replay_equals_stepping(cfg):
     sim = _assert_run_equals_stepping(cfg)
     if cfg in REPLAYED:
@@ -615,11 +619,14 @@ def test_run_equals_stepping_when_silent_nodes_empty_their_queues():
 
 # a saturated schedule that settles long before a warmup_slots that falls
 # mid-hyperperiod: run() replays up to the last whole hyperperiod before
-# the window, steps to it, and replays the rest
+# the window, steps to it, and replays the rest.  In the last, warmup_slots
+# is a multiple of the period, so the replay ends on it and the check that
+# reopens the replay runs in the window's phase.
 EARLY_SETTLED = [
     _eca(n_nodes=2, sim_slots=5003, warmup_slots=2001, seed=1),
     _eca(n_nodes=6, cw_min=8, hysteresis=True, max_stage=3, sim_slots=12_345,
          warmup_slots=9001, seed=2, timing=NON_DYADIC),
+    _eca(n_nodes=4, sim_slots=6003, warmup_slots=1024, seed=5),
 ]
 
 

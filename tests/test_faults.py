@@ -1,6 +1,7 @@
 """The guard on the fault catalogue (tests/faults.py): every fault can still
-be planted, and every test said to catch it exists.  Planting the faults and
-running their tests is `python tests/faults.py`, outside the suite."""
+be planted, no two plant the same change, and every test said to catch it
+exists.  Planting the faults and running their tests is
+`python tests/faults.py`, outside the suite."""
 
 import os
 import subprocess
@@ -14,6 +15,11 @@ from faults import FAULTS, PACKAGE, ROOT, patched
 def test_the_names_are_unique():
     names = [f.name for f in FAULTS]
     assert len(set(names)) == len(names)
+
+
+def test_no_two_faults_plant_the_same_change():
+    plants = [(f.path, f.old, f.new) for f in FAULTS]
+    assert len(set(plants)) == len(plants)
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.name)
