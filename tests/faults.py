@@ -64,6 +64,15 @@ ARRIVAL_ECA_RULE = (
     "                        next_tx[nid] = c\n"
     "                        heappush(tx_heap, c << NODE_BITS | nid)\n"
     "                    else:\n")
+# the arrival driver's catch-up at the end of a phase, and the same with the
+# catch-up taken at `now` for one boundary ({} chooses prev_end at the other)
+PHASE_END_CATCH_UP = (
+    "                if next_tx[nid] >= 0 and nxt[nid] < prev_end:\n"
+    "                    catch_up(nid, prev_end)\n")
+PHASE_END_CATCH_UP_AT = (
+    "                at = {} else se * empty_count + busy_us\n"
+    "                if next_tx[nid] >= 0 and nxt[nid] < at:\n"
+    "                    catch_up(nid, at)\n")
 BOUNDARY = (ENGINE + "test_an_arrival_on_a_boundary_lands_as_stepping_lands"
             "_it[{}]")
 
@@ -311,15 +320,17 @@ FAULTS = [
           "                        catch_up(nid, now)\n",
           (BOUNDARY.format("stepped-below"),
            BOUNDARY.format("stepped-above"))),
-    # the end of either phase: the warmup boundary and the end of the run
+    # the end of either phase shares one catch-up site: each fault takes
+    # "now" for one of the two boundaries only
+    Fault("warmup-boundary-taken-as-now", "engine.py",
+          PHASE_END_CATCH_UP,
+          PHASE_END_CATCH_UP_AT.format("prev_end if stop == end"),
+          (BOUNDARY.format("warmup-below"),
+           BOUNDARY.format("warmup-above"))),
     Fault("end-boundary-taken-as-now", "engine.py",
-          "                if next_tx[nid] >= 0 and nxt[nid] < prev_end:\n"
-          "                    catch_up(nid, prev_end)\n",
-          "                if next_tx[nid] >= 0"
-          " and nxt[nid] < se * empty_count + busy_us:\n"
-          "                    catch_up(nid, se * empty_count + busy_us)\n",
-          (BOUNDARY.format("warmup-below"), BOUNDARY.format("warmup-above"),
-           BOUNDARY.format("end-below"), BOUNDARY.format("end-above"))),
+          PHASE_END_CATCH_UP,
+          PHASE_END_CATCH_UP_AT.format("prev_end if stop < end"),
+          (BOUNDARY.format("end-below"), BOUNDARY.format("end-above"))),
     Fault("drop-counted-only-after-the-boundary", "engine.py",
           "                if next_tx[nid] >= 0 and nxt[nid] < prev_end:\n",
           "                if next_tx[nid] >= 0 and nxt[nid] <= prev_end:\n",
