@@ -26,42 +26,33 @@ measured window as its end value minus a snapshot taken when slot
 warmup_slots begins (see metrics), so no event asks whether warmup is over.
 A caller sets a node up through the lists alone: queues, arrivals, next_tx,
 and the instants of streams[nid], the node's ArrivalStream.
-advance_slot() is the reference stepper, for tests.  It drains the slot's
-arrivals in (instant, node id) order, then resolves the nodes due in the slot
-in node id order and returns them, the slot's whole outcome, through
-on_packet_arrival, after_transmission and the traffic and metrics functions.
 run() runs a fresh Simulation from slot 0 to the end through one of two
-drivers, saturated or arrival, each with those functions inlined and the
-same random draws and float operations in the same order.  Both run two
-phases, up to warmup_slots and up to the end, and settle each phase's
-tallies at its end; the first then takes the snapshot.  A differential
-test holds both drivers equal to stepping, and run() refuses a Simulation
-that advance_slot() has stepped.
-The clock is the slot index, the count of empty slots and the busy time;
-now_us composes the last two on demand, which keeps time bit-identical
-between bulk and stepped slots.
+drivers, saturated or arrival.  Both run two phases, up to warmup_slots and
+up to the end, and settle each phase's tallies at its end; the first then
+takes the snapshot.  The clock is the slot index, the count of empty slots
+and the busy time; "now" is slot_empty * empty slots + busy time, composed
+on demand, which keeps time bit-identical between bulk and stepped slots.
+The differential tests hold both drivers equal to a naive per-slot model
+that shares no code with this module (tests/reference.py).
 
 The saturated driver holds no arrival code.  Every node contends all the
 time with a full queue (run() asserts so at the start; a collision keeps the
 queue and a success refills what it popped), so every batch is
 max_aggregation packets and every busy slot lasts that batch's exchange.
-A success refills with copies of one instant, so above max_aggregation 1
-the driver holds a node's queue, from its first success to the end, as
-[stamp, count] runs of equal stamps: a success takes its batch from the head
-runs and appends one run, and each run's delay is computed once and added
-count times, the float additions of stepping.  Saturated csma-eca can also
-settle: every node due within one post-success period and no two nodes ever
-due in the same slot.  From then on nothing collides and nothing random is
-drawn, so at max_aggregation 1 the driver tests for that state once per
-period from slot 0 on and, once it holds, replays the whole hyperperiods of
-the schedule that fit in the phase, without heap or random work; it tests
-again when the window opens, so that the replay resumes there.  The replay
-still performs each busy slot's float additions in stepping order, because
-an exchange time such as 316.888... us is not a dyadic number and k
-additions of it are not k times it; only integer tallies are added in bulk.
-The driver keeps no per-success ledger: every success delivers
-max_aggregation packets and refills as many, so it writes delivered from
-the node's successes at the end of each phase, and arrivals at the end.
+Above max_aggregation 1 it holds a node's queue, from its first success on,
+as [stamp, count] runs of equal stamps (a refill is copies of one instant):
+a success takes its batch from the head runs and appends one, adding each
+run's delay count times, the float additions of stepping.  Saturated
+csma-eca can also settle: every node due within one post-success period and
+no two ever due in the same slot, after which nothing collides and nothing
+random is drawn.  At max_aggregation 1 the driver tests for that state once
+per period from slot 0 on, and again when the window opens; once it holds,
+it replays the whole hyperperiods that fit in the phase without heap or
+random work.  A replay still adds each busy slot's floats in stepping order
+(an exchange such as 316.888... us is not dyadic, and k additions of it are
+not k times it); only integer tallies are added in bulk.  The driver keeps
+no per-success ledger: it writes delivered from the node's successes at the
+end of each phase, and arrivals at the end.
 
 The arrival driver runs Poisson and silent (arrival_rate 0) configs; a
 silent node's stream never fires.  An arrival at a contending node draws
@@ -87,7 +78,6 @@ from collections import deque, namedtuple
 from itertools import groupby
 from math import inf
 
-from . import protocols  # rules looked up per call, so wrappers apply
 from . import traffic
 from .config import MAX_NODES, Protocol, SimConfig
 from .errors import ConsistencyError
@@ -128,66 +118,19 @@ def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
     return sorted(firing.items())
 
 
-def on_packet_arrival(sim, nid: int, enqueue_us: float) -> None:
-    """Enqueue one arrival at node nid during slot sim.slot.
-
-    A full queue drops the packet.  An idle node rejoins contention: it draws
-    a uniform counter over the base window and is due that many slots after
-    this one.  csma-eca with hysteresis keeps its inflated stage across the
-    idle period, everything else restarts at stage 0.
-    """
-    cfg = sim.cfg
-    sim.arrivals[nid] += 1
-    queue = sim.queues[nid]
-    if len(queue) >= cfg.queue_capacity:
-        sim.dropped[nid] += 1
-        return
-    queue.append(enqueue_us)
-    if sim.next_tx[nid] >= 0:
-        return
-    if not (cfg.protocol is Protocol.CSMA_ECA and cfg.hysteresis):
-        sim.stage[nid] = 0
-    sim.next_tx[nid] = sim.slot + 1 + protocols.rejoin_backoff(
-        cfg.cw_min, cfg.rejoin_inclusive, sim.proto_rng)
+# perfbench/tracer.py patches these names until ROADMAP item 2 ends that;
+# the per-slot reference they belonged to is tests/reference.py.
+def _gone(*args, **kwargs):
+    raise NotImplementedError("the per-slot reference is tests/reference.py")
 
 
-def after_transmission(sim, nid: int, success: bool,
-                       batch_size: int) -> list[float]:
-    """Apply the outcome of node nid's transmission attempt in sim.slot.
-
-    On success the batch leaves the queue and a saturated source tops the
-    queue back up to capacity; a node whose queue is then empty leaves
-    contention (one queue-empty event).  On collision the batch stays queued
-    for retry and the window doubles.  A node still contending is due its
-    new counter's slots after this one.  Returns the enqueue instants of the
-    delivered packets.
-    """
-    cfg = sim.cfg
-    if not success:
-        sim.stage[nid], counter = protocols.next_backoff_after_collision(
-            sim.stage[nid], cfg.max_stage, cfg.cw_min, sim.proto_rng)
-        sim.next_tx[nid] = sim.slot + 1 + counter
-        return []
-    queue = sim.queues[nid]
-    batch = [queue.popleft() for _ in range(batch_size)]
-    sim.delivered[nid] += batch_size
-    if cfg.saturated:
-        fill = cfg.queue_capacity - len(queue)
-        queue.extend([sim.now_us] * fill)
-        sim.arrivals[nid] += fill
-    if not queue:
-        sim.next_tx[nid] = -1
-        sim.queue_empties[nid] += 1
-        return batch
-    sim.stage[nid], counter = protocols.next_backoff_after_success(
-        cfg.protocol, cfg.hysteresis, sim.stage[nid], cfg.cw_min,
-        sim.proto_rng)
-    sim.next_tx[nid] = sim.slot + 1 + counter
-    return batch
+on_packet_arrival = after_transmission = _gone
 
 
 class Simulation:
-    """One configured run.  run() it, or step it with advance_slot()."""
+    """One configured run: set nodes up through the lists, then run() it."""
+
+    advance_slot = _gone
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -239,15 +182,10 @@ class Simulation:
             for nid in range(n):
                 self.queues[nid].extend([0.0] * cfg.queue_capacity)
                 self.arrivals[nid] = cfg.queue_capacity
-                self.next_tx[nid] = protocols.rejoin_backoff(
-                    cfg.cw_min, cfg.rejoin_inclusive, self.proto_rng)
+                self.next_tx[nid] = self.proto_rng.randrange(
+                    cfg.cw_min + cfg.rejoin_inclusive)
 
     # -- derived state ------------------------------------------------------
-
-    @property
-    def now_us(self) -> float:
-        """The instant slot `slot` begins."""
-        return self.cfg.timing.slot_empty * self.empty_count + self.busy_us
 
     @property
     def settle_slot(self) -> int | None:
@@ -257,72 +195,16 @@ class Simulation:
 
     @property
     def nodes(self) -> list:
-        """Each node's drop count as nodes[i].counters.dropped, a read-only
-        copy built on access.  Kept only because perfbench/tracer.py reads
-        it (ROADMAP item 2); everything else reads sim.dropped."""
+        """Each node's drop count as nodes[i].counters.dropped, built on
+        access, for perfbench/tracer.py (ROADMAP item 2)."""
         return [NodeSnapshot(DropCount(d)) for d in self.dropped]
-
-    # -- the reference stepper --------------------------------------------------
-
-    def advance_slot(self) -> tuple:
-        """Resolve exactly one contention slot, advance the clock and return
-        the slot's transmitters in node id order: () for an idle slot, one
-        node id for a success, more for a collision."""
-        assert self._book is None, "only run() reads a sweep's streams"
-        cfg = self.cfg
-        acc = self.acc
-        s = self.slot
-        now = self.now_us
-        if s == cfg.warmup_slots:
-            acc.open_window(now, self.empty_count)
-
-        next_tx = self.next_tx
-        txs, nid = (), -1
-        for _ in range(next_tx.count(s)):  # the due nodes, in node id order
-            nid = next_tx.index(s, nid + 1)
-            txs += (nid,)
-
-        t = cfg.timing
-        # a batch's size is fixed before this slot's arrivals are enqueued
-        sizes = [min(len(self.queues[nid]), cfg.max_aggregation)
-                 for nid in txs]
-        if len(txs) > 1:
-            self.last_collision_slot = s
-        duration = (t.exchange_us(max(sizes) * t.payload_bits) if txs
-                    else t.slot_empty)
-        slot_end = now + duration
-
-        # arrivals land mid-slot, in (instant, node id) order; a node they
-        # wake joins from the next slot on
-        streams = self.streams
-        due = sorted((st.instants[0], nid) for nid, st in enumerate(streams)
-                     if st.instants[0] < slot_end)
-        for _, nid in due:
-            for enqueue_us in streams[nid].drain_poisson(cfg.arrival_rate,
-                                                         slot_end):
-                on_packet_arrival(self, nid, enqueue_us)
-
-        success = len(txs) == 1
-        for nid, size in zip(txs, sizes):
-            batch = after_transmission(self, nid, success, size)
-            assert next_tx[nid] != s, "transmitter left due in its slot"
-            acc.record_attempt(nid, success)
-            acc.record_delivery(nid, batch, slot_end)
-
-        acc.record_slot(txs, duration)
-        self.slot = s + 1
-        if txs:
-            self.busy_us += duration
-        else:
-            self.empty_count += 1
-        return txs
 
     # -- the two drivers ------------------------------------------------------
 
     def run(self) -> MetricsReport:
         """Run a fresh Simulation from slot 0 to cfg.sim_slots and report,
         through _run_saturated() or _run_arrivals().  A caller may fill
-        queues and set next_tx first.  Refused: a stepped Simulation, an
+        queues and set next_tx first.  Refused: a Simulation that ran, an
         idle node holding packets, and a saturated run whose queues are not
         all full or whose nodes are not all due."""
         assert self.slot == 0 and all(
@@ -630,9 +512,8 @@ class Simulation:
 
         def catch_up(nid, until):
             """Land nid's arrivals before `until`, instants[pos:k] of its
-            stream, up to the room left (on_packet_arrival without the
-            rejoin).  Past its end the book draws more, or the run trims and
-            draws on."""
+            stream, up to the room left; a full queue drops the rest.  Past
+            its end the book draws more, or the run trims and draws on."""
             nonlocal drawn
             instants = traced[nid]
             pos = cursor[nid]
@@ -660,7 +541,8 @@ class Simulation:
 
         def wake(s, until):
             """Idle nodes' arrivals before `until`, slot s's end, in instant
-            order: the first one queued wakes its node (on_packet_arrival)."""
+            order: the first one queued wakes its node, which draws its
+            rejoin counter."""
             nonlocal wakes
             while arr_heap and arr_heap[0][0] < until:
                 nid = heappop(arr_heap)[1]
@@ -737,7 +619,7 @@ class Simulation:
                 if arr_heap and arr_heap[0][0] < slot_end:
                     wake(slot, slot_end)
 
-                # -- outcome (after_transmission and record_* calls, inlined)
+                # -- outcome
                 if colliders is None:
                     # arrivals precede the pops
                     if nxt[nid] < slot_end:

@@ -68,9 +68,8 @@ class MetricsReport(_ReportFields):
 
 
 class MetricsAccumulator:
-    """Collects a run's tallies.  advance_slot() calls its record_* methods
-    slot by slot, naming each slot by its transmitters; run() adds to its
-    lists and sums directly.
+    """Collects a run's tallies: run()'s drivers add to its lists and sums
+    directly.
 
     ledger is the caller's whole-run per-node (delivered, dropped,
     queue_empties) lists.  Float sums are not differenced, as end minus start
@@ -102,47 +101,12 @@ class MetricsAccumulator:
         self.start = (empty_count, self.slots_collision,
                       [list(t) for t in self.node_tallies])
 
-    # -- recording ---------------------------------------------------------
+    # perfbench/tracer.py patches these names until ROADMAP item 2 ends that.
+    def _gone(*args, **kwargs):
+        raise NotImplementedError("run() adds to the tallies directly")
 
-    def record_slot(self, transmitters, duration_us: float) -> None:
-        """() is an idle slot, one transmitter a success, more a collision."""
-        if transmitters:
-            self.busy_us += duration_us
-            if len(transmitters) > 1:
-                self.slots_collision += 1
-
-    def record_attempt(self, node_id: int, success: bool) -> None:
-        if success:
-            self.node_success[node_id] += 1
-        else:
-            self.node_collision[node_id] += 1
-
-    def record_delivery(self, node_id: int, batch, ack_us: float) -> None:
-        """One successful exchange: the whole batch shares the ACK instant.
-
-        batch holds the enqueue instants of the delivered packets.
-        """
-        cutoff = self.warmup_end_us
-        for enqueue_us in batch:
-            if enqueue_us >= cutoff:
-                delay = ack_us - enqueue_us
-                if delay < 0:
-                    raise negative_delay_error(delay, node_id, ack_us,
-                                               enqueue_us)
-                self.delay_sum_us += delay
-                self.node_delay_sum[node_id] += delay
-                self.node_delay_n[node_id] += 1
-
-    # The ledger and clock count these three, but perfbench/tracer.py
-    # patches every record_* method by name, so they stay (ROADMAP item 2).
-    def record_drop(self, node_id: int) -> None:
-        """Kept only for perfbench/tracer.py; records nothing."""
-
-    def record_queue_empty(self, node_id: int) -> None:
-        """Kept only for perfbench/tracer.py; records nothing."""
-
-    def record_empty_bulk(self, count: int) -> None:
-        """Kept only for perfbench/tracer.py; records nothing."""
+    record_slot = record_attempt = record_delivery = _gone
+    record_drop = record_queue_empty = record_empty_bulk = _gone
 
     # -- reporting ----------------------------------------------------------
 

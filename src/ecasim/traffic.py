@@ -4,9 +4,8 @@ A queued packet is just its enqueue instant in microseconds: every packet of
 a run carries the config-wide payload size, and its source is the node whose
 queue holds it.  A Poisson node's arrivals are one ArrivalStream: the
 instants its RNG has drawn, each the last plus an exponential gap, so delay
-measurements are not quantised to slot boundaries.  run() and the reference
-stepper read the same stream, with the same one draw.  A saturated or
-silent source's stream never fires: it is one instant, inf, and no RNG.
+measurements are not quantised to slot boundaries.  A saturated or silent
+source's stream never fires: it is one instant, inf, and no RNG.
 
 Node i's stream depends on the seed and the rate alone, so every protocol
 variant and node count of a sweep at one seed sees the same instants.  A
@@ -17,7 +16,6 @@ that needs it, and its later cells read it back.
 
 import math
 import random
-from bisect import bisect_left
 from math import log
 
 from . import config
@@ -53,19 +51,11 @@ class ArrivalStream:
             append(t)
         return drew
 
-    def drain_poisson(self, rate: float, until: float) -> list[float]:
-        """The reference stepper's read: the instants strictly before until,
-        taken off the front, after drawing past until."""
-        self.grow(rate, until)
-        instants = self.instants
-        k = bisect_left(instants, until)
-        out = instants[:k]
-        del instants[:k]
-        return out
+    # perfbench/tracer.py patches these names until ROADMAP item 2 ends that.
+    def _gone(*args, **kwargs):
+        raise NotImplementedError("run() lands arrivals in its own drivers")
 
-    def refill(self) -> None:
-        """Does nothing: kept only for perfbench/tracer.py, which patches
-        this name (ROADMAP item 2)."""
+    drain_poisson = refill = _gone
 
 
 # A book's stream grows by at least this many instants at a time, so that a

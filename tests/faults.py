@@ -4,18 +4,20 @@ tests that catch it, kept so that any later change can plant them again.
     python tests/faults.py [NAME ...]
 
 copies src/, tests/, perfbench/, pyproject.toml and BENCHMARK.json into a
-temporary directory: pyproject's `pythonpath = ["src"]` and perfbench's
-check of where ecasim was imported from must both find the patched copy.
-There it first runs the catching tests of the named faults (every fault
-when none is named) on the unpatched code, which must pass; then, one fault
-at a time, it replaces the fault's `old` text with its `new` text and runs
-the fault's tests with -x, for at most LIMIT_S seconds.  Each fault prints
-as caught, survived or hung (its tests outlasted the limit), with its
-seconds; a hung fault counts as escaped, as a survivor does.  pytest runs
-in a session of its own, and its process group is killed when it is done,
-so no pool worker outlives it.  The exit status is 1 if a fault escaped
-(or the unpatched tests fail), and nothing is written outside the
-temporary directory.  A fault that escapes gets a test that catches it.
+temporary directory (pyproject's `pythonpath = ["src"]` and perfbench's
+check of where ecasim was imported from must both find the patched copy).
+There it runs the catching tests of the named faults (every fault when none
+is named) on the unpatched code, which must pass; then, one fault at a
+time, it plants the fault (its `old` text replaced by its `new` text) and
+runs all of its tests in one pytest session of at most LIMIT_S seconds,
+reading each test's outcome from a JUnit XML report.  A fault is caught
+only if every test named for it fails (one named without parameter ids
+fails if any of its cases does).  Each fault prints as caught, missed by k
+of its n tests (each test that passed under it is listed), or hung, with
+its seconds; a fault not caught counts as escaped, and the exit status is
+then 1.  pytest's process group is killed when it is done, so no pool
+worker outlives it, and nothing is written outside the temporary
+directory.  A fault that escapes gets a test that catches it.
 
 tests/test_faults.py, in the suite, is the cheap guard: every `old` text
 occurs exactly once in its file, every patched module compiles, no two
@@ -32,12 +34,13 @@ import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "ecasim"
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "BENCHMARK.json")
 # a fault's tests run this long at most: a caught fault takes seconds, but a
-# hypothesis test can shrink for minutes before -x stops it
+# failing hypothesis test can shrink for minutes
 LIMIT_S = 120
 
 
@@ -55,7 +58,6 @@ GOLDEN = "tests/test_golden.py::"
 CLI = "tests/test_cli.py::"
 TIMING = "tests/test_timing.py::"
 TRAFFIC = "tests/test_traffic.py::"
-PROTOCOLS = "tests/test_protocols.py::"
 ORACLE = "tests/test_queue_oracle.py::"
 # the csma-eca post-success rule, in the arrival driver (the saturated
 # driver's copy is followed by no `else:`)
@@ -75,14 +77,22 @@ PHASE_END_CATCH_UP_AT = (
     "                    catch_up(nid, at)\n")
 BOUNDARY = (ENGINE + "test_an_arrival_on_a_boundary_lands_as_stepping_lands"
             "_it[{}]")
+WAKES = ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle_gaps"
+MID_WARMUP = (ENGINE
+              + "test_settled_replay_stops_short_of_a_mid_hyperperiod_warmup")
+DROPS = ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of_warmup"
+SLOT_END = ENGINE + "test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot"
+EARLY_SEED = (SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
+              "_submitted_first")
+QUEUED_CHUNKS = SWEEP + "test_a_faulted_pooled_sweep_drops_the_chunks_no_one_will_read"
+SOJOURN = ORACLE + "test_lone_poisson_node_matches_the_exact_mean_sojourn"
 
 FAULTS = [
     # -- one path for a sweep's outcomes
     Fault("reports-in-execution-order", "sweep.py",
           "            done[k] = outcome\n",
           "            done[nxt] = outcome\n",
-          (SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
-           "_submitted_first",
+          (EARLY_SEED,
            GOLDEN + "test_sweep_reproduces_golden_bytes[poisson]")),
     Fault("faulty-cell-row-written", "sweep.py",
           '                fault = f"{variant.label},{n},{seed}: {outcome}"\n',
@@ -95,15 +105,12 @@ FAULTS = [
     Fault("queued-chunks-not-cancelled", "sweep.py",
           "            pool.shutdown(cancel_futures=True)\n",
           "            pool.shutdown()\n",
-          (SWEEP + "test_a_faulted_pooled_sweep_drops_the_chunks_no_one"
-           "_will_read",)),
+          (QUEUED_CHUNKS,)),
     Fault("outcomes-not-closed", "sweep.py",
           "    with closing(_reports(configs, workers)) as outcomes:\n",
           "    for outcomes in [_reports(configs, workers)]:\n",
-          (SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
-           "_submitted_first",
-           SWEEP + "test_a_faulted_pooled_sweep_drops_the_chunks_no_one"
-           "_will_read")),
+          (EARLY_SEED,
+           QUEUED_CHUNKS)),
     # -- one sharing rule for arrival traces
     Fault("share-keeps-a-foreign-book", "traffic.py",
           "    if book is None or book.key != (seed, rate):\n",
@@ -120,8 +127,7 @@ FAULTS = [
           "        traffic.book = None  # no trace outlives its sweep\n",
           "        pass\n",
           (SWEEP + "test_a_cell_that_raises_anything_else_propagates_it[1]",
-           SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
-           "_submitted_first",
+           EARLY_SEED,
            SWEEP + "test_a_seed_draws_each_instant_once")),
     Fault("lend-redraws-a-held-trace", "traffic.py",
           "        if stream is None and self.room:\n",
@@ -139,8 +145,7 @@ FAULTS = [
           "                del instants[:pos]\n",
           "                del instants[:pos + 1]\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]",
-           ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
-           "_warmup")),
+           DROPS)),
     Fault("end-trim-one-too-far", "engine.py",
           "                del st.instants[:cursor[nid]]",
           "                del st.instants[:cursor[nid] + 1]",
@@ -151,11 +156,6 @@ FAULTS = [
           "                pass\n",
           (SWEEP + "test_a_run_trims_the_traces_it_draws_on",
            ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]")),
-    Fault("drain-takes-an-instant-on-until", "traffic.py",
-          "        k = bisect_left(instants, until)\n",
-          "        k = bisect_left(instants, math.nextafter(until, math.inf))\n",
-          (TRAFFIC + "test_drain_takes_an_instant_on_until_in_the_next_window",
-           BOUNDARY.format("drain-below"), BOUNDARY.format("drain-above"))),
     Fault("handoff-relands-held-instants", "engine.py",
           "                del instants[:pos]\n                pos = 0\n",
           "                pos = 0\n",
@@ -227,8 +227,7 @@ FAULTS = [
           "                tx_heap = sorted([due << NODE_BITS | nid\n"
           "                                  for nid, due in enumerate(next_tx)"
           "])[1:]\n",
-          (ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
-           "_warmup[cfg0]",
+          (MID_WARMUP + "[cfg0]",
            ENGINE + "test_settled_replay_equals_stepping")),
     Fault("heap-key-one-bit-short", "engine.py",
           "NODE_BITS = (MAX_NODES - 1).bit_length()\n",
@@ -247,16 +246,13 @@ FAULTS = [
           "                reps = -(-(stop - slot) // hyper)\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",
            ENGINE + "test_settled_replay_equals_stepping",
-           ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
-           "_warmup[cfg0]")),
+           MID_WARMUP + "[cfg0]")),
     Fault("window-retest-skipped", "engine.py",
           "                if replayable:\n"
           "                    check_at = slot\n",
           "",
-          (ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
-           "_warmup[cfg0]",
-           ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
-           "_warmup[cfg2]",
+          (MID_WARMUP + "[cfg0]",
+           MID_WARMUP + "[cfg2]",
            ENGINE + "test_replayed_slots_are_whole_hyperperiods[cfg5]")),
     Fault("replay-skips-the-idle-slots", "engine.py",
           "                    empty_count += idle_per\n",
@@ -276,8 +272,7 @@ FAULTS = [
           "                        now = se * (empty_count + idle) + busy_us\n",
           "                        now = se * empty_count + se * idle + busy_us\n",
           (ENGINE + "test_settled_replay_equals_stepping",
-           ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
-           "_warmup")),
+           MID_WARMUP)),
     Fault("replay-counts-a-warm-end-stamp-stale", "engine.py",
           "                        if enqueue_us >= warm_end:\n"
           "                            delay = now + duration - enqueue_us\n",
@@ -306,13 +301,12 @@ FAULTS = [
           "        self.stage = [int(cfg.hysteresis)] * n       # backoff stage\n",
           (ENGINE + "test_hysteresis_is_inert_at_max_stage_0",)),
     # -- lazy arrivals: a catch-up boundary moved by one ulp.  Each reads
-    # the exact float slot end, as stepping computes it; now_us can differ
+    # the exact float slot end, as stepping computes it; "now" can differ
     # from it in the last bit, and a test lays an arrival inside that ulp.
     Fault("gap-end-taken-as-now", "engine.py",
           "                    prev_end = se * (empty_count - 1) + busy_us + se\n",
           "                    prev_end = se * empty_count + busy_us\n",
-          (ENGINE + "test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next"
-           "_slot",)),
+          (SLOT_END,)),
     Fault("stepped-slot-boundary-taken-as-now", "engine.py",
           "                    if n < agg and nxt[nid] < prev_end:\n"
           "                        catch_up(nid, prev_end)\n",
@@ -340,20 +334,17 @@ FAULTS = [
           "                        size = n if n < agg else agg\n",
           "                        size = n\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-agg16-knee]",
-           ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle"
-           "_gaps[cfg4]")),
+           WAKES + "[cfg4]")),
     Fault("collider-catch-up-skipped", "engine.py",
           "                    if n < agg and nxt[nid] < prev_end:\n",
           "                    if colliders is None and n < agg"
           " and nxt[nid] < prev_end:\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-agg16-knee]",
-           ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle"
-           "_gaps[cfg4]")),
+           WAKES + "[cfg4]")),
     Fault("landing-queues-past-the-room", "engine.py",
           "                dropped[nid] += k - fits\n                k = fits\n",
           "                dropped[nid] += k - fits\n",
-          (ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
-           "_warmup",
+          (DROPS,
            ENGINE + "test_run_equals_slot_by_slot_stepping[ca-agg16-knee]")),
     Fault("never-firing-stream-fires", "engine.py",
           "        self.streams = [ArrivalStream([inf], None) for _ in range(n)]\n",
@@ -361,10 +352,7 @@ FAULTS = [
           (ENGINE + "test_run_equals_stepping_when_silent_nodes_empty_their"
            "_queues",
            ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]")),
-    # -- seeds planted in earlier changes and recorded only in CHANGES.md,
-    # re-targeted to today's code.  "The refill stamped at the slot end" is
-    # saturated-refill-stamped-at-slot-end above; "drops counted during
-    # warmup" was planted in two ways, both here.
+    # -- seeds planted in earlier changes, re-targeted to today's code
     Fault("batch-size-re-read-after-arrivals", "engine.py",
           "                    if nxt[nid] < slot_end:\n"
           "                        catch_up(nid, slot_end)\n",
@@ -372,14 +360,12 @@ FAULTS = [
           "                        catch_up(nid, slot_end)\n"
           "                        size = len(q) if len(q) < agg else agg\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-agg16-knee]",
-           ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle"
-           "_gaps[cfg4]")),
+           WAKES + "[cfg4]")),
     Fault("no-catch-up-before-the-window", "engine.py",
           "                if next_tx[nid] >= 0 and nxt[nid] < prev_end:\n",
           "                if stop == end and next_tx[nid] >= 0"
           " and nxt[nid] < prev_end:\n",
-          (ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of"
-           "_warmup",)),
+          (DROPS,)),
     Fault("warmup-drops-left-out-of-the-snapshot", "metrics.py",
           "                      [list(t) for t in self.node_tallies])\n",
           "                      [[0] * len(t) if t is self.node_tallies[3]\n"
@@ -388,54 +374,45 @@ FAULTS = [
     Fault("hysteresis-redraw-one-slot-late", "engine.py",
           ARRIVAL_ECA_RULE,
           ARRIVAL_ECA_RULE.replace("// 2\n", "// 2 + keep_stage\n", 1),
-          (ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle"
-           "_gaps[cfg3]",)),
+          (WAKES + "[cfg3]",)),
     Fault("replay-delay-sum-reassociated", "engine.py",
           "                            delay = now + duration - enqueue_us\n",
           "                            delay = now - enqueue_us + duration\n",
           (GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]",
            ENGINE + "test_settled_replay_equals_stepping")),
-    Fault("refill-after-the-empty-check", "engine.py",
-          "    if cfg.saturated:\n"
-          "        fill = cfg.queue_capacity - len(queue)\n"
-          "        queue.extend([sim.now_us] * fill)\n"
-          "        sim.arrivals[nid] += fill\n"
-          "    if not queue:\n"
-          "        sim.next_tx[nid] = -1\n"
-          "        sim.queue_empties[nid] += 1\n"
-          "        return batch\n",
-          "    if not queue:\n"
-          "        sim.next_tx[nid] = -1\n"
-          "        sim.queue_empties[nid] += 1\n"
-          "        return batch\n"
-          "    if cfg.saturated:\n"
-          "        fill = cfg.queue_capacity - len(queue)\n"
-          "        queue.extend([sim.now_us] * fill)\n"
-          "        sim.arrivals[nid] += fill\n",
-          (PROTOCOLS + "test_replenish_keeps_a_saturated_node_in_contention",)),
     Fault("eca-service-one-slot-longer", "engine.py",
           ARRIVAL_ECA_RULE,
           ARRIVAL_ECA_RULE.replace("slot + (", "slot + 1 + (", 1),
-          (ORACLE + "test_lone_poisson_node_matches_the_exact_mean_sojourn"
-           "[2000.0-csma-eca-False]",
+          (SOJOURN + "[2000.0-csma-eca-False]",
            ENGINE + "test_run_equals_slot_by_slot_stepping[eca-poisson]")),
     Fault("wake-one-slot-late", "engine.py",
           "                            gap_end = j + 1\n",
           "                            gap_end = min(j + 2, gap_end)\n",
-          (ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle"
-           "_gaps[cfg0]",
-           ORACLE + "test_lone_poisson_node_matches_the_exact_mean_sojourn"
-           "[120.0-csma-ca-False]")),
+          (WAKES + "[cfg0]",
+           SOJOURN + "[120.0-csma-ca-False]")),
     Fault("replay-past-the-warmup", "engine.py",
           "                reps = (stop - slot) // hyper\n",
           "                reps = (end - slot) // hyper\n",
-          (ENGINE + "test_settled_replay_stops_short_of_a_mid_hyperperiod"
-           "_warmup",)),
+          (MID_WARMUP,)),
     Fault("wake-slot-end-from-slot-count", "engine.py",
           "                            while se * (e + j) + busy_us + se <= a:\n",
           "                            while se * (e + j + 1) + busy_us <= a:\n",
-          (ENGINE + "test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next"
-           "_slot",)),
+          (SLOT_END,)),
+    # -- set-up and report code: a stepper that shared it with run() would
+    # agree with run() under these; the reference shares none of it
+    Fault("end-stage-one-low", "metrics.py",
+          "                end_stage=stages[i],\n",
+          "                end_stage=stages[i] and stages[i] - 1,\n",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-agg16-knee]",)),
+    Fault("end-queue-capped", "metrics.py",
+          "                end_queue=len(queue),\n",
+          "                end_queue=min(len(queue), 999),\n",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
+    Fault("saturated-join-counts-a-phantom-drop", "engine.py",
+          "                self.arrivals[nid] = cfg.queue_capacity\n",
+          "                self.arrivals[nid] = cfg.queue_capacity + (nid == 1)\n"
+          "                self.dropped[nid] = int(nid == 1)\n",
+          (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
 ]
 
 
@@ -446,12 +423,14 @@ def patched(fault: Fault, root: Path = ROOT) -> str:
 
 
 def _pytest(tmp: Path, tests, limit=None) -> int | None:
-    """pytest's exit status, or None if it ran past `limit` seconds."""
+    """pytest's exit status, or None if it ran past `limit` seconds; each
+    test's outcome goes to tmp/junit.xml."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(tmp / "src"))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         f"--basetemp={tmp / 'pytest'}", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--basetemp={tmp / 'pytest'}", f"--junitxml={tmp / 'junit.xml'}",
+         *tests],
         cwd=tmp, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL, start_new_session=True)
     try:
@@ -464,6 +443,17 @@ def _pytest(tmp: Path, tests, limit=None) -> int | None:
         except ProcessLookupError:
             pass
         proc.wait()
+
+
+def _missed(tmp: Path, tests) -> list:
+    """The named tests that passed, by the JUnit XML report pytest left."""
+    failed = set()
+    for case in ElementTree.parse(tmp / "junit.xml").iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            path = case.get("classname").replace(".", "/")
+            failed.add(f"{path}.py::{case.get('name')}")
+    return [node for node in tests if node not in failed and (
+        "[" in node or not any(f.startswith(node + "[") for f in failed))]
 
 
 def main(names) -> int:
@@ -499,12 +489,16 @@ def main(names) -> int:
             if code not in (0, 1, None):
                 print(f"{fault.name}: pytest exited {code}", file=sys.stderr)
                 return 2
-            if code != 1:
+            missed = [] if code is None else _missed(tmp, fault.tests)
+            outcome = ("hung" if code is None else "caught" if not missed
+                       else f"missed by {len(missed)} of {len(fault.tests)}")
+            if outcome != "caught":
                 escaped += 1
                 hung += code is None
-            outcome = {0: "survived", 1: "caught", None: "hung"}[code]
             print(f"{fault.name}: {outcome} in "
                   f"{time.perf_counter() - start:.1f} s", flush=True)
+            for node in missed:
+                print(f"    passed under it: {node}", flush=True)
     print(f"{len(faults)} faults, {escaped} escaped ({hung} hung), "
           f"{time.perf_counter() - begun:.0f} s in all")
     return 1 if escaped else 0

@@ -8,8 +8,9 @@ the same Python build.
 
 Checks 1, 3, 5 and 8 and the session-scoped load sweep shared by checks 4-7
 run their grids through run_sweep on a pool of one worker per CPU; check 2
-steps advance_slot(), one seed per task on a pool of as many workers.  The whole file runs in about two
-minutes on 2 vCPUs, the load sweep taking about a minute of it.
+steps tests/reference.py to where each seed settles, one seed per task on a
+pool of as many workers.  The whole file runs in about two minutes on 2
+vCPUs, the load sweep taking about a minute of it.
 
 Known honest failure: check 1 demands that eight saturated deterministic-
 backoff nodes settle into the eight-slot schedule within 10^4 slots for every
@@ -33,9 +34,10 @@ import pytest
 
 from chain_oracle import collision_slot_fraction
 from ecasim import Protocol, SimConfig
-from ecasim.engine import Simulation, run_simulation
+from ecasim.engine import run_simulation
 from ecasim.sweep import ProtocolVariant, SweepSpec, run_sweep
 from ecasim.timing import DEFAULT_TIMING
+from reference import Reference
 
 SEEDS = list(range(1, 11))
 
@@ -107,14 +109,14 @@ CHECK2_WINDOW = 100_000
 
 
 def _settled_window(seed: int):
-    """Check 2 for one seed: step advance_slot() to the horizon, then run the
+    """Check 2 for one seed: step the reference to the horizon, then run the
     window from the slot after the last non-success.  Returns (seed, start,
     exact, rel) for a broken window, None for an exact one."""
     probe = _saturated_eca(8, seed, CHECK2_HORIZON + 1, CHECK2_HORIZON)
-    sim = Simulation(probe)
+    sim = Reference(probe)
     last_bad = -1
     for slot in range(CHECK2_HORIZON):
-        if len(sim.advance_slot()) != 1:
+        if len(sim.step()) != 1:
             last_bad = slot
     start = last_bad + 1
     window = CHECK2_WINDOW

@@ -1,4 +1,4 @@
-"""Slot resolution, run() against the per-slot stepper, and conservation."""
+"""Slot resolution, run() against the naive reference, and conservation."""
 
 import math
 import statistics
@@ -12,7 +12,8 @@ from ecasim import (SATURATED, ConfigError, ConsistencyError, Protocol,
 from ecasim.config import MAX_NODES, MAX_SLOT_US
 from ecasim.engine import NODE_BITS
 from ecasim.timing import DEFAULT_TIMING, TimingTable
-from nodes import lay_arrivals, load_node
+from nodes import after_one_slot, lay_arrivals, load_node, loading
+from reference import Reference, end_state
 
 # hand arithmetic for the default timing table, one 12000-bit frame:
 # 34 + 20 + 12000/54 + 16 + 20 + 112/24 us
@@ -20,12 +21,9 @@ SINGLE_EXCHANGE_US = 316.88888888888886
 CEILING_BPS = 12000 / (SINGLE_EXCHANGE_US * 1e-6)
 
 
-def _idle_sim(n=2, **kw):
-    """A sim with no traffic source; tests load queues and due slots."""
-    base = dict(protocol=Protocol.CSMA_CA, n_nodes=n, arrival_rate=0.0,
-                sim_slots=1000, warmup_slots=0, seed=5)
-    base.update(kw)
-    return Simulation(SimConfig(**base))
+def _idle_cfg(**kw):
+    """A config with no traffic source; tests load queues and due slots."""
+    return SimConfig(arrival_rate=0.0, seed=5, **kw)
 
 
 def _same(x, y):
@@ -41,83 +39,77 @@ def _same(x, y):
     return x == y
 
 
+def _as_dict(report):
+    """A report as the reference gives one: per_node rows as dicts."""
+    return dict(report._asdict(),
+                per_node=[row._asdict() for row in report.per_node])
+
+
 def _reports_equal(a, b):
-    return _same(a._asdict(), b._asdict())
+    return _same(_as_dict(a), _as_dict(b))
 
 
-# -- single-slot resolution ---------------------------------------------------
+# -- single-slot resolution, by run() and the reference ----------------------
 
 def test_lone_zero_counter_wins_the_slot():
-    sim = _idle_sim()
-    load_node(sim, 0, 2, due_in=0)
-    load_node(sim, 1, 1, due_in=3)
-    out = sim.advance_slot()
-    assert out == (0,)
-    assert len(sim.queues[0]) == 1 and sim.delivered == [1, 0]
-    # the busy slot costs the bystander one tick
-    assert sim.next_tx[1] - sim.slot == 2
-    # the winner still has a packet, so it redraws from the base window
-    assert 0 <= sim.next_tx[0] - sim.slot < 16
-    assert sim.stage[0] == 0
+    for sim, out in after_one_slot(_idle_cfg(), loading((0, 2, 0), (1, 1, 3))):
+        assert out == (0,)
+        assert len(sim.queues[0]) == 1 and sim.delivered == [1, 0]
+        # the busy slot costs the bystander one tick
+        assert sim.next_tx[1] - sim.slot == 2
+        # the winner still has a packet, so it redraws from the base window
+        assert 0 <= sim.next_tx[0] - sim.slot < 16
+        assert sim.stage[0] == 0
 
 
 def test_two_zero_counters_collide_and_escalate():
-    sim = _idle_sim()
-    load_node(sim, 0, 1, due_in=0)
-    load_node(sim, 1, 1, due_in=0)
-    out = sim.advance_slot()
-    assert out == (0, 1)
-    for nid in (0, 1):
-        assert sim.stage[nid] == 1
-        assert len(sim.queues[nid]) == 1  # nothing delivered
-        assert 0 <= sim.next_tx[nid] - sim.slot < 32
+    for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 0), (1, 1, 0))):
+        assert out == (0, 1)
+        for nid in (0, 1):
+            assert sim.stage[nid] == 1
+            assert len(sim.queues[nid]) == 1  # nothing delivered
+            assert 0 <= sim.next_tx[nid] - sim.slot < 32
 
 
 def test_no_zero_counter_leaves_the_slot_idle():
-    sim = _idle_sim()
-    load_node(sim, 0, 1, due_in=2)
-    load_node(sim, 1, 1, due_in=5)
-    out = sim.advance_slot()
-    assert out == ()
-    assert sim.next_tx[0] - sim.slot == 1
-    assert sim.next_tx[1] - sim.slot == 4
+    for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 2), (1, 1, 5))):
+        assert out == ()
+        assert sim.next_tx[0] - sim.slot == 1
+        assert sim.next_tx[1] - sim.slot == 4
 
 
 def test_deterministic_redraw_after_success():
-    sim = _idle_sim(protocol=Protocol.CSMA_ECA)
-    load_node(sim, 0, 2, due_in=0)
-    assert sim.advance_slot() == (0,)
-    assert sim.next_tx[0] - sim.slot == 7  # cw_min // 2 - 1
+    cfg = _idle_cfg(protocol=Protocol.CSMA_ECA)
+    for sim, out in after_one_slot(cfg, loading((0, 2, 0))):
+        assert out == (0,)
+        assert sim.next_tx[0] - sim.slot == 7  # cw_min // 2 - 1
 
 
 def test_hysteresis_scales_the_deterministic_redraw():
-    sim = _idle_sim(protocol=Protocol.CSMA_ECA, hysteresis=True)
-    load_node(sim, 0, 2, due_in=0)
-    sim.stage[0] = 3
-    assert sim.advance_slot() == (0,)
-    assert sim.stage[0] == 3
-    assert sim.next_tx[0] - sim.slot == (16 << 3) // 2 - 1
+    cfg = _idle_cfg(protocol=Protocol.CSMA_ECA, hysteresis=True)
+    for sim, out in after_one_slot(cfg, loading((0, 2, 0), stage=3)):
+        assert out == (0,)
+        assert sim.stage[0] == 3
+        assert sim.next_tx[0] - sim.slot == (16 << 3) // 2 - 1
 
 
 def test_sender_leaves_contention_when_its_queue_drains():
-    sim = _idle_sim()
-    load_node(sim, 0, 1, due_in=0)
-    sim.advance_slot()
-    assert sim.next_tx[0] == -1
-    assert sim.queue_empties[0] == 1
+    for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 0))):
+        assert out == (0,)
+        assert sim.next_tx[0] == -1
+        assert sim.queue_empties[0] == 1
 
 
 def test_aggregation_drains_a_batch_per_success():
-    sim = _idle_sim(max_aggregation=4, queue_capacity=16)
-    load_node(sim, 0, 6, due_in=0)
-    out = sim.advance_slot()
-    assert out == (0,)
-    assert len(sim.queues[0]) == 2
-    assert sim.delivered[0] == 4
+    cfg = _idle_cfg(max_aggregation=4, queue_capacity=16)
+    for sim, out in after_one_slot(cfg, loading((0, 6, 0))):
+        assert out == (0,)
+        assert len(sim.queues[0]) == 2
+        assert sim.delivered[0] == 4
 
 
 def test_delivery_delay_is_one_exchange_for_an_instant_winner():
-    sim = _idle_sim(n=1, sim_slots=10)
+    sim = Simulation(_idle_cfg(n_nodes=1, sim_slots=10, warmup_slots=0))
     load_node(sim, 0, 1, due_in=0)   # enqueued at t = 0
     report = sim.run()
     assert report.delay_samples == 1
@@ -127,49 +119,19 @@ def test_delivery_delay_is_one_exchange_for_an_instant_winner():
     assert report.slots_empty == 9
 
 
-# -- run() against the slot-by-slot reference ---------------------------------
-
-def _end_state(sim):
-    """Everything a run leaves behind, beyond the report."""
-    return {
-        "clock": (sim.slot, sim.empty_count, sim.busy_us),
-        "queues": [list(q) for q in sim.queues],
-        "stage": sim.stage,
-        "next_tx": sim.next_tx,
-        "arrivals": sim.arrivals,
-        "delivered": sim.delivered,
-        "dropped": sim.dropped,
-        "queue_empties": sim.queue_empties,
-        "instants": [list(st.instants) for st in sim.streams],
-        "rng": [sim.proto_rng.getstate()]
-               + [st.rng and st.rng.getstate() for st in sim.streams],
-        "warmup_end_us": sim.acc.warmup_end_us,
-        "last_collision_slot": sim.last_collision_slot,
-    }
-
+# -- run() against the naive reference (tests/reference.py) ------------------
 
 def _assert_run_equals_stepping(cfg, prepare=None):
-    """run() against advance_slot() throughout, each on a fresh Simulation
-    that prepare(sim), if given, sets up first."""
+    """run() against the reference stepped throughout, each on a fresh
+    object that prepare(sim), if given, sets up first."""
     fast_sim = Simulation(cfg)
-    slow_sim = Simulation(cfg)
+    ref = Reference(cfg)
     if prepare is not None:
         prepare(fast_sim)
-        prepare(slow_sim)
-    fast = fast_sim.run()
-    while slow_sim.slot < cfg.sim_slots:
-        slow_sim.advance_slot()
-    slow = slow_sim._finalize()
-    assert _reports_equal(fast, slow)
-    assert _same(_end_state(fast_sim), _end_state(slow_sim))
-    # both ledgers balance (_finalize raises otherwise; spelled out here)
-    assert fast.slots_total == cfg.sim_slots - cfg.warmup_slots
-    assert fast.transmissions == fast.successes + fast.collisions
-    for nid, row in enumerate(fast.per_node):
-        assert fast_sim.arrivals[nid] == (fast_sim.delivered[nid]
-                                          + fast_sim.dropped[nid]
-                                          + len(fast_sim.queues[nid]))
-        assert row.transmissions == row.successes + row.collisions
+        prepare(ref)
+    # run() checks its own slot and packet ledgers before it reports
+    assert _same(_as_dict(fast_sim.run()), ref.run())
+    assert _same(end_state(fast_sim), end_state(ref))
     return fast_sim
 
 
@@ -277,9 +239,9 @@ def _time_scaled(cfg, f):
                        arrival_rate=SATURATED, sim_slots=20_000,
                        warmup_slots=0, seed=4), k=-3)
 def test_reports_scale_exactly_with_the_clock(cfg, k):
-    """A metamorphic check of the code run() and advance_slot() share
-    (Simulation's set-up, the arrival draws, exchange_us and finalize), which
-    comparing the two cannot see: on a clock 2^k times slower, every count and
+    """A metamorphic check of the code run() and the reference share
+    (exchange_us and the arrival draws' expovariate), which comparing the
+    two cannot see: on a clock 2^k times slower, every count and
     ratio is equal, every duration and delay is exactly 2^k times as large,
     and throughput exactly 2^-k times as large."""
     f = 2.0 ** k
@@ -440,7 +402,7 @@ MANY_CELLS_AGG16 = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=16,
 @example(_eca(n_nodes=1, max_aggregation=16, queue_capacity=24, sim_slots=100,
               warmup_slots=6, seed=4))
 def test_saturated_driver_equals_stepping(cfg):
-    """The saturated driver against advance_slot(): report, end state and
+    """The saturated driver against the reference: report, end state and
     RNG states (in _end_state), and run()'s counters.  A saturated run
     draws no arrival and wakes no node, and only csma-eca at agg 1
     replays."""
@@ -494,11 +456,6 @@ def test_run_refuses_a_saturated_queue_the_caller_shortened():
     sim.arrivals[1] -= 1
     with pytest.raises(AssertionError, match="every queue full"):
         sim.run()
-    # the stepper runs it: the shortened queue refills on its first success
-    while sim.slot < cfg.sim_slots:
-        sim.advance_slot()
-    sim._finalize()
-    assert len(sim.queues[1]) == cfg.queue_capacity
 
 
 # -- wakes inside the bulk skip, replays from slot 0, and run()'s counters ----
@@ -546,17 +503,13 @@ def test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot():
         end = se * k + se
         for arrival, wake_slot in ((end, k + 1),
                                    (math.nextafter(end, 0.0), k)):
-            fast, slow = Simulation(cfg), Simulation(cfg)
-            lay_arrivals(fast, 0, [arrival])
+            slow = Reference(cfg)
             lay_arrivals(slow, 0, [arrival])
-            report = fast.run()
             while slow.next_tx[0] < 0:
-                slow.advance_slot()
+                slow.step()
             assert slow.slot - 1 == wake_slot
-            while slow.slot < cfg.sim_slots:
-                slow.advance_slot()
-            assert _reports_equal(report, slow._finalize())
-            assert _same(_end_state(fast), _end_state(slow))
+            _assert_run_equals_stepping(
+                cfg, lambda sim: lay_arrivals(sim, 0, [arrival]))
 
 
 @pytest.mark.parametrize("side", ["below", "above"])
@@ -656,8 +609,8 @@ def test_run_counts_its_stepped_and_replayed_slots(cfg):
     replay has any replayed slots."""
     sim = Simulation(cfg)
     sim.run()
-    stepper = Simulation(cfg)
-    busy = sum(bool(stepper.advance_slot()) for _ in range(cfg.sim_slots))
+    stepper = Reference(cfg)
+    busy = sum(bool(stepper.step()) for _ in range(cfg.sim_slots))
     replayable = (cfg.saturated and cfg.protocol is Protocol.CSMA_ECA
                   and cfg.max_aggregation == 1)
     if not replayable:
@@ -776,28 +729,22 @@ def test_edge_configs_fail_validation_or_run_alike(cfg):
 
 
 def test_run_refuses_a_full_idle_queue():
-    """A caller can fill an idle node's queue.  Stepping then drops all its
-    arrivals and never wakes it; run() refuses that state."""
+    """A caller can fill an idle node's queue, which arrivals would then
+    never wake; run() refuses that state."""
     cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2, arrival_rate=2000.0,
                     queue_capacity=2, sim_slots=2000, warmup_slots=500, seed=4)
     sim = Simulation(cfg)
     load_node(sim, 0, 2)
     with pytest.raises(AssertionError, match="no idle node holding packets"):
         sim.run()
-    while sim.slot < cfg.sim_slots:
-        sim.advance_slot()
-    report = sim._finalize()
-    assert sim.next_tx[0] == -1
-    assert report.per_node[0].drops > 0
-    assert report.per_node[0].transmissions == 0
 
 
-def test_run_refuses_a_stepped_simulation():
-    """run() starts from slot 0; it does not carry on after advance_slot()."""
+def test_run_refuses_a_simulation_it_already_ran():
+    """run() starts from slot 0; it does not carry on after a run."""
     sim = Simulation(SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2,
                                arrival_rate=500.0, sim_slots=500,
                                warmup_slots=0, seed=1))
-    sim.advance_slot()
+    sim.run()
     with pytest.raises(AssertionError, match="fresh Simulation"):
         sim.run()
 
@@ -827,52 +774,21 @@ def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
     _eca(n_nodes=8, sim_slots=8000, warmup_slots=2000, seed=1),
 ], ids=["drops-both-sides", "warmup-0", "eca-settles"])
 def test_report_counts_only_the_window_from_warmup_slots(cfg):
-    """Recount the window from the transmitters stepping returns, the batch
-    sizes their queues held, and the per-slot changes of the whole-run
-    ledger, without the metrics accumulator."""
-    n = cfg.n_nodes
-    sim = Simulation(cfg)
-    slots = {"empty": 0, "success": 0, "collision": 0}
-    successes, collisions, delivered = [0] * n, [0] * n, [0] * n
-    drops, queue_empties = [0] * n, [0] * n
-    while sim.slot < cfg.sim_slots:
-        counted = sim.slot >= cfg.warmup_slots
-        dropped_before = list(sim.dropped)
-        empties_before = list(sim.queue_empties)
-        held = [min(len(q), cfg.max_aggregation) for q in sim.queues]
-        out = sim.advance_slot()
-        if not counted:
-            continue
-        kind = ("empty", "success", "collision")[min(len(out), 2)]
-        slots[kind] += 1
-        if kind == "success":
-            successes[out[0]] += 1
-            delivered[out[0]] += held[out[0]]
-        elif kind == "collision":
-            for nid in out:
-                collisions[nid] += 1
-        for nid in range(n):
-            drops[nid] += sim.dropped[nid] - dropped_before[nid]
-            queue_empties[nid] += sim.queue_empties[nid] - empties_before[nid]
+    """run() reports whole-run tallies minus a snapshot taken when slot
+    warmup_slots begins; the reference counts only the slots from there on.
+    The two agree, and the window leaves out what came before it."""
+    sim = _assert_run_equals_stepping(cfg)
     report = sim._finalize()
-    assert (report.slots_empty, report.slots_success,
-            report.slots_collision) == tuple(slots.values())
-    rows = report.per_node
-    assert [r.successes for r in rows] == successes
-    assert [r.collisions for r in rows] == collisions
-    assert [r.delivered_packets for r in rows] == delivered
-    assert [r.drops for r in rows] == drops
-    assert [r.queue_empty_events for r in rows] == queue_empties
-    assert _reports_equal(run_simulation(cfg), report)
+    empties = sum(row.queue_empty_events for row in report.per_node)
     if cfg.saturated:  # collides during warmup only, then settles
         assert 0 < sim.last_collision_slot < cfg.warmup_slots
-        assert slots["collision"] == 0 and sum(delivered) > 0
+        assert report.slots_collision == 0 and report.delivered_packets > 0
     else:
-        assert sum(drops) > 0 and sum(queue_empties) > 0
-        assert slots["collision"] > 0
+        assert report.drops > 0 and empties > 0
+        assert report.slots_collision > 0
         # and with a warmup, both happen before the window too
-        assert ((sum(drops) < sum(sim.dropped))
-                == (sum(queue_empties) < sum(sim.queue_empties))
+        assert ((report.drops < sum(sim.dropped))
+                == (empties < sum(sim.queue_empties))
                 == (cfg.warmup_slots > 0))
 
 
@@ -887,11 +803,11 @@ def test_run_equals_stepping_when_a_node_rejoins_beside_backlogged_ones():
     # only a success empties a queue, so a second empty event means node 0
     # transmitted again after the first
     assert sim.queue_empties[0] >= 2
-    stepped, rejoins = Simulation(cfg), 0
+    stepped, rejoins = Reference(cfg), 0
     while stepped.slot < cfg.sim_slots:
         idle = stepped.next_tx[0] < 0
         start_us = stepped.now_us
-        out = stepped.advance_slot()
+        out = stepped.step()
         if (idle and stepped.next_tx[0] >= 0
                 and any(len(q) > 1 for q in stepped.queues[1:])):
             rejoins += 1
@@ -1015,11 +931,8 @@ def test_full_schedule_eventually_stops_colliding():
                         arrival_rate=SATURATED, sim_slots=60_001,
                         warmup_slots=60_000, seed=seed)
         sim = Simulation(cfg)
-        last_collision = -1
-        for slot in range(60_000):
-            if len(sim.advance_slot()) > 1:
-                last_collision = slot
-        assert last_collision < 40_000, (n, seed, last_collision)
+        sim.run()
+        assert sim.last_collision_slot < 40_000, (n, seed)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -1033,11 +946,9 @@ def test_settle_slot_is_reported_for_settling_runs(cfg):
     sim.run()
     assert sim.settle_slot == sim.last_collision_slot + 1
     # stepping agrees on where the last collision was
-    stepped = Simulation(cfg)
-    while stepped.slot < cfg.sim_slots:
-        stepped.advance_slot()
+    stepped = Reference(cfg)
+    stepped.run()
     assert stepped.last_collision_slot == sim.last_collision_slot
-    assert stepped.settle_slot is None  # only run() proves settling
     tail = cfg._replace(warmup_slots=sim.settle_slot)
     assert run_simulation(tail).slots_collision == 0
 
@@ -1100,6 +1011,6 @@ def test_collision_fraction_tracks_the_chain_model():
 # -- inactivity ----------------------------------------------------------------
 
 def test_idle_nodes_are_not_scheduled():
-    sim = _idle_sim()
-    assert sim.next_tx == [-1, -1]
-    assert sim.advance_slot() == ()
+    for sim, out in after_one_slot(_idle_cfg(), lambda sim: None):
+        assert sim.next_tx == [-1, -1]
+        assert out == ()

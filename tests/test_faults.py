@@ -3,6 +3,7 @@ be planted, no two plant the same change, and every test said to catch it
 exists.  Planting the faults and running their tests is
 `python tests/faults.py`, outside the suite."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -10,6 +11,21 @@ import sys
 import pytest
 
 from faults import FAULTS, PACKAGE, ROOT, patched
+
+
+def test_the_reference_imports_only_the_config():
+    """The differential tests' oracle, tests/reference.py, shares no code
+    with the engine: a fault in shared code would pass them.  Of ecasim it
+    may import config and timing only."""
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text())
+    for node in ast.walk(tree):
+        imports = isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names if imports else ():
+            name = (f"{node.module}.{alias.name}"
+                    if isinstance(node, ast.ImportFrom) else alias.name)
+            parts = name.split(".")
+            assert parts[0] != "ecasim" or parts[1:2] in (
+                ["config"], ["timing"]), name
 
 
 def test_the_names_are_unique():

@@ -1,9 +1,10 @@
 """Frozen output bytes: small sweeps must reproduce committed files exactly.
 
 Each `golden/<name>.cfg` is a sweep whose `results.csv` and
-`config.resolved` were generated once, with `ecasim run` on the engine that
-still modelled a packet as an object and stepped every busy slot through
-`advance_slot()`, and committed under `golden/<name>/`.  Together the three
+`config.resolved` were generated once, with `ecasim run` on an early engine
+that modelled a packet as an object and stepped every busy slot through a
+per-slot method of the package (its model lives on as tests/reference.py),
+and committed under `golden/<name>/`.  Together the three
 sweeps reach CSMA/CA and CSMA/ECA, `agg=16`, `hyst`, `rejoin_inclusive`,
 saturated refills, drops from tiny queues (during and after warmup),
 `warmup_slots = 0`, `n = 1`, one and two seeds, and a non-default payload

@@ -1,12 +1,15 @@
 """Accounting: slot ledger, delay sampling, ratios, the measured window, and
-end-of-run markers."""
+end-of-run markers.  The accumulator's lists and sums are written here as
+run()'s drivers write them."""
 
 import math
 
 import pytest
 
-from ecasim import ConsistencyError
+from ecasim import ConsistencyError, SimConfig, Simulation
 from ecasim.metrics import MetricsAccumulator
+from nodes import lay_arrivals, load_node
+from reference import Reference
 
 
 def _acc(n_nodes=2, warmup_end_us=0.0, open_window=True):
@@ -28,20 +31,33 @@ def _report(acc, empty_count, expected_slots, n=2):
 
 
 def _success(acc, ledger, node_id, duration_us, batch_size=1):
-    """A success slot: the slot, its sender's attempt and the packets it
-    delivered, which the caller's ledger counts."""
-    acc.record_slot((node_id,), duration_us)
-    acc.record_attempt(node_id, success=True)
+    """A success slot as run() counts it: its time, its sender's success and
+    the packets it delivered, which the caller's ledger counts.  An empty
+    slot is only the clock's empty_count, passed to finalize()."""
+    acc.busy_us += duration_us
+    acc.node_success[node_id] += 1
     ledger[0][node_id] += batch_size
+
+
+def _collision(acc, nodes, duration_us):
+    acc.busy_us += duration_us
+    acc.slots_collision += 1
+    for nid in nodes:
+        acc.node_collision[nid] += 1
+
+
+def _sample(acc, node_id, delay_us):
+    """One delay sample, as run() adds it."""
+    acc.delay_sum_us += delay_us
+    acc.node_delay_sum[node_id] += delay_us
+    acc.node_delay_n[node_id] += 1
 
 
 def test_slot_mixture_yields_collision_fraction():
     acc, ledger = _acc()
-    for _ in range(7):
-        acc.record_slot((), 9.0)
     for _ in range(2):
         _success(acc, ledger, 0, 300.0)
-    acc.record_slot((0, 1), 300.0)
+    _collision(acc, (0, 1), 300.0)
     report = _report(acc, empty_count=7, expected_slots=10)
     assert report.slots_total == 10
     assert report.slots_empty == 7
@@ -52,50 +68,58 @@ def test_slot_mixture_yields_collision_fraction():
 
 
 def test_bulk_empty_recording_matches_repeated_single_slots():
-    """Empty slots are the clock's count: one recorded slot by slot and one
-    skipped in bulk, with no record_slot call, report the same."""
-    one, _ = _acc()
-    for _ in range(5):
-        one.record_slot((), 9.0)
-    bulk, _ = _acc()
-    a = _report(one, 5, 5)
-    b = _report(bulk, 5, 5)
-    assert (a.slots_empty, a.duration_s) == (b.slots_empty, b.duration_s)
-    assert (a.slots_empty, a.duration_s) == (5, pytest.approx(45e-6))
+    """Empty slots are the clock's count alone: five of them, whether
+    stepped or skipped in bulk, are 45 us and nothing else."""
+    report = _report(_acc()[0], 5, 5)
+    assert (report.slots_empty, report.duration_s) == (5, pytest.approx(45e-6))
+    assert report.slots_total == 5 and report.transmissions == 0
 
 
 def test_batch_delivery_shares_ack_instant_but_not_delays():
     acc, ledger = _acc()
     _success(acc, ledger, 0, 600.0, batch_size=2)
-    acc.record_delivery(0, [100.0, 250.0], ack_us=700.0)
+    for enqueued in (100.0, 250.0):  # both acknowledged at 700 us
+        _sample(acc, 0, 700.0 - enqueued)
     report = _report(acc, 0, 1)
     assert report.delivered_bits == 24000
     assert report.delay_samples == 2
-    assert report.mean_delay_s == pytest.approx(((700 - 100) + (700 - 250)) / 2 * 1e-6)
+    assert report.mean_delay_s == pytest.approx(
+        ((700 - 100) + (700 - 250)) / 2 * 1e-6)
+
+
+def _one_node(sim_slots=1, warmup_slots=0):
+    return SimConfig(n_nodes=1, arrival_rate=1.0, max_aggregation=2,
+                     sim_slots=sim_slots, warmup_slots=warmup_slots)
 
 
 def test_warmup_enqueues_count_bits_but_not_delay():
-    acc, ledger = _acc(warmup_end_us=500.0)
-    _success(acc, ledger, 0, 600.0, batch_size=2)
-    batch = [100.0,   # enqueued before the boundary
-             500.0]   # exactly at the boundary: counted
-    acc.record_delivery(0, batch, ack_us=700.0)
-    report = _report(acc, 0, 1)
-    assert report.delivered_bits == 24000
-    assert report.delay_samples == 1
-    assert report.mean_delay_s == pytest.approx(200e-6)
+    """Delays are sampled by run()'s drivers (and the reference): the
+    window opens at 45 us, after five idle slots, and a packet queued at
+    0.0 leaves in slot 6 with one that arrived exactly at 45 us.  Both count
+    as bits, only the second gives a delay: to the end of slot 6, 54 us
+    plus an exchange of two packets (90 + 24000/54 + 112/24 us)."""
+    sims = Simulation(_one_node(7, 5)), Reference(_one_node(7, 5))
+    for sim in sims:
+        load_node(sim, 0, 1, due_in=6)
+        lay_arrivals(sim, 0, [45.0])
+    for report in sims[0].run()._asdict(), sims[1].run():
+        assert report["delivered_bits"] == 24000
+        assert report["delay_samples"] == 1
+        assert report["mean_delay_s"] == pytest.approx(
+            (54.0 + 539.1111111111111 - 45.0) * 1e-6)
 
 
 def test_negative_delay_aborts():
-    acc, _ = _acc()
-    acc.record_slot((0,), 300.0)
-    with pytest.raises(ConsistencyError):
-        acc.record_delivery(0, [800.0], ack_us=700.0)
+    sim = Simulation(_one_node())
+    sim.queues[0].append(800.0)  # acknowledged before it was queued
+    sim.arrivals[0] += 1
+    sim.next_tx[0] = 0
+    with pytest.raises(ConsistencyError, match="negative delay"):
+        sim.run()
 
 
 def test_slot_ledger_mismatch_aborts():
     acc, _ = _acc()
-    acc.record_slot((), 9.0)
     with pytest.raises(ConsistencyError):
         _report(acc, empty_count=1, expected_slots=3)
 
@@ -118,13 +142,10 @@ def test_zero_slots_marks_empty_run():
 
 
 def test_queue_empty_rate_uses_attempts_as_denominator():
-    acc, (_, _, queue_empties) = _acc()
-    acc.record_slot((0,), 300.0)
-    acc.record_slot((0, 1), 300.0)
-    acc.record_attempt(0, success=True)
-    acc.record_attempt(0, success=False)
-    acc.record_attempt(1, success=False)
-    queue_empties[0] += 1
+    acc, ledger = _acc()
+    _success(acc, ledger, 0, 300.0)
+    _collision(acc, (0, 1), 300.0)
+    ledger[2][0] += 1  # node 0's queue emptied once
     report = _report(acc, 0, 2)
     assert report.transmissions == 3
     assert report.successes == 1
@@ -144,7 +165,7 @@ def test_end_state_snapshots_average_over_nodes():
 def test_per_node_rows_carry_individual_counters():
     acc, ledger = _acc()
     _success(acc, ledger, 1, 300.0)
-    acc.record_delivery(1, [0.0], ack_us=300.0)
+    _sample(acc, 1, 300.0)
     ledger[1][0] += 2   # node 0 dropped two arrivals
     report = _report(acc, 0, 1)
     assert report.per_node[0].transmissions == 0
@@ -168,7 +189,6 @@ def test_a_window_that_rounds_to_zero_seconds_has_zero_throughput():
 def test_throughput_is_counted_bits_over_duration():
     acc, ledger = _acc()
     _success(acc, ledger, 0, 1000.0)
-    acc.record_delivery(0, [0.0], ack_us=1000.0)
     report = _report(acc, 0, 1)
     assert report.throughput_bps == pytest.approx(12000 / 1000e-6)
 
@@ -182,16 +202,13 @@ def test_tallies_recorded_before_the_window_opens_are_not_reported():
     # collision and a drop at node 1
     _success(acc, ledger, 0, 300.0)
     queue_empties[0] += 1
-    acc.record_slot((0, 1), 300.0)
-    acc.record_attempt(0, success=False)
-    acc.record_attempt(1, success=False)
+    _collision(acc, (0, 1), 300.0)
     dropped[1] += 1
-    acc.record_delivery(0, [0.0], ack_us=300.0)  # no window, so no sample
     acc.open_window(5000.0, empty_count=3)
     # the window: two empty slots and a two-packet success of node 1, one
-    # packet queued during warmup
+    # packet queued during warmup, so one sample
     _success(acc, ledger, 1, 400.0, batch_size=2)
-    acc.record_delivery(1, [4000.0, 6000.0], ack_us=6400.0)
+    _sample(acc, 1, 400.0)
     report = _report(acc, empty_count=5, expected_slots=3)
     assert (report.slots_empty, report.slots_success,
             report.slots_collision) == (2, 1, 0)
@@ -208,9 +225,7 @@ def test_busy_time_restarts_when_the_window_opens():
     acc, ledger = _acc(open_window=False)
     _success(acc, ledger, 0, 300.0)
     acc.open_window(300.0, empty_count=0)
-    acc.record_slot((0, 1), 700.0)
-    acc.record_attempt(0, success=False)
-    acc.record_attempt(1, success=False)
+    _collision(acc, (0, 1), 700.0)
     assert acc.busy_us == 700.0
     report = _report(acc, empty_count=2, expected_slots=3)
     assert report.duration_s == pytest.approx((2 * 9.0 + 700.0) * 1e-6)

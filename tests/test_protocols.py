@@ -1,14 +1,13 @@
-"""Backoff rules, rejoin behavior, and queue bookkeeping per node."""
-
-import random
+"""Backoff rules, rejoin behavior, and queue bookkeeping per node, by run()
+and the reference alike (see nodes.after_one_slot)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ecasim import SATURATED, ConfigError, Protocol, SimConfig, Simulation
-from ecasim.engine import after_transmission, on_packet_arrival
-from ecasim.protocols import (contention_window, next_backoff_after_collision,
-                              next_backoff_after_success, rejoin_backoff)
+from ecasim import (SATURATED, ConfigError, Protocol, SimConfig, Simulation,
+                    run_simulation)
+from nodes import after_one_slot, lay_arrivals, load_node, loading
+from reference import Reference
 
 # chi-square 0.999 quantiles, indexed by degrees of freedom
 CHI2_CRIT = {15: 37.697, 31: 61.098}
@@ -17,198 +16,222 @@ stages = st.integers(min_value=0, max_value=6)
 cw_exp = st.integers(min_value=1, max_value=6)  # cw_min = 2**exp
 
 
+def _cfg(**kw):
+    return SimConfig(**{"n_nodes": 1, "arrival_rate": 0.0, **kw})
+
+
+def _drawn(sim, nid=0):
+    """The counter node nid drew in slot 0: it is due that many slots after
+    it.  None while it is idle."""
+    due = sim.next_tx[nid]
+    return None if due < 0 else due - 1
+
+
+@settings(deadline=None)
 @given(stage=stages, exp=cw_exp, seed=st.integers(0, 2**16))
 def test_ca_success_resets_stage_and_draws_from_base_window(stage, exp, seed):
-    cw = 2 ** exp
-    rng = random.Random(seed)
-    new_stage, counter = next_backoff_after_success(
-        Protocol.CSMA_CA, False, stage, cw, rng)
-    assert new_stage == 0
-    assert 0 <= counter < cw
+    cfg = _cfg(protocol=Protocol.CSMA_CA, cw_min=2 ** exp, max_stage=6,
+               seed=seed)
+    for sim, out in after_one_slot(cfg, loading((0, 2, 0), stage=stage)):
+        assert out == (0,)
+        assert sim.stage[0] == 0
+        assert 0 <= _drawn(sim) < 2 ** exp
 
 
+@settings(deadline=None)
 @given(stage=stages, exp=cw_exp)
 def test_eca_success_is_deterministic_half_window(stage, exp):
-    cw = 2 ** exp
-    rng = random.Random(0)
-    state = rng.getstate()
-    new_stage, counter = next_backoff_after_success(
-        Protocol.CSMA_ECA, False, stage, cw, rng)
-    assert (new_stage, counter) == (0, cw // 2 - 1)
-    assert rng.getstate() == state  # no randomness consumed
+    states = []
+
+    def prepare(sim):
+        loading((0, 2, 0), stage=stage)(sim)
+        states.append(sim.proto_rng.getstate())
+    cfg = _cfg(protocol=Protocol.CSMA_ECA, cw_min=2 ** exp, max_stage=6)
+    for sim, _ in after_one_slot(cfg, prepare):
+        assert (sim.stage[0], _drawn(sim)) == (0, 2 ** exp // 2 - 1)
+        assert sim.proto_rng.getstate() == states[-1]  # nothing drawn
 
 
+@settings(deadline=None)
 @given(stage=stages, exp=cw_exp)
 def test_eca_hysteresis_keeps_stage_and_scales_the_draw(stage, exp):
-    cw = 2 ** exp
-    new_stage, counter = next_backoff_after_success(
-        Protocol.CSMA_ECA, True, stage, cw, random.Random(0))
-    assert new_stage == stage
-    assert counter == contention_window(cw, stage) // 2 - 1
+    cfg = _cfg(protocol=Protocol.CSMA_ECA, hysteresis=True, cw_min=2 ** exp,
+               max_stage=6)
+    for sim, _ in after_one_slot(cfg, loading((0, 2, 0), stage=stage)):
+        assert sim.stage[0] == stage
+        assert _drawn(sim) == (2 ** exp << stage) // 2 - 1
 
 
 def test_eca_default_window_gives_schedule_period_eight():
-    _, counter = next_backoff_after_success(
-        Protocol.CSMA_ECA, False, 0, 16, random.Random(0))
-    assert counter == 7  # one transmission every counter + 1 = 8 slots
+    """A lone saturated node, due by slot 16, then fires every 8 slots."""
+    cfg = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=1,
+                    arrival_rate=SATURATED, sim_slots=8016, warmup_slots=16)
+    assert run_simulation(cfg).slots_success == 1000
+    assert Reference(cfg).run()["slots_success"] == 1000
 
 
+@settings(deadline=None)
 @given(stage=stages, exp=cw_exp, max_stage=stages, seed=st.integers(0, 2**16))
 def test_collision_doubles_window_up_to_cap(stage, exp, max_stage, seed):
-    cw = 2 ** exp
-    new_stage, counter = next_backoff_after_collision(
-        stage, max_stage, cw, random.Random(seed))
-    assert new_stage == min(stage + 1, max_stage)
-    assert 0 <= counter < contention_window(cw, new_stage)
+    cfg = _cfg(n_nodes=2, cw_min=2 ** exp, max_stage=max_stage, seed=seed)
+    both = loading((0, 2, 0), (1, 2, 0), stage=stage)
+    for sim, out in after_one_slot(cfg, both):
+        assert out == (0, 1)
+        for nid in out:
+            assert sim.stage[nid] == min(stage + 1, max_stage)
+            assert 0 <= _drawn(sim, nid) < 2 ** exp << sim.stage[nid]
 
 
-def _chi2(counts, expected):
-    return sum((c - expected) ** 2 / expected for c in counts)
+def _uniform(counters, window, crit):
+    """Whether counters pass a chi-square test of uniformity on
+    [0, window) at the 0.999 quantile crit."""
+    counts = [counters.count(c) for c in range(window)]
+    expected = len(counters) / window
+    return (sum(counts) == len(counters)
+            and sum((c - expected) ** 2 / expected for c in counts) < crit)
+
+
+def _counters_after_one_slot(cfg, prepare):
+    """Every node's counter after slot 0 of run() (the reference draws the
+    same, as the differential tests check)."""
+    sim = Simulation(cfg._replace(sim_slots=1, warmup_slots=0))
+    prepare(sim)
+    sim.run()
+    return [_drawn(sim, nid) for nid in range(cfg.n_nodes)]
 
 
 def test_ca_success_draw_is_uniform():
-    rng = random.Random(12345)
-    counts = [0] * 16
-    for _ in range(100_000):
-        _, c = next_backoff_after_success(Protocol.CSMA_CA, False, 3, 16, rng)
-        counts[c] += 1
-    assert _chi2(counts, 100_000 / 16) < CHI2_CRIT[15]
+    counters = [_counters_after_one_slot(_cfg(seed=seed), loading((0, 2, 0)))[0]
+                for seed in range(4000)]
+    assert _uniform(counters, 16, CHI2_CRIT[15])
+
+
+def _all_due_now(sim):
+    """Every node holds one packet and is due in slot 0."""
+    for nid, queue in enumerate(sim.queues):
+        queue.append(0.0)
+        sim.arrivals[nid] += 1
+        sim.next_tx[nid] = 0
 
 
 def test_collision_draw_is_uniform_over_doubled_window():
-    rng = random.Random(54321)
-    counts = [0] * 32
-    for _ in range(100_000):
-        _, c = next_backoff_after_collision(0, 5, 16, rng)
-        counts[c] += 1
-    assert _chi2(counts, 100_000 / 32) < CHI2_CRIT[31]
+    counters = _counters_after_one_slot(_cfg(n_nodes=3200), _all_due_now)
+    assert _uniform(counters, 32, CHI2_CRIT[31])
+
+
+def _woken_at_once(sim):
+    """An arrival at 1.0 us at every (idle) node: all wake in slot 0."""
+    for nid in range(sim.cfg.n_nodes):
+        lay_arrivals(sim, nid, [1.0])
 
 
 def test_rejoin_draw_is_uniform_over_base_window():
-    rng = random.Random(999)
-    counts = [0] * 16
-    for _ in range(100_000):
-        counts[rejoin_backoff(16, False, rng)] += 1
-    assert _chi2(counts, 100_000 / 16) < CHI2_CRIT[15]
+    counters = _counters_after_one_slot(_cfg(n_nodes=1600, arrival_rate=1.0),
+                                        _woken_at_once)
+    assert _uniform(counters, 16, CHI2_CRIT[15])
 
 
 def test_rejoin_upper_bound_flag():
-    rng = random.Random(4)
-    draws = [rejoin_backoff(16, False, rng) for _ in range(5000)]
-    assert max(draws) == 15
-    draws = [rejoin_backoff(16, True, rng) for _ in range(5000)]
-    assert max(draws) == 16
-    assert min(draws) == 0
+    for inclusive, top in ((False, 15), (True, 16)):
+        cfg = _cfg(n_nodes=500, arrival_rate=1.0, rejoin_inclusive=inclusive)
+        for sim, _ in after_one_slot(cfg, _woken_at_once):
+            counters = [_drawn(sim, nid) for nid in range(500)]
+            assert (min(counters), max(counters)) == (0, top)
 
 
 # -- arrival handling ---------------------------------------------------------
 
-def _sim(prefill=0, **kw):
-    """One node with no traffic source at slot 0, its queue holding packets
-    enqueued at 0.0, 1.0, ... us."""
-    sim = Simulation(SimConfig(n_nodes=1, arrival_rate=0.0, **kw))
-    sim.queues[0].extend(float(k) for k in range(prefill))
-    sim.arrivals[0] += prefill
-    return sim
-
-
-def _drawn(sim):
-    """The counter node 0 drew in slot sim.slot: it is due that many slots
-    after this one.  None while it is idle."""
-    due = sim.next_tx[0]
-    return None if due < 0 else due - sim.slot - 1
-
-
 def test_arrival_wakes_idle_node_with_base_window_counter():
-    sim = _sim(queue_capacity=4)
-    on_packet_arrival(sim, 0, 0.0)
-    counter = _drawn(sim)
-    assert counter is not None and 0 <= counter < sim.cfg.cw_min
-    assert sim.stage[0] == 0
-    # second arrival while contending must not reschedule anything
-    on_packet_arrival(sim, 0, 0.0)
-    assert _drawn(sim) == counter
-    assert len(sim.queues[0]) == 2
+    """The first arrival draws the counter; the second only queues."""
+    def prepare(sim):
+        lay_arrivals(sim, 0, [1.0, 2.0])
+    for sim, out in after_one_slot(_cfg(arrival_rate=1.0), prepare):
+        assert out == ()
+        assert 0 <= _drawn(sim) < 16
+        assert sim.stage[0] == 0
+        assert list(sim.queues[0]) == [1.0, 2.0]
 
 
 def test_full_queue_drops_and_keeps_contention_untouched():
-    sim = _sim(prefill=2, queue_capacity=2)
-    sim.next_tx[0] = 0
-    on_packet_arrival(sim, 0, 0.0)
-    assert sim.next_tx[0] == 0
-    assert sim.dropped[0] == 1
-    assert len(sim.queues[0]) == 2
+    def prepare(sim):
+        load_node(sim, 0, 2, due_in=3)
+        lay_arrivals(sim, 0, [1.0])
+    cfg = _cfg(arrival_rate=1.0, queue_capacity=2)
+    for sim, _ in after_one_slot(cfg, prepare):
+        assert sim.next_tx[0] == 3
+        assert sim.dropped[0] == 1 and sim.arrivals[0] == 3
+        assert list(sim.queues[0]) == [0.0, 0.0]
 
 
 def test_rejoin_resets_stage_without_hysteresis():
+    def prepare(sim):
+        sim.stage[0] = 4
+        lay_arrivals(sim, 0, [1.0])
     for proto, hyst, expected_stage in [
             (Protocol.CSMA_CA, False, 0),
             (Protocol.CSMA_ECA, False, 0),
             (Protocol.CSMA_ECA, True, 4)]:
-        sim = _sim(protocol=proto, hysteresis=hyst)
-        sim.stage[0] = 4
-        on_packet_arrival(sim, 0, 0.0)
-        assert sim.stage[0] == expected_stage
+        cfg = _cfg(protocol=proto, hysteresis=hyst, arrival_rate=1.0)
+        for sim, _ in after_one_slot(cfg, prepare):
+            assert sim.stage[0] == expected_stage
 
 
 # -- transmission outcomes ----------------------------------------------------
 
 def test_success_delivers_fifo_batch_and_redraws():
-    sim = _sim(prefill=3, protocol=Protocol.CSMA_CA, max_aggregation=2,
-               queue_capacity=8)
-    sim.next_tx[0] = 0
-    sim.stage[0] = 2
-    delivered = after_transmission(sim, 0, True, 2)
-    assert delivered == [0.0, 1.0]
-    assert len(sim.queues[0]) == 1
-    assert sim.stage[0] == 0
-    counter = _drawn(sim)
-    assert counter is not None and 0 <= counter < sim.cfg.cw_min
-    assert sim.delivered[0] == 2
+    def prepare(sim):
+        sim.queues[0].extend([0.0, 1.0, 2.0])
+        sim.arrivals[0] += 3
+        sim.next_tx = [0]
+        sim.stage[0] = 2
+    cfg = _cfg(protocol=Protocol.CSMA_CA, max_aggregation=2, queue_capacity=8)
+    for sim, out in after_one_slot(cfg, prepare):
+        assert out == (0,)
+        assert list(sim.queues[0]) == [2.0]
+        assert sim.stage[0] == 0
+        assert 0 <= _drawn(sim) < 16
+        assert sim.delivered[0] == 2
 
 
 def test_success_on_last_packet_leaves_contention():
-    sim = _sim(prefill=1)
-    sim.next_tx[0] = 0
-    delivered = after_transmission(sim, 0, True, 1)
-    assert len(delivered) == 1
-    assert sim.next_tx[0] == -1
-    assert sim.queue_empties[0] == 1
+    for sim, _ in after_one_slot(_cfg(), loading((0, 1, 0))):
+        assert sim.delivered[0] == 1
+        assert sim.next_tx[0] == -1
+        assert sim.queue_empties[0] == 1
 
 
 def test_collision_keeps_batch_and_escalates():
-    sim = _sim(prefill=2, cw_min=16, max_stage=5)
-    sim.next_tx[0] = 0
-    delivered = after_transmission(sim, 0, False, 2)
-    assert delivered == []
-    assert len(sim.queues[0]) == 2
-    assert sim.stage[0] == 1
-    assert 0 <= _drawn(sim) < 32
-    assert sim.delivered[0] == 0
-    assert sim.queue_empties[0] == 0
+    cfg = _cfg(n_nodes=2, cw_min=16, max_stage=5)
+    for sim, _ in after_one_slot(cfg, loading((0, 2, 0), (1, 2, 0))):
+        assert len(sim.queues[0]) == 2
+        assert sim.stage[0] == 1
+        assert 0 <= _drawn(sim) < 32
+        assert sim.delivered[0] == 0
+        assert sim.queue_empties[0] == 0
 
 
 def test_collision_stage_saturates_at_max_stage():
-    sim = _sim(prefill=1, cw_min=16, max_stage=5)
-    sim.next_tx[0] = 0
-    sim.stage[0] = 5
-    after_transmission(sim, 0, False, 1)
-    assert sim.stage[0] == 5
-    assert 0 <= _drawn(sim) < 16 * 2 ** 5
+    cfg = _cfg(n_nodes=2, cw_min=16, max_stage=5)
+    for sim, _ in after_one_slot(cfg, loading((0, 1, 0), (1, 1, 0), stage=5)):
+        assert sim.stage[0] == 5
+        assert 0 <= _drawn(sim) < 16 * 2 ** 5
 
 
 def test_replenish_keeps_a_saturated_node_in_contention():
-    sim = Simulation(SimConfig(n_nodes=1, arrival_rate=SATURATED,
-                               queue_capacity=4))
-    assert sim.next_tx[0] >= 0 and len(sim.queues[0]) == 4
-    # deliver the whole queue: only a refill before the empty check keeps
-    # the node in contention
-    delivered = after_transmission(sim, 0, True, 4)
-    assert delivered == [0.0] * 4
-    assert _drawn(sim) is not None
-    assert sim.queue_empties[0] == 0
-    assert len(sim.queues[0]) == 4
-    assert sim.arrivals[0] == 8  # the refill counts as arrivals
+    """A success that takes the whole queue refills it, stamped at the slot's
+    start, before the empty check: the node stays in contention."""
+    def prepare(sim):
+        assert len(sim.queues[0]) == 4 and sim.next_tx[0] >= 0
+        sim.next_tx = [0]
+    cfg = SimConfig(n_nodes=1, arrival_rate=SATURATED, queue_capacity=4,
+                    max_aggregation=4)
+    for sim, out in after_one_slot(cfg, prepare):
+        assert out == (0,)
+        assert sim.delivered[0] == 4
+        assert _drawn(sim) is not None
+        assert sim.queue_empties[0] == 0
+        assert list(sim.queues[0]) == [0.0] * 4
+        assert sim.arrivals[0] == 8  # the refill counts as arrivals
 
 
 def test_hysteresis_rejected_for_ca():

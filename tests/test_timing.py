@@ -5,11 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ecasim import ConfigError, Protocol, SimConfig, Simulation
+from ecasim import ConfigError, Protocol, SimConfig
 from ecasim.config import (MAX_AGGREGATION, MAX_NODES, MAX_QUEUED_PACKETS,
                            MAX_SLOT_US)
 from ecasim.timing import DEFAULT_TIMING, TimingTable
-from nodes import load_node
+from nodes import after_one_slot, load_node
 
 # defaults, one 12000-bit payload, worked out by hand:
 #   34 (difs) + 20 (phy) + 12000/54 + 16 (sifs) + 20 (phy) + 112/24
@@ -29,14 +29,15 @@ def test_aggregated_exchange_matches_hand_arithmetic():
 
 
 def test_collision_holds_the_channel_for_the_longest_frame():
-    sim = Simulation(SimConfig(protocol=Protocol.CSMA_CA, arrival_rate=0.0,
-                               max_aggregation=4, sim_slots=10,
-                               warmup_slots=0))
-    load_node(sim, 0, 3, due_in=0)
-    load_node(sim, 1, 1, due_in=0)
-    assert sim.advance_slot() == (0, 1)
-    t = DEFAULT_TIMING
-    assert sim.busy_us == t.exchange_us(3 * t.payload_bits)
+    def prepare(sim):
+        load_node(sim, 0, 3, due_in=0)
+        load_node(sim, 1, 1, due_in=0)
+    cfg = SimConfig(protocol=Protocol.CSMA_CA, arrival_rate=0.0,
+                    max_aggregation=4)
+    for sim, out in after_one_slot(cfg, prepare):
+        assert out == (0, 1)
+        # three aggregated payloads, the longer frame: 90 + 36000/54 + 112/24
+        assert sim.busy_us == pytest.approx(761.3333333333333, rel=1e-12)
 
 
 def test_empty_slot_is_cheapest():

@@ -9,6 +9,8 @@ import pytest
 from ecasim import SATURATED, ConfigError, SimConfig, Simulation
 from ecasim.config import MAX_ARRIVAL_RATE
 from ecasim.traffic import ArrivalStream
+from nodes import lay_arrivals
+from reference import Reference
 
 
 def _stream(seed):
@@ -18,9 +20,9 @@ def _stream(seed):
 @pytest.mark.parametrize("instants", [list, lambda: array("d")],
                          ids=["list", "array"])
 def test_grow_draws_expovariate_bit_for_bit(instants):
-    """run() and the reference stepper read one draw, ArrivalStream.grow:
-    from 0.0, the running sum of Random(seed).expovariate(rate) * 1e6, bit
-    for bit, on a run's own list and on a book's array('d') alike."""
+    """run() draws every instant through ArrivalStream.grow: from 0.0,
+    the running sum of Random(seed).expovariate(rate) * 1e6, bit for bit,
+    on a run's own list and on a book's array('d') alike."""
     rate, n = 120.0, 10_000
     stream = ArrivalStream(instants(), random.Random(3))
     assert stream.grow(rate, 0.0, n) == n
@@ -88,42 +90,45 @@ def test_only_poisson_nodes_seed_a_stream(monkeypatch, rate, streams):
             assert list(st.instants) == [math.inf] and st.rng is None
 
 
+def _run_one_node(rate, sim_slots, **kw):
+    """A lone Poisson node's run(), and the instant it ended."""
+    sim = Simulation(SimConfig(n_nodes=1, arrival_rate=rate,
+                               sim_slots=sim_slots, warmup_slots=0, **kw))
+    sim.run()
+    return sim, sim.cfg.timing.slot_empty * sim.empty_count + sim.busy_us
+
+
 def test_drain_returns_only_packets_before_window_end():
-    stream = _stream(42)
-    cursor = 0.0
-    for _ in range(200):
-        end = cursor + 500.0
-        batch = stream.drain_poisson(1000.0, end)
-        for enqueue_us in batch:
-            assert cursor <= enqueue_us < end
-        cursor = end
-    assert stream.instants[0] >= cursor
+    """A run takes in each arrival before its end, and no other: what it
+    queued lies before the end, and its stream resumes at or past it."""
+    for sim_slots in (1, 50, 500, 5000):
+        sim, end = _run_one_node(1000.0, sim_slots, seed=42)
+        assert all(t < end for t in sim.queues[0])
+        assert sim.streams[0].instants[0] >= end
 
 
 def test_drain_takes_an_instant_on_until_in_the_next_window():
-    """An arrival exactly at a slot's end belongs to the next slot."""
-    stream = _stream(5)
-    stream.instants[:] = [10.0, 20.0]
-    assert stream.drain_poisson(1000.0, 10.0) == []
-    assert stream.drain_poisson(1000.0, math.nextafter(10.0, math.inf)) \
-        == [10.0]
-    assert stream.drain_poisson(1000.0, 20.0) == []
-    assert stream.instants[0] == 20.0
+    """An arrival exactly at a slot's end belongs to the next slot: after
+    two idle slots of 9 us, one at 18 us is not yet taken in, one an ulp
+    earlier is (run() and the reference alike)."""
+    cfg = SimConfig(n_nodes=1, arrival_rate=1.0, sim_slots=2, warmup_slots=0)
+    for arrival, taken in ((18.0, 0), (math.nextafter(18.0, 0.0), 1)):
+        for sim in Simulation(cfg), Reference(cfg):
+            lay_arrivals(sim, 0, [arrival])
+            sim.run()
+            assert sim.arrivals[0] == taken
+            assert (sim.streams[0].instants[0] == arrival) == (not taken)
 
 
 def test_drain_stamps_are_strictly_increasing():
-    stream = _stream(9)
-    stamps = stream.drain_poisson(5000.0, 1e6)
-    assert len(stamps) > 1000
+    sim, _ = _run_one_node(5000.0, 3000, seed=9)
+    stamps = list(sim.queues[0])
+    assert len(stamps) > 100
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
 
 
 def test_windowed_drain_count_matches_rate():
-    # 1e6 windows of 9 us at 1000 pkt/s -> expect 9000 packets
-    stream = _stream(20240602)
-    total = 0
-    end = 0.0
-    for _ in range(1_000_000):
-        end += 9.0
-        total += len(stream.drain_poisson(1000.0, end))
-    assert abs(total - 9000) / 9000 < 0.02
+    # about 9 s of channel time at 1000 pkt/s -> expect about 9000 packets
+    sim, end = _run_one_node(1000.0, 700_000, seed=20240602)
+    assert abs(sim.arrivals[0] / (end * 1e-6) - 1000.0) / 1000.0 < 0.02
+    assert end > 8e6
