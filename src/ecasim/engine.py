@@ -19,11 +19,13 @@ slots only.  An idle slot is resolved only inside the skip, where an idle
 node wakes: the rejoin draw is the only shared randomness a gap holds, so
 bulk skipping is exactly stepping slot by slot.
 
-Simulation owns every node's state as seven lists indexed by node id: queues,
-stage and next_tx, and the whole-run ledger arrivals, delivered, dropped and
-queue_empties.  Every tally counts the whole run; the report reads the
-measured window as its end value minus a snapshot taken when slot
-warmup_slots begins (see metrics), so no event asks whether warmup is over.
+Simulation owns every node's state as lists indexed by node id (queues,
+stage and next_tx) and every tally of the run: the whole-run ledger arrivals,
+delivered, dropped and queue_empties, each node's successes, collisions and
+delay sums, and the measured window's sums.  Every integer tally counts the
+whole run; metrics.report(sim) reads the window as its end value minus the
+snapshot open_window() takes when slot warmup_slots begins, so no event asks
+whether warmup is over.
 A caller sets a node up through the lists alone: queues, arrivals, next_tx,
 and the instants of streams[nid], the node's ArrivalStream.
 run() runs a fresh Simulation from slot 0 to the end through one of two
@@ -80,9 +82,8 @@ from math import inf
 
 from . import traffic
 from .config import MAX_NODES, Protocol, SimConfig
-from .errors import ConsistencyError
-from .metrics import (MetricsAccumulator, MetricsReport,
-                      negative_delay_error)
+from .metrics import (NODE_TALLIES, MetricsReport, negative_delay_error,
+                      report)
 from .traffic import ArrivalStream
 
 
@@ -118,8 +119,8 @@ def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
     return sorted(firing.items())
 
 
-# perfbench/tracer.py patches these names until ROADMAP item 2 ends that;
-# the per-slot reference they belonged to is tests/reference.py.
+# perfbench/tracer.py patches these names until a change to perfbench/ alone
+# stops it; the per-slot reference they belonged to is tests/reference.py.
 def _gone(*args, **kwargs):
     raise NotImplementedError("the per-slot reference is tests/reference.py")
 
@@ -135,7 +136,6 @@ class Simulation:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
-        t = cfg.timing
         master = random.Random(cfg.seed)
         self.proto_rng = random.Random(master.getrandbits(64))
         n = cfg.n_nodes
@@ -147,13 +147,22 @@ class Simulation:
         self.delivered = [0] * n
         self.dropped = [0] * n
         self.queue_empties = [0] * n
+        # the whole-run channel tallies
+        self.node_success = [0] * n
+        self.node_collision = [0] * n
+        self.slots_collision = 0
+        # the measured window (see metrics): open_window() sets when it
+        # began and takes its snapshot; delays are sampled from then on, and
+        # the busy time counts only the window's
+        self.warmup_end_us = inf
+        self.window_start = None
+        self.window_busy_us = self.delay_sum_us = 0.0
+        self.node_delay_sum = [0.0] * n
+        self.node_delay_n = [0] * n
         # the clock: slots resolved, how many were empty, the others' time
         self.slot = 0
         self.empty_count = 0
         self.busy_us = 0.0
-        self.acc = MetricsAccumulator(
-            t.slot_empty, t.payload_bits,
-            (self.delivered, self.dropped, self.queue_empties))
         # a Poisson stream is seeded after proto_rng (inside a sweep, the
         # book's if it lends one); every other never fires and seeds nothing
         self.streams = [ArrivalStream([inf], None) for _ in range(n)]
@@ -196,8 +205,18 @@ class Simulation:
     @property
     def nodes(self) -> list:
         """Each node's drop count as nodes[i].counters.dropped, built on
-        access, for perfbench/tracer.py (ROADMAP item 2)."""
+        access, for perfbench/tracer.py until a change to perfbench/ alone
+        reads dropped instead."""
         return [NodeSnapshot(DropCount(d)) for d in self.dropped]
+
+    def open_window(self, now_us: float, empty_count: int) -> None:
+        """Slot warmup_slots begins at now_us, after empty_count empty
+        slots: snapshot the integer tallies, in the order of
+        metrics.NODE_TALLIES."""
+        self.warmup_end_us = now_us
+        self.window_start = (empty_count, self.slots_collision,
+                             [list(getattr(self, name))
+                              for name in NODE_TALLIES])
 
     # -- the two drivers ------------------------------------------------------
 
@@ -217,21 +236,19 @@ class Simulation:
             drive = self._run_saturated
         else:
             drive = self._run_arrivals
-        acc = self.acc
-        (self.slot, self.empty_count, self.busy_us, acc.busy_us,
-         acc.delay_sum_us, self.last_collision_slot, replayed_busy) = drive()
+        (self.slot, self.empty_count, self.busy_us, self.window_busy_us,
+         self.delay_sum_us, self.last_collision_slot, replayed_busy) = drive()
         self.stepped_slots = self.slot - self.empty_count - replayed_busy
-        return self._finalize()
+        return report(self)
 
     def _run_saturated(self) -> tuple:
         """run()'s saturated driver (see the module docstring).  Returns the
-        clock (slot, empty slots, busy time), the counted busy time, the
+        clock (slot, empty slots, busy time), the window's busy time and
         delay sum, the last collision slot and the replayed busy slots.  At
         agg > 1, a node that has succeeded works on runs and gets its queue
         of one stamp per packet back at the end."""
         cfg = self.cfg
         t = cfg.timing
-        acc = self.acc
         heappush, heappop = heapq.heappush, heapq.heappop
         # randrange(w), inlined: the same getrandbits calls, so the same state
         getrandbits = self.proto_rng.getrandbits
@@ -267,11 +284,11 @@ class Simulation:
         # due << NODE_BITS | nid, one entry per node; sorted is a heap
         tx_heap = sorted([due << NODE_BITS | nid
                           for nid, due in enumerate(next_tx)])
-        # the accumulator's lists change in place, scalars are written back
-        node_success = acc.node_success
-        node_collision = acc.node_collision
-        node_delay_sum = acc.node_delay_sum
-        node_delay_n = acc.node_delay_n
+        # the tallies' lists change in place, scalars are written back
+        node_success = self.node_success
+        node_collision = self.node_collision
+        node_delay_sum = self.node_delay_sum
+        node_delay_n = self.node_delay_n
         counted_busy_us = delay_sum_us = busy_us = 0.0
         slot = empty_count = 0
 
@@ -293,7 +310,7 @@ class Simulation:
                         # -- a collision: the colliders escalate in node id
                         # order, each due past the slot once it has drawn
                         last_collision = slot
-                        acc.slots_collision += 1
+                        self.slots_collision += 1
                         while True:
                             st = stage[nid] + 1
                             if st > max_stage:
@@ -438,7 +455,7 @@ class Simulation:
                 # -- slot warmup_slots begins; a replayable run re-tests the
                 # schedule there, so a settled replay resumes in the window
                 warm_end = se * empty_count + busy_us
-                acc.open_window(warm_end, empty_count)
+                self.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
                 if replayable:
                     check_at = slot
@@ -457,7 +474,6 @@ class Simulation:
         _run_saturated() returns, with no replayed busy slots."""
         cfg = self.cfg
         t = cfg.timing
-        acc = self.acc
         heappush, heappop = heapq.heappush, heapq.heappop
         # randrange(w), inlined: the same getrandbits calls, so the same state
         getrandbits = self.proto_rng.getrandbits
@@ -496,11 +512,11 @@ class Simulation:
         nxt = [st.instants[0] for st in streams]
         arr_heap = sorted((nxt[nid], nid) for nid in range(n_nodes)
                           if next_tx[nid] < 0)
-        # the accumulator's lists change in place, scalars are written back
-        node_success = acc.node_success
-        node_collision = acc.node_collision
-        node_delay_sum = acc.node_delay_sum
-        node_delay_n = acc.node_delay_n
+        # the tallies' lists change in place, scalars are written back
+        node_success = self.node_success
+        node_collision = self.node_collision
+        node_delay_sum = self.node_delay_sum
+        node_delay_n = self.node_delay_n
         counted_busy_us = delay_sum_us = busy_us = prev_end = 0.0
         slot = empty_count = 0
 
@@ -668,7 +684,7 @@ class Simulation:
                         next_tx[nid] = c
                         heappush(tx_heap, c << NODE_BITS | nid)
                         node_collision[nid] += 1
-                    acc.slots_collision += 1
+                    self.slots_collision += 1
                 counted_busy_us += duration
                 busy_us += duration
                 prev_end = slot_end
@@ -682,7 +698,7 @@ class Simulation:
                     catch_up(nid, prev_end)
             if stop < end:  # -- slot warmup_slots begins
                 warm_end = se * empty_count + busy_us
-                acc.open_window(warm_end, empty_count)
+                self.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
 
         for nid, st in enumerate(streams):
@@ -693,24 +709,6 @@ class Simulation:
         self.wakes = wakes
         return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
                 last_collision, 0)
-
-    def _finalize(self) -> MetricsReport:
-        cfg = self.cfg
-        report = self.acc.finalize(self.queues, self.stage,
-                                   self.empty_count,
-                                   cfg.sim_slots - cfg.warmup_slots)
-        for nid, queue in enumerate(self.queues):
-            arrivals, delivered = self.arrivals[nid], self.delivered[nid]
-            dropped = self.dropped[nid]
-            if arrivals != delivered + dropped + len(queue):
-                raise ConsistencyError(
-                    f"packet ledger mismatch for node {nid}: "
-                    f"{arrivals} in, {delivered} out, {dropped} dropped, "
-                    f"{len(queue)} still queued")
-            if cfg.saturated and self.queue_empties[nid]:
-                raise ConsistencyError(
-                    f"saturated node {nid} ran out of traffic")
-        return report
 
 
 def run_simulation(cfg: SimConfig) -> MetricsReport:

@@ -1,13 +1,16 @@
-"""Measurement accumulation and the end-of-run report.
+"""The end-of-run report, a pure function of a Simulation's tallies.
 
+A Simulation (see engine) holds every tally, and report(sim) reads them.
 Only the window from slot warmup_slots on is reported: each integer tally
-counts the whole run, and the report takes its end value minus a snapshot
-taken when that slot begins.  Delay samples are further restricted to packets
-enqueued from the warmup boundary instant on, so a packet that entered a
-queue during warmup never contributes a (stale) delay even if it is delivered
-much later.  Throughput, on the other hand, counts all payload bits
-delivered inside the measured window, which keeps throughput * duration equal
-to the bits that actually crossed the channel.
+counts the whole run, and the report takes its end value minus the snapshot
+Simulation.open_window() takes when that slot begins.  Float sums are not
+differenced, as end minus start is not bit-equal to a sum over the window:
+the window's busy time starts from 0.0 when it opens, and delays are summed
+only for packets enqueued from the warmup boundary instant on, so a packet
+that entered a queue during warmup never contributes a (stale) delay even if
+it is delivered much later.  Throughput, on the other hand, counts all
+payload bits delivered inside the measured window, which keeps throughput *
+duration equal to the bits that actually crossed the channel.
 """
 
 import math
@@ -68,114 +71,104 @@ class MetricsReport(_ReportFields):
 
 
 class MetricsAccumulator:
-    """Collects a run's tallies: run()'s drivers add to its lists and sums
-    directly.
+    """Only the names perfbench/tracer.py patches, until a change to
+    perfbench/ alone stops it: a Simulation holds every tally, and report()
+    reads them."""
 
-    ledger is the caller's whole-run per-node (delivered, dropped,
-    queue_empties) lists.  Float sums are not differenced, as end minus start
-    is not bit-equal to a sum over the window: busy_us restarts at 0.0 when
-    the window opens, and delays are sampled from warmup_end_us, inf until
-    then."""
-
-    def __init__(self, slot_empty_us: float, payload_bits: int, ledger):
-        self.slot_empty_us = slot_empty_us
-        self.payload_bits = payload_bits
-        n_nodes = len(ledger[0])
-        self.warmup_end_us = math.inf
-        self.start = None           # the snapshot open_window() takes
-        self.slots_collision = 0
-        self.busy_us = 0.0          # sum of success/collision slot durations
-        self.delay_sum_us = 0.0
-        self.node_success = [0] * n_nodes
-        self.node_collision = [0] * n_nodes
-        self.node_delay_sum = [0.0] * n_nodes
-        self.node_delay_n = [0] * n_nodes
-        # every per-node integer tally, in the order finalize() unpacks them
-        self.node_tallies = (self.node_success, self.node_collision, *ledger)
-
-    def open_window(self, now_us: float, empty_count: int) -> None:
-        """Slot warmup_slots begins at now_us, after empty_count empty
-        slots: snapshot the integer tallies and restart the busy time."""
-        self.warmup_end_us = now_us
-        self.busy_us = 0.0
-        self.start = (empty_count, self.slots_collision,
-                      [list(t) for t in self.node_tallies])
-
-    # perfbench/tracer.py patches these names until ROADMAP item 2 ends that.
     def _gone(*args, **kwargs):
-        raise NotImplementedError("run() adds to the tallies directly")
+        raise NotImplementedError("report(sim) reads the Simulation's tallies")
 
     record_slot = record_attempt = record_delivery = _gone
-    record_drop = record_queue_empty = record_empty_bulk = _gone
+    record_drop = record_queue_empty = record_empty_bulk = finalize = _gone
 
-    # -- reporting ----------------------------------------------------------
 
-    def finalize(self, queues, stages, empty_count: int,
-                 expected_slots: int) -> MetricsReport:
-        """Close the window out; queues and stages are each node's end state
-        and empty_count the clock's empty slots over the whole run."""
-        assert self.start is not None, "the measured window never opened"
-        empty_at_start, collision_slots_at_start, node_start = self.start
-        success, collision, delivered, drops, queue_empties = (
-            [end - begin for end, begin in zip(ends, begins)]
-            for ends, begins in zip(self.node_tallies, node_start))
-        slots_empty = empty_count - empty_at_start
-        slots_collision = self.slots_collision - collision_slots_at_start
-        slots_success = sum(success)
-        slots = slots_empty + slots_success + slots_collision
-        if slots != expected_slots:
+# a Simulation's per-node integer tallies, in the order its window snapshot
+# holds them
+NODE_TALLIES = ("node_success", "node_collision", "delivered", "dropped",
+                "queue_empties")
+
+
+def report(sim) -> MetricsReport:
+    """The report of a Simulation that run() ran, from its tallies and end
+    state, after checking its slot and packet ledgers."""
+    assert sim.window_start is not None, "the measured window never opened"
+    cfg = sim.cfg
+    bits = cfg.timing.payload_bits
+    empty_at_start, collision_slots_at_start, node_start = sim.window_start
+    success, collision, delivered, drops, queue_empties = (
+        [end - begin for end, begin in zip(getattr(sim, name), begins)]
+        for name, begins in zip(NODE_TALLIES, node_start))
+    slots_empty = sim.empty_count - empty_at_start
+    slots_collision = sim.slots_collision - collision_slots_at_start
+    slots_success = sum(success)
+    slots = slots_empty + slots_success + slots_collision
+    expected_slots = cfg.sim_slots - cfg.warmup_slots
+    if slots != expected_slots:
+        raise ConsistencyError(
+            f"slot ledger mismatch: recorded {slots}, expected {expected_slots}")
+    for nid, queue in enumerate(sim.queues):
+        arrivals, out = sim.arrivals[nid], sim.delivered[nid]
+        dropped = sim.dropped[nid]
+        if arrivals != out + dropped + len(queue):
             raise ConsistencyError(
-                f"slot ledger mismatch: recorded {slots}, expected {expected_slots}")
-        duration_s = (slots_empty * self.slot_empty_us + self.busy_us) / 1e6
-        collisions = sum(collision)
-        transmissions = slots_success + collisions
-        delivered_packets = sum(delivered)
-        delivered_bits = delivered_packets * self.payload_bits
-        delay_samples = sum(self.node_delay_n)
-        empty_run = slots == 0 or transmissions == 0
+                f"packet ledger mismatch for node {nid}: "
+                f"{arrivals} in, {out} out, {dropped} dropped, "
+                f"{len(queue)} still queued")
+        if cfg.saturated and sim.queue_empties[nid]:
+            raise ConsistencyError(
+                f"saturated node {nid} ran out of traffic")
+    duration_s = (slots_empty * cfg.timing.slot_empty
+                  + sim.window_busy_us) / 1e6
+    collisions = sum(collision)
+    transmissions = slots_success + collisions
+    delivered_packets = sum(delivered)
+    delivered_bits = delivered_packets * bits
+    delay_n = sim.node_delay_n
+    delay_samples = sum(delay_n)
+    empty_run = slots == 0 or transmissions == 0
 
-        per_node = []
-        for i, queue in enumerate(queues):
-            per_node.append(NodeStats(
-                node_id=i,
-                transmissions=success[i] + collision[i],
-                successes=success[i],
-                collisions=collision[i],
-                queue_empty_events=queue_empties[i],
-                drops=drops[i],
-                delivered_packets=delivered[i],
-                delivered_bits=delivered[i] * self.payload_bits,
-                delay_samples=self.node_delay_n[i],
-                mean_delay_s=(self.node_delay_sum[i] / self.node_delay_n[i] / 1e6
-                              if self.node_delay_n[i] else math.nan),
-                end_queue=len(queue),
-                end_stage=stages[i],
-            ))
+    per_node = []
+    for i, queue in enumerate(sim.queues):
+        per_node.append(NodeStats(
+            node_id=i,
+            transmissions=success[i] + collision[i],
+            successes=success[i],
+            collisions=collision[i],
+            queue_empty_events=queue_empties[i],
+            drops=drops[i],
+            delivered_packets=delivered[i],
+            delivered_bits=delivered[i] * bits,
+            delay_samples=delay_n[i],
+            mean_delay_s=(sim.node_delay_sum[i] / delay_n[i] / 1e6
+                          if delay_n[i] else math.nan),
+            end_queue=len(queue),
+            end_stage=sim.stage[i],
+        ))
 
-        n_nodes = len(queues)
-        return MetricsReport(
-            duration_s=duration_s,
-            # a positive duration in us can still round to 0.0 s
-            throughput_bps=(delivered_bits / duration_s
-                            if duration_s > 0 else 0.0),
-            mean_delay_s=(self.delay_sum_us / delay_samples / 1e6
-                          if delay_samples else math.nan),
-            delay_samples=delay_samples,
-            avg_end_queue=sum(len(q) for q in queues) / n_nodes,
-            avg_end_stage=sum(stages) / n_nodes,
-            queue_empty_per_tx=(sum(queue_empties) / transmissions
-                                if transmissions else 0.0),
-            collision_fraction=(slots_collision / slots if slots else 0.0),
-            drops=sum(drops),
-            transmissions=transmissions,
-            successes=slots_success,
-            collisions=collisions,
-            slots_total=slots,
-            slots_empty=slots_empty,
-            slots_success=slots_success,
-            slots_collision=slots_collision,
-            delivered_packets=delivered_packets,
-            delivered_bits=delivered_bits,
-            empty_run=empty_run,
-            per_node=per_node,
-        )
+    n_nodes = len(sim.queues)
+    return MetricsReport(
+        duration_s=duration_s,
+        # a positive duration in us can still round to 0.0 s
+        throughput_bps=(delivered_bits / duration_s
+                        if duration_s > 0 else 0.0),
+        mean_delay_s=(sim.delay_sum_us / delay_samples / 1e6
+                      if delay_samples else math.nan),
+        delay_samples=delay_samples,
+        avg_end_queue=sum(len(q) for q in sim.queues) / n_nodes,
+        avg_end_stage=sum(sim.stage) / n_nodes,
+        queue_empty_per_tx=(sum(queue_empties) / transmissions
+                            if transmissions else 0.0),
+        collision_fraction=(slots_collision / slots if slots else 0.0),
+        drops=sum(drops),
+        transmissions=transmissions,
+        successes=slots_success,
+        collisions=collisions,
+        slots_total=slots,
+        slots_empty=slots_empty,
+        slots_success=slots_success,
+        slots_collision=slots_collision,
+        delivered_packets=delivered_packets,
+        delivered_bits=delivered_bits,
+        empty_run=empty_run,
+        per_node=per_node,
+    )

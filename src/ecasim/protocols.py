@@ -1,6 +1,6 @@
 """The backoff rules are inline in engine's drivers (and stated naively in
-tests/reference.py).  perfbench/tracer.py patches these names until ROADMAP
-item 2 ends that; nothing calls them."""
+tests/reference.py).  perfbench/tracer.py patches these names until a change
+to perfbench/ alone stops it; nothing calls them."""
 
 
 def _gone(*args, **kwargs):

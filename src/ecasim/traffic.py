@@ -51,7 +51,8 @@ class ArrivalStream:
             append(t)
         return drew
 
-    # perfbench/tracer.py patches these names until ROADMAP item 2 ends that.
+    # perfbench/tracer.py patches these names until a change to perfbench/
+    # alone stops it.
     def _gone(*args, **kwargs):
         raise NotImplementedError("run() lands arrivals in its own drivers")
 

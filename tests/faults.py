@@ -80,7 +80,8 @@ BOUNDARY = (ENGINE + "test_an_arrival_on_a_boundary_lands_as_stepping_lands"
 WAKES = ENGINE + "test_run_equals_stepping_when_nodes_wake_inside_idle_gaps"
 MID_WARMUP = (ENGINE
               + "test_settled_replay_stops_short_of_a_mid_hyperperiod_warmup")
-DROPS = ENGINE + "test_run_equals_stepping_with_drops_on_both_sides_of_warmup"
+DROPS = (ENGINE + "test_report_counts_only_the_window_from_warmup_slots"
+         "[drops-both-sides]")
 SLOT_END = ENGINE + "test_an_arrival_at_a_slot_end_wakes_its_node_in_the_next_slot"
 EARLY_SEED = (SWEEP + "test_a_fault_in_an_early_seed_still_writes_the_cells"
               "_submitted_first")
@@ -189,8 +190,8 @@ FAULTS = [
     # -- run() split by traffic: the saturated driver
     Fault("saturated-collision-not-recorded", "engine.py",
           "                        last_collision = slot\n"
-          "                        acc.slots_collision += 1\n",
-          "                        acc.slots_collision += 1\n",
+          "                        self.slots_collision += 1\n",
+          "                        self.slots_collision += 1\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-saturated]",
            ENGINE + "test_saturated_driver_equals_stepping")),
     Fault("saturated-one-packet-exchange", "engine.py",
@@ -293,8 +294,8 @@ FAULTS = [
           (TIMING + "test_success_exchange_matches_hand_arithmetic",
            GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]")),
     Fault("throughput-bits-hard-coded", "metrics.py",
-          "        delivered_bits = delivered_packets * self.payload_bits\n",
-          "        delivered_bits = delivered_packets * 12000\n",
+          "    delivered_bits = delivered_packets * bits\n",
+          "    delivered_bits = delivered_packets * 12000\n",
           (ENGINE + "test_reports_scale_exactly_with_the_payload",)),
     Fault("hyst-nodes-start-at-stage-1", "engine.py",
           "        self.stage = [0] * n       # backoff stage\n",
@@ -366,10 +367,11 @@ FAULTS = [
           "                if stop == end and next_tx[nid] >= 0"
           " and nxt[nid] < prev_end:\n",
           (DROPS,)),
-    Fault("warmup-drops-left-out-of-the-snapshot", "metrics.py",
-          "                      [list(t) for t in self.node_tallies])\n",
-          "                      [[0] * len(t) if t is self.node_tallies[3]\n"
-          "                       else list(t) for t in self.node_tallies])\n",
+    Fault("warmup-drops-left-out-of-the-snapshot", "engine.py",
+          "                             [list(getattr(self, name))\n",
+          "                             [[0] * len(self.dropped)"
+          " if name == \"dropped\"\n"
+          "                              else list(getattr(self, name))\n",
           (GOLDEN + "test_sweep_reproduces_golden_bytes[tinyqueue]",)),
     Fault("hysteresis-redraw-one-slot-late", "engine.py",
           ARRIVAL_ECA_RULE,
@@ -401,18 +403,31 @@ FAULTS = [
     # -- set-up and report code: a stepper that shared it with run() would
     # agree with run() under these; the reference shares none of it
     Fault("end-stage-one-low", "metrics.py",
-          "                end_stage=stages[i],\n",
-          "                end_stage=stages[i] and stages[i] - 1,\n",
+          "            end_stage=sim.stage[i],\n",
+          "            end_stage=sim.stage[i] and sim.stage[i] - 1,\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-agg16-knee]",)),
     Fault("end-queue-capped", "metrics.py",
-          "                end_queue=len(queue),\n",
-          "                end_queue=min(len(queue), 999),\n",
+          "            end_queue=len(queue),\n",
+          "            end_queue=min(len(queue), 999),\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
     Fault("saturated-join-counts-a-phantom-drop", "engine.py",
           "                self.arrivals[nid] = cfg.queue_capacity\n",
           "                self.arrivals[nid] = cfg.queue_capacity + (nid == 1)\n"
           "                self.dropped[nid] = int(nid == 1)\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[eca-saturated]",)),
+    # -- the ledger checks of metrics.report(sim), each made one-sided
+    Fault("slot-ledger-checks-only-an-excess", "metrics.py",
+          "    if slots != expected_slots:\n",
+          "    if slots > expected_slots:\n",
+          ("tests/test_metrics.py::test_slot_ledger_mismatch_aborts",)),
+    Fault("packet-ledger-checks-only-a-deficit", "metrics.py",
+          "        if arrivals != out + dropped + len(queue):\n",
+          "        if arrivals < out + dropped + len(queue):\n",
+          (ENGINE + "test_finalize_rejects_an_unbalanced_packet_ledger",)),
+    Fault("saturated-node-may-run-dry-once", "metrics.py",
+          "        if cfg.saturated and sim.queue_empties[nid]:\n",
+          "        if cfg.saturated and sim.queue_empties[nid] > 1:\n",
+          (ENGINE + "test_finalize_rejects_a_saturated_node_that_ran_dry",)),
 ]
 
 

@@ -7,23 +7,28 @@ from reference import Reference
 def load_node(sim, nid, packets, due_in=-1):
     """Queue packets stamped 0.0 at idle node nid and make it due in due_in
     slots (-1: left idle), as arrivals and a rejoin draw would."""
-    assert sim.slot == 0 and sim.next_tx[nid] < 0, "node already scheduled"
-    queue = sim.queues[nid]
-    assert len(queue) + packets <= sim.cfg.queue_capacity, "queue overfilled"
-    queue.extend([0.0] * packets)
-    sim.arrivals[nid] += packets
-    assert queue or due_in < 0, "a contending node needs something to send"
-    # assigned whole: the reference derives next_tx from its counters
-    sim.next_tx = sim.next_tx[:nid] + [due_in] + sim.next_tx[nid + 1:]
+    loading((nid, packets, due_in), stage=sim.stage[nid])(sim)
 
 
 def loading(*nodes, stage=0):
     """prepare(sim): load_node(sim, nid, packets, due_in) for each tuple of
     nodes, at the given backoff stage."""
     def prepare(sim):
+        due = sim.next_tx
         for nid, packets, due_in in nodes:
-            load_node(sim, nid, packets, due_in)
+            assert sim.slot == 0 and due[nid] < 0, "node already scheduled"
+            queue = sim.queues[nid]
+            assert len(queue) + packets <= sim.cfg.queue_capacity, \
+                "queue overfilled"
+            queue.extend([0.0] * packets)
+            sim.arrivals[nid] += packets
+            assert queue or due_in < 0, \
+                "a contending node needs something to send"
+            due[nid] = due_in
             sim.stage[nid] = stage
+        # assigned whole, once: the reference derives next_tx from its
+        # counters, and hands out a copy
+        sim.next_tx = due
     return prepare
 
 

@@ -220,8 +220,7 @@ def _mean(sum_us, samples):
 
 def end_state(sim):
     """Everything a run of a Reference or of the engine's Simulation leaves
-    behind, beyond the report (the engine keeps its window's opening instant
-    in sim.acc)."""
+    behind, beyond the report."""
     return {
         "clock": (sim.slot, sim.empty_count, sim.busy_us),
         "queues": [list(q) for q in sim.queues],
@@ -230,6 +229,6 @@ def end_state(sim):
         "instants": [list(st.instants) for st in sim.streams],
         "rng": [sim.proto_rng.getstate()]
                + [st.rng and st.rng.getstate() for st in sim.streams],
-        "warmup_end_us": getattr(sim, "acc", sim).warmup_end_us,
+        "warmup_end_us": sim.warmup_end_us,
         "last_collision_slot": sim.last_collision_slot,
     }

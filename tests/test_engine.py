@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chain_oracle import collision_slot_fraction
 from ecasim import (SATURATED, ConfigError, ConsistencyError, Protocol,
-                    SimConfig, Simulation, run_simulation)
+                    SimConfig, Simulation, metrics, run_simulation)
 from ecasim.config import MAX_NODES, MAX_SLOT_US
 from ecasim.engine import NODE_BITS
 from ecasim.timing import DEFAULT_TIMING, TimingTable
@@ -62,42 +62,11 @@ def test_lone_zero_counter_wins_the_slot():
         assert sim.stage[0] == 0
 
 
-def test_two_zero_counters_collide_and_escalate():
-    for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 0), (1, 1, 0))):
-        assert out == (0, 1)
-        for nid in (0, 1):
-            assert sim.stage[nid] == 1
-            assert len(sim.queues[nid]) == 1  # nothing delivered
-            assert 0 <= sim.next_tx[nid] - sim.slot < 32
-
-
 def test_no_zero_counter_leaves_the_slot_idle():
     for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 2), (1, 1, 5))):
         assert out == ()
         assert sim.next_tx[0] - sim.slot == 1
         assert sim.next_tx[1] - sim.slot == 4
-
-
-def test_deterministic_redraw_after_success():
-    cfg = _idle_cfg(protocol=Protocol.CSMA_ECA)
-    for sim, out in after_one_slot(cfg, loading((0, 2, 0))):
-        assert out == (0,)
-        assert sim.next_tx[0] - sim.slot == 7  # cw_min // 2 - 1
-
-
-def test_hysteresis_scales_the_deterministic_redraw():
-    cfg = _idle_cfg(protocol=Protocol.CSMA_ECA, hysteresis=True)
-    for sim, out in after_one_slot(cfg, loading((0, 2, 0), stage=3)):
-        assert out == (0,)
-        assert sim.stage[0] == 3
-        assert sim.next_tx[0] - sim.slot == (16 << 3) // 2 - 1
-
-
-def test_sender_leaves_contention_when_its_queue_drains():
-    for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 0))):
-        assert out == (0,)
-        assert sim.next_tx[0] == -1
-        assert sim.queue_empties[0] == 1
 
 
 def test_aggregation_drains_a_batch_per_success():
@@ -177,7 +146,7 @@ def test_run_equals_stepping_at_the_most_nodes(cfg):
     sim = _assert_run_equals_stepping(cfg)
     top = 1 << (NODE_BITS - 1)
     assert MAX_NODES > top
-    assert sum(sim.acc.node_collision[top:]) > 1000
+    assert sum(sim.node_collision[top:]) > 1000
 
 
 @st.composite
@@ -751,19 +720,6 @@ def test_run_refuses_a_simulation_it_already_ran():
 
 # -- arrivals at active nodes, which run() applies only where they matter -----
 
-def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
-    """Full queues drop arrivals before and after the warmup boundary; only
-    those landing from the end of slot warmup_slots - 1 on are counted."""
-    cfg = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3,
-                    arrival_rate=20_000.0, max_aggregation=16,
-                    queue_capacity=16, sim_slots=3000, warmup_slots=1500,
-                    seed=1)
-    sim = _assert_run_equals_stepping(cfg)
-    report = sim._finalize()
-    assert report.drops > 0
-    assert sum(sim.dropped) > report.drops
-
-
 @pytest.mark.parametrize("cfg", [
     SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3, arrival_rate=20_000.0,
               max_aggregation=16, queue_capacity=16, sim_slots=3000,
@@ -776,9 +732,12 @@ def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
 def test_report_counts_only_the_window_from_warmup_slots(cfg):
     """run() reports whole-run tallies minus a snapshot taken when slot
     warmup_slots begins; the reference counts only the slots from there on.
-    The two agree, and the window leaves out what came before it."""
+    The two agree, and the window leaves out what came before it: at
+    drops-both-sides, full queues drop arrivals on both sides of the warmup
+    boundary, and only those landing from the end of slot warmup_slots - 1
+    on are counted."""
     sim = _assert_run_equals_stepping(cfg)
-    report = sim._finalize()
+    report = metrics.report(sim)
     empties = sum(row.queue_empty_events for row in report.per_node)
     if cfg.saturated:  # collides during warmup only, then settles
         assert 0 < sim.last_collision_slot < cfg.warmup_slots
@@ -875,7 +834,7 @@ def test_overload_drops_and_still_balances_the_ledger():
     cfg = SimConfig(protocol=Protocol.CSMA_CA, n_nodes=2, arrival_rate=5000.0,
                     queue_capacity=2, sim_slots=20_000, warmup_slots=1000,
                     seed=8)
-    report = run_simulation(cfg)  # _finalize re-checks the packet ledger
+    report = run_simulation(cfg)  # report() checks the packet ledger
     assert report.drops > 0
     assert report.drops == sum(s.drops for s in report.per_node)
 
@@ -888,7 +847,7 @@ def test_finalize_rejects_an_unbalanced_packet_ledger():
     sim.arrivals[0] += 1
     with pytest.raises(ConsistencyError,
                        match="packet ledger mismatch for node 0"):
-        sim._finalize()
+        metrics.report(sim)
 
 
 def test_finalize_rejects_a_saturated_node_that_ran_dry():
@@ -897,7 +856,7 @@ def test_finalize_rejects_a_saturated_node_that_ran_dry():
     sim.queue_empties[0] = 1
     with pytest.raises(ConsistencyError,
                        match="saturated node 0 ran out of traffic"):
-        sim._finalize()
+        metrics.report(sim)
 
 
 # -- convergence to the deterministic schedule --------------------------------

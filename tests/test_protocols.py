@@ -2,10 +2,9 @@
 and the reference alike (see nodes.after_one_slot)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ecasim import (SATURATED, ConfigError, Protocol, SimConfig, Simulation,
-                    run_simulation)
+from ecasim import SATURATED, ConfigError, Protocol, SimConfig, run_simulation
 from nodes import after_one_slot, lay_arrivals, load_node, loading
 from reference import Reference
 
@@ -40,6 +39,7 @@ def test_ca_success_resets_stage_and_draws_from_base_window(stage, exp, seed):
 
 @settings(deadline=None)
 @given(stage=stages, exp=cw_exp)
+@example(stage=0, exp=4)  # the default window: due 7 slots after
 def test_eca_success_is_deterministic_half_window(stage, exp):
     states = []
 
@@ -47,17 +47,20 @@ def test_eca_success_is_deterministic_half_window(stage, exp):
         loading((0, 2, 0), stage=stage)(sim)
         states.append(sim.proto_rng.getstate())
     cfg = _cfg(protocol=Protocol.CSMA_ECA, cw_min=2 ** exp, max_stage=6)
-    for sim, _ in after_one_slot(cfg, prepare):
+    for sim, out in after_one_slot(cfg, prepare):
+        assert out == (0,)
         assert (sim.stage[0], _drawn(sim)) == (0, 2 ** exp // 2 - 1)
         assert sim.proto_rng.getstate() == states[-1]  # nothing drawn
 
 
 @settings(deadline=None)
 @given(stage=stages, exp=cw_exp)
+@example(stage=3, exp=4)  # (16 << 3) // 2 - 1 = 63
 def test_eca_hysteresis_keeps_stage_and_scales_the_draw(stage, exp):
     cfg = _cfg(protocol=Protocol.CSMA_ECA, hysteresis=True, cw_min=2 ** exp,
                max_stage=6)
-    for sim, _ in after_one_slot(cfg, loading((0, 2, 0), stage=stage)):
+    for sim, out in after_one_slot(cfg, loading((0, 2, 0), stage=stage)):
+        assert out == (0,)
         assert sim.stage[0] == stage
         assert _drawn(sim) == (2 ** exp << stage) // 2 - 1
 
@@ -94,9 +97,7 @@ def _uniform(counters, window, crit):
 def _counters_after_one_slot(cfg, prepare):
     """Every node's counter after slot 0 of run() (the reference draws the
     same, as the differential tests check)."""
-    sim = Simulation(cfg._replace(sim_slots=1, warmup_slots=0))
-    prepare(sim)
-    sim.run()
+    sim, _ = next(after_one_slot(cfg, prepare))
     return [_drawn(sim, nid) for nid in range(cfg.n_nodes)]
 
 
@@ -106,16 +107,9 @@ def test_ca_success_draw_is_uniform():
     assert _uniform(counters, 16, CHI2_CRIT[15])
 
 
-def _all_due_now(sim):
-    """Every node holds one packet and is due in slot 0."""
-    for nid, queue in enumerate(sim.queues):
-        queue.append(0.0)
-        sim.arrivals[nid] += 1
-        sim.next_tx[nid] = 0
-
-
 def test_collision_draw_is_uniform_over_doubled_window():
-    counters = _counters_after_one_slot(_cfg(n_nodes=3200), _all_due_now)
+    all_due_now = loading(*[(nid, 1, 0) for nid in range(3200)])
+    counters = _counters_after_one_slot(_cfg(n_nodes=3200), all_due_now)
     assert _uniform(counters, 32, CHI2_CRIT[31])
 
 
@@ -194,7 +188,8 @@ def test_success_delivers_fifo_batch_and_redraws():
 
 
 def test_success_on_last_packet_leaves_contention():
-    for sim, _ in after_one_slot(_cfg(), loading((0, 1, 0))):
+    for sim, out in after_one_slot(_cfg(), loading((0, 1, 0))):
+        assert out == (0,)
         assert sim.delivered[0] == 1
         assert sim.next_tx[0] == -1
         assert sim.queue_empties[0] == 1
@@ -202,12 +197,14 @@ def test_success_on_last_packet_leaves_contention():
 
 def test_collision_keeps_batch_and_escalates():
     cfg = _cfg(n_nodes=2, cw_min=16, max_stage=5)
-    for sim, _ in after_one_slot(cfg, loading((0, 2, 0), (1, 2, 0))):
-        assert len(sim.queues[0]) == 2
-        assert sim.stage[0] == 1
-        assert 0 <= _drawn(sim) < 32
-        assert sim.delivered[0] == 0
-        assert sim.queue_empties[0] == 0
+    for sim, out in after_one_slot(cfg, loading((0, 2, 0), (1, 2, 0))):
+        assert out == (0, 1)
+        for nid in out:
+            assert len(sim.queues[nid]) == 2  # nothing delivered
+            assert sim.stage[nid] == 1
+            assert 0 <= _drawn(sim, nid) < 32
+            assert sim.delivered[nid] == 0
+            assert sim.queue_empties[nid] == 0
 
 
 def test_collision_stage_saturates_at_max_stage():
