@@ -62,11 +62,42 @@ def test_lone_zero_counter_wins_the_slot():
         assert sim.stage[0] == 0
 
 
+def test_two_zero_counters_collide_and_escalate():
+    for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 0), (1, 1, 0))):
+        assert out == (0, 1)
+        for nid in (0, 1):
+            assert sim.stage[nid] == 1
+            assert len(sim.queues[nid]) == 1  # nothing delivered
+            assert 0 <= sim.next_tx[nid] - sim.slot < 32
+
+
 def test_no_zero_counter_leaves_the_slot_idle():
     for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 2), (1, 1, 5))):
         assert out == ()
         assert sim.next_tx[0] - sim.slot == 1
         assert sim.next_tx[1] - sim.slot == 4
+
+
+def test_deterministic_redraw_after_success():
+    cfg = _idle_cfg(protocol=Protocol.CSMA_ECA)
+    for sim, out in after_one_slot(cfg, loading((0, 2, 0))):
+        assert out == (0,)
+        assert sim.next_tx[0] - sim.slot == 7  # cw_min // 2 - 1
+
+
+def test_hysteresis_scales_the_deterministic_redraw():
+    cfg = _idle_cfg(protocol=Protocol.CSMA_ECA, hysteresis=True)
+    for sim, out in after_one_slot(cfg, loading((0, 2, 0), stage=3)):
+        assert out == (0,)
+        assert sim.stage[0] == 3
+        assert sim.next_tx[0] - sim.slot == (16 << 3) // 2 - 1
+
+
+def test_sender_leaves_contention_when_its_queue_drains():
+    for sim, out in after_one_slot(_idle_cfg(), loading((0, 1, 0))):
+        assert out == (0,)
+        assert sim.next_tx[0] == -1
+        assert sim.queue_empties[0] == 1
 
 
 def test_aggregation_drains_a_batch_per_success():
@@ -719,6 +750,19 @@ def test_run_refuses_a_simulation_it_already_ran():
 
 
 # -- arrivals at active nodes, which run() applies only where they matter -----
+
+def test_run_equals_stepping_with_drops_on_both_sides_of_warmup():
+    """Full queues drop arrivals before and after the warmup boundary; only
+    those landing from the end of slot warmup_slots - 1 on are counted."""
+    cfg = SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3,
+                    arrival_rate=20_000.0, max_aggregation=16,
+                    queue_capacity=16, sim_slots=3000, warmup_slots=1500,
+                    seed=1)
+    sim = _assert_run_equals_stepping(cfg)
+    report = metrics.report(sim)
+    assert report.drops > 0
+    assert sum(sim.dropped) > report.drops
+
 
 @pytest.mark.parametrize("cfg", [
     SimConfig(protocol=Protocol.CSMA_ECA, n_nodes=3, arrival_rate=20_000.0,
