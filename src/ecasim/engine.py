@@ -49,12 +49,12 @@ csma-eca can also settle: every node due within one post-success period and
 no two ever due in the same slot, after which nothing collides and nothing
 random is drawn.  At max_aggregation 1 the driver tests for that state once
 per period from slot 0 on, and again when the window opens; once it holds,
-it replays the whole hyperperiods that fit in the phase without heap or
-random work.  A replay still adds each busy slot's floats in stepping order
-(an exchange such as 316.888... us is not dyadic, and k additions of it are
-not k times it); only integer tallies are added in bulk.  The driver keeps
-no per-success ledger: it writes delivered from the node's successes at the
-end of each phase, and arrivals at the end.
+it sets settle_slot and replays the whole hyperperiods that fit in the phase
+without heap or random work.  A replay still adds each busy slot's floats in
+stepping order (an exchange such as 316.888... us is not dyadic, and k
+additions of it are not k times it); only integer tallies are added in bulk.
+The driver keeps no per-success ledger: it writes delivered from the node's
+successes at the end of each phase, and arrivals at the end.
 
 The arrival driver runs Poisson and silent (arrival_rate 0) configs; a
 silent node's stream never fires.  An arrival at a contending node draws
@@ -70,13 +70,14 @@ only as far as needed and trimmed as the run passes it, so that after run()
 its first instant is the node's next arrival.  The driver keeps each node's
 next arrival in a flat list, a cache of the stream's instant.
 drawn_arrivals and wakes count what the run drew and how often an idle
-node joined contention.
+node joined contention.  The names only perfbench/tracer.py holds are bound
+from protocols at the end of this module.
 """
 
 import heapq
 import random
 from bisect import bisect_left
-from collections import deque, namedtuple
+from collections import deque
 from itertools import groupby
 from math import inf
 
@@ -84,11 +85,8 @@ from . import traffic
 from .config import MAX_NODES, Protocol, SimConfig
 from .metrics import (NODE_TALLIES, MetricsReport, negative_delay_error,
                       report)
+from .protocols import nodes, retired
 from .traffic import ArrivalStream
-
-
-NodeSnapshot = namedtuple("NodeSnapshot", "counters")
-DropCount = namedtuple("DropCount", "dropped")
 
 # run()'s heap of due nodes holds one int per node, due << NODE_BITS | nid,
 # which orders as (due, nid) does for every node id a config allows
@@ -119,19 +117,8 @@ def _settled_firings(s: int, next_tx: list, periods: list, hyper: int):
     return sorted(firing.items())
 
 
-# perfbench/tracer.py patches these names until a change to perfbench/ alone
-# stops it; the per-slot reference they belonged to is tests/reference.py.
-def _gone(*args, **kwargs):
-    raise NotImplementedError("the per-slot reference is tests/reference.py")
-
-
-on_packet_arrival = after_transmission = _gone
-
-
 class Simulation:
     """One configured run: set nodes up through the lists, then run() it."""
-
-    advance_slot = _gone
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -167,8 +154,11 @@ class Simulation:
         # book's if it lends one); every other never fires and seeds nothing
         self.streams = [ArrivalStream([inf], None) for _ in range(n)]
         self.last_collision_slot = -1
-        self._settled = False
-        # run() counts them; drawn_arrivals starts at the streams' first draws
+        # the first slot after the last collision, once the saturated driver
+        # has proved that no collision can follow (see _settled_firings)
+        self.settle_slot = None
+        # run() counts them; drawn_arrivals starts at the streams' first
+        # draws, the book's lends included
         self.stepped_slots = self.replayed_slots = 0
         self.drawn_arrivals = self.wakes = 0
         rate = cfg.arrival_rate
@@ -176,8 +166,8 @@ class Simulation:
         if book is not None and book.key != (cfg.seed, rate):
             book = None
         self._book = book
-        self._book_drawn = book.drawn if book else 0
         if 0 < rate < inf:
+            lent_from = book.drawn if book else 0
             for nid in range(n):
                 bits = master.getrandbits(64)
                 stream = book and book.lend(nid, bits)
@@ -185,6 +175,8 @@ class Simulation:
                     stream = ArrivalStream([], random.Random(bits))
                     self.drawn_arrivals += stream.grow(rate, 0.0, 1)
                 self.streams[nid] = stream
+            if book:
+                self.drawn_arrivals += book.drawn - lent_from
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot
             # 0 with the rejoin draw of the first arrival, in node id order
@@ -193,21 +185,6 @@ class Simulation:
                 self.arrivals[nid] = cfg.queue_capacity
                 self.next_tx[nid] = self.proto_rng.randrange(
                     cfg.cw_min + cfg.rejoin_inclusive)
-
-    # -- derived state ------------------------------------------------------
-
-    @property
-    def settle_slot(self) -> int | None:
-        """First slot after the last collision, once run() has proved that no
-        collision can follow (see _settled_firings); None otherwise."""
-        return self.last_collision_slot + 1 if self._settled else None
-
-    @property
-    def nodes(self) -> list:
-        """Each node's drop count as nodes[i].counters.dropped, built on
-        access, for perfbench/tracer.py until a change to perfbench/ alone
-        reads dropped instead."""
-        return [NodeSnapshot(DropCount(d)) for d in self.dropped]
 
     def open_window(self, now_us: float, empty_count: int) -> None:
         """Slot warmup_slots begins at now_us, after empty_count empty
@@ -403,7 +380,7 @@ class Simulation:
                 if firings is None:
                     check_at = slot + hyper
                     continue
-                self._settled = True
+                self.settle_slot = last_collision + 1
                 check_at = end
                 reps = (stop - slot) // hyper
                 if not reps:
@@ -522,6 +499,7 @@ class Simulation:
 
         # every Poisson node reads its stream: the book's, or its own
         book = self._book
+        book_drawn = book.drawn if book else 0
         drawn = 0  # what the run's own streams drew
         traced = [st.instants for st in streams]
         cursor = [0] * n_nodes  # the index of nxt[nid] in nid's stream
@@ -704,11 +682,14 @@ class Simulation:
         for nid, st in enumerate(streams):
             if book is None or book.traces.get(nid) is not st:
                 del st.instants[:cursor[nid]]  # the run's own: trimmed
-        self.drawn_arrivals += drawn + (book.drawn - self._book_drawn
-                                        if book else 0)
+        self.drawn_arrivals += drawn + (book.drawn - book_drawn if book else 0)
         self.wakes = wakes
         return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
                 last_collision, 0)
+
+
+on_packet_arrival = after_transmission = Simulation.advance_slot = retired
+Simulation.nodes = nodes
 
 
 def run_simulation(cfg: SimConfig) -> MetricsReport:

@@ -11,12 +11,15 @@ that entered a queue during warmup never contributes a (stale) delay even if
 it is delivered much later.  Throughput, on the other hand, counts all
 payload bits delivered inside the measured window, which keeps throughput *
 duration equal to the bits that actually crossed the channel.
+MetricsAccumulator is only bound here, for perfbench/tracer.py (see
+protocols).
 """
 
 import math
 from typing import NamedTuple
 
 from .errors import ConsistencyError
+from .protocols import MetricsAccumulator  # noqa: F401
 
 
 def negative_delay_error(delay: float, node_id: int, ack_us: float,
@@ -68,18 +71,6 @@ class _ReportFields(NamedTuple):
 class MetricsReport(_ReportFields):
     """Without __slots__, a report keeps a __dict__: a caller can attach its
     own attributes, and they survive pickling from a pool worker."""
-
-
-class MetricsAccumulator:
-    """Only the names perfbench/tracer.py patches, until a change to
-    perfbench/ alone stops it: a Simulation holds every tally, and report()
-    reads them."""
-
-    def _gone(*args, **kwargs):
-        raise NotImplementedError("report(sim) reads the Simulation's tallies")
-
-    record_slot = record_attempt = record_delivery = _gone
-    record_drop = record_queue_empty = record_empty_bulk = finalize = _gone
 
 
 # a Simulation's per-node integer tallies, in the order its window snapshot

@@ -171,17 +171,19 @@ _FIELD_KEYS = dict(sorted(
     key=lambda item: item[1] is bool), **TimingTable.__annotations__)
 
 
+def _split(raw: str) -> tuple:
+    """A line's (key, value), each stripped, its comment cut off first; the
+    key is None if no `=` is left, and the value is then the whole line."""
+    key, eq, value = raw.split("#", 1)[0].partition("=")
+    return (key.strip(), value.strip()) if eq else (None, key.strip())
+
+
 def _parse_lines(text: str, source: str):
     """Yield (line_number, key, value) for every assignment in the file."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = _split(raw)
+        if key is None and not value:
+            continue  # blank, or only a comment
         if not key or not value:
             raise ConfigError(f"{source}:{lineno}: expected key = value")
         yield lineno, key, value
@@ -207,17 +209,17 @@ def _cast(kind, key, value: str, where: str):
 
 def parse_config(text: str, source: str = "<config>") -> SweepSpec:
     """Build a validated SweepSpec from config text."""
-    lists: dict = {"node_counts": [], "seeds": [], "protocol": []}
+    lists: dict = {}  # each list key that appears, with or without items
     scalars: dict = {}
     for lineno, key, value in _parse_lines(text, source):
         where = f"{source}:{lineno}"
-        if key in lists:
+        if key in ("node_counts", "seeds", "protocol"):
             items = [v.strip() for v in value.split(",") if v.strip()]
+            into = lists.setdefault(key, [])
             if key == "protocol":
-                lists[key].extend(
-                    parse_variant(item, f" ({where})") for item in items)
+                into.extend(parse_variant(item, f" ({where})") for item in items)
             else:
-                lists[key].extend(_cast(int, key, item, where) for item in items)
+                into.extend(_cast(int, key, item, where) for item in items)
         elif key in _FIELD_KEYS or key == "output_dir":
             if key in scalars:
                 raise ConfigError(f"{where}: {key} already set on line "
@@ -227,7 +229,7 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
         else:
             raise ConfigError(f"{where}: unknown key {key!r}")
 
-    if not lists["node_counts"]:
+    if "node_counts" not in lists:
         raise ConfigError(f"{source}: node_counts is required")
 
     taken = {k: v for k, (v, _) in scalars.items()}
@@ -236,8 +238,8 @@ def parse_config(text: str, source: str = "<config>") -> SweepSpec:
     output_dir = taken.pop("output_dir", "results")
     base = SimConfig(timing=timing, **taken)
     # an absent list key takes the default; an explicit empty list is rejected
-    spec = SweepSpec(base, lists["node_counts"], lists["protocol"] or None,
-                     lists["seeds"] or None, output_dir)
+    spec = SweepSpec(base, lists["node_counts"], lists.get("protocol"),
+                     lists.get("seeds"), output_dir)
     spec.validate()
     return spec
 
@@ -253,14 +255,11 @@ def parse_config_with_overrides(path, overrides) -> SweepSpec:
     # (blanked, not dropped, so errors keep the file's line numbers)
     keys = set()
     for item in overrides:
-        if "=" not in item:
+        key = _split(item)[0]
+        if not key:
             raise ConfigError(f"override {item!r} is not key=value")
-        keys.add(item.partition("=")[0].strip())
-    kept = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        key = line.partition("=")[0].strip() if "=" in line else None
-        kept.append("" if key in keys else raw)
+        keys.add(key)
+    kept = ["" if _split(raw)[0] in keys else raw for raw in text.splitlines()]
     merged = "\n".join(kept) + "\n" + "\n".join(overrides) + "\n"
     return parse_config(merged, f"{path} (with overrides)")
 

@@ -11,7 +11,9 @@ Node i's stream depends on the seed and the rate alone, so every protocol
 variant and node count of a sweep at one seed sees the same instants.  A
 sweep's cells at one (seed, arrival_rate) therefore share them through a
 TraceBook: a process draws each instant once, for the first of its cells
-that needs it, and its later cells read it back.
+that needs it, and its later cells read it back.  ArrivalStream's
+drain_poisson and refill are only bound for perfbench/tracer.py (see
+protocols).
 """
 
 import math
@@ -19,6 +21,7 @@ import random
 from math import log
 
 from . import config
+from .protocols import retired
 
 
 class ArrivalStream:
@@ -51,12 +54,7 @@ class ArrivalStream:
             append(t)
         return drew
 
-    # perfbench/tracer.py patches these names until a change to perfbench/
-    # alone stops it.
-    def _gone(*args, **kwargs):
-        raise NotImplementedError("run() lands arrivals in its own drivers")
-
-    drain_poisson = refill = _gone
+    drain_poisson = refill = retired
 
 
 # A book's stream grows by at least this many instants at a time, so that a

@@ -428,6 +428,19 @@ FAULTS = [
           "        if cfg.saturated and sim.queue_empties[nid]:\n",
           "        if cfg.saturated and sim.queue_empties[nid] > 1:\n",
           (ENGINE + "test_finalize_rejects_a_saturated_node_that_ran_dry",)),
+    # -- the config grammar: one line splitter, and a list key given with
+    # no items is an empty list
+    Fault("override-all-comment-accepted", "sweep.py",
+          "        key = _split(item)[0]\n"
+          "        if not key:\n",
+          "        key = item.partition(\"=\")[0].strip()\n"
+          "        if \"=\" not in item:\n",
+          (SWEEP + "test_overrides_replace_file_values",)),
+    Fault("empty-list-read-as-absent", "sweep.py",
+          "            into = lists.setdefault(key, [])\n",
+          "            into = lists.setdefault(key, []) if items else []\n",
+          (SWEEP + "test_config_errors_name_the_problem[empty-seeds]",
+           SWEEP + "test_config_errors_name_the_problem[empty-protocols]")),
 ]
 
 

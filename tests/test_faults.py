@@ -28,6 +28,25 @@ def test_the_reference_imports_only_the_config():
                 ["config"], ["timing"]), name
 
 
+def test_only_protocols_holds_raising_stubs():
+    """The names only perfbench/tracer.py patches raise through one
+    function in src/ecasim/protocols.py; no other module defines a function
+    whose body only raises NotImplementedError, so they cannot scatter."""
+    for path in sorted((ROOT / PACKAGE).glob("*.py")):
+        if path.name == "protocols.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            raised = (body[0].exc if len(body) == 1
+                      and isinstance(body[0], ast.Raise) else None)
+            raised = getattr(raised, "func", raised)  # the class, if called
+            assert not (isinstance(raised, ast.Name)
+                        and raised.id == "NotImplementedError"), (
+                f"{path.name}:{node.lineno} {node.name}")
+
+
 def test_the_names_are_unique():
     names = [f.name for f in FAULTS]
     assert len(set(names)) == len(names)

@@ -100,10 +100,12 @@ def test_comments_and_blank_lines_are_ignored():
     ("node_counts = 2\narrival_rate = fast\n", "expects a number"),
     ("node_counts = 2\njust some words\n", "expected key = value"),
     ("", "node_counts is required"),
+    ("node_counts = 2\nseeds = ,\n", "seeds must not be empty"),
+    ("node_counts = 2\nprotocol = ,\n", "at least one protocol is required"),
 ], ids=["unknown-key", "unsorted-nodes", "bad-int", "repeated-scalar",
         "unknown-protocol", "duplicate-protocol", "hyst-on-ca",
         "unknown-flag", "repeated-agg", "repeated-hyst", "bad-cw", "bad-rate",
-        "no-assignment", "missing-nodes"])
+        "no-assignment", "missing-nodes", "empty-seeds", "empty-protocols"])
 def test_config_errors_name_the_problem(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
@@ -215,8 +217,9 @@ def test_overrides_replace_file_values(tmp_path):
     spec = parse_config_with_overrides(path, ["seeds=7", "cw_min = 32"])
     assert spec.seeds == [7]
     assert spec.base.cw_min == 32
-    with pytest.raises(ConfigError, match="not key=value"):
-        parse_config_with_overrides(path, ["seeds7"])
+    for item in ("seeds7", "# seeds=5"):  # the second is all comment
+        with pytest.raises(ConfigError, match="not key=value"):
+            parse_config_with_overrides(path, [item])
 
 
 def test_overrides_keep_the_file_line_numbers_in_errors(tmp_path):
