@@ -41,8 +41,8 @@ The saturated driver holds no arrival code.  Every node contends all the
 time with a full queue (run() asserts so at the start; a collision keeps the
 queue and a success refills what it popped), so every batch is
 max_aggregation packets and every busy slot lasts that batch's exchange.
-Above max_aggregation 1 it holds a node's queue, from its first success on,
-as [stamp, count] runs of equal stamps (a refill is copies of one instant):
+Above max_aggregation 1 it holds every node's queue, from its start on, as
+[stamp, count] runs of equal stamps (a refill is copies of one instant):
 a success takes its batch from the head runs and appends one, adding each
 run's delay count times, the float additions of stepping.  Saturated
 csma-eca can also settle: every node due within one post-success period and
@@ -63,14 +63,15 @@ until the node's next pop.  So the driver keeps only idle nodes in its
 arrival heap and lands a contending node's arrivals late but in the same
 order: before it transmits with fewer than max_aggregation packets queued
 (they fix the batch size), before a success pops its queue, and at the
-end of each phase.  Every landing reads the node's stream
-(traffic.ArrivalStream) with one search and one slice up to the room left:
-the book's, inside a sweep (traffic.TraceBook), or the run's own, drawn
-only as far as needed and trimmed as the run passes it, so that after run()
-its first instant is the node's next arrival.  The driver keeps each node's
-next arrival in a flat list, a cache of the stream's instant.
-drawn_arrivals and wakes count what the run drew and how often an idle
-node joined contention.  The names only perfbench/tracer.py holds are bound
+end of each phase.  Every landing reads the instants of the node's stream
+(traffic.ArrivalStream) with one search and one slice up to the room left.
+Where a stream comes from, how it grows past its end and what it drops are
+traffic's: the driver asks a stream to reach an instant past its end, and
+once more at the end of the run, so that a stream that is the run's own
+then starts at the node's next arrival.  The driver keeps each node's next
+arrival in a flat list, a cache of the stream's instant.  drawn_arrivals
+and wakes count what the run drew and how often an idle node joined
+contention.  The names only perfbench/tracer.py holds are bound
 from protocols at the end of this module.
 """
 
@@ -150,33 +151,22 @@ class Simulation:
         self.slot = 0
         self.empty_count = 0
         self.busy_us = 0.0
-        # a Poisson stream is seeded after proto_rng (inside a sweep, the
-        # book's if it lends one); every other never fires and seeds nothing
+        # a Poisson stream is seeded after proto_rng (traffic.lend); every
+        # other never fires and seeds nothing
         self.streams = [ArrivalStream([inf], None) for _ in range(n)]
         self.last_collision_slot = -1
         # the first slot after the last collision, once the saturated driver
         # has proved that no collision can follow (see _settled_firings)
         self.settle_slot = None
         # run() counts them; drawn_arrivals starts at the streams' first
-        # draws, the book's lends included
-        self.stepped_slots = self.replayed_slots = 0
-        self.drawn_arrivals = self.wakes = 0
-        rate = cfg.arrival_rate
-        book = traffic.book
-        if book is not None and book.key != (cfg.seed, rate):
-            book = None
-        self._book = book
-        if 0 < rate < inf:
-            lent_from = book.drawn if book else 0
+        # draws, whatever traffic.lend drew for them
+        self.stepped_slots = self.replayed_slots = self.wakes = 0
+        drawn = traffic.drawn
+        if 0 < cfg.arrival_rate < inf:
             for nid in range(n):
-                bits = master.getrandbits(64)
-                stream = book and book.lend(nid, bits)
-                if stream is None:
-                    stream = ArrivalStream([], random.Random(bits))
-                    self.drawn_arrivals += stream.grow(rate, 0.0, 1)
-                self.streams[nid] = stream
-            if book:
-                self.drawn_arrivals += book.drawn - lent_from
+                self.streams[nid] = traffic.lend(
+                    cfg.seed, cfg.arrival_rate, nid, master.getrandbits(64))
+        self.drawn_arrivals = traffic.drawn - drawn
         if cfg.saturated:
             # backlogged from the first instant: full queue, join before slot
             # 0 with the rejoin draw of the first arrival, in node id order
@@ -213,8 +203,10 @@ class Simulation:
             drive = self._run_saturated
         else:
             drive = self._run_arrivals
+        drawn = traffic.drawn
         (self.slot, self.empty_count, self.busy_us, self.window_busy_us,
          self.delay_sum_us, self.last_collision_slot, replayed_busy) = drive()
+        self.drawn_arrivals += traffic.drawn - drawn
         self.stepped_slots = self.slot - self.empty_count - replayed_busy
         return report(self)
 
@@ -222,8 +214,8 @@ class Simulation:
         """run()'s saturated driver (see the module docstring).  Returns the
         clock (slot, empty slots, busy time), the window's busy time and
         delay sum, the last collision slot and the replayed busy slots.  At
-        agg > 1, a node that has succeeded works on runs and gets its queue
-        of one stamp per packet back at the end."""
+        agg > 1, every node works on runs and gets its queue of one stamp
+        per packet back at the end."""
         cfg = self.cfg
         t = cfg.timing
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -251,9 +243,10 @@ class Simulation:
         replayed_busy = 0
 
         queues = self.queues
-        # at agg > 1, a node's working queue from its first success on: its
-        # [stamp, count] runs of equal stamps, FIFO; queues[nid] at the end
-        runs = [None] * n_nodes
+        # at agg > 1, each node's working queue: its [stamp, count] runs of
+        # equal stamps, FIFO; queues[nid] at the end
+        runs = [deque([stamp, len(list(g))] for stamp, g in groupby(q))
+                for q in queues] if agg > 1 else []
         stage = self.stage
         next_tx = self.next_tx
         arrivals = self.arrivals
@@ -325,10 +318,6 @@ class Simulation:
                             node_sum = node_delay_sum[nid]
                             samples = 0
                             r = runs[nid]
-                            if r is None:  # the node's first success
-                                r = runs[nid] = deque(
-                                    [stamp, len(list(g))]
-                                    for stamp, g in groupby(queues[nid]))
                             need = agg
                             while need:  # a run, or its head, at a time
                                 head = r[0]
@@ -439,10 +428,9 @@ class Simulation:
 
         arrivals[:] = [a + d for a, d in zip(arrivals, delivered)]
         for q, r in zip(queues, runs):
-            if r is not None:
-                q.clear()
-                for stamp, count in r:
-                    q.extend([stamp] * count)
+            q.clear()
+            for stamp, count in r:
+                q.extend([stamp] * count)
         return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
                 last_collision, replayed_busy)
 
@@ -497,27 +485,19 @@ class Simulation:
         counted_busy_us = delay_sum_us = busy_us = prev_end = 0.0
         slot = empty_count = 0
 
-        # every Poisson node reads its stream: the book's, or its own
-        book = self._book
-        book_drawn = book.drawn if book else 0
-        drawn = 0  # what the run's own streams drew
+        # every Poisson node reads its stream's instants
         traced = [st.instants for st in streams]
         cursor = [0] * n_nodes  # the index of nxt[nid] in nid's stream
 
         def catch_up(nid, until):
             """Land nid's arrivals before `until`, instants[pos:k] of its
             stream, up to the room left; a full queue drops the rest.  Past
-            its end the book draws more, or the run trims and draws on."""
-            nonlocal drawn
+            its end the stream reaches until first, which may move pos."""
             instants = traced[nid]
             pos = cursor[nid]
-            if instants[-1] < until and (
-                    book is None or not book.extend(nid, streams[nid], until)):
-                del instants[:pos]
-                pos = 0
-                drawn += streams[nid].grow(rate, until)
-                k = len(instants) - 1
-            elif instants[pos + 1] >= until:
+            if instants[-1] < until:
+                pos = streams[nid].reach(nid, rate, until, pos)
+            if instants[pos + 1] >= until:
                 k = pos + 1
             else:
                 k = bisect_left(instants, until, pos + 2)
@@ -679,10 +659,8 @@ class Simulation:
                 self.open_window(warm_end, empty_count)
                 counted_busy_us = 0.0
 
-        for nid, st in enumerate(streams):
-            if book is None or book.traces.get(nid) is not st:
-                del st.instants[:cursor[nid]]  # the run's own: trimmed
-        self.drawn_arrivals += drawn + (book.drawn - book_drawn if book else 0)
+        for nid, st in enumerate(streams):  # each reaches nxt: only trims
+            st.reach(nid, rate, nxt[nid], cursor[nid])
         self.wakes = wakes
         return (slot, empty_count, busy_us, counted_busy_us, delay_sum_us,
                 last_collision, 0)

@@ -118,10 +118,9 @@ FAULTS = [
           "    if book is None:\n",
           (SWEEP + "test_a_seed_draws_each_instant_once",
            SWEEP + "test_pooled_cells_share_traces_across_chunks")),
-    Fault("run-reads-a-foreign-book", "engine.py",
-          "        if book is not None and book.key != (cfg.seed, rate):\n"
-          "            book = None\n",
-          "",
+    Fault("run-reads-a-foreign-book", "traffic.py",
+          "    if book is not None and book.key == (seed, rate):\n",
+          "    if book is not None:\n",
           (SWEEP + "test_a_run_ignores_a_book_of_another_seed_or_rate[seed]",
            SWEEP + "test_a_run_ignores_a_book_of_another_seed_or_rate[rate]")),
     Fault("sweep-keeps-its-book", "sweep.py",
@@ -131,35 +130,34 @@ FAULTS = [
            EARLY_SEED,
            SWEEP + "test_a_seed_draws_each_instant_once")),
     Fault("lend-redraws-a-held-trace", "traffic.py",
-          "        if stream is None and self.room:\n",
-          "        if self.room:\n",
+          "        if stream is None and book.room:\n",
+          "        if book.room:\n",
           (SWEEP + "test_a_seed_draws_each_instant_once",
            SWEEP + "test_pooled_cells_share_traces_across_chunks",
            SWEEP + "test_the_book_keeps_to_its_budget[700]")),
     Fault("lend-ignores-room", "traffic.py",
-          "        if stream is None and self.room:\n",
+          "        if stream is None and book.room:\n",
           "        if stream is None:\n",
           (SWEEP + "test_the_book_keeps_to_its_budget[0]",
            SWEEP + "test_the_book_keeps_to_its_budget[40]")),
     # -- one arrival path
-    Fault("trim-before-drawing-on-one-too-many", "engine.py",
-          "                del instants[:pos]\n",
-          "                del instants[:pos + 1]\n",
+    Fault("trim-before-drawing-on-one-too-many", "traffic.py",
+          "        del instants[:pos]\n",
+          "        del instants[:pos + 1]\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]",
            DROPS)),
     Fault("end-trim-one-too-far", "engine.py",
-          "                del st.instants[:cursor[nid]]",
-          "                del st.instants[:cursor[nid] + 1]",
+          "            st.reach(nid, rate, nxt[nid], cursor[nid])\n",
+          "            st.reach(nid, rate, nxt[nid], cursor[nid] + 1)\n",
           (SWEEP + "test_a_run_trims_the_traces_it_draws_on",)),
     Fault("own-stream-left-untrimmed", "engine.py",
-          "                del st.instants[:cursor[nid]]  # the run's own: "
-          "trimmed\n",
-          "                pass\n",
+          "            st.reach(nid, rate, nxt[nid], cursor[nid])\n",
+          "            pass\n",
           (SWEEP + "test_a_run_trims_the_traces_it_draws_on",
            ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]")),
-    Fault("handoff-relands-held-instants", "engine.py",
-          "                del instants[:pos]\n                pos = 0\n",
-          "                pos = 0\n",
+    Fault("handoff-relands-held-instants", "traffic.py",
+          "        del instants[:pos]\n        if instants[-1] < until:\n",
+          "        if instants[-1] < until:\n",
           (ENGINE + "test_run_equals_slot_by_slot_stepping[ca-poisson]",
            SWEEP + "test_the_book_keeps_to_its_budget[40]")),
     Fault("let-go-keeps-its-traces", "traffic.py",
@@ -168,7 +166,24 @@ FAULTS = [
           (SWEEP + "test_the_book_keeps_to_its_budget[1]",
            SWEEP + "test_the_book_keeps_to_its_budget[40]",
            SWEEP + "test_a_run_trims_the_traces_it_draws_on")),
+    # -- one owner for a node's arrival stream: one draw count, and no
+    # stream that keeps its book alive
+    Fault("first-draw-counted-twice", "traffic.py",
+          "        drawn += drew\n",
+          "        drawn += drew + (least == 1)\n",
+          (SWEEP + "test_a_seed_draws_exactly_what_its_book_holds",
+           ENGINE + "test_run_counts_its_draws_and_wakes")),
+    Fault("stream-points-back-at-its-book", "traffic.py",
+          "            book.room -= stream.grow(rate, 0.0, 1)\n",
+          "            book.room -= stream.grow(rate, 0.0, 1)\n"
+          "            stream.rng.book = book\n",
+          (SWEEP + "test_a_sweep_frees_every_book_it_used",)),
     # -- saturated queues as refill runs
+    Fault("runs-built-for-some-nodes", "engine.py",
+          "                for q in queues] if agg > 1 else []\n",
+          "                for q in queues[:-1]] if agg > 1 else []\n",
+          (ENGINE + "test_saturated_driver_equals_stepping",
+           ENGINE + "test_saturated_driver_equals_stepping_on_caller_stamps")),
     Fault("run-count-off-by-one", "engine.py",
           "                                    head[1] = count - need\n",
           "                                    head[1] = count - need + 1\n",
@@ -183,8 +198,8 @@ FAULTS = [
           (ENGINE + "test_saturated_driver_equals_stepping",
            GOLDEN + "test_sweep_reproduces_golden_bytes[saturated]")),
     Fault("write-back-max-aggregation-copies", "engine.py",
-          "                    q.extend([stamp] * count)\n",
-          "                    q.extend([stamp] * agg)\n",
+          "                q.extend([stamp] * count)\n",
+          "                q.extend([stamp] * agg)\n",
           (ENGINE + "test_saturated_driver_equals_stepping_on_caller_stamps",
            ENGINE + "test_saturated_driver_equals_stepping")),
     # -- run() split by traffic: the saturated driver

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from ecasim import SimConfig, Simulation
 from faults import FAULTS, PACKAGE, ROOT, patched
 
 
@@ -45,6 +46,33 @@ def test_only_protocols_holds_raising_stubs():
             assert not (isinstance(raised, ast.Name)
                         and raised.id == "NotImplementedError"), (
                 f"{path.name}:{node.lineno} {node.name}")
+
+
+def test_the_engine_names_no_book():
+    """Where a node's instants come from, how they grow and what is dropped
+    of them is src/ecasim/traffic.py's alone: the engine names no trace
+    book or any part of one, and deletes no slice of a stream's instants.
+    It only reads instants, through its cursors."""
+    source = (ROOT / PACKAGE / "engine.py").read_text()
+    book = {"book", "_book", "TraceBook", "traces", "room", "let_go",
+            "LOOKAHEAD"}
+    for node in ast.walk(ast.parse(source)):
+        names = {getattr(node, field, None)
+                 for field in ("id", "attr", "arg", "name", "asname")}
+        assert not names & book, (
+            f"engine.py:{node.lineno} names {names & book}")
+        for target in node.targets if isinstance(node, ast.Delete) else ():
+            assert not isinstance(target, ast.Subscript), (
+                f"engine.py:{node.lineno} trims a stream")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the key-sharing limit of CPython 3.11")
+def test_a_simulation_keeps_to_29_attributes():
+    """CPython 3.11 shares the keys of an instance __dict__ of at most 29
+    attributes (a 296-byte __dict__); a thirtieth gives every Simulation a
+    dict of its own (1584 bytes)."""
+    assert len(vars(Simulation(SimConfig()))) <= 29
 
 
 def test_the_names_are_unique():

@@ -1,12 +1,14 @@
 """Config grammar, sweep orchestration, CSV layout, and results loading."""
 
 import csv
+import gc
 import math
 import os
 import statistics
 import sys
 import tempfile
 import time
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -694,6 +696,52 @@ def test_a_seed_draws_each_instant_once(tmp_path, monkeypatch):
         assert drawn < alone
 
 
+def test_a_seed_draws_exactly_what_its_book_holds(tmp_path, monkeypatch):
+    """In one process, a seed's cells draw between them exactly the
+    instants its book holds, while the book has room: each once, and each
+    counted once, with no slack for a draw counted twice."""
+    books = {}
+
+    def run(cfg):
+        report = _counted_run(cfg)
+        assert books.setdefault(cfg.seed, traffic.book) is traffic.book
+        return report
+
+    monkeypatch.setattr(sweep_mod, "run_simulation", run)
+    spec = _tiny_spec(tmp_path, seeds=[1, 2, 3])
+    rows = run_sweep(spec, workers=1).rows
+    for seed, book in books.items():
+        held = sum(len(stream.instants) for stream in book.traces.values())
+        assert held + book.room == config.MAX_TRACED_INSTANTS  # no let-go
+        assert sum(row.report.drawn_arrivals for row in rows
+                   if row.seed == seed) == held
+    assert sorted(books) == spec.seeds
+
+
+def test_a_sweep_frees_every_book_it_used(tmp_path, monkeypatch):
+    """No stream points back at its book, so once a one-worker sweep
+    returns, each book it used (up to 80 MB of instants) is freed with the
+    cyclic garbage collector off."""
+    books = []
+    real_run = sweep_mod.run_simulation
+
+    def run(cfg):
+        if not books or books[-1]() is not traffic.book:
+            books.append(weakref.ref(traffic.book))
+        return real_run(cfg)
+
+    monkeypatch.setattr(sweep_mod, "run_simulation", run)
+    spec = _tiny_spec(tmp_path, seeds=[1, 2, 3])
+    gc.collect()
+    gc.disable()
+    try:
+        run_sweep(spec, workers=1)
+        alive = [book() for book in books if book() is not None]
+    finally:
+        gc.enable()
+    assert len(books) == len(spec.seeds) and not alive
+
+
 def test_pooled_cells_share_traces_across_chunks(tmp_path, monkeypatch):
     """A pool worker's book serves every cell of its seed that the worker
     runs, whatever chunk the cell came in.  At 2 workers the pool gets 32
@@ -730,7 +778,7 @@ def test_a_run_ignores_a_book_of_another_seed_or_rate(monkeypatch, other):
                                 cfg.arrival_rate * other[1])
     monkeypatch.setattr(traffic, "book", foreign)
     assert repr(run_simulation(cfg)) == repr(alone)
-    assert not foreign.traces and foreign.drawn == 0
+    assert not foreign.traces  # and, by its room, drew nothing
     assert foreign.room == config.MAX_TRACED_INSTANTS
 
 
@@ -744,13 +792,13 @@ class _BudgetWatch:
         self.budget = budget
         self.most = 0
         self.filled = set()  # the books that let go
-        real_lend = traffic.TraceBook.lend
+        real_lend = traffic.lend
         real_let_go = traffic.TraceBook.let_go
         real_run = sweep_mod.run_simulation
 
-        def lend(book, *args):
-            trace = real_lend(book, *args)
-            self.check(book)
+        def lend(*args):
+            trace = real_lend(*args)
+            self.check(traffic.book)
             return trace
 
         def let_go(book):
@@ -763,7 +811,7 @@ class _BudgetWatch:
                 self.check(traffic.book)
             return report
 
-        monkeypatch.setattr(traffic.TraceBook, "lend", lend)
+        monkeypatch.setattr(traffic, "lend", lend)
         monkeypatch.setattr(traffic.TraceBook, "let_go", let_go)
         monkeypatch.setattr(sweep_mod, "run_simulation", run)
 
